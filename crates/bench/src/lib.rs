@@ -1,5 +1,5 @@
 //! Shared fixtures and report formatting for the experiment-regeneration
-//! binaries and criterion benches.
+//! binaries and timing benches.
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md`'s experiment
 //! index):

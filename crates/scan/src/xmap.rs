@@ -68,6 +68,49 @@ impl XMap {
         b.finish()
     }
 
+    /// Builds a map from `(linear cell index, X pattern set)` entries in
+    /// any order, moving the sets in. Entries whose set is empty are
+    /// dropped. This is the one constructor every other path (the
+    /// builder, the workload generator, the wire decoder) goes through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range or appears twice, or a set
+    /// universe differs from `num_patterns`.
+    pub fn from_entries(
+        config: ScanConfig,
+        num_patterns: usize,
+        mut entries: Vec<(u32, PatternSet)>,
+    ) -> Self {
+        entries.sort_unstable_by_key(|&(idx, _)| idx);
+        let mut cells = Vec::with_capacity(entries.len());
+        let mut xsets = Vec::with_capacity(entries.len());
+        let mut total_x = 0;
+        let mut prev = None;
+        for (idx, xs) in entries {
+            assert!(
+                (idx as usize) < config.total_cells(),
+                "cell index {idx} out of range"
+            );
+            assert!(prev != Some(idx), "duplicate cell index {idx}");
+            prev = Some(idx);
+            assert_eq!(xs.universe(), num_patterns, "pattern-set universe mismatch");
+            if xs.is_empty() {
+                continue;
+            }
+            total_x += xs.card();
+            cells.push(idx);
+            xsets.push(xs);
+        }
+        XMap {
+            config,
+            num_patterns,
+            cells,
+            xsets,
+            total_x,
+        }
+    }
+
     /// The scan topology.
     pub fn config(&self) -> &ScanConfig {
         &self.config
@@ -221,8 +264,10 @@ impl XMap {
     }
 }
 
-/// Incremental builder for [`XMap`], used by workload generators and the
-/// scan capture harness.
+/// Incremental builder for [`XMap`], for callers that add X's at
+/// arbitrary coordinates (the scan capture harness, the text reader,
+/// tests). Callers that already hold one set per cell use
+/// [`XMap::from_entries`] directly.
 #[derive(Debug, Clone)]
 pub struct XMapBuilder {
     config: ScanConfig,
@@ -302,29 +347,16 @@ impl XMapBuilder {
         }
     }
 
-    /// Finalises the map into its columnar form, dropping cells whose
-    /// recorded set ended up empty.
+    /// Finalises the map into its columnar form (via
+    /// [`XMap::from_entries`]), dropping cells whose recorded set ended
+    /// up empty.
     pub fn finish(self) -> XMap {
-        let mut cells = Vec::with_capacity(self.xsets.len());
-        let mut xsets = Vec::with_capacity(self.xsets.len());
-        let mut total_x = 0;
-        // BTreeMap iteration is ascending by key, so the columnar arrays
-        // come out sorted by linear index.
-        for (idx, xs) in self.xsets {
-            if xs.is_empty() {
-                continue;
-            }
-            total_x += xs.card();
-            cells.push(u32::try_from(idx).expect("linear cell index fits in u32"));
-            xsets.push(xs);
-        }
-        XMap {
-            config: self.config,
-            num_patterns: self.num_patterns,
-            cells,
-            xsets,
-            total_x,
-        }
+        let entries = self
+            .xsets
+            .into_iter()
+            .map(|(idx, xs)| (u32::try_from(idx).expect("cell index fits in u32"), xs))
+            .collect();
+        XMap::from_entries(self.config, self.num_patterns, entries)
     }
 }
 
@@ -427,6 +459,72 @@ mod tests {
         b.add_xset(CellId::new(0, 0), &PatternSet::from_patterns(4, [2, 3]));
         let m = b.finish();
         assert_eq!(m.x_count(CellId::new(0, 0)), 3);
+    }
+
+    #[test]
+    fn from_entries_matches_the_builder_on_shuffled_entries() {
+        use xhc_prng::{SliceRandom, XhcRng};
+        let mut rng = XhcRng::seed_from_u64(0x5eed_0003);
+        let mut dropped = 0;
+        for _ in 0..40 {
+            let cfg = ScanConfig::uniform(1 + rng.gen_index(5), 1 + rng.gen_index(8));
+            let n = 1 + rng.gen_index(130);
+            let mut b = XMapBuilder::new(cfg.clone(), n);
+            let mut entries = Vec::new();
+            for idx in 0..cfg.total_cells() {
+                if rng.gen_index(3) == 0 {
+                    continue;
+                }
+                let mut xs = PatternSet::empty(n);
+                for p in 0..n {
+                    if rng.gen_index(5) == 0 {
+                        xs.insert(p);
+                        b.add_x(cfg.cell_at(idx), p).unwrap();
+                    }
+                }
+                dropped += usize::from(xs.is_empty());
+                entries.push((idx as u32, xs));
+            }
+            entries.shuffle(&mut rng);
+            let want = b.finish();
+            let got = XMap::from_entries(cfg, n, entries);
+            assert_eq!(got, want);
+            assert!(got.iter().all(|(_, xs)| !xs.is_empty()));
+            let counted: usize = got.iter().map(|(_, xs)| xs.card()).sum();
+            assert_eq!(got.total_x(), counted);
+        }
+        assert!(dropped > 0, "no empty set was exercised");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate cell index 1")]
+    fn from_entries_rejects_a_duplicate_index() {
+        let set = |p| PatternSet::from_patterns(4, [p]);
+        XMap::from_entries(
+            ScanConfig::uniform(1, 3),
+            4,
+            vec![(1, set(0)), (0, set(1)), (1, set(2))],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern-set universe mismatch")]
+    fn from_entries_rejects_a_universe_mismatch() {
+        XMap::from_entries(
+            ScanConfig::uniform(1, 3),
+            4,
+            vec![(0, PatternSet::from_patterns(5, [4]))],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cell index 3 out of range")]
+    fn from_entries_rejects_an_out_of_range_index() {
+        XMap::from_entries(
+            ScanConfig::uniform(1, 3),
+            4,
+            vec![(3, PatternSet::from_patterns(4, [0]))],
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use xhc_core::{
     BackendId, CellSelection, HybridCost, PartitionOutcome, PlanOptions, RoundRecord, SplitStrategy,
 };
 use xhc_misr::{MaskWord, SessionReport};
-use xhc_scan::{ScanConfig, XMap, XMapBuilder};
+use xhc_scan::{ScanConfig, XMap};
 use xhc_workload::WorkloadSpec;
 
 // Section tags. Shared across kinds where the payload layout is shared
@@ -199,9 +199,9 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     let words_per_set = num_patterns.div_ceil(64);
     let mut xsets_r = Reader::new(sections.require(SEC_XSETS)?);
     check_batch(&xsets_r, num_x_cells, words_per_set * 8, "xmap")?;
-    let mut builder = XMapBuilder::new(config.clone(), num_patterns);
+    let mut entries = Vec::with_capacity(cells.len());
     let mut counted_x = 0usize;
-    for &idx in &cells {
+    for idx in cells {
         let mut words = Vec::with_capacity(words_per_set);
         for _ in 0..words_per_set {
             words.push(xsets_r.u64()?);
@@ -214,7 +214,7 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
             });
         }
         counted_x += set.card();
-        builder.add_xset(config.cell_at(idx as usize), &set);
+        entries.push((idx, set));
     }
     expect_drained(&xsets_r, SEC_XSETS)?;
     if counted_x != total_x {
@@ -223,7 +223,9 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
             message: format!("declared total_x {total_x} but bitmaps hold {counted_x}"),
         });
     }
-    Ok(builder.finish())
+    // Every index is in range and strictly ascending, every set is
+    // non-empty over `num_patterns`: the constructor cannot panic.
+    Ok(XMap::from_entries(config, num_patterns, entries))
 }
 
 /// Decodes one fixed-width bitmap into a [`PatternSet`], rejecting
@@ -899,7 +901,7 @@ mod tests {
     use super::*;
     use xhc_core::PartitionEngine;
     use xhc_misr::XCancelConfig;
-    use xhc_scan::CellId;
+    use xhc_scan::{CellId, XMapBuilder};
 
     fn fig4_xmap() -> XMap {
         let cfg = ScanConfig::uniform(5, 3);

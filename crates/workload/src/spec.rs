@@ -2,7 +2,7 @@
 
 use xhc_bits::PatternSet;
 use xhc_prng::{sample_indices, SliceRandom, XhcRng};
-use xhc_scan::{ScanConfig, XMap, XMapBuilder};
+use xhc_scan::{ScanConfig, XMap};
 
 /// A synthetic workload: a scan topology plus a statistically-shaped X
 /// profile.
@@ -205,7 +205,6 @@ impl WorkloadSpec {
         }
         let config = self.scan_config();
         let mut rng = XhcRng::seed_from_u64(self.seed);
-        let mut builder = XMapBuilder::new(config.clone(), self.num_patterns);
 
         let target = self.target_x();
         let corr_budget = (target as f64 * self.correlated_fraction).round() as usize;
@@ -221,6 +220,15 @@ impl WorkloadSpec {
             // nothing from its sampling order.
             pool.shuffle(&mut rng);
         }
+        // One (cell, X pattern set) entry per pool position, in pool
+        // order. The pool is sampled without replacement, so a position
+        // names exactly one cell and every X lands straight in its
+        // entry's set: no cell lookup, no map keyed by cell.
+        let entry = |pos: usize, xs| {
+            let idx = u32::try_from(pool[pos]).expect("linear cell index fits in u32");
+            (idx, xs)
+        };
+        let mut entries = Vec::with_capacity(pool.len());
 
         // Correlated groups: identical pattern set per group, cells drawn
         // from the front of the pool (they may also receive noise later,
@@ -247,37 +255,41 @@ impl WorkloadSpec {
                     if pool_cursor >= pool.len() {
                         break;
                     }
-                    let cell = config.cell_at(pool[pool_cursor]);
+                    entries.push(entry(pool_cursor, patterns.clone()));
                     pool_cursor += 1;
-                    builder.add_xset(cell, &patterns);
                 }
             }
         }
+        // The rest of the pool starts empty; noise fills it below.
+        let empty = PatternSet::empty(self.num_patterns);
+        entries.extend((pool_cursor..pool.len()).map(|pos| entry(pos, empty.clone())));
 
         // Noise: scattered X's over the part of the pool *not* used by the
         // correlated groups. Keeping group cells pristine matters: the
         // paper's §3 analysis of real industrial data finds cells with
         // *exactly* equal X counts and identical pattern sets (177 cells
         // with exactly 406 X's), and the partitioning pivot is defined on
-        // those exact-count classes.
-        let noise_pool = if pool_cursor < pool.len() {
-            &pool[pool_cursor..]
+        // those exact-count classes. Only when the groups used up the pool
+        // does noise union onto group cells.
+        let noise_start = if pool_cursor < pool.len() {
+            pool_cursor
         } else {
-            &pool[..]
+            0
         };
+        let noise_len = pool.len() - noise_start;
         // Heterogeneous per-cell noise rates (log-uniform weights): real X
         // sources differ wildly in how often they fire, so per-cell X
         // counts spread out instead of clustering binomially around one
         // mean — uniform noise would manufacture large *coincidental*
         // equal-count classes that mislead the partitioning pivot.
-        let cumulative: Vec<f64> = (0..noise_pool.len())
+        let cumulative: Vec<f64> = (0..noise_len)
             .scan(0.0f64, |acc, _| {
                 *acc += (rng.gen_range(0.0..3.0f64)).exp();
                 Some(*acc)
             })
             .collect();
         let total_weight = cumulative.last().copied().unwrap_or(0.0);
-        let noise_budget = if noise_pool.is_empty() || total_weight <= 0.0 {
+        let noise_budget = if noise_len == 0 || total_weight <= 0.0 {
             0
         } else {
             noise_budget
@@ -285,12 +297,12 @@ impl WorkloadSpec {
         for _ in 0..noise_budget {
             let pick = rng.gen_range(0.0..total_weight);
             let chosen = cumulative.partition_point(|&c| c <= pick);
-            let cell_idx = noise_pool[chosen.min(noise_pool.len() - 1)];
+            let pos = noise_start + chosen.min(noise_len - 1);
             let p = rng.gen_range(0..self.num_patterns);
-            builder.add_x_unchecked(config.cell_at(cell_idx), p);
+            entries[pos].1.insert(p);
         }
 
-        builder.finish()
+        XMap::from_entries(config, self.num_patterns, entries)
     }
 }
 
