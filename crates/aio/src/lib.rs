@@ -7,11 +7,12 @@
 //! * [`Poller`] — register sockets with a [`Token`] and an [`Interest`],
 //!   then [`Poller::wait`] for readiness [`Event`]s. On Linux the
 //!   backend is **epoll** via raw syscalls, confined to the one
-//!   `unsafe` module (`sys`, crate-internal); everywhere else (or with
-//!   `XHC_AIO_BACKEND=fallback`) a **portable nonblocking-poll
-//!   fallback** reports every registered source as maybe-ready on each
-//!   tick, which is correct — if slower — as long as all I/O is
-//!   nonblocking.
+//!   `unsafe` module (`sys`, crate-internal); everywhere else a
+//!   **portable nonblocking-poll fallback** reports every registered
+//!   source as maybe-ready on each tick, which is correct — if slower —
+//!   as long as all I/O is nonblocking. The platform alone picks the
+//!   backend; on Linux the fallback is compiled only for this crate's
+//!   unit tests, which drive it directly.
 //! * [`Waker`] — wakes a blocked [`Poller::wait`] from any thread
 //!   (eventfd on epoll, an atomic flag on the fallback).
 //! * [`timer::TimerWheel`] — coarse hashed-wheel deadlines for
@@ -50,6 +51,7 @@ mod sys;
 
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
+#[cfg(any(test, not(target_os = "linux")))]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -184,6 +186,7 @@ pub struct Waker {
 enum WakerInner {
     #[cfg(target_os = "linux")]
     Eventfd(Arc<OwnedEventFd>),
+    #[cfg(any(test, not(target_os = "linux")))]
     Flag(Arc<AtomicBool>),
 }
 
@@ -195,6 +198,7 @@ impl Waker {
             WakerInner::Eventfd(fd) => {
                 let _ = sys::eventfd_write(fd.0);
             }
+            #[cfg(any(test, not(target_os = "linux")))]
             WakerInner::Flag(flag) => flag.store(true, Ordering::Release),
         }
     }
@@ -222,38 +226,24 @@ pub struct Poller {
 enum Backend {
     #[cfg(target_os = "linux")]
     Epoll(EpollBackend),
+    #[cfg(any(test, not(target_os = "linux")))]
     Fallback(FallbackBackend),
 }
 
 impl Poller {
-    /// Opens a poller on the best backend for this platform. Set
-    /// `XHC_AIO_BACKEND=fallback` to force the portable backend (CI uses
-    /// this to exercise both paths on Linux).
+    /// Opens a poller on this platform's backend: epoll on Linux, the
+    /// portable fallback elsewhere.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the epoll instance or its
     /// wakeup eventfd cannot be created.
     pub fn new() -> io::Result<Poller> {
-        let force_fallback =
-            std::env::var_os("XHC_AIO_BACKEND").is_some_and(|v| v.to_str() == Some("fallback"));
-        if force_fallback {
-            return Ok(Poller {
-                backend: Backend::Fallback(FallbackBackend::new()),
-            });
-        }
         #[cfg(target_os = "linux")]
-        {
-            Ok(Poller {
-                backend: Backend::Epoll(EpollBackend::new()?),
-            })
-        }
+        let backend = Backend::Epoll(EpollBackend::new()?);
         #[cfg(not(target_os = "linux"))]
-        {
-            Ok(Poller {
-                backend: Backend::Fallback(FallbackBackend::new()),
-            })
-        }
+        let backend = Backend::Fallback(FallbackBackend::new());
+        Ok(Poller { backend })
     }
 
     /// The active backend, for logs and tests: `"epoll"` or
@@ -262,6 +252,7 @@ impl Poller {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(_) => "epoll",
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(_) => "fallback",
         }
     }
@@ -273,6 +264,7 @@ impl Poller {
             Backend::Epoll(e) => Waker {
                 inner: WakerInner::Eventfd(Arc::clone(&e.wake_fd)),
             },
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(f) => Waker {
                 inner: WakerInner::Flag(Arc::clone(&f.woken)),
             },
@@ -295,6 +287,7 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.control(sys::EPOLL_CTL_ADD, fd, token, interest),
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(f) => {
                 f.registry.retain(|(t, _)| *t != token);
                 f.registry.push((token, interest));
@@ -318,6 +311,7 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.control(sys::EPOLL_CTL_MOD, fd, token, interest),
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(f) => {
                 f.registry.retain(|(t, _)| *t != token);
                 f.registry.push((token, interest));
@@ -338,6 +332,7 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.control(sys::EPOLL_CTL_DEL, fd, token, Interest::READABLE),
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(f) => {
                 f.registry.retain(|(t, _)| *t != token);
                 Ok(())
@@ -356,6 +351,7 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(e) => e.wait(events, timeout),
+            #[cfg(any(test, not(target_os = "linux")))]
             Backend::Fallback(f) => {
                 f.wait(events, timeout);
                 Ok(())
@@ -470,6 +466,7 @@ impl Drop for EpollBackend {
 /// is reported maybe-ready on each tick (capped at
 /// [`FallbackBackend::TICK`]), so callers' nonblocking reads/writes do
 /// the actual readiness test. Strictly correct, strictly slower.
+#[cfg(any(test, not(target_os = "linux")))]
 #[derive(Debug)]
 struct FallbackBackend {
     registry: Vec<(Token, Interest)>,
@@ -480,6 +477,7 @@ struct FallbackBackend {
     next_start: usize,
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 impl FallbackBackend {
     /// Poll cadence when sources are registered but idle.
     const TICK: Duration = Duration::from_millis(1);
@@ -533,5 +531,94 @@ impl FallbackBackend {
             }
         }
         self.next_start = (start + events.list.len()) % n;
+    }
+}
+
+/// The fallback backend, driven directly through the [`Poller`] facade
+/// (on Linux `Poller::new` never picks it).
+#[cfg(test)]
+mod fallback_tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
+
+    fn fallback() -> Poller {
+        Poller {
+            backend: Backend::Fallback(FallbackBackend::new()),
+        }
+    }
+
+    #[test]
+    fn listener_is_readable_after_connect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let mut poller = fallback();
+        assert_eq!(poller.backend_name(), "fallback");
+        poller
+            .register(&listener, Token(7), Interest::READABLE)
+            .unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut events = Events::with_capacity(8);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let event = events.iter().find(|e| e.token() == Token(7)).unwrap();
+        assert!(event.readable() && !event.writable());
+        // Maybe-ready: the nonblocking accept decides, and here it
+        // succeeds once the connection has landed.
+        let start = Instant::now();
+        while listener.accept().is_err() {
+            assert!(start.elapsed() < Duration::from_secs(5), "never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn waker_interrupts_a_wait_with_nothing_registered() {
+        let mut poller = fallback();
+        let waker = poller.waker();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.wake();
+        });
+        let mut events = Events::with_capacity(4);
+        let start = Instant::now();
+        poller.wait(&mut events, None).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(10), "wake was lost");
+        assert!(events.is_empty());
+        handle.join().unwrap();
+        // A wake posted before the wait is not lost either.
+        poller.waker().wake();
+        let start = Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(30)))
+            .unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "pre-posted wake lost"
+        );
+    }
+
+    #[test]
+    fn rotation_reports_every_source_when_they_outnumber_the_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut poller = fallback();
+        for t in 0..5 {
+            poller
+                .register(&listener, Token(t), Interest::BOTH)
+                .unwrap();
+        }
+        let mut events = Events::with_capacity(2);
+        let mut seen = HashSet::new();
+        for _ in 0..3 {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(1)))
+                .unwrap();
+            assert_eq!(events.len(), 2, "a full tick fills the buffer");
+            seen.extend(events.iter().map(Event::token));
+        }
+        // Three ticks of two cover all five sources: none is starved.
+        assert_eq!(seen.len(), 5, "starved sources: {seen:?}");
     }
 }

@@ -1,7 +1,8 @@
-//! Loopback-socket tests for the `Poller` facade, run against both
-//! backends. The epoll path exercises real kernel readiness; the
-//! fallback path checks the maybe-ready contract (every registered
-//! source reported, nonblocking ops decide).
+//! Loopback-socket tests for the `Poller` facade on this platform's
+//! backend: epoll on Linux (real kernel readiness), the portable
+//! fallback elsewhere (the maybe-ready contract: every registered source
+//! reported, nonblocking ops decide). The crate's unit tests drive the
+//! fallback directly on Linux too.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -9,11 +10,6 @@ use std::time::{Duration, Instant};
 
 use xhc_aio::{Events, Interest, Poller, Token};
 
-/// Every test runs on whichever backend `Poller::new` picks, so the same
-/// suite covers epoll (the Linux default) and, when CI re-runs with
-/// `XHC_AIO_BACKEND=fallback`, the portable backend. Env vars are
-/// process-global, so the two configurations are separate test runs
-/// rather than separate tests.
 fn new_poller() -> Poller {
     Poller::new().expect("poller")
 }
@@ -205,17 +201,11 @@ fn peer_close_is_reported() {
 }
 
 #[test]
-fn fallback_contract_via_env() {
-    // Only meaningful when CI pins the backend; otherwise assert the
-    // default backend name so the test is never silently vacuous.
-    let forced =
-        std::env::var_os("XHC_AIO_BACKEND").is_some_and(|v| v.to_str() == Some("fallback"));
-    let poller = new_poller();
-    if forced {
-        assert_eq!(poller.backend_name(), "fallback");
-    } else if cfg!(target_os = "linux") {
-        assert_eq!(poller.backend_name(), "epoll");
+fn backend_follows_the_platform() {
+    let expected = if cfg!(target_os = "linux") {
+        "epoll"
     } else {
-        assert_eq!(poller.backend_name(), "fallback");
-    }
+        "fallback"
+    };
+    assert_eq!(new_poller().backend_name(), expected);
 }

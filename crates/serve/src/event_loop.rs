@@ -369,7 +369,6 @@ impl EventLoop {
                     let metrics = &self.state.metrics;
                     metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                     metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-                    xhc_trace::stat_add("serve.shed", 1);
                     let retry = retry_after_secs(&self.state);
                     self.respond_inline(
                         slot,
@@ -588,7 +587,6 @@ impl EventLoop {
                 .metrics
                 .timeouts_total
                 .fetch_add(1, Ordering::Relaxed);
-            xhc_trace::stat_add("serve.timeouts", 1);
             self.respond_inline(
                 slot,
                 Response::text(408, "request timed out waiting for bytes\n"),

@@ -115,8 +115,9 @@ pub mod client;
 pub use batch::MatrixPool;
 pub use http::{ParseError, ReadRequestError, Request, Response, MAX_BODY_BYTES};
 pub use jobs::{JobRegistry, JobStatus};
-pub use metrics::{Histogram, Metrics};
 pub use store::PlanStore;
+
+use metrics::Metrics;
 
 use std::collections::HashSet;
 use std::io;
@@ -593,7 +594,6 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
             ) =>
         {
             state.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
-            xhc_trace::stat_add("serve.timeouts", 1);
             state.metrics.count_status(408);
             let _ = http::write_response(
                 &mut stream,

@@ -1,6 +1,12 @@
-//! Lock-free daemon counters and fixed-bucket latency histograms,
-//! rendered as a plaintext exposition page at `GET /metrics`.
+//! Lock-free daemon counters and fixed-bucket latency histograms.
+//!
+//! Each series is declared once, as a row of [`SERIES`]. Both exporters
+//! are loops over that table: [`Metrics::render`] (the `GET /metrics`
+//! exposition page) and [`Metrics::render_line_protocol`] (the
+//! `--push-metrics` body). Adding a metric is one field plus one row,
+//! and neither exporter can leave it out.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bucket bounds in nanoseconds; the final implicit bucket is
@@ -23,7 +29,7 @@ const BOUNDS_NS: [u64; 12] = [
 
 /// A fixed-bucket latency histogram with atomic counters.
 #[derive(Debug, Default)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; BOUNDS_NS.len() + 1],
     sum_ns: AtomicU64,
     count: AtomicU64,
@@ -67,29 +73,25 @@ impl Histogram {
         BOUNDS_NS[BOUNDS_NS.len() - 1] * 2
     }
 
+    /// Writes this stage's cumulative buckets, sum and count of the
+    /// [`STAGE_FAMILY`] histogram.
     fn render(&self, out: &mut String, stage: &str) {
-        use std::fmt::Write;
         let mut cumulative = 0u64;
-        for (idx, bound) in BOUNDS_NS.iter().enumerate() {
-            cumulative += self.buckets[idx].load(Ordering::Relaxed);
+        for (idx, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let le = BOUNDS_NS
+                .get(idx)
+                .map_or("+Inf".to_string(), u64::to_string);
             let _ = writeln!(
                 out,
-                "xhc_stage_latency_ns_bucket{{stage=\"{stage}\",le=\"{bound}\"}} {cumulative}"
+                "{STAGE_FAMILY}_bucket{{stage=\"{stage}\",le=\"{le}\"}} {cumulative}"
             );
         }
-        cumulative += self.buckets[BOUNDS_NS.len()].load(Ordering::Relaxed);
+        let sum = self.sum_ns.load(Ordering::Relaxed);
+        let _ = writeln!(out, "{STAGE_FAMILY}_sum{{stage=\"{stage}\"}} {sum}");
         let _ = writeln!(
             out,
-            "xhc_stage_latency_ns_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(
-            out,
-            "xhc_stage_latency_ns_sum{{stage=\"{stage}\"}} {}",
-            self.sum_ns.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_stage_latency_ns_count{{stage=\"{stage}\"}} {cumulative}"
+            "{STAGE_FAMILY}_count{{stage=\"{stage}\"}} {cumulative}"
         );
     }
 }
@@ -97,9 +99,9 @@ impl Histogram {
 /// HTTP status classes the daemon tracks individually.
 const TRACKED_STATUS: [u16; 10] = [200, 202, 400, 404, 405, 408, 422, 429, 500, 503];
 
-/// Every counter the daemon exposes.
+/// Every counter the daemon exposes; [`SERIES`] names and orders them.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Requests accepted off the socket (before routing).
     pub requests_total: AtomicU64,
     /// Responses, bucketed by status code (same order as `TRACKED_STATUS`;
@@ -145,12 +147,79 @@ pub struct Metrics {
     /// End-to-end request handling time.
     pub total_ns: Histogram,
     /// Cumulative wall time spent inside `PartitionEngine::run` (cache
-    /// misses only), in nanoseconds; exposed as a Prometheus
-    /// summary-style `xhc_plan_engine_seconds_sum`.
+    /// misses only), in nanoseconds; exported in seconds.
     pub plan_engine_ns_sum: AtomicU64,
-    /// Number of engine runs behind `plan_engine_ns_sum`
-    /// (`xhc_plan_engine_seconds_count`).
+    /// Number of engine runs behind `plan_engine_ns_sum`.
     pub plan_engine_runs: AtomicU64,
+}
+
+/// How a scalar row's counter is printed.
+#[derive(Clone, Copy)]
+enum Format {
+    /// The integer itself (`u`-suffixed in line protocol).
+    Int,
+    /// A nanosecond counter shown as seconds, to the nanosecond.
+    SecsFromNs,
+}
+
+/// One declared series, in `/metrics` order.
+enum Series {
+    /// An unlabelled series read from one counter.
+    Scalar(&'static str, Format, fn(&Metrics) -> &AtomicU64),
+    /// The per-status response family: one series per `status` label.
+    Statuses(&'static str),
+    /// One stage of the [`STAGE_FAMILY`] latency histogram.
+    Stage(&'static str, fn(&Metrics) -> &Histogram),
+}
+
+use Format::{Int, SecsFromNs};
+use Series::{Scalar, Stage, Statuses};
+
+/// The stage latency histogram family on `/metrics`.
+const STAGE_FAMILY: &str = "xhc_stage_latency_ns";
+
+/// A stage's count, sum and p95 (the `Retry-After` p95) in the push body.
+const STAGE_PUSH: [&str; 3] = ["xhc_stage_count", "xhc_stage_sum_ns", "xhc_stage_p95_ns"];
+
+/// Every daemon series, declared once. Both exporters render this table.
+const SERIES: [Series; 22] = [
+    Scalar("xhc_requests_total", Int, |m| &m.requests_total),
+    Statuses("xhc_responses_total"),
+    Scalar("xhc_cache_hits_total", Int, |m| &m.cache_hits),
+    Scalar("xhc_cache_misses_total", Int, |m| &m.cache_misses),
+    Scalar("xhc_queue_depth", Int, |m| &m.queue_depth),
+    Scalar("xhc_shed_total", Int, |m| &m.shed_total),
+    Scalar("xhc_timeouts_total", Int, |m| &m.timeouts_total),
+    Scalar("xhc_batched_total", Int, |m| &m.batched_total),
+    Scalar("xhc_jobs_submitted_total", Int, |m| &m.jobs_submitted),
+    Scalar("xhc_jobs_completed_total", Int, |m| &m.jobs_completed),
+    Scalar("xhc_verify_total", Int, |m| &m.verify_total),
+    Scalar("xhc_verify_failures_total", Int, |m| &m.verify_failures),
+    Scalar("xhc_plan_engine_seconds_sum", SecsFromNs, |m| {
+        &m.plan_engine_ns_sum
+    }),
+    Scalar("xhc_plan_engine_seconds_count", Int, |m| {
+        &m.plan_engine_runs
+    }),
+    Stage("queue_wait", |m| &m.queue_wait_ns),
+    Stage("decode", |m| &m.decode_ns),
+    Stage("lint", |m| &m.lint_ns),
+    Stage("plan", |m| &m.plan_ns),
+    Stage("encode", |m| &m.encode_ns),
+    Stage("store", |m| &m.store_ns),
+    Stage("verify", |m| &m.verify_ns),
+    Stage("total", |m| &m.total_ns),
+];
+
+impl Format {
+    /// `raw` as `/metrics` prints it; line protocol marks integers `u`.
+    fn show(self, raw: u64, line_protocol: bool) -> String {
+        match self {
+            Int if line_protocol => format!("{raw}u"),
+            Int => raw.to_string(),
+            SecsFromNs => format!("{:.9}", raw as f64 / 1e9),
+        }
+    }
 }
 
 impl Metrics {
@@ -173,182 +242,66 @@ impl Metrics {
         self.responses[idx].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// `(status label, responses)` per slot: tracked codes, then `other`.
+    fn statuses(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        let labels = TRACKED_STATUS.iter().map(u16::to_string);
+        let labels = labels.chain(["other".to_string()]);
+        labels.zip(self.responses.iter().map(|n| n.load(Ordering::Relaxed)))
+    }
+
     /// Renders the full plaintext exposition page.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(4096);
-        let _ = writeln!(
-            out,
-            "xhc_requests_total {}",
-            self.requests_total.load(Ordering::Relaxed)
-        );
-        for (idx, status) in TRACKED_STATUS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "xhc_responses_total{{status=\"{status}\"}} {}",
-                self.responses[idx].load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "xhc_responses_total{{status=\"other\"}} {}",
-            self.responses[TRACKED_STATUS.len()].load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_cache_hits_total {}",
-            self.cache_hits.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_cache_misses_total {}",
-            self.cache_misses.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_queue_depth {}",
-            self.queue_depth.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_shed_total {}",
-            self.shed_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_timeouts_total {}",
-            self.timeouts_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_batched_total {}",
-            self.batched_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_jobs_submitted_total {}",
-            self.jobs_submitted.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_jobs_completed_total {}",
-            self.jobs_completed.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_verify_total {}",
-            self.verify_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_verify_failures_total {}",
-            self.verify_failures.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "xhc_plan_engine_seconds_sum {:.9}",
-            self.plan_engine_ns_sum.load(Ordering::Relaxed) as f64 / 1e9
-        );
-        let _ = writeln!(
-            out,
-            "xhc_plan_engine_seconds_count {}",
-            self.plan_engine_runs.load(Ordering::Relaxed)
-        );
-        for (stage, hist) in [
-            ("queue_wait", &self.queue_wait_ns),
-            ("decode", &self.decode_ns),
-            ("lint", &self.lint_ns),
-            ("plan", &self.plan_ns),
-            ("encode", &self.encode_ns),
-            ("store", &self.store_ns),
-            ("verify", &self.verify_ns),
-            ("total", &self.total_ns),
-        ] {
-            hist.render(&mut out, stage);
+        let mut out = String::with_capacity(8192);
+        for series in &SERIES {
+            match *series {
+                Scalar(name, format, get) => {
+                    let value = format.show(get(self).load(Ordering::Relaxed), false);
+                    let _ = writeln!(out, "{name} {value}");
+                }
+                Statuses(name) => {
+                    for (status, n) in self.statuses() {
+                        let _ = writeln!(out, "{name}{{status=\"{status}\"}} {n}");
+                    }
+                }
+                Stage(stage, get) => get(self).render(&mut out, stage),
+            }
         }
         out
     }
 
-    /// Renders the scalar counters in Influx-style line protocol —
-    /// `name,instance=<addr> value=<v>u <ts_ns>` — which is what the
-    /// `--push-metrics` exporter POSTs on every interval. Histograms
-    /// contribute their count, sum and p95 (the same p95 the
-    /// `Retry-After` estimate uses).
+    /// Renders every series in Influx-style line protocol —
+    /// `name,instance=<addr>[,tag=<v>] value=<v> <ts_ns>` — which is what
+    /// the `--push-metrics` exporter POSTs on every interval. Statuses
+    /// with no responses are left out; a stage contributes its count,
+    /// sum and p95.
     pub fn render_line_protocol(&self, instance: &str, ts_ns: u128) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(2048);
-        let line = |out: &mut String, name: &str, value: u64| {
-            let _ = writeln!(out, "{name},instance={instance} value={value}u {ts_ns}");
+        let mut out = String::with_capacity(4096);
+        let mut line = |name: &str, tag: String, value: String| {
+            let _ = writeln!(out, "{name},instance={instance}{tag} value={value} {ts_ns}");
         };
-        line(
-            &mut out,
-            "xhc_requests_total",
-            self.requests_total.load(Ordering::Relaxed),
-        );
-        for (idx, status) in TRACKED_STATUS.iter().enumerate() {
-            let v = self.responses[idx].load(Ordering::Relaxed);
-            if v > 0 {
-                let _ = writeln!(
-                    out,
-                    "xhc_responses_total,instance={instance},status={status} value={v}u {ts_ns}"
-                );
+        for series in &SERIES {
+            match *series {
+                Scalar(name, format, get) => {
+                    let value = format.show(get(self).load(Ordering::Relaxed), true);
+                    line(name, String::new(), value);
+                }
+                Statuses(name) => {
+                    for (status, n) in self.statuses().filter(|&(_, n)| n > 0) {
+                        line(name, format!(",status={status}"), format!("{n}u"));
+                    }
+                }
+                Stage(stage, get) => {
+                    let h = get(self);
+                    let values = [
+                        h.count(),
+                        h.sum_ns.load(Ordering::Relaxed),
+                        h.quantile_ns(0.95),
+                    ];
+                    for (name, v) in STAGE_PUSH.into_iter().zip(values) {
+                        line(name, format!(",stage={stage}"), format!("{v}u"));
+                    }
+                }
             }
-        }
-        line(
-            &mut out,
-            "xhc_cache_hits_total",
-            self.cache_hits.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_cache_misses_total",
-            self.cache_misses.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_queue_depth",
-            self.queue_depth.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_shed_total",
-            self.shed_total.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_timeouts_total",
-            self.timeouts_total.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_batched_total",
-            self.batched_total.load(Ordering::Relaxed),
-        );
-        line(
-            &mut out,
-            "xhc_plan_engine_ns_sum",
-            self.plan_engine_ns_sum.load(Ordering::Relaxed),
-        );
-        for (stage, hist) in [
-            ("queue_wait", &self.queue_wait_ns),
-            ("plan", &self.plan_ns),
-            ("total", &self.total_ns),
-        ] {
-            let _ = writeln!(
-                out,
-                "xhc_stage_count,instance={instance},stage={stage} value={}u {ts_ns}",
-                hist.count()
-            );
-            let _ = writeln!(
-                out,
-                "xhc_stage_sum_ns,instance={instance},stage={stage} value={}u {ts_ns}",
-                hist.sum_ns.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "xhc_stage_p95_ns,instance={instance},stage={stage} value={}u {ts_ns}",
-                hist.quantile_ns(0.95)
-            );
         }
         out
     }
@@ -357,6 +310,119 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `Metrics` with every counter, status slot (plus one untracked
+    /// status) and stage histogram set to a distinct value.
+    fn populated() -> Metrics {
+        let m = Metrics::default();
+        for (i, counter) in [
+            &m.requests_total,
+            &m.cache_hits,
+            &m.cache_misses,
+            &m.queue_depth,
+            &m.shed_total,
+            &m.timeouts_total,
+            &m.batched_total,
+            &m.jobs_submitted,
+            &m.jobs_completed,
+            &m.verify_total,
+            &m.verify_failures,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            counter.store(101 + i as u64, Ordering::Relaxed);
+        }
+        for (i, &status) in TRACKED_STATUS.iter().enumerate() {
+            for _ in 0..=i {
+                m.count_status(status);
+            }
+        }
+        for _ in 0..11 {
+            m.count_status(418);
+        }
+        m.record_engine_ns(1_234_567_891);
+        m.record_engine_ns(7);
+        for (i, hist) in [
+            &m.queue_wait_ns,
+            &m.decode_ns,
+            &m.lint_ns,
+            &m.plan_ns,
+            &m.encode_ns,
+            &m.store_ns,
+            &m.verify_ns,
+            &m.total_ns,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for k in 0..=i as u64 {
+                hist.record_ns(3_000 + k.pow(3) * 20_000_000 + i as u64);
+            }
+        }
+        m
+    }
+
+    /// `GET /metrics` is parsed by scrapers and the benchmark harness,
+    /// so its bytes are pinned: series, order, labels and formatting.
+    #[test]
+    fn render_matches_golden_exposition() {
+        assert_eq!(
+            populated().render(),
+            include_str!("../tests/fixtures/metrics_golden.txt")
+        );
+    }
+
+    /// Every series on `/metrics` is in the push body under the same
+    /// name and value. A stage's buckets map to its count/sum/p95
+    /// triple, a `status` label to the `status` tag.
+    #[test]
+    fn push_body_carries_every_exposed_series() {
+        let m = populated();
+        let body = m.render_line_protocol("i", 1);
+        for line in m.render().lines() {
+            let (series, value) = line.split_once(' ').unwrap();
+            let (name, labels) = series.split_once('{').unwrap_or((series, ""));
+            let label = |key: &str| {
+                labels
+                    .trim_end_matches('}')
+                    .split(',')
+                    .find_map(|kv| kv.strip_prefix(key)?.strip_prefix("=\""))
+                    .map(|v| v.trim_end_matches('"'))
+            };
+            let expected: Vec<String> = match (label("stage"), label("status")) {
+                (Some(stage), _) => match name {
+                    "xhc_stage_latency_ns_bucket" => {
+                        ["xhc_stage_count", "xhc_stage_sum_ns", "xhc_stage_p95_ns"]
+                            .iter()
+                            .map(|push| format!("{push},instance=i,stage={stage} value="))
+                            .collect()
+                    }
+                    "xhc_stage_latency_ns_sum" => {
+                        vec![format!(
+                            "xhc_stage_sum_ns,instance=i,stage={stage} value={value}u"
+                        )]
+                    }
+                    "xhc_stage_latency_ns_count" => {
+                        vec![format!(
+                            "xhc_stage_count,instance=i,stage={stage} value={value}u"
+                        )]
+                    }
+                    other => panic!("unexpected stage series {other}"),
+                },
+                (None, Some(status)) => {
+                    vec![format!("{name},instance=i,status={status} value={value}")]
+                }
+                (None, None) => vec![format!("{name},instance=i value={value}")],
+            };
+            for want in expected {
+                assert!(
+                    body.contains(&want),
+                    "push body lacks `{want}` for `{line}`"
+                );
+            }
+        }
+    }
 
     #[test]
     fn histogram_buckets_are_cumulative() {

@@ -2,15 +2,23 @@
 //! line protocol to an HTTP collector on a fixed interval (and once
 //! more on shutdown, so short-lived runs still land).
 //!
-//! The body concatenates two sources: [`Metrics::render_line_protocol`]
-//! (request counters, per-status totals, stage latency summaries) and
-//! the process-lifetime [`xhc_trace`] stat registry (`xbm.stream_rows`,
-//! `serve.batched`, …) with dots mapped to underscores and an
-//! `xhc_trace_` prefix. Both are monotonic totals — the collector
-//! derives rates. Failures are counted but never retried in-line; the
-//! next interval is the retry.
+//! The body is the daemon's metric table followed by the trace stats:
+//! - [`Metrics::render_line_protocol`] renders every series `GET
+//!   /metrics` shows, under the same names: request, response, cache,
+//!   admission, job and verify counters, the engine time, and each
+//!   stage histogram as its count, sum and p95;
+//! - the process-lifetime [`xhc_trace`] stat registry (`xbm.stream_rows`,
+//!   `serve.push_errors`, …) follows, with dots mapped to underscores
+//!   and an `xhc_trace_` prefix.
 //!
-//! [`Metrics::render_line_protocol`]: crate::Metrics::render_line_protocol
+//! The collector derives rates from the totals. The serve layer counts
+//! a daemon fact in the table only, never again as a trace stat; the
+//! one overlap left is `serve.batched`, the matrix pool's own trace
+//! counter, which a daemon bumps in step with `xhc_batched_total`.
+//! Failures are counted but never retried in-line; the next interval is
+//! the retry.
+//!
+//! [`Metrics::render_line_protocol`]: crate::metrics::Metrics::render_line_protocol
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
