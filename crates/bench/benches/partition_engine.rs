@@ -107,6 +107,12 @@ fn main() {
         });
     }
 
+    // Workload generation itself: the full-size CKT-C map, the largest
+    // of the three full-size maps to build.
+    h.bench_capped("workload/generate_full_ckt_c", 5, || {
+        black_box(black_box(WorkloadSpec::ckt_c()).generate())
+    });
+
     // Certificate overhead: plan once outside the timer, then time the
     // full certify + independent-check pass the daemon runs on every
     // write. The acceptance bound is <10% of plan time, measured by

@@ -110,7 +110,14 @@ impl XhcRng {
         self.next_f64() < p
     }
 
-    /// A uniform index in `0..n` (Lemire's unbiased method).
+    /// A uniform index in `0..n` (Lemire's nearly-divisionless method).
+    ///
+    /// A widening multiply maps each 64-bit draw to `0..n`; draws whose
+    /// low product word falls below `2^64 mod n` are rejected for exact
+    /// uniformity. That rejection threshold costs a 64-bit division, so
+    /// it is computed only on the slow path, when the low word is below
+    /// `n` (the threshold is always smaller than `n`). Which draws are
+    /// accepted, and so the output stream, does not depend on it.
     ///
     /// # Panics
     ///
@@ -118,15 +125,14 @@ impl XhcRng {
     pub fn gen_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "empty range");
         let range = n as u64;
-        // Widening multiply with rejection: exact uniformity.
-        let threshold = range.wrapping_neg() % range;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (range as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as usize;
+        let mut m = (self.next_u64() as u128) * (range as u128);
+        if (m as u64) < range {
+            let threshold = range.wrapping_neg() % range;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (range as u128);
             }
         }
+        (m >> 64) as usize
     }
 
     /// A uniform draw from a range: `a..b` / `a..=b` over `usize`, or a
@@ -309,6 +315,43 @@ mod tests {
             seen[rng.gen_index(5)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// `gen_index` as it was before the nearly-divisionless fast path:
+    /// the rejection threshold computed on every call.
+    fn gen_index_always_dividing(rng: &mut XhcRng, n: usize) -> usize {
+        assert!(n > 0, "empty range");
+        let range = n as u64;
+        // Widening multiply with rejection: exact uniformity.
+        let threshold = range.wrapping_neg() % range;
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128) * (range as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as usize;
+            }
+        }
+    }
+
+    #[test]
+    fn gen_index_stream_matches_always_dividing_form() {
+        // 2^63 + 1 rejects about half of all draws, so the slow path and
+        // its retry loop run constantly there.
+        let ns = [1usize, 3, 3000, (1 << 32) + 1, (1 << 63) + 1, usize::MAX];
+        for seed in 0..200 {
+            let mut fast = XhcRng::seed_from_u64(seed);
+            let mut slow = fast.clone();
+            for _ in 0..50 {
+                for &n in &ns {
+                    assert_eq!(
+                        fast.gen_index(n),
+                        gen_index_always_dividing(&mut slow, n),
+                        "seed {seed}, n {n}"
+                    );
+                    assert_eq!(fast, slow, "state diverged: seed {seed}, n {n}");
+                }
+            }
+        }
     }
 
     #[test]

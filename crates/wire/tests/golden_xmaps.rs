@@ -21,6 +21,9 @@ fn generated_maps_match_their_golden_digests() {
         ("CKT-B /20", WorkloadSpec::ckt_b().scaled(20), 195, 6_901, "fa195b02e052e64f"),
         ("CKT-C /20", WorkloadSpec::ckt_c().scaled(20), 391, 15_270, "957607acb29a9f6a"),
         ("demo", WorkloadSpec::default(), 92, 1_844, "0d8bad8e3dff462c"),
+        ("scattered pool", scattered_pool(), 195, 6_928, "a930f64ad298cea8"),
+        ("groups fill pool", groups_fill_pool(), 10, 805, "f236e28ca2aeec29"),
+        ("no groups", no_groups(), 390, 10_001, "e5e70d2fe813302a"),
     ];
     let mut moved = Vec::new();
     for (label, spec, num_x_cells, total_x, digest) in golden {
@@ -41,4 +44,36 @@ fn generated_maps_match_their_golden_digests() {
         "generated maps moved:\n{}",
         moved.join("\n")
     );
+}
+
+// Edge paths of the generator that the presets do not reach.
+
+/// `spatial_clustering: 0.0`: the pool is sampled uniformly and then
+/// shuffled.
+fn scattered_pool() -> WorkloadSpec {
+    WorkloadSpec {
+        spatial_clustering: 0.0,
+        seed: 0x5C,
+        ..WorkloadSpec::ckt_b().scaled(20)
+    }
+}
+
+/// The correlated groups use up the whole pool, so noise is spread over
+/// the group cells themselves (`noise_start = 0`).
+fn groups_fill_pool() -> WorkloadSpec {
+    WorkloadSpec {
+        x_cell_fraction: 0.01,
+        x_density: 0.02,
+        seed: 0xF1,
+        ..WorkloadSpec::default()
+    }
+}
+
+/// No correlated groups: every placed X is noise.
+fn no_groups() -> WorkloadSpec {
+    WorkloadSpec {
+        num_groups: 0,
+        seed: 0x06,
+        ..WorkloadSpec::ckt_c().scaled(20)
+    }
 }

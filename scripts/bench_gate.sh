@@ -19,9 +19,9 @@
 # bench_snapshot.sh run produces — are reported and skipped.
 #
 # On top of the relative gate, the full-size CKT-A BestCost case must
-# finish under an absolute wall-clock budget (FULL_CKT_A_BUDGET_NS,
-# default 8s — the "low single-digit seconds" acceptance bar for the
-# paper's 505,050-cell circuit).
+# finish under a wall-clock budget that does not move with
+# BENCH_GATE_TOLERANCE_PCT: FULL_CKT_A_BUDGET_NS, by default twice the
+# committed strategy/best_cost_full_ckt_a median in BENCH_partition.json.
 #
 # Usage: scripts/bench_gate.sh
 set -euo pipefail
@@ -104,20 +104,24 @@ if failed:
 print(f"[gate] ok: no serve p99 regressed more than {tol}%")
 EOF
 
-python3 - "$tmp" "${FULL_CKT_A_BUDGET_NS:-8000000000}" <<'EOF'
+python3 - "$tmp" "${FULL_CKT_A_BUDGET_NS:-}" "$inject" <<'EOF'
 import json, sys
 
-fresh = {c["name"]: c
-         for c in json.load(open(f"{sys.argv[1]}/BENCH_partition.json"))["cases"]}
-budget = int(sys.argv[2])
-case = fresh.get("strategy/best_cost_full_ckt_a")
+def cases(path):
+    return {c["name"]: c for c in json.load(open(path))["cases"]}
+
+name = "strategy/best_cost_full_ckt_a"
+fresh = cases(f"{sys.argv[1]}/BENCH_partition.json")
+budget = (int(sys.argv[2]) if sys.argv[2]
+          else 2 * cases("BENCH_partition.json")[name]["median_ns"])
+case = fresh.get(name)
 if case is None:
-    print("[gate] FAILED: strategy/best_cost_full_ckt_a missing from fresh run")
+    print(f"[gate] FAILED: {name} missing from fresh run")
     sys.exit(1)
-med = case["median_ns"]
+med = case["median_ns"] * float(sys.argv[3])
 verdict = "FAIL" if med > budget else "ok"
-print(f"[gate] full ckt-a absolute: median {med} ns vs budget {budget} ns [{verdict}]")
+print(f"[gate] full ckt-a budget: median {med:.0f} ns vs budget {budget} ns [{verdict}]")
 if med > budget:
-    print("[gate] FAILED: full CKT-A BestCost exceeded the absolute wall-clock budget")
+    print("[gate] FAILED: full CKT-A BestCost exceeded its wall-clock budget")
     sys.exit(1)
 EOF
