@@ -22,9 +22,12 @@
 //! Structural rules run on plain-data *facts* views
 //! ([`NetlistFacts`], [`XMapFacts`]) so defects the workspace builders
 //! reject at construction — the exact defects a buggy importer would
-//! produce — are still expressible and detectable. Convenience wrappers
-//! ([`check_netlist`], [`check_xmap`]) extract the facts from validated
-//! artifacts as clean-pass baselines.
+//! produce — are still expressible and detectable. [`check_netlist`]
+//! extracts the facts from a validated netlist as a clean-pass
+//! baseline. [`check_xmap`] does not: a built `XMap` cannot hold an
+//! out-of-range or duplicate X (XL0202/XL0203), so it runs only the
+//! scan-config rule (XL0201). Raw X entry lists go through
+//! [`check_xmap_facts`].
 //!
 //! The `xhc-lint` binary lints the repo's bundled workload presets end to
 //! end and exits nonzero iff any `Deny` finding fires.

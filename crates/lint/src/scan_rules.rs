@@ -1,11 +1,12 @@
 //! Scan-topology and X-map rules (XL02xx).
 //!
-//! The X-map rules run on [`XMapFacts`] — a raw entry list as a parser or
-//! hand-written fixture would produce it — so defects an [`XMapBuilder`]
-//! normally absorbs (out-of-range positions panic, duplicates coalesce)
-//! are still detectable on unvalidated input.
-//!
-//! [`XMapBuilder`]: xhc_scan::XMapBuilder
+//! XL0201 (chain imbalance) reads only the scan shape, so it runs on a
+//! built [`XMap`] through [`check_xmap`]. XL0202 (out-of-range X) and
+//! XL0203 (duplicate X) are [`XMap`] constructor invariants: the wire
+//! decoder, the text reader and `XMap::from_entries` reject or coalesce
+//! such entries before a map exists. Those two rules therefore run on
+//! [`XMapFacts`] — a raw entry list as an importer or hand-written
+//! fixture would produce it — through [`check_xmap_facts`].
 
 use crate::diag::{LintCode, LintConfig, LintReport};
 use xhc_scan::{ScanConfig, XMap};
@@ -23,21 +24,6 @@ pub struct XMapFacts {
     pub num_patterns: usize,
     /// `(linear cell index, pattern indices)` entries.
     pub entries: Vec<(usize, Vec<usize>)>,
-}
-
-impl XMapFacts {
-    /// The facts of a validated [`XMap`] (never out of range, never
-    /// duplicated — useful as a clean baseline).
-    pub fn from_xmap(xmap: &XMap) -> Self {
-        XMapFacts {
-            total_cells: xmap.config().total_cells(),
-            num_patterns: xmap.num_patterns(),
-            entries: xmap
-                .iter()
-                .map(|(cell, xs)| (xmap.config().linear_index(cell), xs.iter().collect()))
-                .collect(),
-        }
-    }
 }
 
 /// XL0201: chain-length imbalance. The hybrid's mask word costs
@@ -77,12 +63,11 @@ pub fn check_xmap_facts(config: &LintConfig, facts: &XMapFacts) -> LintReport {
     report
 }
 
-/// Runs the X-map rules on a validated map (a clean-pass baseline: the
-/// builder already enforces both rules' invariants).
+/// Runs the X-map rules a built map can still fail: XL0201 on its scan
+/// config, in O(chains). XL0202/XL0203 are not re-checked here — every
+/// [`XMap`] constructor already enforces them (see the module doc).
 pub fn check_xmap(config: &LintConfig, xmap: &XMap) -> LintReport {
-    let mut report = check_scan_config(config, xmap.config());
-    report.merge(check_xmap_facts(config, &XMapFacts::from_xmap(xmap)));
-    report
+    check_scan_config(config, xmap.config())
 }
 
 /// XL0202: X positions out of the scan/pattern range.

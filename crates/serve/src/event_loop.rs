@@ -214,6 +214,8 @@ impl EventLoop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Small response writes must not wait on a delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     self.install(stream, now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,

@@ -571,6 +571,8 @@ impl HandlerError {
 }
 
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
+    // Small response writes must not wait on a delayed ACK.
+    let _ = stream.set_nodelay(true);
     // The blocking front end's slow-loris defence: a socket timeout, so
     // a stalled sender costs one worker at most `read_timeout_ms`.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
@@ -973,7 +975,7 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
         // The job thread owns its own handle to the shared state.
         let state_ref = Arc::clone(state);
         thread::spawn(move || {
-            let outcome = compute_plan(&state_ref, key, wkey, &xmap, &params);
+            let outcome = compute_plan(&state_ref, key, wkey, &canonical, &xmap, &params);
             let status = match outcome {
                 Ok((_, engine_ns)) => JobStatus::Done {
                     plan_hash: key,
@@ -1002,7 +1004,7 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
         .with_header("X-Xhc-Job", id.to_string()));
     }
 
-    let (bytes, engine_ns) = compute_plan(state, key, wkey, &xmap, &params)?;
+    let (bytes, engine_ns) = compute_plan(state, key, wkey, &canonical, &xmap, &params)?;
     let plan_len = bytes.len();
     let mut body = bytes;
     let traced = trace_session.is_some();
@@ -1124,7 +1126,7 @@ fn race_leg(
             asynchronous: false,
             trace: false,
         };
-        let (bytes, engine_ns) = compute_plan(state, key, wkey, xmap, &leg_params)?;
+        let (bytes, engine_ns) = compute_plan(state, key, wkey, canonical, xmap, &leg_params)?;
         let (outcome, _) = decode_plan(&bytes)
             .map_err(|e| HandlerError::new(500, format!("stored plan failed to decode: {e}")))?;
         let report = HybridBackend::report_for(xmap, cancel, outcome);
@@ -1286,13 +1288,16 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
 
 /// Plans (or fetches) the request with single-flight dedup: for any key,
 /// exactly one caller runs the engine while concurrent identical
-/// requests block and then read the store. Returns the wire-encoded plan
-/// and, for a cache miss, the engine wall time in nanoseconds (`None`
-/// means the plan came from the cache).
+/// requests block and then read the store. `canonical` is
+/// `encode_xmap(xmap)`, already built for the cache key; a miss stores
+/// it as the `.xmap` sibling. Returns the wire-encoded plan and, for a
+/// cache miss, the engine wall time in nanoseconds (`None` means the
+/// plan came from the cache).
 fn compute_plan(
     state: &ServerState,
     key: u64,
     wkey: u64,
+    canonical: &[u8],
     xmap: &XMap,
     params: &PlanParams,
 ) -> Result<(Vec<u8>, Option<u64>), HandlerError> {
@@ -1339,7 +1344,7 @@ fn compute_plan(
                 .map_err(store_err)?;
             state
                 .store
-                .save_ext(key, "xmap", &encode_xmap(xmap))
+                .save_ext(key, "xmap", canonical)
                 .map_err(store_err)?;
             state.store.save(key, &bytes).map_err(store_err)?;
             drop(span);

@@ -3,6 +3,8 @@
 //! engine at every thread count.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -195,6 +197,12 @@ fn text_and_wire_submissions_share_a_cache_entry() {
     let first = client::post(server.addr, "/v1/plan", "text/plain", &text).unwrap();
     assert_eq!(first.status, 200, "{}", first.body_text());
     assert_eq!(first.header("x-xhc-cache"), Some("miss"));
+    // A text submission still stores the canonical wire bytes.
+    let hash = first.header("x-xhc-plan-hash").unwrap();
+    assert_eq!(
+        fs::read(server.store_dir.join(format!("{hash}.xmap"))).unwrap(),
+        encode_xmap(&xmap)
+    );
 
     // The same X map in wire form hits the same cache entry: the key is
     // computed over the canonical wire bytes, not the submitted ones.
@@ -442,6 +450,11 @@ fn verify_route_checks_stored_certificates() {
     // verify-on-write ran inline and passed, or this would be a 500.
     assert_eq!(r.status, 200, "{}", r.body_text());
     let hash = r.header("x-xhc-plan-hash").unwrap().to_string();
+    // The miss stored the canonical X map: exactly `encode_xmap` bytes.
+    assert_eq!(
+        fs::read(server.store_dir.join(format!("{hash}.xmap"))).unwrap(),
+        body
+    );
 
     // The cached plan re-verifies from its stored .cert/.xmap siblings.
     let v = client::get(server.addr, &format!("/v1/plan/{hash}/verify")).unwrap();
@@ -708,4 +721,70 @@ fn race_roster_selection_and_error_paths() {
 
     let method = client::get(server.addr, "/v1/plan/race").unwrap();
     assert_eq!(method.status, 405);
+}
+
+/// A text X map whose only entry addresses cell 9 of a 4-cell design.
+const OUT_OF_RANGE_TEXT: &[u8] = b"xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n";
+
+#[test]
+fn rejection_bodies_match_their_goldens() {
+    // Byte-for-byte goldens: where lint rules run may change, the
+    // answers may not.
+    let server = TestServer::start("goldens", 1);
+    let body = encode_xmap(&test_spec().generate());
+    for path in ["/v1/plan?m=8&q=8", "/v1/plan/race?m=8&q=8"] {
+        let r = client::post(server.addr, path, "application/octet-stream", &body).unwrap();
+        assert_eq!(r.status, 422, "{path}: {}", r.body_text());
+        assert_eq!(
+            r.body_text(),
+            include_str!("fixtures/lint_422_m8_q8.txt"),
+            "{path}"
+        );
+    }
+    let r = client::post(server.addr, "/v1/plan", "text/plain", OUT_OF_RANGE_TEXT).unwrap();
+    assert_eq!(r.status, 400);
+    assert_eq!(
+        r.body_text(),
+        include_str!("fixtures/text_400_cell_out_of_range.txt")
+    );
+}
+
+/// Sends `count` `GET /healthz` requests in one write on `stream` and
+/// returns how long all `count` responses took to arrive.
+fn healthz_burst(stream: &mut TcpStream, count: usize) -> Duration {
+    let request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(count);
+    let started = Instant::now();
+    stream.write_all(&request).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while buf.windows(7).filter(|w| w == b"\r\n\r\nok\n").count() < count {
+        let n = stream.read(&mut chunk).expect("read healthz responses");
+        assert!(n > 0, "closed early: {}", String::from_utf8_lossy(&buf));
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    started.elapsed()
+}
+
+#[test]
+fn pipelined_pair_is_not_held_by_nagle() {
+    // The second response of a pipelined pair is a small write behind an
+    // unacknowledged first one. With Nagle on, it waits for this
+    // client's delayed ACK (~40 ms); with TCP_NODELAY it leaves at once.
+    let server = TestServer::start("nodelay", 1);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // Single requests first, so the connection leaves the kernel's
+    // initial quick-ACK phase and delays ACKs like a long-lived client.
+    for _ in 0..4 {
+        healthz_burst(&mut stream, 1);
+    }
+    let mut times: Vec<Duration> = (0..5).map(|_| healthz_burst(&mut stream, 2)).collect();
+    times.sort();
+    assert!(
+        times[2] < Duration::from_millis(20),
+        "median pipelined pair took {:?} (all: {times:?})",
+        times[2]
+    );
 }

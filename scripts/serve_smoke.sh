@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the planning daemon: start `xhybrid serve` on
 # a loopback socket, submit the demo workload twice through `xhybrid
-# fetch`, assert the second submission is a cache hit, and scrape
-# /metrics to confirm the daemon counted exactly one miss.
+# fetch`, assert the second submission is a cache hit, scrape /metrics
+# to confirm the daemon counted exactly one miss, and check that a lint
+# deny answers 422 naming its rule and a malformed text map answers 400.
 #
 # Usage: scripts/serve_smoke.sh
 set -euo pipefail
@@ -48,5 +49,20 @@ metrics="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; \
   printf 'GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' >&3; cat <&3)"
 echo "$metrics" | grep -q '^xhc_cache_misses_total 1$' || { echo "bad miss count"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep -q '^xhc_cache_hits_total 1$' || { echo "bad hit count"; echo "$metrics"; exit 1; }
+
+# Rejections over a raw socket: POST a body file, print the response.
+post() {
+  exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+  printf 'POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nConnection: close\r\n\r\n' \
+    "$1" "$(wc -c < "$2")" >&3
+  cat "$2" >&3
+  cat <&3
+}
+lint="$(post '/v1/plan?m=8&q=8' "$work/demo.xmap")"
+echo "$lint" | head -1 | grep -q '^HTTP/1.1 422 ' || { echo "q >= m not a 422"; echo "$lint"; exit 1; }
+echo "$lint" | grep -q 'XL0305' || { echo "422 does not name XL0305"; echo "$lint"; exit 1; }
+printf 'xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n' > "$work/out_of_range.xmap"
+bad="$(post /v1/plan "$work/out_of_range.xmap")"
+echo "$bad" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "out-of-range cell not a 400"; echo "$bad"; exit 1; }
 
 echo "serve smoke OK: one miss, one hit, stable hash $hash1"
