@@ -1,9 +1,9 @@
 //! Bench: the full Table-1 evaluation pipeline (workload generation +
-//! partitioning + accounting) on 1/15-scale CKT profiles. The `table1`
-//! binary prints the actual table; this measures its cost.
+//! planning the hybrid and both baselines) on 1/15-scale CKT profiles.
+//! The `table1` binary prints the actual table; this measures its cost.
 
 use xhc_bench::timing::{black_box, Harness};
-use xhc_core::{evaluate_hybrid, CellSelection};
+use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -23,12 +23,14 @@ fn main() {
         scaled(WorkloadSpec::ckt_c()),
     ] {
         let xmap = spec.generate();
-        h.bench(&format!("evaluate_hybrid/{}", spec.name), || {
-            black_box(evaluate_hybrid(
-                black_box(&xmap),
-                XCancelConfig::paper_default(),
-                CellSelection::First,
-            ))
+        h.bench(&format!("table1_row/{}", spec.name), || {
+            let input = WorkloadInput::new(black_box(&xmap), XCancelConfig::paper_default());
+            [
+                BackendId::MaskingOnly,
+                BackendId::CancelingOnly,
+                BackendId::Hybrid,
+            ]
+            .map(|id| black_box(backend_for(id).plan(&input, &PlanOptions::default())))
         });
     }
 

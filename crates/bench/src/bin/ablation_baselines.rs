@@ -6,10 +6,10 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin ablation_baselines`
 
-use xhc_core::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling, SupersetConfig,
+use xhc_core::{
+    backend_for, toggle_masking, BackendId, PlanOptions, SupersetBackend, TogglePolicy,
+    WorkloadInput,
 };
-use xhc_core::{evaluate_hybrid, toggle_masking, CellSelection, TogglePolicy};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -23,6 +23,13 @@ fn main() {
     };
     let xmap = spec.generate();
     let cancel = XCancelConfig::paper_default();
+    let input = WorkloadInput::new(&xmap, cancel);
+    let [masking, canceling, hybrid] = [
+        BackendId::MaskingOnly,
+        BackendId::CancelingOnly,
+        BackendId::Hybrid,
+    ]
+    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
 
     println!(
         "workload {}: {} cells, {} patterns, {} X's ({:.2}%)",
@@ -38,28 +45,18 @@ fn main() {
     );
     println!(
         "{:<34} {:>14.0} {:>22}",
-        "X-masking only [5]",
-        masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
-        0
+        "X-masking only [5]", masking.control_bits, 0
     );
     println!(
         "{:<34} {:>14.0} {:>22}",
-        "X-canceling MISR only [12]",
-        canceling_only_bits(cancel, xmap.total_x()),
-        0
+        "X-canceling MISR only [12]", canceling.control_bits, 0
     );
     for slack in [0.0, 0.25, 0.5, 1.0] {
-        let sup = superset_canceling(
-            &xmap,
-            SupersetConfig {
-                cancel,
-                merge_slack: slack,
-            },
-        );
+        let sup = SupersetBackend::report_at(&xmap, cancel, slack);
         println!(
             "{:<34} {:>14.0} {:>22}",
             format!("superset-style [17,18], slack {slack}"),
-            sup.control_bits(),
+            sup.control_bits,
             sup.lost_observability
         );
     }
@@ -75,10 +72,9 @@ fn main() {
             t.lost_observability
         );
     }
-    let hybrid = evaluate_hybrid(&xmap, cancel, CellSelection::First);
     println!(
         "{:<34} {:>14.0} {:>22}",
-        "proposed hybrid (this paper)", hybrid.proposed_bits, 0
+        "proposed hybrid (this paper)", hybrid.control_bits, 0
     );
     println!(
         "\nthe hybrid and the baselines [5]/[12] lose nothing; superset-style reuse trades \

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p xhc-bench --bin circuit_flow`
 
 use xhc_atpg::{generate_tests, AtpgConfig};
-use xhc_core::{evaluate_hybrid, CellSelection};
+use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
 use xhc_logic::generate::CircuitSpec;
 use xhc_misr::XCancelConfig;
 use xhc_scan::{ScanConfig, ScanHarness};
@@ -47,7 +47,14 @@ fn main() {
         let atpg = generate_tests(&harness, &faults, AtpgConfig::default());
         let responses = harness.run(&atpg.patterns);
         let xmap = responses.to_xmap();
-        let report = evaluate_hybrid(&xmap, cancel, CellSelection::First);
+        let input = WorkloadInput::new(&xmap, cancel);
+        let [masking, canceling, hybrid] = [
+            BackendId::MaskingOnly,
+            BackendId::CancelingOnly,
+            BackendId::Hybrid,
+        ]
+        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+        let outcome = hybrid.outcome.expect("the hybrid carries its plan");
         println!(
             "{:<6} {:>6} {:>6} {:>8} {:>7.1}% {:>7.2}% | {:>8.2}x {:>8.2}x {:>7} {:>8.1}%",
             seed,
@@ -56,10 +63,10 @@ fn main() {
             faults.len(),
             100.0 * atpg.testable_coverage(),
             100.0 * xmap.x_density(),
-            report.impv_over_masking,
-            report.impv_over_canceling,
-            report.outcome.partitions.len(),
-            100.0 * report.outcome.masked_x() as f64 / report.total_x.max(1) as f64,
+            masking.control_bits / hybrid.control_bits,
+            canceling.control_bits / hybrid.control_bits,
+            outcome.partitions.len(),
+            100.0 * hybrid.masked_x as f64 / xmap.total_x().max(1) as f64,
         );
     }
     println!("\nthe hybrid's win holds on honestly-simulated responses, not just on the");

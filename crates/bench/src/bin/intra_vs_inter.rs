@@ -12,7 +12,8 @@
 //! Run with: `cargo run --release -p xhc-bench --bin intra_vs_inter`
 
 use xhc_core::{
-    evaluate_hybrid, intra_correlation_stats, toggle_masking, CellSelection, TogglePolicy,
+    backend_for, intra_correlation_stats, toggle_masking, BackendId, PlanOptions, TogglePolicy,
+    WorkloadInput,
 };
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
@@ -45,7 +46,8 @@ fn main() {
         let intra = intra_correlation_stats(&xmap);
         let safe = toggle_masking(&xmap, cancel, TogglePolicy::Conservative);
         let greedy = toggle_masking(&xmap, cancel, TogglePolicy::Aggressive);
-        let hybrid = evaluate_hybrid(&xmap, cancel, CellSelection::First);
+        let hybrid = backend_for(BackendId::Hybrid)
+            .plan(&WorkloadInput::new(&xmap, cancel), &PlanOptions::default());
         println!(
             "{:<22.1} {:>10} {:>12} | {:>14.0}b {:>12.0}b* {:>14.0}b",
             clustering,
@@ -55,7 +57,7 @@ fn main() {
                 .map_or("-".to_string(), |j| format!("{j:.2}")),
             safe.total(),
             greedy.total(),
-            hybrid.proposed_bits,
+            hybrid.control_bits,
         );
     }
     println!("\n(* greedy toggle masks non-X values and would need fault-simulation loops)");

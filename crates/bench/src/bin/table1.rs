@@ -11,7 +11,7 @@
 //! (add `--scale N` to shrink the workloads by N× for a quick look)
 
 use xhc_bench::{fmt_mbits, has_flag};
-use xhc_core::{evaluate_hybrid, CellSelection};
+use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -58,27 +58,36 @@ fn main() {
     ] {
         let spec = scaled(spec, scale);
         let xmap = spec.generate();
-        let r = evaluate_hybrid(&xmap, cancel, CellSelection::First);
+        let input = WorkloadInput::new(&xmap, cancel);
+        let [masking, canceling, hybrid] = [
+            BackendId::MaskingOnly,
+            BackendId::CancelingOnly,
+            BackendId::Hybrid,
+        ]
+        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+        let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
+        let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
         println!(
             "{:<10} {:>8.2}% | {:>12} {:>12} {:>12} | {:>8.2}x {:>8.2}x | {:>8.3} {:>8.3} {:>7.2}x",
             spec.name,
-            100.0 * r.x_density,
-            fmt_mbits(r.masking_only_bits as f64),
-            fmt_mbits(r.canceling_only_bits),
-            fmt_mbits(r.proposed_bits),
-            r.impv_over_masking,
-            r.impv_over_canceling,
-            r.time_canceling_only,
-            r.time_proposed,
-            r.time_impv,
+            100.0 * xmap.x_density(),
+            fmt_mbits(masking.control_bits),
+            fmt_mbits(canceling.control_bits),
+            fmt_mbits(hybrid.control_bits),
+            masking.control_bits / hybrid.control_bits,
+            canceling.control_bits / hybrid.control_bits,
+            time_canceling_only,
+            time_proposed,
+            time_canceling_only / time_proposed,
         );
+        let outcome = hybrid.outcome.expect("the hybrid carries its plan");
         eprintln!(
             "  [{}] partitions={} masked={}/{} rounds={}",
             spec.name,
-            r.outcome.partitions.len(),
-            r.outcome.masked_x(),
-            r.total_x,
-            r.outcome.rounds.len()
+            outcome.partitions.len(),
+            hybrid.masked_x,
+            xmap.total_x(),
+            outcome.rounds.len()
         );
     }
     if has_flag("--paper") {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin table1_sweep`
 
-use xhc_core::{evaluate_hybrid, CellSelection};
+use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -48,10 +48,17 @@ fn main() {
                 ..spec.clone()
             }
             .generate();
-            let r = evaluate_hybrid(&xmap, cancel, CellSelection::First);
-            impv5.push(r.impv_over_masking);
-            impv12.push(r.impv_over_canceling);
-            parts.push(r.outcome.partitions.len());
+            let input = WorkloadInput::new(&xmap, cancel);
+            let [masking, canceling, hybrid] = [
+                BackendId::MaskingOnly,
+                BackendId::CancelingOnly,
+                BackendId::Hybrid,
+            ]
+            .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+            impv5.push(masking.control_bits / hybrid.control_bits);
+            impv12.push(canceling.control_bits / hybrid.control_bits);
+            let outcome = hybrid.outcome.expect("the hybrid carries its plan");
+            parts.push(outcome.partitions.len());
         }
         let (m5, lo5, hi5) = stats(&impv5);
         let (m12, lo12, hi12) = stats(&impv12);

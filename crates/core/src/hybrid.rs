@@ -1,120 +1,8 @@
-//! The hybrid X-masking / X-canceling architecture, end to end.
+//! Operational masking: the partition plan applied to captured responses.
 
-use crate::baselines::{canceling_only_bits, masking_only_bits};
-use crate::partition::{CellSelection, PartitionEngine, PartitionOutcome};
+use crate::partition::PartitionOutcome;
 use xhc_logic::Trit;
-use xhc_misr::XCancelConfig;
-use xhc_scan::{ResponseMatrix, XMap};
-
-/// A full evaluation of the proposed hybrid against both baselines on one
-/// workload — one row of the paper's Table 1.
-#[derive(Debug, Clone)]
-pub struct HybridReport {
-    /// Scan cells in the design.
-    pub total_cells: usize,
-    /// Scan chains.
-    pub num_chains: usize,
-    /// Patterns applied.
-    pub num_patterns: usize,
-    /// Total X's in the responses.
-    pub total_x: usize,
-    /// X-density of the raw responses.
-    pub x_density: f64,
-    /// The partitioning outcome (partitions, masks, cost trace).
-    pub outcome: PartitionOutcome,
-    /// Baseline \[5\]: conventional per-pattern X-masking control bits.
-    pub masking_only_bits: u128,
-    /// Baseline \[12\]: X-canceling-MISR-only control bits.
-    pub canceling_only_bits: f64,
-    /// The proposed method's total control bits.
-    pub proposed_bits: f64,
-    /// Control-bit improvement over X-masking only.
-    pub impv_over_masking: f64,
-    /// Control-bit improvement over X-canceling only.
-    pub impv_over_canceling: f64,
-    /// Normalized test time of X-canceling only (per the §5 formula).
-    pub time_canceling_only: f64,
-    /// Normalized test time of the proposed hybrid (residual X-density).
-    pub time_proposed: f64,
-    /// Test-time improvement of the hybrid over X-canceling only.
-    pub time_impv: f64,
-}
-
-/// Evaluates the hybrid architecture on an X map: runs the partitioning
-/// engine and fills in every Table-1 column.
-///
-/// # Examples
-///
-/// ```
-/// use xhc_core::{evaluate_hybrid, CellSelection};
-/// use xhc_misr::XCancelConfig;
-/// use xhc_scan::{CellId, ScanConfig, XMapBuilder};
-///
-/// let cfg = ScanConfig::uniform(5, 3);
-/// let mut b = XMapBuilder::new(cfg, 8);
-/// for p in [0, 3, 4, 5] { b.add_x(CellId::new(0, 0), p).unwrap(); }
-/// let xmap = b.finish();
-///
-/// let report = evaluate_hybrid(&xmap, XCancelConfig::new(10, 2), CellSelection::First);
-/// assert!(report.proposed_bits <= report.masking_only_bits as f64);
-/// assert!(report.impv_over_masking >= 1.0);
-/// ```
-pub fn evaluate_hybrid(xmap: &XMap, cancel: XCancelConfig, policy: CellSelection) -> HybridReport {
-    let opts = crate::PlanOptions {
-        policy,
-        ..crate::PlanOptions::default()
-    };
-    let outcome = PartitionEngine::with_options(cancel, opts).run(xmap);
-    report_for_outcome(xmap, cancel, outcome)
-}
-
-/// Builds a [`HybridReport`] for an already-computed partitioning outcome
-/// (used by the ablation benches to compare engine variants).
-pub fn report_for_outcome(
-    xmap: &XMap,
-    cancel: XCancelConfig,
-    outcome: PartitionOutcome,
-) -> HybridReport {
-    let total_cells = xmap.config().total_cells();
-    let num_chains = xmap.config().num_chains();
-    let num_patterns = xmap.num_patterns();
-    let total_x = xmap.total_x();
-    let bits = total_cells as f64 * num_patterns as f64;
-    let x_density = if bits > 0.0 {
-        total_x as f64 / bits
-    } else {
-        0.0
-    };
-
-    let masking_only = masking_only_bits(xmap.config(), num_patterns);
-    let canceling_only = canceling_only_bits(cancel, total_x);
-    let proposed = outcome.cost.total();
-
-    let residual_density = if bits > 0.0 {
-        outcome.cost.leaked_x as f64 / bits
-    } else {
-        0.0
-    };
-    let time_canceling_only = cancel.normalized_test_time(num_chains, x_density);
-    let time_proposed = cancel.normalized_test_time(num_chains, residual_density);
-
-    HybridReport {
-        total_cells,
-        num_chains,
-        num_patterns,
-        total_x,
-        x_density,
-        masking_only_bits: masking_only,
-        canceling_only_bits: canceling_only,
-        proposed_bits: proposed,
-        impv_over_masking: masking_only as f64 / proposed.max(f64::MIN_POSITIVE),
-        impv_over_canceling: canceling_only / proposed.max(f64::MIN_POSITIVE),
-        time_canceling_only,
-        time_proposed,
-        time_impv: time_canceling_only / time_proposed,
-        outcome,
-    }
-}
+use xhc_scan::ResponseMatrix;
 
 /// Applies the per-partition masks of an outcome to captured responses,
 /// producing the stream the X-canceling MISR actually sees.
@@ -149,7 +37,9 @@ pub fn apply_partition_masks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xhc_scan::{CellId, ScanConfig, XMapBuilder};
+    use crate::partition::PartitionEngine;
+    use xhc_misr::XCancelConfig;
+    use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
 
     fn fig4_xmap() -> XMap {
         let cfg = ScanConfig::uniform(5, 3);
@@ -193,22 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn report_matches_fig6_numbers() {
-        let xmap = fig4_xmap();
-        let r = evaluate_hybrid(&xmap, XCancelConfig::new(10, 2), CellSelection::First);
-        assert_eq!(r.total_x, 28);
-        assert_eq!(r.masking_only_bits, 120);
-        assert!((r.proposed_bits - 57.5).abs() < 1e-9);
-        assert!(r.impv_over_masking > 2.0);
-        // Canceling-only: 10*2*28/8 = 70 bits -> hybrid wins.
-        assert!((r.canceling_only_bits - 70.0).abs() < 1e-9);
-        assert!(r.impv_over_canceling > 1.2);
-        // Residual X-density falls -> test time improves.
-        assert!(r.time_proposed < r.time_canceling_only);
-        assert!(r.time_impv > 1.0);
-    }
-
-    #[test]
     fn masked_responses_leak_exactly_leaked_x() {
         let xmap = fig4_xmap();
         let responses = fig4_responses();
@@ -236,16 +110,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn x_free_workload_degenerates_gracefully() {
-        let cfg = ScanConfig::uniform(3, 3);
-        let xmap = XMapBuilder::new(cfg, 10).finish();
-        let r = evaluate_hybrid(&xmap, XCancelConfig::paper_default(), CellSelection::First);
-        assert_eq!(r.total_x, 0);
-        assert_eq!(r.outcome.partitions.len(), 1);
-        assert_eq!(r.time_proposed, 1.0);
-        assert_eq!(r.canceling_only_bits, 0.0);
     }
 }

@@ -11,18 +11,16 @@
 //!    function (§4, Algorithm 1);
 //! 3. [`hybrid_cost`] — the §4 total-control-bit formula
 //!    `L·C·#partitions + m·q·leakedX/(m−q)`;
-//! 4. [`evaluate_hybrid`] — a full Table-1 row: the proposed method versus
-//!    X-masking-only \[5\] and X-canceling-only \[12\], control bits and
-//!    normalized test time;
+//! 4. [`backend`] — the [`PlanBackend`] trait putting the hybrid, both
+//!    Table-1 baselines (X-masking-only \[5\] and X-canceling-only
+//!    \[12\]), a superset-X-canceling comparison point (\[17, 18\]) and a
+//!    weight-3 X-code compactor behind one planning API with a uniform
+//!    [`BackendReport`]. A Table-1 row is three reports — masking,
+//!    canceling, hybrid — compared on control bits and on
+//!    [`BackendReport::normalized_test_time`];
 //! 5. [`apply_partition_masks`] — operational gating of real captured
 //!    responses, feeding `xhc-misr`'s [`CancelSession`] for end-to-end
-//!    validation;
-//! 6. [`baselines`] — baseline accounting plus a superset-X-canceling
-//!    style comparison point (\[17, 18\]);
-//! 7. [`backend`] — the [`PlanBackend`] trait putting the hybrid, both
-//!    Table-1 baselines, the superset baseline and a weight-3 X-code
-//!    compactor behind one planning API with a uniform
-//!    [`BackendReport`].
+//!    validation.
 //!
 //! The central invariant, enforced by construction and property-tested: a
 //! cell is masked in a partition **only if it captures X under every
@@ -32,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use xhc_core::{evaluate_hybrid, CellSelection};
+//! use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
 //! use xhc_misr::XCancelConfig;
 //! use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 //!
@@ -45,10 +43,12 @@
 //! }
 //! let xmap = b.finish();
 //!
-//! let report = evaluate_hybrid(&xmap, XCancelConfig::new(8, 2), CellSelection::First);
+//! let input = WorkloadInput::new(&xmap, XCancelConfig::new(8, 2));
+//! let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+//! let (hybrid, masking) = (plan(BackendId::Hybrid), plan(BackendId::MaskingOnly));
 //! // The correlated X's are fully masked by two shared mask words.
-//! assert_eq!(report.outcome.leaked_x(), 0);
-//! assert!(report.impv_over_masking > 1.0);
+//! assert_eq!(hybrid.leaked_x, 0);
+//! assert!(masking.control_bits / hybrid.control_bits > 1.0);
 //! ```
 //!
 //! [`CancelSession`]: xhc_misr::CancelSession
@@ -57,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod baselines;
 mod correlation;
 mod cost;
 mod hybrid;
@@ -75,7 +74,7 @@ pub use correlation::{
     IntraCorrelationStats,
 };
 pub use cost::{hybrid_cost, hybrid_cost_with_masks, HybridCost};
-pub use hybrid::{apply_partition_masks, evaluate_hybrid, report_for_outcome, HybridReport};
+pub use hybrid::apply_partition_masks;
 pub use partition::{
     CellSelection, PartitionEngine, PartitionOutcome, PlanOptions, RoundRecord, SplitStrategy,
 };

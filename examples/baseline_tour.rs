@@ -6,12 +6,8 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling, SupersetConfig,
-};
 use xhybrid::core::{
-    evaluate_hybrid, toggle_masking, CellSelection, PartitionEngine, PlanOptions, SplitStrategy,
-    TogglePolicy,
+    backend_for, toggle_masking, BackendId, PlanOptions, SplitStrategy, TogglePolicy, WorkloadInput,
 };
 use xhybrid::misr::{shadow_cancel_report, XCancelConfig};
 use xhybrid::workload::WorkloadSpec;
@@ -38,6 +34,8 @@ fn main() {
         "{:<44} {:>12} {:>10} {:>12}",
         "scheme", "ctrl bits", "time", "sacrifice"
     );
+    let input = WorkloadInput::new(&xmap, cancel);
+    let plan = |id, opts| backend_for(id).plan(&input, &opts);
     let row = |name: &str, bits: f64, time: String, sacrifice: String| {
         println!("{name:<44} {bits:>12.0} {time:>10} {sacrifice:>12}");
     };
@@ -45,17 +43,17 @@ fn main() {
     // [5] conventional per-pattern masking: cheap time, huge data.
     row(
         "X-masking only [5]",
-        masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
+        plan(BackendId::MaskingOnly, PlanOptions::default()).control_bits,
         "1.000".into(),
         "-".into(),
     );
 
     // [12] X-canceling MISR only.
-    let t12 = cancel.normalized_test_time(xmap.config().num_chains(), xmap.x_density());
+    let canceling = plan(BackendId::CancelingOnly, PlanOptions::default());
     row(
         "X-canceling MISR only [12]",
-        canceling_only_bits(cancel, xmap.total_x()),
-        format!("{t12:.3}"),
+        canceling.control_bits,
+        format!("{:.3}", canceling.normalized_test_time(&xmap, cancel)),
         "-".into(),
     );
 
@@ -69,16 +67,10 @@ fn main() {
     );
 
     // [17,18] superset-style reuse.
-    let sup = superset_canceling(
-        &xmap,
-        SupersetConfig {
-            cancel,
-            merge_slack: 0.25,
-        },
-    );
+    let sup = plan(BackendId::Superset, PlanOptions::default());
     row(
         "superset-style X-canceling [17,18]",
-        sup.control_bits(),
+        sup.control_bits,
         "~".into(),
         format!("{} obs", sup.lost_observability),
     );
@@ -105,24 +97,23 @@ fn main() {
     }
 
     // The paper's hybrid, both split strategies.
-    let hybrid = evaluate_hybrid(&xmap, cancel, CellSelection::First);
+    let hybrid = plan(BackendId::Hybrid, PlanOptions::default());
     row(
         "proposed hybrid (paper, LargestClass)",
-        hybrid.proposed_bits,
-        format!("{:.3}", hybrid.time_proposed),
+        hybrid.control_bits,
+        format!("{:.3}", hybrid.normalized_test_time(&xmap, cancel)),
         "-".into(),
     );
-    let best = PartitionEngine::with_options(
-        cancel,
+    let best = plan(
+        BackendId::Hybrid,
         PlanOptions {
             strategy: SplitStrategy::BestCost,
             ..PlanOptions::default()
         },
-    )
-    .run(&xmap);
+    );
     row(
         "proposed hybrid + BestCost extension",
-        best.cost.total(),
+        best.control_bits,
         "~".into(),
         "-".into(),
     );

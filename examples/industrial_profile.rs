@@ -9,7 +9,7 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::{evaluate_hybrid, inter_correlation_stats, CellSelection};
+use xhybrid::core::{backend_for, inter_correlation_stats, BackendId, PlanOptions, WorkloadInput};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::workload::WorkloadSpec;
 
@@ -33,24 +33,39 @@ fn evaluate(spec: &WorkloadSpec) {
         100.0 * stats.cells_for_90pct
     );
 
-    let report = evaluate_hybrid(&xmap, XCancelConfig::paper_default(), CellSelection::First);
+    let cancel = XCancelConfig::paper_default();
+    let input = WorkloadInput::new(&xmap, cancel);
+    let [masking, canceling, hybrid] = [
+        BackendId::MaskingOnly,
+        BackendId::CancelingOnly,
+        BackendId::Hybrid,
+    ]
+    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
     println!(
         "control bits: masking-only {:.2}M | canceling-only {:.2}M | proposed {:.2}M",
-        report.masking_only_bits as f64 / 1e6,
-        report.canceling_only_bits / 1e6,
-        report.proposed_bits / 1e6
+        masking.control_bits / 1e6,
+        canceling.control_bits / 1e6,
+        hybrid.control_bits / 1e6
     );
+    let outcome = hybrid
+        .outcome
+        .as_ref()
+        .expect("the hybrid carries its plan");
     println!(
         "improvement: {:.2}x over masking-only, {:.2}x over canceling-only \
          ({} partitions, {:.1}% of X's masked)",
-        report.impv_over_masking,
-        report.impv_over_canceling,
-        report.outcome.partitions.len(),
-        100.0 * report.outcome.masked_x() as f64 / report.total_x.max(1) as f64
+        masking.control_bits / hybrid.control_bits,
+        canceling.control_bits / hybrid.control_bits,
+        outcome.partitions.len(),
+        100.0 * hybrid.masked_x as f64 / xmap.total_x().max(1) as f64
     );
+    let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
+    let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
     println!(
         "normalized test time: {:.3} -> {:.3} ({:.2}x)\n",
-        report.time_canceling_only, report.time_proposed, report.time_impv
+        time_canceling_only,
+        time_proposed,
+        time_canceling_only / time_proposed
     );
 }
 

@@ -9,7 +9,7 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::{evaluate_hybrid, CellSelection};
+use xhybrid::core::{backend_for, BackendId, BackendReport, PlanOptions, WorkloadInput};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::scan::{CellId, ScanConfig, XMap, XMapBuilder};
 
@@ -35,6 +35,10 @@ fn fig4_xmap() -> XMap {
     b.finish()
 }
 
+fn plan(id: BackendId, xmap: &XMap, cancel: XCancelConfig) -> BackendReport {
+    backend_for(id).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default())
+}
+
 fn main() {
     let xmap = fig4_xmap();
     println!("== Fig. 4: X-value correlation analysis input ==");
@@ -53,8 +57,12 @@ fn main() {
     }
 
     println!("\n== Figs. 5-6: partitioning with an (m=10, q=2) X-canceling MISR ==");
-    let report = evaluate_hybrid(&xmap, XCancelConfig::new(10, 2), CellSelection::First);
-    let outcome = &report.outcome;
+    let cancel = XCancelConfig::new(10, 2);
+    let hybrid = plan(BackendId::Hybrid, &xmap, cancel);
+    let outcome = hybrid
+        .outcome
+        .as_ref()
+        .expect("the hybrid carries its plan");
     println!(
         "initial (1 partition): {:.1} control bits",
         outcome.initial_cost.total()
@@ -80,40 +88,49 @@ fn main() {
     }
     println!(
         "masked {} / {} X's; {} leak into the X-canceling MISR",
-        outcome.masked_x(),
-        report.total_x,
-        outcome.leaked_x()
+        hybrid.masked_x,
+        xmap.total_x(),
+        hybrid.leaked_x
     );
 
     println!("\n== Control-bit comparison (the paper's accounting) ==");
+    let masking = plan(BackendId::MaskingOnly, &xmap, cancel);
+    let canceling = plan(BackendId::CancelingOnly, &xmap, cancel);
     println!(
         "X-masking only [5]     : {:>6} bits (L*C*P = 3*5*8)",
-        report.masking_only_bits
+        masking.control_bits
     );
     println!(
         "X-canceling only [12]  : {:>6.1} bits (m*q*X/(m-q))",
-        report.canceling_only_bits
+        canceling.control_bits
     );
     println!(
         "proposed hybrid        : {:>6.1} bits -> {} (rounded up, as the paper reports)",
-        report.proposed_bits,
+        hybrid.control_bits,
         outcome.cost.total_ceil()
     );
     println!(
         "improvement            : {:.2}x over [5], {:.2}x over [12]",
-        report.impv_over_masking, report.impv_over_canceling
+        masking.control_bits / hybrid.control_bits,
+        canceling.control_bits / hybrid.control_bits
     );
+    let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
+    let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
     println!(
         "normalized test time   : {:.3} (canceling only) -> {:.3} (hybrid), {:.2}x better",
-        report.time_canceling_only, report.time_proposed, report.time_impv
+        time_canceling_only,
+        time_proposed,
+        time_canceling_only / time_proposed
     );
 
     // The paper's alternate configuration: m=10, q=1 stops after round 1.
     println!("\n== Same example with (m=10, q=1): the cost function stops earlier ==");
-    let report_q1 = evaluate_hybrid(&xmap, XCancelConfig::new(10, 1), CellSelection::First);
+    let q1 = plan(BackendId::Hybrid, &xmap, XCancelConfig::new(10, 1))
+        .outcome
+        .expect("the hybrid carries its plan");
     println!(
         "{} partitions, {} total bits (paper: 2 partitions, 44 bits)",
-        report_q1.outcome.partitions.len(),
-        report_q1.outcome.cost.total_ceil()
+        q1.partitions.len(),
+        q1.cost.total_ceil()
     );
 }

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use xhybrid::core::{
     backend_for, inter_correlation_stats, intra_correlation_stats, schedule_hybrid, BackendId,
-    PartitionEngine, PlanOptions, ScheduleOptions, WorkloadInput,
+    BackendReport, HybridBackend, PartitionEngine, PlanOptions, ScheduleOptions, WorkloadInput,
 };
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
@@ -388,41 +388,58 @@ fn cmd_partition(args: &Args) -> CmdResult {
         .first()
         .ok_or_else(|| CliError::usage("partition needs a FILE"))?;
     let cancel = cancel_config(args)?;
-    let strategy = split_strategy(args)?;
+    let opts = PlanOptions {
+        strategy: split_strategy(args)?,
+        ..PlanOptions::default()
+    };
     let xmap = load(path)?;
-    let outcome = PartitionEngine::with_options(
-        cancel,
-        PlanOptions {
-            strategy,
-            ..PlanOptions::default()
-        },
-    )
-    .run(&xmap);
-    let report = xhybrid::core::report_for_outcome(&xmap, cancel, outcome);
+    let hybrid = backend_for(BackendId::Hybrid).plan(&WorkloadInput::new(&xmap, cancel), &opts);
+    let canceling = print_vs_baselines(&xmap, cancel, &hybrid);
+    let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
+    let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
+    println!(
+        "test time        : {:.3} -> {:.3} ({:.2}x)",
+        time_canceling_only,
+        time_proposed,
+        time_canceling_only / time_proposed
+    );
+    Ok(())
+}
+
+/// Prints the hybrid's plan and its control-bit ratios over the Table-1
+/// baselines, X-masking-only \[5\] and X-canceling-only \[12\] (the
+/// summary `partition` and `plan` share). Returns the canceling-only
+/// report.
+fn print_vs_baselines(xmap: &XMap, cancel: XCancelConfig, hybrid: &BackendReport) -> BackendReport {
+    let input = WorkloadInput::new(xmap, cancel);
+    let opts = PlanOptions::default();
+    let masking = backend_for(BackendId::MaskingOnly).plan(&input, &opts);
+    let canceling = backend_for(BackendId::CancelingOnly).plan(&input, &opts);
+    let outcome = hybrid
+        .outcome
+        .as_ref()
+        .expect("the hybrid carries its plan");
     println!(
         "partitions       : {} (after {} rounds)",
-        report.outcome.partitions.len(),
-        report.outcome.rounds.len()
+        outcome.partitions.len(),
+        outcome.rounds.len()
     );
     println!(
         "X's              : {} masked + {} leaked = {}",
-        report.outcome.masked_x(),
-        report.outcome.leaked_x(),
-        report.total_x
+        hybrid.masked_x,
+        hybrid.leaked_x,
+        xmap.total_x()
     );
     println!(
         "control bits     : {:.1} (mask {} + cancel {:.1})",
-        report.proposed_bits, report.outcome.cost.masking_bits, report.outcome.cost.canceling_bits
+        hybrid.control_bits, outcome.cost.masking_bits, outcome.cost.canceling_bits
     );
     println!(
         "vs baselines     : {:.2}x over X-masking-only, {:.2}x over X-canceling-only",
-        report.impv_over_masking, report.impv_over_canceling
+        masking.control_bits / hybrid.control_bits,
+        canceling.control_bits / hybrid.control_bits
     );
-    println!(
-        "test time        : {:.3} -> {:.3} ({:.2}x)",
-        report.time_canceling_only, report.time_proposed, report.time_impv
-    );
-    Ok(())
+    canceling
 }
 
 /// How many leading patterns `plan`'s cancel-session validation covers:
@@ -528,25 +545,10 @@ fn cmd_plan(args: &Args) -> CmdResult {
     let report = CancelSession::new(config, cancel, Taps::default_for(cancel.m())).run(&masked);
     debug_assert_eq!(report.total_x, sample_leaked);
 
-    let cost = xhybrid::core::report_for_outcome(&xmap, cancel, outcome);
-    println!(
-        "partitions       : {} (after {} rounds)",
-        cost.outcome.partitions.len(),
-        cost.outcome.rounds.len()
-    );
-    println!(
-        "X's              : {} masked + {} leaked = {}",
-        cost.outcome.masked_x(),
-        cost.outcome.leaked_x(),
-        cost.total_x
-    );
-    println!(
-        "control bits     : {:.1} (mask {} + cancel {:.1})",
-        cost.proposed_bits, cost.outcome.cost.masking_bits, cost.outcome.cost.canceling_bits
-    );
-    println!(
-        "vs baselines     : {:.2}x over X-masking-only, {:.2}x over X-canceling-only",
-        cost.impv_over_masking, cost.impv_over_canceling
+    print_vs_baselines(
+        &xmap,
+        cancel,
+        &HybridBackend::report_for(&xmap, cancel, outcome),
     );
     println!(
         "validation       : first {sample} patterns -> {} halts, {} leaked X's canceled, {} control bits",

@@ -50,11 +50,14 @@
 //! b.add_x(CellId::new(4, 2), 5).unwrap();
 //! let xmap = b.finish();
 //!
-//! let report = evaluate_hybrid(&xmap, XCancelConfig::new(10, 2), CellSelection::First);
-//! assert_eq!(report.outcome.partitions.len(), 3); // Fig. 5's final state
-//! assert_eq!(report.outcome.masked_x(), 23);      // 23 of 28 X's masked
-//! assert_eq!(report.outcome.cost.total_ceil(), 58); // 57.5 -> 58 bits
-//! assert_eq!(report.masking_only_bits, 120);      // conventional masking
+//! let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
+//! let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+//! let hybrid = plan(BackendId::Hybrid);
+//! let outcome = hybrid.outcome.as_ref().expect("the hybrid carries its plan");
+//! assert_eq!(outcome.partitions.len(), 3);       // Fig. 5's final state
+//! assert_eq!(hybrid.masked_x, 23);               // 23 of 28 X's masked
+//! assert_eq!(outcome.cost.total_ceil(), 58);     // 57.5 -> 58 bits
+//! assert_eq!(plan(BackendId::MaskingOnly).control_bits, 120.0); // conventional masking
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,9 +93,9 @@ pub mod prelude {
     //! assert!(!outcome.partitions.is_empty());
     //! ```
     pub use xhc_core::{
-        all_backends, backend_for, evaluate_hybrid, BackendCaps, BackendId, BackendReport,
-        CellSelection, HybridCost, HybridReport, PartitionEngine, PartitionOutcome, PlanBackend,
-        PlanOptions, SplitStrategy, WorkloadInput,
+        all_backends, backend_for, BackendCaps, BackendId, BackendReport, CellSelection,
+        HybridCost, PartitionEngine, PartitionOutcome, PlanBackend, PlanOptions, SplitStrategy,
+        WorkloadInput,
     };
     pub use xhc_misr::XCancelConfig;
     pub use xhc_scan::{CellId, ScanConfig, ScanError, XMap, XMapBuilder};

@@ -1,15 +1,10 @@
-//! The backend fleet must agree with the legacy accounting it wraps:
-//! every [`PlanBackend`]'s `control_bits` is pinned against the free
-//! functions (`masking_only_bits`, `canceling_only_bits`,
-//! `superset_canceling`, the hybrid engine's cost) on the paper's Fig. 4
-//! worked example and on scaled CKT-A/B/C industrial profiles, and the
-//! uniform report's internal accounting holds on arbitrary maps.
+//! The backend fleet's numbers are pinned: every [`PlanBackend`]'s
+//! `control_bits` and observed-X account (masked / leaked / lost) are
+//! golden values on the paper's Fig. 4 worked example and on scaled
+//! CKT-A/B/C industrial profiles, and the uniform report's internal
+//! accounting holds on arbitrary maps.
 
 use xhc_prng::XhcRng;
-use xhybrid::core::backend::SUPERSET_BACKEND_SLACK;
-use xhybrid::core::baselines::{
-    canceling_only_bits, masking_only_bits, superset_canceling, SupersetConfig,
-};
 use xhybrid::prelude::*;
 
 /// The Fig. 4 X map: 8 patterns, 5 chains x 3 cells, 28 X's.
@@ -68,56 +63,70 @@ fn report(backend: BackendId, xmap: &XMap, cancel: XCancelConfig) -> BackendRepo
     backend_for(backend).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default())
 }
 
+/// One backend's account: `(control_bits, masked_x, leaked_x,
+/// lost_observability)`.
+type Account = (f64, usize, usize, usize);
+
+/// Golden accounts per backend, in [`BackendId::ALL`] order, for each of
+/// [`test_maps`]. Superset bits are rounded to 1/1000 bit; the X-code
+/// compactor spends none.
+const GOLDEN: [(&str, [Account; 5]); 4] = [
+    (
+        "fig4",
+        [
+            (57.5, 23, 5, 0),
+            (120.0, 28, 0, 0),
+            (70.0, 0, 28, 0),
+            (17.5, 0, 28, 28),
+            (0.0, 0, 28, 10),
+        ],
+    ),
+    (
+        "ckt-a",
+        [
+            (9910.4, 0, 165, 0),
+            (421600.0, 165, 0, 0),
+            (1478.4, 0, 165, 0),
+            (958.72, 0, 165, 91),
+            (0.0, 0, 165, 7),
+        ],
+    ),
+    (
+        "ckt-b",
+        [
+            (7332.96, 0, 751, 0),
+            (30200.0, 751, 0, 0),
+            (6728.96, 0, 751, 0),
+            (2428.16, 0, 751, 1236),
+            (0.0, 0, 751, 20),
+        ],
+    ),
+    (
+        "ckt-c",
+        [
+            (16636.0, 0, 1675, 0),
+            (81400.0, 1675, 0, 0),
+            (15008.0, 0, 1675, 0),
+            (3279.36, 0, 1675, 3775),
+            (0.0, 0, 1675, 172),
+        ],
+    ),
+];
+
 #[test]
-fn every_backend_matches_its_legacy_accounting() {
-    for (name, xmap, cancel) in test_maps() {
-        let masking = report(BackendId::MaskingOnly, &xmap, cancel);
-        assert_eq!(
-            masking.control_bits,
-            masking_only_bits(xmap.config(), xmap.num_patterns()) as f64,
-            "masking backend diverged from masking_only_bits on {name}"
-        );
-
-        let canceling = report(BackendId::CancelingOnly, &xmap, cancel);
-        assert_eq!(
-            canceling.control_bits,
-            canceling_only_bits(cancel, xmap.total_x()),
-            "canceling backend diverged from canceling_only_bits on {name}"
-        );
-
-        let superset = report(BackendId::Superset, &xmap, cancel);
-        let legacy = superset_canceling(
-            &xmap,
-            SupersetConfig {
-                cancel,
-                merge_slack: SUPERSET_BACKEND_SLACK,
-            },
-        );
-        assert_eq!(
-            superset.control_bits,
-            legacy.control_bits(),
-            "superset backend diverged from superset_canceling on {name}"
-        );
-        assert_eq!(
-            superset.lost_observability, legacy.lost_observability,
-            "superset lost-observability diverged on {name}"
-        );
-
-        let hybrid = report(BackendId::Hybrid, &xmap, cancel);
-        let outcome = PartitionEngine::with_options(cancel, PlanOptions::default()).run(&xmap);
-        assert_eq!(
-            hybrid.control_bits,
-            outcome.cost.total(),
-            "hybrid backend diverged from the partition engine on {name}"
-        );
-        assert_eq!(hybrid.masked_x, outcome.masked_x(), "{name}");
-        assert_eq!(hybrid.leaked_x, outcome.leaked_x(), "{name}");
-
-        let xcode = report(BackendId::XCode, &xmap, cancel);
-        assert_eq!(
-            xcode.control_bits, 0.0,
-            "the X-code compactor spends no control bits ({name})"
-        );
+fn every_backend_matches_its_golden_accounting() {
+    for ((name, xmap, cancel), (golden_name, golden)) in test_maps().into_iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        for (backend, (bits, masked, leaked, lost)) in BackendId::ALL.into_iter().zip(golden) {
+            let r = report(backend, &xmap, cancel);
+            assert_eq!(r.control_bits, bits, "{backend} control bits on {name}");
+            assert_eq!(r.masked_x, masked, "{backend} masked X's on {name}");
+            assert_eq!(r.leaked_x, leaked, "{backend} leaked X's on {name}");
+            assert_eq!(
+                r.lost_observability, lost,
+                "{backend} lost observability on {name}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 
 use xhybrid::bits::PatternSet;
 use xhybrid::core::{
-    apply_partition_masks, evaluate_hybrid, CellSelection, CorrelationAnalysis, PartitionEngine,
+    apply_partition_masks, backend_for, BackendId, CorrelationAnalysis, PartitionEngine,
+    PlanOptions, WorkloadInput,
 };
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
@@ -80,13 +81,15 @@ fn fig6_control_bit_generation() {
     // "This method removes 23 X's out of total 28 X's... reduces 120
     //  control bits to 45 bits (i.e., 15 control bits for each partition)"
     let xmap = fig4_xmap();
-    let report = evaluate_hybrid(&xmap, XCancelConfig::new(10, 2), CellSelection::First);
-    assert_eq!(report.masking_only_bits, 120);
-    assert_eq!(report.outcome.cost.masking_bits, 45);
-    assert_eq!(report.outcome.masked_x(), 23);
-    assert_eq!(report.outcome.leaked_x(), 5);
+    let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
+    let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+    assert_eq!(plan(BackendId::MaskingOnly).control_bits, 120.0);
+    let outcome = plan(BackendId::Hybrid).outcome.expect("hybrid plan");
+    assert_eq!(outcome.cost.masking_bits, 45);
+    assert_eq!(outcome.masked_x(), 23);
+    assert_eq!(outcome.leaked_x(), 5);
     // Total: 45 + 10*2*5/8 = 57.5 -> 58.
-    assert_eq!(report.outcome.cost.total_ceil(), 58);
+    assert_eq!(outcome.cost.total_ceil(), 58);
 }
 
 #[test]

@@ -4,7 +4,9 @@
 
 use xhc_prng::XhcRng;
 use xhybrid::bits::PatternSet;
-use xhybrid::core::{evaluate_hybrid, CellSelection, PartitionEngine, PlanOptions};
+use xhybrid::core::{
+    backend_for, BackendId, CellSelection, PartitionEngine, PlanOptions, WorkloadInput,
+};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::scan::{CellId, ScanConfig, XMap, XMapBuilder};
 use xhybrid::workload::WorkloadSpec;
@@ -165,11 +167,22 @@ fn workload_generator_feeds_the_pipeline() {
             ..WorkloadSpec::default()
         };
         let xmap = spec.generate();
-        let report = evaluate_hybrid(&xmap, XCancelConfig::new(16, 4), CellSelection::First);
+        let cancel = XCancelConfig::new(16, 4);
+        let input = WorkloadInput::new(&xmap, cancel);
+        let [masking, canceling, hybrid] = [
+            BackendId::MaskingOnly,
+            BackendId::CancelingOnly,
+            BackendId::Hybrid,
+        ]
+        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
         // The hybrid never does worse than its own starting point, and the
         // improvement ratios are well-defined.
-        assert!(report.proposed_bits <= report.outcome.initial_cost.total() + 1e-9);
-        assert!(report.time_proposed <= report.time_canceling_only + 1e-12);
-        assert!(report.impv_over_masking.is_finite());
+        let initial = &hybrid.outcome.as_ref().expect("hybrid plan").initial_cost;
+        assert!(hybrid.control_bits <= initial.total() + 1e-9);
+        assert!(
+            hybrid.normalized_test_time(&xmap, cancel)
+                <= canceling.normalized_test_time(&xmap, cancel) + 1e-12
+        );
+        assert!((masking.control_bits / hybrid.control_bits).is_finite());
     }
 }

@@ -3,12 +3,49 @@
 //! the workload generator or the partitioning engine evolve.
 //!
 //! Runs at 1/15 scale so it is cheap enough for `cargo test`; the bands
-//! are deliberately loose — they encode ordering and rough magnitude, not
-//! exact values (see EXPERIMENTS.md for the full-scale numbers).
+//! are deliberately loose — they encode ordering and rough magnitude —
+//! and one map pins the exact values (see EXPERIMENTS.md for the
+//! full-scale numbers).
 
-use xhybrid::core::{evaluate_hybrid, CellSelection};
-use xhybrid::misr::XCancelConfig;
-use xhybrid::workload::WorkloadSpec;
+use xhybrid::prelude::*;
+
+/// One Table-1 row, planned through the backend fleet: the hybrid's
+/// report, its control-bit ratios over X-masking-only \[5\] and
+/// X-canceling-only \[12\], and both normalized test times.
+struct Row {
+    hybrid: BackendReport,
+    impv_over_masking: f64,
+    impv_over_canceling: f64,
+    time_canceling_only: f64,
+    time_proposed: f64,
+}
+
+fn table1_row(xmap: &XMap) -> Row {
+    let cancel = XCancelConfig::paper_default();
+    let input = WorkloadInput::new(xmap, cancel);
+    let [masking, canceling, hybrid] = [
+        BackendId::MaskingOnly,
+        BackendId::CancelingOnly,
+        BackendId::Hybrid,
+    ]
+    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+    Row {
+        impv_over_masking: masking.control_bits / hybrid.control_bits,
+        impv_over_canceling: canceling.control_bits / hybrid.control_bits,
+        time_canceling_only: canceling.normalized_test_time(xmap, cancel),
+        time_proposed: hybrid.normalized_test_time(xmap, cancel),
+        hybrid,
+    }
+}
+
+fn partitions(r: &Row) -> usize {
+    r.hybrid
+        .outcome
+        .as_ref()
+        .expect("hybrid plan")
+        .partitions
+        .len()
+}
 
 fn scaled(base: WorkloadSpec, scale: usize) -> WorkloadSpec {
     WorkloadSpec {
@@ -22,7 +59,7 @@ fn scaled(base: WorkloadSpec, scale: usize) -> WorkloadSpec {
 #[test]
 fn ckt_b_shape_holds() {
     let xmap = scaled(WorkloadSpec::ckt_b(), 15).generate();
-    let r = evaluate_hybrid(&xmap, XCancelConfig::paper_default(), CellSelection::First);
+    let r = table1_row(&xmap);
     // The hybrid must beat both baselines on a mid-density design.
     assert!(
         r.impv_over_masking > 2.0,
@@ -35,15 +72,32 @@ fn ckt_b_shape_holds() {
         r.impv_over_canceling
     );
     // A non-trivial share of X's is masked by a handful of partitions.
-    assert!(r.outcome.partitions.len() >= 2);
-    assert!(r.outcome.partitions.len() <= 12);
+    assert!(partitions(&r) >= 2);
+    assert!(partitions(&r) <= 12);
     // (Scale shifts the economics: at 1/15 the mask word is relatively
     // pricier, so the masked share lands below the full-scale ~58%.)
-    let masked_frac = r.outcome.masked_x() as f64 / r.total_x as f64;
+    let masked_frac = r.hybrid.masked_x as f64 / xmap.total_x() as f64;
     assert!(masked_frac > 0.1, "masked fraction {masked_frac}");
     // Test time improves and stays above 1 (it is normalized to masking).
     assert!(r.time_proposed < r.time_canceling_only);
     assert!(r.time_proposed >= 1.0);
+}
+
+#[test]
+fn ckt_b_row_is_pinned_exactly() {
+    // Golden values on the same 1/15 CKT-B map: every Table-1 quantity
+    // is deterministic, so any drift in the engine, the workload
+    // generator or the accounting shows here bit for bit.
+    let xmap = scaled(WorkloadSpec::ckt_b(), 15).generate();
+    let r = table1_row(&xmap);
+    assert_eq!(xmap.total_x(), 12370);
+    assert_eq!(r.hybrid.masked_x, 2363);
+    assert_eq!(partitions(&r), 2);
+    assert_eq!(r.impv_over_masking, 5.091416866159882);
+    assert_eq!(r.impv_over_canceling, 1.1731979348112342);
+    assert_eq!(r.time_canceling_only, 1.036004158004158);
+    assert_eq!(r.time_proposed, 1.0291264033264034);
+    assert_eq!(r.time_canceling_only / r.time_proposed, 1.0066831000113532);
 }
 
 #[test]
@@ -54,11 +108,12 @@ fn ckt_a_low_density_keeps_canceling_competitive() {
     // At reduced scale the masking term shrinks faster, so we check the
     // ordering rather than magnitudes.
     let xmap = scaled(WorkloadSpec::ckt_a(), 15).generate();
-    let r = evaluate_hybrid(&xmap, XCancelConfig::paper_default(), CellSelection::First);
+    let r = table1_row(&xmap);
     assert!(r.impv_over_masking > 10.0);
     // The hybrid never does *worse* than its own single-partition start,
     // which bounds how far behind canceling-only it can be.
-    assert!(r.proposed_bits <= r.outcome.initial_cost.total() + 1e-9);
+    let initial = &r.hybrid.outcome.as_ref().expect("hybrid plan").initial_cost;
+    assert!(r.hybrid.control_bits <= initial.total() + 1e-9);
 }
 
 #[test]
@@ -81,7 +136,7 @@ fn higher_density_means_bigger_hybrid_win() {
             ..WorkloadSpec::default()
         };
         let xmap = spec.generate();
-        let r = evaluate_hybrid(&xmap, XCancelConfig::paper_default(), CellSelection::First);
+        let r = table1_row(&xmap);
         assert!(
             r.impv_over_canceling >= last - 0.05,
             "win shrank at density {density}: {} < {last}",
