@@ -2,23 +2,12 @@
 //! the daemon's routes and its loopback clients, with hard limits on
 //! header and body sizes.
 //!
-//! Two parsing front ends share one grammar:
-//!
-//! * [`parse_request`] — incremental, for the nonblocking event loop: it
-//!   takes whatever bytes have arrived so far and answers
-//!   [`ParseStatus::Partial`] (keep reading) or
-//!   [`ParseStatus::Complete`] with how many bytes the request consumed,
-//!   which is what makes fragmented *and* pipelined requests work.
-//! * [`read_request`] — blocking, for the thread-per-connection fallback
-//!   server and tests.
-//!
-//! Responses render through [`render_response`], which the event loop
-//! uses with keep-alive framing and [`write_response`] uses with
-//! `Connection: close` framing; the bytes are otherwise identical, so
-//! the two server front ends stay byte-comparable.
-
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+//! [`parse_request`] is incremental, for the nonblocking event loop: it
+//! takes whatever bytes have arrived so far and answers
+//! [`ParseStatus::Partial`] (keep reading) or [`ParseStatus::Complete`]
+//! with how many bytes the request consumed, which is what makes
+//! fragmented *and* pipelined requests work. Responses render through
+//! [`render_response`], with keep-alive or `Connection: close` framing.
 
 /// Upper bound on the request line plus all headers.
 pub(crate) const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -69,24 +58,6 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed off the wire.
-#[derive(Debug)]
-pub enum ReadRequestError {
-    /// The peer closed before sending a complete request.
-    Closed,
-    /// The request violates the subset this server speaks; carries the
-    /// status and body the server should answer with before closing.
-    Bad(ParseError),
-    /// A transport error.
-    Io(io::Error),
-}
-
-impl From<io::Error> for ReadRequestError {
-    fn from(e: io::Error) -> Self {
-        ReadRequestError::Io(e)
-    }
-}
-
 /// A parse-time rejection: the bytes can never become a request this
 /// server executes, and `status`/`message` are what it answers with.
 /// Malformed framing is `400`; syntactically-valid HTTP that uses a
@@ -120,7 +91,7 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Both front ends frame bodies by `Content-Length` only. A request
+/// Bodies are framed by `Content-Length` only. A request
 /// declaring a transfer coding would be silently mis-framed if treated
 /// as malformed, so it gets an explicit `501 Not Implemented` telling
 /// the client what to do instead.
@@ -220,8 +191,7 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, String> {
 }
 
 /// Finds the end of the header block (index one past the blank line), if
-/// the buffer contains one. Accepts both CRLFCRLF and bare LFLF framing,
-/// like the blocking reader.
+/// the buffer contains one. Accepts both CRLFCRLF and bare LFLF framing.
 fn head_end(buf: &[u8]) -> Option<usize> {
     // A valid head ends within MAX_HEAD_BYTES, so never scan past it —
     // re-parses of a connection buffering a large body stay cheap.
@@ -273,50 +243,6 @@ pub fn parse_request(buf: &[u8]) -> Result<ParseStatus, ParseError> {
             body: buf[head_end..consumed].to_vec(),
         },
         consumed,
-    })
-}
-
-/// Reads one request from the stream, blocking until it is complete.
-///
-/// # Errors
-///
-/// [`ReadRequestError::Closed`] on EOF before any byte, `Bad` on
-/// malformed or oversized requests, `Io` on transport failures
-/// (including read timeouts, which the fallback server maps to 408).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadRequestError> {
-    let mut reader = BufReader::new(stream);
-    let mut head = Vec::with_capacity(512);
-    // Read until CRLFCRLF without over-reading into the body.
-    loop {
-        let before = head.len();
-        reader.read_until(b'\n', &mut head)?;
-        if head.len() == before {
-            return if head.is_empty() {
-                Err(ReadRequestError::Closed)
-            } else {
-                Err(ReadRequestError::Bad("truncated header block".into()))
-            };
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(ReadRequestError::Bad("header block too large".into()));
-        }
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break;
-        }
-    }
-    let (method, path, query, headers) =
-        parse_head(&head).map_err(|e| ReadRequestError::Bad(ParseError::from(e)))?;
-    reject_transfer_encoding(&headers).map_err(ReadRequestError::Bad)?;
-    let body_len =
-        content_length(&headers).map_err(|e| ReadRequestError::Bad(ParseError::from(e)))?;
-    let mut body = vec![0u8; body_len];
-    reader.read_exact(&mut body)?;
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
     })
 }
 
@@ -377,9 +303,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Serializes a response to wire bytes. `keep_alive` only switches the
-/// `Connection` header; every other byte is identical between the event
-/// loop and the blocking server, which is what the fragmented-request
-/// tests compare.
+/// `Connection` header.
 pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\n",
@@ -403,44 +327,25 @@ pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     out
 }
 
-/// Writes `response` with `Connection: close` framing and flushes.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    stream.write_all(&render_response(response, false))?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
-    use std::thread;
 
-    fn exchange(raw: &[u8]) -> Result<Request, ReadRequestError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let req = read_request(&mut stream);
-        writer.join().unwrap();
-        req
+    /// Parses `raw`, which must hold one complete request.
+    fn complete(raw: &[u8]) -> Request {
+        match parse_request(raw).unwrap() {
+            ParseStatus::Complete { request, .. } => request,
+            ParseStatus::Partial => panic!("complete request expected"),
+        }
     }
 
     #[test]
     fn parses_post_with_body_and_query() {
-        let req = exchange(
+        let req = complete(
             b"POST /v1/plan?m=32&q=7&strategy=best-cost HTTP/1.1\r\n\
               Host: x\r\nContent-Type: application/octet-stream\r\n\
               Content-Length: 4\r\n\r\nBODY",
-        )
-        .unwrap();
+        );
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/plan");
         assert_eq!(req.query_param("m"), Some("32"));
@@ -452,15 +357,15 @@ mod tests {
 
     #[test]
     fn rejects_garbage_and_eof() {
-        assert!(matches!(exchange(b""), Err(ReadRequestError::Closed)));
-        assert!(matches!(
-            exchange(b"NOT A REQUEST\r\n\r\n"),
-            Err(ReadRequestError::Bad(_))
-        ));
-        assert!(matches!(
-            exchange(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            Err(ReadRequestError::Bad(_))
-        ));
+        // No bytes yet is not an error; the event loop closes an idle
+        // connection silently.
+        assert!(matches!(parse_request(b""), Ok(ParseStatus::Partial)));
+        for garbage in [
+            &b"NOT A REQUEST\r\n\r\n"[..],
+            b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        ] {
+            assert_eq!(parse_request(garbage).unwrap_err().status, 400);
+        }
     }
 
     #[test]
@@ -495,23 +400,15 @@ mod tests {
     }
 
     #[test]
-    fn chunked_transfer_encoding_answers_501_on_both_parsers() {
+    fn chunked_transfer_encoding_answers_501() {
         let raw: &[u8] = b"POST /v1/plan HTTP/1.1\r\n\
               Transfer-Encoding: chunked\r\n\r\n\
               4\r\nBODY\r\n0\r\n\r\n";
-        // Incremental parser: a typed 501, not a generic parse failure.
+        // A typed 501, not a generic parse failure.
         let err = parse_request(raw).unwrap_err();
         assert_eq!(err.status, 501);
         assert!(err.message.contains("chunked"), "{}", err.message);
         assert!(err.message.contains("Content-Length"), "{}", err.message);
-        // Blocking parser: the same rejection.
-        match exchange(raw) {
-            Err(ReadRequestError::Bad(e)) => {
-                assert_eq!(e.status, 501);
-                assert!(e.message.contains("chunked"), "{}", e.message);
-            }
-            other => panic!("expected Bad(501), got {other:?}"),
-        }
         // Malformed framing stays 400.
         let err = parse_request(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n").unwrap_err();
         assert_eq!(err.status, 400);
@@ -520,17 +417,8 @@ mod tests {
 
     #[test]
     fn connection_close_header_is_honoured() {
-        let req = match parse_request(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap() {
-            ParseStatus::Complete { request, .. } => request,
-            ParseStatus::Partial => panic!("complete request expected"),
-        };
-        assert!(!req.wants_keep_alive());
-        let req = match parse_request(b"GET / HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n").unwrap()
-        {
-            ParseStatus::Complete { request, .. } => request,
-            ParseStatus::Partial => panic!("complete request expected"),
-        };
-        assert!(req.wants_keep_alive());
+        assert!(!complete(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").wants_keep_alive());
+        assert!(complete(b"GET / HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n").wants_keep_alive());
     }
 
     #[test]

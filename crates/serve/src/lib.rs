@@ -19,10 +19,6 @@
 //! an in-flight ceiling — and are executed by the worker pool; an
 //! overloaded daemon sheds with `429` and a `Retry-After` derived from
 //! the observed queue-wait p95 instead of queueing without bound.
-//! [`Server::run_blocking`] keeps the original thread-per-request
-//! front end (one blocking read with [`ServerConfig::read_timeout_ms`]
-//! as the socket timeout, `Connection: close` semantics) behind the
-//! same routing and planning stack.
 //!
 //! Concurrent submissions that share a workload but differ in engine
 //! options additionally share one packed bit-matrix build (the
@@ -64,8 +60,8 @@
 //!
 //! Bodies are framed by `Content-Length` only: a request declaring
 //! `Transfer-Encoding: chunked` (or any other transfer coding) is
-//! rejected with an explicit `501 Not Implemented` and a diagnostic body
-//! on both front ends, instead of surfacing as a generic parse failure.
+//! rejected with an explicit `501 Not Implemented` and a diagnostic body,
+//! instead of surfacing as a generic parse failure.
 //!
 //! `trace=1` on a synchronous request records the request under the
 //! process-wide [`xhc_trace`] session (first caller wins; concurrent
@@ -113,7 +109,7 @@ mod store;
 pub mod client;
 
 pub use batch::MatrixPool;
-pub use http::{ParseError, ReadRequestError, Request, Response, MAX_BODY_BYTES};
+pub use http::{ParseError, Request, Response, MAX_BODY_BYTES};
 pub use jobs::{JobRegistry, JobStatus};
 pub use store::PlanStore;
 
@@ -125,10 +121,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use xhc_aio::queue::JobQueue;
 use xhc_aio::Waker;
@@ -342,9 +337,8 @@ impl ServerHandle {
     }
 
     /// Asks the serving loop to stop. Idempotent; returns once the flag
-    /// is set. The event loop is woken directly and drains gracefully;
-    /// the blocking accept loop is unblocked with a throwaway
-    /// connection.
+    /// is set. A running event loop is woken directly and drains
+    /// gracefully.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         let waker = self
@@ -356,8 +350,10 @@ impl ServerHandle {
         if let Some(waker) = waker {
             waker.wake();
         }
-        // Unblock a blocking accept loop with a throwaway connection (a
-        // no-op for the event loop, which sheds it during drain).
+        // A shutdown before `run` finds no waker, and with an empty
+        // timer wheel the loop's first poll has no timeout. This pending
+        // connection makes the listener readable, so that poll returns
+        // and sees the flag; the draining loop never accepts it.
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -433,58 +429,6 @@ impl Server {
         }
         result
     }
-
-    /// Runs the original blocking front end: one connection per worker,
-    /// one request per connection (`Connection: close`). Kept as the
-    /// reference implementation the event loop is tested against, and
-    /// as the conservative fallback for unusual platforms.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if `accept` fails.
-    pub fn run_blocking(self) -> io::Result<()> {
-        let pusher = push::spawn_exporter(&self.state, self.addr);
-        let (tx, rx) = mpsc::channel::<(TcpStream, Instant)>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(self.state.config.workers);
-        for _ in 0..self.state.config.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&self.state);
-            workers.push(thread::spawn(move || loop {
-                let (stream, queued_at) = match rx.lock().expect("worker queue poisoned").recv() {
-                    Ok(s) => s,
-                    Err(_) => break, // accept loop gone
-                };
-                state.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                state
-                    .metrics
-                    .queue_wait_ns
-                    .record_ns(queued_at.elapsed().as_nanos() as u64);
-                handle_connection(&state, stream);
-            }));
-        }
-        for incoming in self.listener.incoming() {
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = incoming?;
-            self.state
-                .metrics
-                .queue_depth
-                .fetch_add(1, Ordering::Relaxed);
-            if tx.send((stream, Instant::now())).is_err() {
-                break;
-            }
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        if let Some(pusher) = pusher {
-            let _ = pusher.join();
-        }
-        Ok(())
-    }
 }
 
 /// Spawns the planning workers behind the event loop's job queue. Each
@@ -527,8 +471,7 @@ fn spawn_workers(state: &Arc<ServerState>, waker: &Waker) -> Vec<thread::JoinHan
     workers
 }
 
-/// Routes one parsed request and accounts for it — the front-end-neutral
-/// core shared by the event loop's workers and the blocking path.
+/// Routes one parsed request and accounts for it, on a worker.
 fn process_request(state: &Arc<ServerState>, request: &Request) -> Response {
     state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
@@ -568,45 +511,6 @@ impl HandlerError {
             message: message.into(),
         }
     }
-}
-
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    // Small response writes must not wait on a delayed ACK.
-    let _ = stream.set_nodelay(true);
-    // The blocking front end's slow-loris defence: a socket timeout, so
-    // a stalled sender costs one worker at most `read_timeout_ms`.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        state.config.read_timeout_ms.max(10),
-    )));
-    let request = match http::read_request(&mut stream) {
-        Ok(r) => r,
-        Err(http::ReadRequestError::Closed) => return,
-        Err(http::ReadRequestError::Bad(e)) => {
-            // 400 for malformed bytes, 501 for valid HTTP using an
-            // unsupported feature (chunked transfer coding) — the same
-            // split the event-loop front end applies.
-            state.metrics.count_status(e.status);
-            let _ = http::write_response(&mut stream, &Response::text(e.status, format!("{e}\n")));
-            return;
-        }
-        Err(http::ReadRequestError::Io(e))
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            state.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
-            state.metrics.count_status(408);
-            let _ = http::write_response(
-                &mut stream,
-                &Response::text(408, "request timed out waiting for bytes\n"),
-            );
-            return;
-        }
-        Err(http::ReadRequestError::Io(_)) => return,
-    };
-    let response = process_request(state, &request);
-    let _ = http::write_response(&mut stream, &response);
 }
 
 fn route(state: &Arc<ServerState>, request: &Request) -> Result<Response, HandlerError> {

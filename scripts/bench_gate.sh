@@ -15,8 +15,7 @@
 # p99 may regress at most SERVE_P99_TOLERANCE_PCT percent (default 150 —
 # p99 over a loopback daemon is far noisier than a kernel median)
 # against the committed BENCH_serve.json. Cases present on only one
-# side — e.g. the committed loadgen/ cases, which only the full
-# bench_snapshot.sh run produces — are reported and skipped.
+# side are reported and skipped.
 #
 # On top of the relative gate, the full-size CKT-A BestCost case must
 # finish under a wall-clock budget that does not move with

@@ -7,9 +7,7 @@
 # Writes BENCH_partition.json, BENCH_gauss.json, and BENCH_serve.json
 # (min/median/p95/p99/mean ns per case) to the output dir (default:
 # repo root). Set BENCH_BUDGET_MS to change the per-case budget
-# (default 300; CI smoke uses 20). BENCH_serve.json additionally gets
-# the xhc-loadgen keep-alive percentiles merged in (LOADGEN_CLIENTS
-# concurrent clients, default 1000; LOADGEN_REQUESTS each, default 10).
+# (default 300; CI smoke uses 20).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-.}"
@@ -27,11 +25,5 @@ cargo bench -q -p xhc-bench --bench gauss_elimination -- \
   --budget-ms "$budget" --json "$out/BENCH_gauss.json"
 cargo bench -q -p xhc-bench --bench serve_latency -- \
   --budget-ms "$budget" --json "$out/BENCH_serve.json"
-
-cargo build --release -q -p xhc-bench --bin xhc-loadgen
-target/release/xhc-loadgen \
-  --clients "${LOADGEN_CLIENTS:-1000}" \
-  --requests "${LOADGEN_REQUESTS:-10}" \
-  --merge "$out/BENCH_serve.json"
 
 echo "snapshots written to $out/BENCH_{partition,gauss,serve}.json"

@@ -1,53 +1,17 @@
 #!/usr/bin/env bash
-# Smoke test for the event-loop front end under concurrency, via the
-# xhc-loadgen closed-loop load generator.
-#
-# Two runs against an in-process daemon:
-#
-#   1. Headroom run — LOADGEN_CLIENTS keep-alive clients (default 1000)
-#      with admission limits sized above the offered load. The
-#      generator itself fails unless every response is a 200 whose body
-#      is byte-identical to the offline engine and nothing is shed.
-#      The percentile snapshot it writes is then shape-checked
-#      (p50/p95/p99 present and ordered).
-#
-#   2. Overload run — admission ceiling forced to 1 so the daemon MUST
-#      shed; the generator fails unless 429s occur and every one
-#      carries an in-range Retry-After.
+# Load smoke for the planning daemon: a short planbench `serve_hot` run,
+# open-loop traffic against an out-of-process `xhybrid serve`. The run
+# fails on any response that is not byte-identical to the offline
+# engine's plan; this script also fails on any failed operation.
 #
 # Usage: scripts/serve_load_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
-
-cargo build --release -q -p xhc-bench --bin xhc-loadgen
-
-echo "[load-smoke] headroom run"
-target/release/xhc-loadgen \
-  --clients "${LOADGEN_CLIENTS:-1000}" \
-  --requests "${LOADGEN_REQUESTS:-5}" \
-  --json "$tmp/load.json"
-
-python3 - "$tmp/load.json" <<'EOF'
+result="$(python3 planbench/run.py --workload serve_hot --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+python3 - "$result" <<'PY'
 import json, sys
-
-doc = json.load(open(sys.argv[1]))
-cases = doc["cases"]
-assert cases, "loadgen snapshot has no cases"
-for c in cases:
-    for field in ("min_ns", "median_ns", "p95_ns", "p99_ns", "mean_ns"):
-        assert field in c, f"{c['name']}: missing {field}"
-    assert c["min_ns"] <= c["median_ns"] <= c["p95_ns"] <= c["p99_ns"], \
-        f"{c['name']}: percentiles out of order"
-    print(f"[load-smoke] {c['name']}: p50 {c['median_ns']} ns, "
-          f"p95 {c['p95_ns']} ns, p99 {c['p99_ns']} ns over {c['iters']} requests")
-print("[load-smoke] snapshot shape ok")
-EOF
-
-echo "[load-smoke] overload run (admission ceiling 1, expecting 429s)"
-target/release/xhc-loadgen \
-  --clients 64 --requests 3 --workers 1 \
-  --max-inflight 1 --queue-depth 1 --allow-shed
-
+r = json.loads(sys.argv[1])
+print(f"[load-smoke] {r['attempted']} ops, {r['failed']} failed, correct={r['correct']}")
+sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)
+PY
 echo "[load-smoke] ok"
