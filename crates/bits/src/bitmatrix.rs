@@ -18,7 +18,7 @@
 //! pool with a fixed-order partial-count fold, so one candidate's sweep
 //! parallelizes without perturbing the counts.
 
-use crate::bitvec::BitVec;
+use crate::PatternRow;
 
 const WORD_BITS: usize = 64;
 
@@ -96,9 +96,10 @@ fn sweep_row_contig(row: &[u64], a: &[u64], b: &[u64]) -> (bool, bool) {
 
 /// A dense rows × universe bit matrix packed into `u64` words, row-major.
 ///
-/// Rows are immutable once built; the matrix is constructed once per
-/// engine run from the X map's columnar pattern sets and then shared
-/// read-only across worker threads.
+/// Rows are immutable once built (only [`XBitMatrix::retain_rows`] can
+/// drop some); an X map keeps its X pattern sets in one of these, and
+/// the partition engine's sweeps read it in place, shared read-only
+/// across worker threads.
 ///
 /// # Examples
 ///
@@ -110,7 +111,8 @@ fn sweep_row_contig(row: &[u64], a: &[u64], b: &[u64]) -> (bool, bool) {
 ///     BitVec::from_indices(70, [0, 65]),
 ///     BitVec::from_indices(70, [3]),
 /// ];
-/// let m = XBitMatrix::from_rows(70, rows.iter());
+/// let words = rows.iter().flat_map(|r| r.as_words().to_vec()).collect();
+/// let m = XBitMatrix::from_words(70, words).unwrap();
 /// assert_eq!(m.num_rows(), 3);
 /// assert_eq!(m.stride(), 2);
 ///
@@ -126,7 +128,7 @@ fn sweep_row_contig(row: &[u64], a: &[u64], b: &[u64]) -> (bool, bool) {
 /// );
 /// assert_eq!((na, nb), (2, 1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XBitMatrix {
     words: Vec<u64>,
     stride: usize,
@@ -135,22 +137,73 @@ pub struct XBitMatrix {
 }
 
 impl XBitMatrix {
-    /// Packs an iterator of equal-length rows (each a [`BitVec`] over
-    /// `universe` bits) into a row-major matrix.
+    /// Adopts already-packed row-major words: `universe.div_ceil(64)`
+    /// words per row, so the row count is `words.len() / stride` (zero
+    /// when `universe` is zero). This is the buffer an X map decodes or
+    /// generates into, taken over without a copy.
+    ///
+    /// # Errors
+    ///
+    /// `Err(r)` when row `r` (the first such) has a bit set beyond
+    /// `universe`: such a row is no pattern set, and letting it in would
+    /// give one set two encodings.
     ///
     /// # Panics
     ///
-    /// Panics if any row's length differs from `universe`.
-    pub fn from_rows<'a, I>(universe: usize, rows: I) -> Self
-    where
-        I: IntoIterator<Item = &'a BitVec>,
-    {
-        let rows = rows.into_iter();
-        let mut b = XBitMatrixBuilder::with_capacity(universe, rows.size_hint().0);
-        for row in rows {
-            b.push_row(row);
+    /// Panics if `words.len()` is not a whole number of rows.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xhc_bits::XBitMatrix;
+    ///
+    /// let m = XBitMatrix::from_words(70, vec![1 << 3, 1 << 5, 1, 0]).unwrap();
+    /// assert_eq!(m.num_rows(), 2);
+    /// assert_eq!(m.pattern_row(0).iter().collect::<Vec<_>>(), vec![3, 69]);
+    /// // Bit 70 of row 1 lies past the universe.
+    /// assert_eq!(XBitMatrix::from_words(70, vec![0, 0, 0, 1 << 6]), Err(1));
+    /// ```
+    pub fn from_words(universe: usize, words: Vec<u64>) -> Result<Self, usize> {
+        let stride = universe.div_ceil(WORD_BITS);
+        let rows = if stride == 0 {
+            assert!(words.is_empty(), "a zero-width matrix holds no words");
+            0
+        } else {
+            assert_eq!(
+                words.len() % stride,
+                0,
+                "word count must be a whole number of rows"
+            );
+            words.len() / stride
+        };
+        let tail_bits = universe % WORD_BITS;
+        if tail_bits != 0 {
+            if let Some(r) = (0..rows).find(|r| words[(r + 1) * stride - 1] >> tail_bits != 0) {
+                return Err(r);
+            }
         }
-        b.finish()
+        Ok(XBitMatrix {
+            words,
+            stride,
+            rows,
+            universe,
+        })
+    }
+
+    /// Drops, in place, every row for which `keep(r, row)` is false
+    /// (rows are offered in ascending order `r`), keeping the survivors
+    /// in order. No allocation: kept rows slide down within the buffer.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize, PatternRow<'_>) -> bool) {
+        let mut kept = 0;
+        for r in 0..self.rows {
+            let span = r * self.stride..(r + 1) * self.stride;
+            if keep(r, PatternRow::new(&self.words[span.clone()], self.universe)) {
+                self.words.copy_within(span, kept * self.stride);
+                kept += 1;
+            }
+        }
+        self.rows = kept;
+        self.words.truncate(kept * self.stride);
     }
 
     /// Number of rows.
@@ -176,6 +229,20 @@ impl XBitMatrix {
     /// Panics if `r >= num_rows()`.
     pub fn row(&self, r: usize) -> &[u64] {
         &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Row `r` as a pattern-set view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= num_rows()`.
+    pub fn pattern_row(&self, r: usize) -> PatternRow<'_> {
+        PatternRow::new(self.row(r), self.universe)
+    }
+
+    /// Every row's words, row-major (`num_rows() * stride()` words).
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Counts, over the listed rows, how many are supersets of `a` and
@@ -298,103 +365,27 @@ impl XBitMatrix {
     }
 }
 
-/// Streaming constructor for [`XBitMatrix`]: rows are appended one at a
-/// time directly into the packed row-major buffer, reserved once to the
-/// expected size — a 505k-row × 3000-pattern matrix builds in one pass
-/// with no intermediate row materialisation and no growth reallocations.
-///
-/// # Examples
-///
-/// ```
-/// use xhc_bits::{BitVec, XBitMatrixBuilder};
-///
-/// let mut b = XBitMatrixBuilder::with_capacity(70, 2);
-/// b.push_row(&BitVec::from_indices(70, [0, 65]));
-/// b.push_row(&BitVec::from_indices(70, [3]));
-/// let m = b.finish();
-/// assert_eq!(m.num_rows(), 2);
-/// assert_eq!(m.row(1)[0], 1 << 3);
-/// ```
-#[derive(Debug)]
-pub struct XBitMatrixBuilder {
-    words: Vec<u64>,
-    stride: usize,
-    universe: usize,
-    rows: usize,
-}
-
-impl XBitMatrixBuilder {
-    /// A builder for a matrix over `universe` columns, with backing
-    /// storage reserved for `expected_rows` rows up front.
-    pub fn with_capacity(universe: usize, expected_rows: usize) -> Self {
-        let stride = universe.div_ceil(WORD_BITS);
-        XBitMatrixBuilder {
-            words: Vec::with_capacity(expected_rows.saturating_mul(stride)),
-            stride,
-            universe,
-            rows: 0,
-        }
-    }
-
-    /// Appends one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != universe`.
-    pub fn push_row(&mut self, row: &BitVec) {
-        assert_eq!(
-            row.len(),
-            self.universe,
-            "row length must match the matrix universe"
-        );
-        self.push_row_words(row.as_words());
-    }
-
-    /// Appends one row given directly as packed words (tail bits beyond
-    /// the universe must be zero, as [`BitVec`] guarantees).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != stride` (i.e. `universe.div_ceil(64)`).
-    pub fn push_row_words(&mut self, words: &[u64]) {
-        assert_eq!(
-            words.len(),
-            self.stride,
-            "row word count must match the matrix stride"
-        );
-        self.words.extend_from_slice(words);
-        self.rows += 1;
-    }
-
-    /// Rows appended so far.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Finishes the matrix, emitting the `xbm.stream_rows` trace counter
-    /// with the number of rows streamed in.
-    pub fn finish(self) -> XBitMatrix {
-        xhc_trace::counter_add("xbm.stream_rows", self.rows as u64);
-        XBitMatrix {
-            words: self.words,
-            stride: self.stride,
-            rows: self.rows,
-            universe: self.universe,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitVec;
 
     fn naive_supersets(rows: &[BitVec], x: &BitVec) -> usize {
         rows.iter().filter(|r| x.is_subset_of(r)).count()
     }
 
+    /// Packs equal-length rows over `universe` bits.
+    fn pack<'a>(universe: usize, rows: impl IntoIterator<Item = &'a BitVec>) -> XBitMatrix {
+        let words = rows
+            .into_iter()
+            .flat_map(|r| r.as_words().to_vec())
+            .collect();
+        XBitMatrix::from_words(universe, words).unwrap()
+    }
+
     #[test]
     fn empty_matrix() {
-        let m = XBitMatrix::from_rows(10, std::iter::empty());
+        let m = pack(10, []);
         assert_eq!(m.num_rows(), 0);
         assert_eq!(m.stride(), 1);
         let a = BitVec::zeros(10);
@@ -408,7 +399,7 @@ mod tests {
             BitVec::from_indices(130, [0, 64, 129]),
             BitVec::from_indices(130, [63, 64, 65]),
         ];
-        let m = XBitMatrix::from_rows(130, rows.iter());
+        let m = pack(130, rows.iter());
         assert_eq!(m.stride(), 3);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(m.row(i), r.as_words());
@@ -416,36 +407,52 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_from_rows() {
+    fn pattern_rows_view_the_packed_words() {
         let rows: Vec<BitVec> = (0..9)
             .map(|i| BitVec::from_indices(200, [i, i + 64, 199]))
             .collect();
-        let via_iter = XBitMatrix::from_rows(200, rows.iter());
-        let mut b = XBitMatrixBuilder::with_capacity(200, rows.len());
-        for r in &rows {
-            b.push_row_words(r.as_words());
-        }
-        assert_eq!(b.num_rows(), rows.len());
-        let via_builder = b.finish();
-        assert_eq!(via_builder.num_rows(), via_iter.num_rows());
-        assert_eq!(via_builder.stride(), via_iter.stride());
-        for i in 0..rows.len() {
-            assert_eq!(via_builder.row(i), via_iter.row(i));
+        let m = pack(200, &rows);
+        assert_eq!(m.words().len(), 9 * m.stride());
+        for (i, r) in rows.iter().enumerate() {
+            let row = m.pattern_row(i);
+            assert_eq!(row.words(), r.as_words());
+            assert_eq!(
+                row.iter().collect::<Vec<_>>(),
+                r.iter_ones().collect::<Vec<_>>()
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "row length must match")]
-    fn mismatched_row_length_panics() {
-        let bad = BitVec::zeros(65);
-        XBitMatrix::from_rows(64, std::iter::once(&bad));
+    fn from_words_rejects_the_first_row_with_tail_bits() {
+        // Universe 130: three words per row, two live bits in the last.
+        assert_eq!(
+            XBitMatrix::from_words(130, vec![0, 0, 1 << 1, 0, 0, 1 << 2, 0, 0, 1 << 63]),
+            Err(1)
+        );
+        assert!(XBitMatrix::from_words(128, vec![!0; 6]).is_ok());
+        assert_eq!(XBitMatrix::from_words(0, Vec::new()).unwrap().num_rows(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "row word count must match")]
-    fn mismatched_word_count_panics() {
-        let mut b = XBitMatrixBuilder::with_capacity(64, 1);
-        b.push_row_words(&[0, 0]);
+    #[should_panic(expected = "whole number of rows")]
+    fn from_words_rejects_a_partial_row() {
+        let _ = XBitMatrix::from_words(65, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn retain_rows_compacts_in_order() {
+        let rows: Vec<BitVec> = (0..6).map(|i| BitVec::from_indices(70, [i, 69])).collect();
+        let mut m = pack(70, rows.iter());
+        let mut offered = Vec::new();
+        m.retain_rows(|r, row| {
+            offered.push(r);
+            assert!(row.contains(r));
+            r % 2 == 1
+        });
+        assert_eq!(offered, (0..6).collect::<Vec<_>>());
+        let odd = [&rows[1], &rows[3], &rows[5]];
+        assert_eq!(m, pack(70, odd));
     }
 
     #[test]
@@ -464,7 +471,7 @@ mod tests {
             let rows: Vec<BitVec> = (0..40)
                 .map(|_| BitVec::from_indices(universe, (0..universe).filter(|_| next() % 3 == 0)))
                 .collect();
-            let m = XBitMatrix::from_rows(universe, rows.iter());
+            let m = pack(universe, rows.iter());
             let word_ids: Vec<u32> = (0..m.stride() as u32).collect();
             let row_ids: Vec<u32> = (0..rows.len() as u32).collect();
             for trial in 0..8 {
@@ -495,7 +502,7 @@ mod tests {
         let rows: Vec<BitVec> = (0..50)
             .map(|_| BitVec::from_indices(universe, (0..universe).filter(|_| next() % 4 == 0)))
             .collect();
-        let m = XBitMatrix::from_rows(universe, rows.iter());
+        let m = pack(universe, rows.iter());
         let word_ids: Vec<u32> = (0..m.stride() as u32).collect();
         let row_ids: Vec<u32> = (0..rows.len() as u32).collect();
         let a = BitVec::from_indices(universe, (0..universe).filter(|_| next() % 5 == 0));
@@ -525,7 +532,7 @@ mod tests {
             BitVec::from_indices(192, [1, 70]),
             BitVec::from_indices(192, [1]),
         ];
-        let m = XBitMatrix::from_rows(192, rows.iter());
+        let m = pack(192, rows.iter());
         let mut a = vec![!0u64; 3];
         let mut b = vec![!0u64; 3];
         // Only word 0 carries real query bits: a = {1}, b = {}.
@@ -545,7 +552,7 @@ mod tests {
             BitVec::from_indices(192, [5]),
             BitVec::from_indices(192, [130]),
         ];
-        let m = XBitMatrix::from_rows(192, rows.iter());
+        let m = pack(192, rows.iter());
         let mut a = vec![!0u64; 3];
         let mut b = vec![!0u64; 3];
         a[0] = 1 << 5;
@@ -563,7 +570,7 @@ mod tests {
             BitVec::from_indices(64, [5]),
             BitVec::from_indices(64, [5]),
         ];
-        let m = XBitMatrix::from_rows(64, rows.iter());
+        let m = pack(64, rows.iter());
         let a = BitVec::from_indices(64, [5]);
         let empty = BitVec::zeros(64);
         let (na, nb) = m.count_supersets_pair(&[0, 2], &[0], a.as_words(), empty.as_words());

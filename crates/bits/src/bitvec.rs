@@ -214,11 +214,7 @@ impl BitVec {
 
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            vec: self,
-            word_index: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        IterOnes::over(&self.words)
     }
 
     /// Iterator over all bits as `bool`s, ascending by index.
@@ -374,12 +370,22 @@ impl Extend<bool> for BitVec {
     }
 }
 
-/// Iterator over set-bit indices of a [`BitVec`], produced by
-/// [`BitVec::iter_ones`].
+/// Iterator over set-bit indices of packed words, produced by
+/// [`BitVec::iter_ones`] and [`PatternRow::iter`](crate::PatternRow::iter).
 pub struct IterOnes<'a> {
-    vec: &'a BitVec,
+    words: &'a [u64],
     word_index: usize,
     current: u64,
+}
+
+impl<'a> IterOnes<'a> {
+    pub(crate) fn over(words: &'a [u64]) -> Self {
+        IterOnes {
+            words,
+            word_index: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for IterOnes<'_> {
@@ -393,10 +399,10 @@ impl Iterator for IterOnes<'_> {
                 return Some(self.word_index * WORD_BITS + bit);
             }
             self.word_index += 1;
-            if self.word_index >= self.vec.words.len() {
+            if self.word_index >= self.words.len() {
                 return None;
             }
-            self.current = self.vec.words[self.word_index];
+            self.current = self.words[self.word_index];
         }
     }
 }

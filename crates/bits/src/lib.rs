@@ -9,10 +9,12 @@
 //! * [`PatternSet`] — a newtype over [`BitVec`] representing a subset of the
 //!   test-pattern universe, the currency of the pattern-partitioning
 //!   algorithm;
+//! * [`PatternRow`] — a borrowed `Copy` view of one pattern set's words,
+//!   how an X map hands out the rows of its packed storage;
 //! * [`BitMatrix`] — a dense GF(2) matrix with row XOR operations;
 //! * [`XBitMatrix`] — a packed cells × patterns incidence matrix with
-//!   word-sweep superset-counting kernels, the substrate of the partition
-//!   engine's cost-only split evaluator;
+//!   word-sweep superset-counting kernels: an X map's own storage, and
+//!   the substrate of the partition engine's cost-only split evaluator;
 //! * [`gauss`] — Gaussian elimination over GF(2) with combination tracking,
 //!   used by the X-canceling MISR to find X-free signature combinations
 //!   (the paper's Fig. 3).
@@ -58,11 +60,13 @@
 mod bitmatrix;
 mod bitvec;
 mod matrix;
+mod pattern_row;
 mod pattern_set;
 
 pub mod gauss;
 
-pub use bitmatrix::{XBitMatrix, XBitMatrixBuilder};
+pub use bitmatrix::XBitMatrix;
 pub use bitvec::BitVec;
 pub use matrix::BitMatrix;
+pub use pattern_row::PatternRow;
 pub use pattern_set::PatternSet;

@@ -1,6 +1,6 @@
 //! Sets of test-pattern indices.
 
-use crate::BitVec;
+use crate::{BitVec, PatternRow};
 use std::fmt;
 
 /// A subset of the test-pattern universe `{0, 1, …, n-1}`.
@@ -118,12 +118,13 @@ impl PatternSet {
     }
 
     /// `|self ∩ other|` without materialising the intersection.
+    /// `other` is a set or a borrowed [`PatternRow`] (an X map's row).
     ///
     /// # Panics
     ///
     /// Panics if universes differ.
-    pub fn intersection_card(&self, other: &PatternSet) -> usize {
-        self.bits.intersection_count(&other.bits)
+    pub fn intersection_card<'a>(&self, other: impl Into<PatternRow<'a>>) -> usize {
+        other.into().intersection_card(self)
     }
 
     /// The intersection `self ∩ other`.
@@ -159,13 +160,19 @@ impl PatternSet {
         PatternSet { bits }
     }
 
-    /// Whether `self ⊆ other`.
+    /// Whether `self ⊆ other`, for a set or a borrowed [`PatternRow`].
     ///
     /// # Panics
     ///
     /// Panics if universes differ.
-    pub fn is_subset_of(&self, other: &PatternSet) -> bool {
-        self.bits.is_subset_of(&other.bits)
+    pub fn is_subset_of<'a>(&self, other: impl Into<PatternRow<'a>>) -> bool {
+        let other = other.into();
+        PatternRow::from(self).check_universe(other);
+        self.bits
+            .as_words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Whether the two sets share no pattern.
@@ -181,13 +188,27 @@ impl PatternSet {
     ///
     /// This is the elementary binary-partitioning step of the paper's
     /// Algorithm 1: a partition is split into the patterns under which the
-    /// selected scan cell captures X and the rest.
+    /// selected scan cell captures X and the rest. The pivot is a set or
+    /// a borrowed [`PatternRow`].
     ///
     /// # Panics
     ///
     /// Panics if universes differ.
-    pub fn split_by(&self, pivot: &PatternSet) -> (PatternSet, PatternSet) {
-        (self.intersection(pivot), self.difference(pivot))
+    pub fn split_by<'a>(&self, pivot: impl Into<PatternRow<'a>>) -> (PatternSet, PatternSet) {
+        let pivot = pivot.into();
+        PatternRow::from(self).check_universe(pivot);
+        let (with, without) = self
+            .bits
+            .as_words()
+            .iter()
+            .zip(pivot.words())
+            .map(|(p, v)| (p & v, p & !v))
+            .unzip();
+        let universe = self.universe();
+        (
+            PatternSet::from_bits(BitVec::from_words(with, universe)),
+            PatternSet::from_bits(BitVec::from_words(without, universe)),
+        )
     }
 }
 

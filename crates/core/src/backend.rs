@@ -44,7 +44,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::partition::{PartitionEngine, PartitionOutcome, PlanOptions};
-use xhc_bits::XBitMatrix;
 use xhc_misr::{conventional_masking_bits, XCancelConfig};
 use xhc_scan::XMap;
 
@@ -158,15 +157,13 @@ pub struct BackendCaps {
     pub canceling: bool,
     /// Preserves the observability of every non-X response bit.
     pub lossless: bool,
-    /// Benefits from a shared packed `cells × patterns` bit-matrix
-    /// ([`WorkloadInput::matrix`]); the serve race hands the pooled build
-    /// only to backends that claim it.
+    /// Sweeps the X map's packed `cells × patterns` rows
+    /// ([`XMap::to_bitmatrix`]) with the word-level superset kernel.
     pub uses_matrix: bool,
 }
 
 /// Everything a backend plans from: the workload plus the MISR
-/// configuration, with an optional pre-packed bit-matrix for backends
-/// whose [`BackendCaps::uses_matrix`] is set.
+/// configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadInput<'a> {
     /// The X-location map to plan over.
@@ -174,27 +171,12 @@ pub struct WorkloadInput<'a> {
     /// The X-canceling MISR configuration (ignored by backends whose
     /// [`BackendCaps::canceling`] is false).
     pub cancel: XCancelConfig,
-    /// An already-packed `cells × patterns` matrix for `xmap`, shared by
-    /// the daemon's `MatrixPool` so one build serves many backends. Must
-    /// have been packed from `xmap`; `None` lets the backend build its
-    /// own if it needs one.
-    pub matrix: Option<&'a XBitMatrix>,
 }
 
 impl<'a> WorkloadInput<'a> {
-    /// An input with no shared matrix.
+    /// The input for planning `xmap` under `cancel`.
     pub fn new(xmap: &'a XMap, cancel: XCancelConfig) -> Self {
-        WorkloadInput {
-            xmap,
-            cancel,
-            matrix: None,
-        }
-    }
-
-    /// Attaches a shared packed matrix (see [`WorkloadInput::matrix`]).
-    pub fn with_matrix(mut self, matrix: &'a XBitMatrix) -> Self {
-        self.matrix = Some(matrix);
-        self
+        WorkloadInput { xmap, cancel }
     }
 }
 
@@ -349,11 +331,10 @@ impl PlanBackend for HybridBackend {
 
     /// Runs [`PartitionEngine`] with `opts` (honouring every knob) and
     /// derives the account from the outcome via
-    /// [`HybridBackend::report_for`]. The shared matrix, when present,
-    /// feeds [`PartitionEngine::run_with_matrix`].
+    /// [`HybridBackend::report_for`].
     fn plan(&self, input: &WorkloadInput<'_>, opts: &PlanOptions) -> BackendReport {
         let engine = PartitionEngine::with_options(input.cancel, *opts);
-        let outcome = engine.run_with_matrix(input.xmap, input.matrix);
+        let outcome = engine.run(input.xmap);
         HybridBackend::report_for(input.xmap, input.cancel, outcome)
     }
 }
@@ -816,24 +797,6 @@ mod tests {
         assert_eq!(r.leaked_x, 5);
         let outcome = r.outcome.expect("hybrid carries its plan");
         assert_eq!(outcome.partitions.len(), 3);
-    }
-
-    #[test]
-    fn hybrid_backend_shares_a_packed_matrix() {
-        use crate::partition::SplitStrategy;
-        let xmap = fig4_xmap();
-        let matrix = xmap.to_bitmatrix();
-        let opts = PlanOptions {
-            strategy: SplitStrategy::BestCost,
-            ..PlanOptions::default()
-        };
-        let cancel = XCancelConfig::new(10, 2);
-        let shared = HybridBackend.plan(
-            &WorkloadInput::new(&xmap, cancel).with_matrix(&matrix),
-            &opts,
-        );
-        let owned = HybridBackend.plan(&WorkloadInput::new(&xmap, cancel), &opts);
-        assert_eq!(shared, owned);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! is derived as `parent − with`, so one subset intersection per active
 //! cell yields both children.
 
-use xhc_bits::PatternSet;
+use xhc_bits::{PatternRow, PatternSet};
 use xhc_scan::XMap;
 
 /// Minimum active-cell population before a child analysis fans out over
@@ -28,7 +28,7 @@ const PAR_MIN_ACTIVE: usize = 4096;
 /// # Examples
 ///
 /// ```
-/// use xhc_bits::PatternSet;
+/// use xhc_bits::{PatternRow, PatternSet};
 /// use xhc_core::CorrelationAnalysis;
 /// use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 ///
@@ -94,18 +94,24 @@ impl CorrelationAnalysis {
     /// The delta path: analyzes the two children of a binary split of
     /// this partition without touching cells that were X-free here.
     ///
-    /// `with` must be the child pattern set `self ∩ pivot` (the other
-    /// child is implicitly `parent \ with`): a cell's "without" count is
-    /// then `parent_count − with_count`, so the whole split costs one
-    /// subset intersection per *active* cell. For large active
-    /// populations the intersections fan out over up to `threads`
-    /// workers; the result is identical for every thread count.
+    /// `with` must be the child pattern set `self ∩ pivot`, as a set or a
+    /// borrowed row (the other child is implicitly `parent \ with`): a
+    /// cell's "without" count is then `parent_count − with_count`, so the
+    /// whole split costs one subset intersection per *active* cell. For
+    /// large active populations the intersections fan out over up to
+    /// `threads` workers; the result is identical for every thread count.
     ///
     /// # Panics
     ///
     /// Panics if `with` has more patterns than the analyzed subset (it
     /// must be a subset of it).
-    pub fn analyze_children(&self, xmap: &XMap, with: &PatternSet, threads: usize) -> (Self, Self) {
+    pub fn analyze_children<'a>(
+        &self,
+        xmap: &XMap,
+        with: impl Into<PatternRow<'a>>,
+        threads: usize,
+    ) -> (Self, Self) {
+        let with = with.into();
         let with_card = with.card();
         assert!(
             with_card <= self.partition_card,
@@ -323,7 +329,7 @@ pub fn inter_correlation_stats(xmap: &XMap) -> InterCorrelationStats {
     };
 
     // Largest group of identical X pattern sets.
-    let mut identical: std::collections::HashMap<&xhc_bits::PatternSet, usize> =
+    let mut identical: std::collections::HashMap<PatternRow<'_>, usize> =
         std::collections::HashMap::new();
     for (_, xs) in xmap.iter() {
         *identical.entry(xs).or_insert(0) += 1;
@@ -387,7 +393,7 @@ pub fn intra_correlation_stats(xmap: &XMap) -> IntraCorrelationStats {
     for chain in 0..config.num_chains() {
         let len = config.chain_len(chain);
         let mut run = 0usize;
-        let mut prev_xset: Option<&PatternSet> = None;
+        let mut prev_xset: Option<PatternRow<'_>> = None;
         for pos in 0..len {
             let xset = xmap.xset(xhc_scan::CellId::new(chain, pos));
             match xset {

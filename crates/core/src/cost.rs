@@ -197,6 +197,55 @@ mod tests {
     }
 
     #[test]
+    fn total_strictly_falls_as_one_more_x_is_masked_at_m32_q7() {
+        // BestCost's tie rule ("first strict minimum") relies on the f64
+        // total strictly falling whenever one leaked X becomes masked, at
+        // the Table 1 MISR (8.96 control bits per X) and leaked counts
+        // up to 1e8. Check it rather than assume it.
+        let cancel = XCancelConfig::new(32, 7);
+        let cost = |masking_bits: u128, masked_x: usize, leaked_x: usize| HybridCost {
+            masking_bits,
+            canceling_bits: cancel.control_bits(leaked_x),
+            masked_x,
+            leaked_x,
+            num_partitions: 1,
+        };
+        let mut rng = xhc_prng::XhcRng::seed_from_u64(0x5eed_c057);
+        let mut cases: Vec<(u128, usize)> = Vec::new();
+        // Edges: the smallest and largest leaked counts, powers of two
+        // around the f64 exponent steps, and the CKT-A mask word (L·C =
+        // 505,050 bits) at up to 64 partitions.
+        for leaked in [
+            1usize,
+            2,
+            3,
+            1 << 20,
+            (1 << 24) + 1,
+            99_999_999,
+            100_000_000,
+        ] {
+            for masking in [0u128, 15, 505_050, 505_050 * 64] {
+                cases.push((masking, leaked));
+            }
+        }
+        for _ in 0..10_000 {
+            let leaked = 1 + rng.gen_index(100_000_000);
+            let masking = 505_050 * (1 + rng.gen_index(64)) as u128;
+            cases.push((masking, leaked));
+        }
+        for (masking, leaked) in cases {
+            let before = cost(masking, 1_000, leaked);
+            let after = cost(masking, 1_001, leaked - 1);
+            assert!(
+                after.total() < before.total(),
+                "masking {masking}, leaked {leaked}: {} !< {}",
+                after.total(),
+                before.total()
+            );
+        }
+    }
+
+    #[test]
     fn masks_align_with_cost() {
         let xmap = fig4_xmap();
         let parts = [

@@ -2,6 +2,7 @@
 
 use crate::correlation::CorrelationAnalysis;
 use crate::cost::{hybrid_cost_with_masks, HybridCost};
+use std::borrow::Borrow;
 use xhc_bits::{PatternSet, XBitMatrix};
 use xhc_misr::{MaskWord, XCancelConfig};
 use xhc_prng::{SliceRandom, XhcRng};
@@ -334,21 +335,34 @@ impl PartitionEngine {
     /// stop is active — accepts the split only if the total control-bit
     /// cost strictly decreases.
     pub fn run(&self, xmap: &XMap) -> PartitionOutcome {
-        self.run_with_matrix(xmap, None)
+        self.run_with_matrix::<XBitMatrix>(xmap, None)
     }
 
-    /// Like [`PartitionEngine::run`], but reuses an already-packed
-    /// `cells × patterns` matrix for `xmap` instead of building one.
+    /// Like [`PartitionEngine::run`], with the packed `cells × patterns`
+    /// rows the `BestCost` sweeps read passed in. `None` (what
+    /// [`PartitionEngine::run`] passes) reads [`XMap::to_bitmatrix`], the
+    /// map's own storage; a `Some` matrix must be that same data, which
+    /// is asserted. `LargestClass` reads no matrix. The matrix may be
+    /// passed as `&XBitMatrix` or as a reference to the `&XBitMatrix`
+    /// that [`XMap::to_bitmatrix`] returns.
     ///
-    /// The serve front end batches concurrent submissions of the same
-    /// workload this way: one packed build serves many engine passes
-    /// (different options, same X map). Passing `None` builds the matrix
-    /// internally exactly as [`PartitionEngine::run`] does; passing a
-    /// matrix that was not packed from this `xmap` produces garbage
-    /// plans, so callers key shared matrices by workload content hash.
-    /// Only the `BestCost` strategy prices candidates on the packed
-    /// matrix; under `LargestClass` the shared matrix is ignored.
-    pub fn run_with_matrix(&self, xmap: &XMap, shared: Option<&XBitMatrix>) -> PartitionOutcome {
+    /// # Panics
+    ///
+    /// Panics if `matrix` differs from `xmap.to_bitmatrix()`.
+    pub fn run_with_matrix<M: Borrow<XBitMatrix>>(
+        &self,
+        xmap: &XMap,
+        matrix: Option<&M>,
+    ) -> PartitionOutcome {
+        let own = xmap.to_bitmatrix();
+        let matrix = matrix.map_or(own, |m| {
+            let m = m.borrow();
+            assert!(
+                std::ptr::eq(m, own) || m == own,
+                "the matrix must be the X map's own rows"
+            );
+            m
+        });
         let num_patterns = xmap.num_patterns();
         let total_x = xmap.total_x();
         let word_bits = xmap.config().mask_word_bits() as u128;
@@ -380,18 +394,6 @@ impl PartitionEngine {
         // Masked-X total, maintained incrementally: a split replaces one
         // partition's contribution with its two children's.
         let mut masked_total = infos[0].masked_x;
-        // The packed cells × patterns matrix drives the cost-only
-        // candidate evaluator; only the BestCost strategy prices
-        // candidates, so only it pays for the build — or borrows the
-        // caller's shared build when batching.
-        let built: Option<XBitMatrix> = match (self.opts.strategy, shared) {
-            (SplitStrategy::BestCost, None) => Some(xmap.to_bitmatrix()),
-            _ => None,
-        };
-        let matrix: Option<&XBitMatrix> = match self.opts.strategy {
-            SplitStrategy::BestCost => shared.or(built.as_ref()),
-            SplitStrategy::LargestClass => None,
-        };
         let mut scratch_pool: Vec<SplitScratch> = Vec::new();
         let initial_cost = cost_from(masked_total, 1);
         let mut cost = initial_cost.clone();
@@ -460,7 +462,6 @@ impl PartitionEngine {
                     // pruning and the parallel fan-out are arranged so
                     // the selected pivot is exactly the one the original
                     // sequential fold over all candidates would pick.
-                    let matrix = matrix.expect("matrix built for BestCost");
                     let stride = matrix.stride();
                     let num_next = infos.len() + 1;
                     let candidates: Vec<(usize, usize, usize, usize)> = infos

@@ -107,7 +107,7 @@ fn packed_evaluation_matches_materializing_reference() {
                         }
                         let rep = cells[0];
                         let (packed_w, packed_wo) =
-                            packed_masked_pair(&xmap, &matrix, &analysis, part, rep, count);
+                            packed_masked_pair(&xmap, matrix, &analysis, part, rep, count);
                         let xset = xmap.xset_linear(rep).expect("rep captures X");
                         let (with, without) = part.split_by(xset);
                         assert_eq!(
@@ -201,7 +201,7 @@ fn sharded_and_unrolled_kernels_match_the_scalar_reference() {
                     b[w] = part_words[w] & !pivot_row[w];
                 }
                 let rows = analysis.active_entries();
-                let want = scalar_count_pair(&matrix, rows, &word_ids, &a, &b);
+                let want = scalar_count_pair(matrix, rows, &word_ids, &a, &b);
                 let unrolled = matrix.count_supersets_pair(rows, &word_ids, &a, &b);
                 assert_eq!(
                     unrolled, want,

@@ -390,20 +390,14 @@ fn nested_delta_splits_match_full_rescan() {
     let Some((_, cells)) = root.pivot_class() else {
         panic!("random map must be splittable");
     };
-    let xset = xmap
-        .xset_linear(cells[0])
-        .expect("pivot captures X")
-        .clone();
-    let (l1_set, _) = root_set.split_by(&xset);
+    let xset = xmap.xset_linear(cells[0]).expect("pivot captures X");
+    let (l1_set, _) = root_set.split_by(xset);
     let (l1, _) = root.analyze_children(&xmap, &l1_set, 1);
     let Some((_, cells2)) = l1.pivot_class() else {
         return; // unsplittable second level is a valid outcome
     };
-    let xset2 = xmap
-        .xset_linear(cells2[0])
-        .expect("pivot captures X")
-        .clone();
-    let (l2_set, l2_rest) = l1_set.split_by(&xset2);
+    let xset2 = xmap.xset_linear(cells2[0]).expect("pivot captures X");
+    let (l2_set, l2_rest) = l1_set.split_by(xset2);
     if l2_set.is_empty() || l2_rest.is_empty() {
         return;
     }

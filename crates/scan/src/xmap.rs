@@ -2,7 +2,7 @@
 
 use crate::config::{CellId, ScanConfig};
 use std::collections::BTreeMap;
-use xhc_bits::PatternSet;
+use xhc_bits::{PatternRow, PatternSet, XBitMatrix};
 
 /// The sparse X-location map: for every scan cell that captures at least
 /// one X, the set of patterns under which it does.
@@ -13,12 +13,13 @@ use xhc_bits::PatternSet;
 /// (e.g. CKT-A: 505,050 cells × 3,000 patterns stays small because only
 /// X-capturing cells are stored).
 ///
-/// Storage is columnar: two parallel, linear-index-sorted arrays (cell
-/// indices and their X pattern sets). The correlation kernel walks them
-/// as flat slices — no tree traversal on the hot path — and addresses
-/// individual entries by *position* (see [`XMap::entry`]), which is what
-/// lets a partition split rescan only the cells that were X-active in the
-/// parent partition.
+/// Storage is one sorted array of cell indices beside one packed
+/// [`XBitMatrix`] whose row `pos` is the X pattern set of `cells[pos]`.
+/// Every reader gets a borrowed [`PatternRow`] into those words; the
+/// correlation kernel walks rows by *position* (see [`XMap::entry`]),
+/// which lets a partition split rescan only the cells that were X-active
+/// in the parent partition, and the partition engine's superset sweeps
+/// read the same matrix ([`XMap::to_bitmatrix`]) with no copy.
 ///
 /// # Examples
 ///
@@ -37,12 +38,11 @@ use xhc_bits::PatternSet;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XMap {
     config: ScanConfig,
-    num_patterns: usize,
-    /// Linear indices of X-capturing cells, ascending.
+    /// Linear indices of X-capturing cells, strictly ascending.
     cells: Vec<u32>,
-    /// X pattern set of `cells[i]`.
-    xsets: Vec<PatternSet>,
-    /// Cached `Σ xsets[i].card()`.
+    /// Row `pos` is the X pattern set of `cells[pos]`; never empty.
+    rows: XBitMatrix,
+    /// Cached total of set bits over `rows`.
     total_x: usize,
 }
 
@@ -68,10 +68,53 @@ impl XMap {
         b.finish()
     }
 
+    /// The one constructor every other path (the builder, the workload
+    /// generator, the wire decoder) goes through: strictly ascending
+    /// linear cell indices beside their packed X pattern sets, row `i`
+    /// for `cells[i]`. The pattern universe is `rows.universe()`. Rows
+    /// that are empty are dropped in place, with their cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range, repeats or descends, or the
+    /// row count differs from the cell count.
+    pub fn from_rows(config: ScanConfig, mut cells: Vec<u32>, mut rows: XBitMatrix) -> Self {
+        assert_eq!(
+            cells.len(),
+            rows.num_rows(),
+            "one packed row per cell index"
+        );
+        let mut prev = None;
+        for &idx in &cells {
+            assert!(
+                (idx as usize) < config.total_cells(),
+                "cell index {idx} out of range"
+            );
+            assert!(prev != Some(idx), "duplicate cell index {idx}");
+            assert!(prev < Some(idx), "cell indices must ascend at {idx}");
+            prev = Some(idx);
+        }
+        let mut kept = 0;
+        let mut total_x = 0;
+        rows.retain_rows(|r, row| {
+            let card = row.card();
+            total_x += card;
+            cells[kept] = cells[r];
+            kept += usize::from(card > 0);
+            card > 0
+        });
+        cells.truncate(kept);
+        XMap {
+            config,
+            cells,
+            rows,
+            total_x,
+        }
+    }
+
     /// Builds a map from `(linear cell index, X pattern set)` entries in
-    /// any order, moving the sets in. Entries whose set is empty are
-    /// dropped. This is the one constructor every other path (the
-    /// builder, the workload generator, the wire decoder) goes through.
+    /// any order: sorts them, packs the sets and hands both to
+    /// [`XMap::from_rows`]. Entries whose set is empty are dropped.
     ///
     /// # Panics
     ///
@@ -84,31 +127,23 @@ impl XMap {
     ) -> Self {
         entries.sort_unstable_by_key(|&(idx, _)| idx);
         let mut cells = Vec::with_capacity(entries.len());
-        let mut xsets = Vec::with_capacity(entries.len());
-        let mut total_x = 0;
-        let mut prev = None;
-        for (idx, xs) in entries {
-            assert!(
-                (idx as usize) < config.total_cells(),
-                "cell index {idx} out of range"
-            );
-            assert!(prev != Some(idx), "duplicate cell index {idx}");
-            prev = Some(idx);
+        let mut words = Vec::with_capacity(entries.len() * num_patterns.div_ceil(64));
+        for (idx, xs) in &entries {
             assert_eq!(xs.universe(), num_patterns, "pattern-set universe mismatch");
-            if xs.is_empty() {
-                continue;
+            cells.push(*idx);
+            words.extend_from_slice(xs.as_bits().as_words());
+        }
+        if num_patterns == 0 {
+            // Zero-width rows have no words to count them by; every set
+            // over no patterns is empty, so no cell stays.
+            if let Some(w) = cells.windows(2).find(|w| w[0] == w[1]) {
+                panic!("duplicate cell index {}", w[1]);
             }
-            total_x += xs.card();
-            cells.push(idx);
-            xsets.push(xs);
+            cells.clear();
         }
-        XMap {
-            config,
-            num_patterns,
-            cells,
-            xsets,
-            total_x,
-        }
+        let rows = XBitMatrix::from_words(num_patterns, words)
+            .expect("pattern sets keep bits past the universe clear");
+        XMap::from_rows(config, cells, rows)
     }
 
     /// The scan topology.
@@ -118,7 +153,7 @@ impl XMap {
 
     /// Number of patterns in the universe.
     pub fn num_patterns(&self) -> usize {
-        self.num_patterns
+        self.rows.universe()
     }
 
     /// Number of cells that capture at least one X.
@@ -141,8 +176,8 @@ impl XMap {
     /// # Panics
     ///
     /// Panics if `pos >= num_x_cells()`.
-    pub fn entry(&self, pos: usize) -> (usize, &PatternSet) {
-        (self.cells[pos] as usize, &self.xsets[pos])
+    pub fn entry(&self, pos: usize) -> (usize, PatternRow<'_>) {
+        (self.cells[pos] as usize, self.rows.pattern_row(pos))
     }
 
     /// The entry position of the cell with linear index `idx`, if it
@@ -155,13 +190,13 @@ impl XMap {
     }
 
     /// The X pattern set of the cell with linear index `idx`, if any.
-    pub fn xset_linear(&self, idx: usize) -> Option<&PatternSet> {
-        self.find_entry(idx).map(|pos| &self.xsets[pos])
+    pub fn xset_linear(&self, idx: usize) -> Option<PatternRow<'_>> {
+        self.find_entry(idx).map(|pos| self.rows.pattern_row(pos))
     }
 
     /// Fraction of response bits that are X.
     pub fn x_density(&self) -> f64 {
-        let bits = self.config.total_cells() * self.num_patterns;
+        let bits = self.config.total_cells() * self.num_patterns();
         if bits == 0 {
             return 0.0;
         }
@@ -174,8 +209,7 @@ impl XMap {
     ///
     /// Panics if the cell is out of range.
     pub fn x_count(&self, cell: CellId) -> usize {
-        self.xset_linear(self.config.linear_index(cell))
-            .map_or(0, PatternSet::card)
+        self.xset(cell).map_or(0, PatternRow::card)
     }
 
     /// The X pattern set of `cell`, if it captures any X.
@@ -183,7 +217,7 @@ impl XMap {
     /// # Panics
     ///
     /// Panics if the cell is out of range.
-    pub fn xset(&self, cell: CellId) -> Option<&PatternSet> {
+    pub fn xset(&self, cell: CellId) -> Option<PatternRow<'_>> {
         self.xset_linear(self.config.linear_index(cell))
     }
 
@@ -204,9 +238,8 @@ impl XMap {
     ///
     /// Panics if the subset universe differs from `num_patterns`.
     pub fn total_x_in(&self, patterns: &PatternSet) -> usize {
-        self.xsets
-            .iter()
-            .map(|xs| xs.intersection_card(patterns))
+        (0..self.num_x_cells())
+            .map(|pos| self.rows.pattern_row(pos).intersection_card(patterns))
             .sum()
     }
 
@@ -217,7 +250,7 @@ impl XMap {
     /// Panics if out of range.
     pub fn is_x(&self, pattern: usize, cell: CellId) -> bool {
         assert!(
-            pattern < self.num_patterns,
+            pattern < self.num_patterns(),
             "pattern {pattern} out of range"
         );
         self.xset(cell).is_some_and(|xs| xs.contains(pattern))
@@ -225,37 +258,29 @@ impl XMap {
 
     /// Iterator over `(cell, X pattern set)` for X-capturing cells, in
     /// linear-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (CellId, &PatternSet)> {
-        self.cells
-            .iter()
-            .zip(&self.xsets)
-            .map(|(&idx, xs)| (self.config.cell_at(idx as usize), xs))
+    pub fn iter(&self) -> impl Iterator<Item = (CellId, PatternRow<'_>)> {
+        self.cells.iter().enumerate().map(|(pos, &idx)| {
+            (
+                self.config.cell_at(idx as usize),
+                self.rows.pattern_row(pos),
+            )
+        })
     }
 
-    /// Packs the map into a cells × patterns [`xhc_bits::XBitMatrix`]:
-    /// row `pos` is the X pattern set of [`XMap::entry`]`(pos)`, so the
-    /// matrix's row ids coincide with the map's entry positions and with
-    /// the active-entry lists a correlation analysis records.
-    ///
-    /// Built once per partition-engine run; the cost-only split
-    /// evaluator then prices every candidate with word sweeps over these
-    /// rows instead of materialising child partitions.
-    pub fn to_bitmatrix(&self) -> xhc_bits::XBitMatrix {
-        // Streamed straight out of the columnar xsets array with the full
-        // row count reserved up front: one pass, no intermediate row
-        // materialisation, no growth reallocations — a 505k × 3000 matrix
-        // (CKT-A) packs in a single allocation.
-        let mut b = xhc_bits::XBitMatrixBuilder::with_capacity(self.num_patterns, self.xsets.len());
-        for xs in &self.xsets {
-            b.push_row_words(xs.as_bits().as_words());
-        }
-        b.finish()
+    /// The map's X rows as the packed cells × patterns [`XBitMatrix`]
+    /// they are stored in: row `pos` is the X pattern set of
+    /// [`XMap::entry`]`(pos)`, so the matrix's row ids coincide with the
+    /// map's entry positions and with the active-entry lists a
+    /// correlation analysis records. A borrow — the partition engine's
+    /// cost-only split evaluator sweeps these words in place.
+    pub fn to_bitmatrix(&self) -> &XBitMatrix {
+        &self.rows
     }
 
     /// Number of X's per pattern (indexed by pattern).
     pub fn x_per_pattern(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_patterns];
-        for xs in &self.xsets {
+        let mut counts = vec![0usize; self.num_patterns()];
+        for (_, xs) in self.iter() {
             for p in xs.iter() {
                 counts[p] += 1;
             }
@@ -525,6 +550,36 @@ mod tests {
             4,
             vec![(3, PatternSet::from_patterns(4, [0]))],
         );
+    }
+
+    #[test]
+    fn from_rows_drops_empty_rows_with_their_cells() {
+        // Universe 70: two words per row; rows 0 and 2 are empty.
+        let words = vec![0, 0, 1 << 3, 1 << 5, 0, 0, 1, 0];
+        let rows = XBitMatrix::from_words(70, words).unwrap();
+        let m = XMap::from_rows(ScanConfig::uniform(2, 5), vec![1, 4, 6, 9], rows);
+        assert_eq!(m.num_x_cells(), 2);
+        assert_eq!(m.total_x(), 3);
+        assert_eq!(m.entry(0).0, 4);
+        assert_eq!(m.entry(0).1.iter().collect::<Vec<_>>(), vec![3, 69]);
+        assert_eq!(m.entry(1).0, 9);
+        assert_eq!(m.find_entry(1), None);
+        assert_eq!(m.find_entry(9), Some(1));
+        assert_eq!(m.to_bitmatrix().num_rows(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell indices must ascend at 1")]
+    fn from_rows_rejects_descending_cells() {
+        let rows = XBitMatrix::from_words(4, vec![1, 1]).unwrap();
+        XMap::from_rows(ScanConfig::uniform(1, 3), vec![2, 1], rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "one packed row per cell index")]
+    fn from_rows_rejects_a_row_count_mismatch() {
+        let rows = XBitMatrix::from_words(4, vec![1]).unwrap();
+        XMap::from_rows(ScanConfig::uniform(1, 3), vec![0, 1], rows);
     }
 
     #[test]

@@ -20,21 +20,19 @@
 //! overloaded daemon sheds with `429` and a `Retry-After` derived from
 //! the observed queue-wait p95 instead of queueing without bound.
 //!
-//! Concurrent submissions that share a workload but differ in engine
-//! options additionally share one packed bit-matrix build (the
-//! dominant setup cost of a `best-cost` plan): the first arrival packs,
-//! the rest reuse the same in-memory matrix, observable as
-//! `xhc_batched_total` on `/metrics` and the `serve.batched` trace
-//! counter. With [`ServerConfig::with_push_metrics`] the daemon also
-//! pushes its counters as Influx line protocol to an HTTP collector on
-//! an interval (`XHC_PUSH_INTERVAL_MS`, default 2000).
+//! A decoded X map already holds its X rows as the packed matrix a
+//! `best-cost` plan sweeps, so each engine run borrows its own map's
+//! rows and concurrent runs share no matrix. With
+//! [`ServerConfig::with_push_metrics`] the daemon also pushes its
+//! counters as Influx line protocol to an HTTP collector on an interval
+//! (`XHC_PUSH_INTERVAL_MS`, default 2000).
 //!
 //! # Routes
 //!
 //! | Route | Method | Behaviour |
 //! |-------|--------|-----------|
 //! | `/v1/plan?m=&q=&strategy=&policy=&seed=&max_rounds=&cost_stop=&backend=&mode=&trace=` | POST | Body is a wire-encoded X map, workload spec or plan request, or `xmap v1` text. Lints it, plans it (or serves the cached plan) and returns the wire-encoded plan. `mode=async` returns `202` and a job id instead. A non-hybrid `backend=` answers with that backend's uniform JSON report. |
-//! | `/v1/plan/race?...&backends=` | POST | Same body and parameters as `/v1/plan`; fans the submission across the requested backend set (`backends=` comma list, default all) and returns the JSON control-bit/latency table with Pareto-frontier flags. The hybrid leg shares the plan store, single-flight set and matrix pool with `/v1/plan`, so its plan is byte-identical and cached under the same address. |
+//! | `/v1/plan/race?...&backends=` | POST | Same body and parameters as `/v1/plan`; fans the submission across the requested backend set (`backends=` comma list, default all) and returns the JSON control-bit/latency table with Pareto-frontier flags. The hybrid leg shares the plan store and single-flight set with `/v1/plan`, so its plan is byte-identical and cached under the same address. |
 //! | `/v1/backends` | GET | JSON capability listing of every planning backend. |
 //! | `/v1/plan/{hash}` | GET | Fetches a cached plan by its 16-hex content address. |
 //! | `/v1/plan/{hash}/verify` | GET | Re-checks the cached plan against its stored certificate and X map with the `xhc-verify` static checker: `200` when clean, `422` with the rendered XL04xx findings otherwise. |
@@ -98,7 +96,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod event_loop;
 mod http;
 mod jobs;
@@ -108,7 +105,6 @@ mod store;
 
 pub mod client;
 
-pub use batch::MatrixPool;
 pub use http::{ParseError, Request, Response, MAX_BODY_BYTES};
 pub use jobs::{JobRegistry, JobStatus};
 pub use store::PlanStore;
@@ -127,7 +123,6 @@ use std::time::Instant;
 
 use xhc_aio::queue::JobQueue;
 use xhc_aio::Waker;
-use xhc_bits::XBitMatrix;
 
 use xhc_core::{
     backend_for, BackendId, CellSelection, HybridBackend, PartitionEngine, PlanOptions,
@@ -318,8 +313,6 @@ struct ServerState {
     waker: Mutex<Option<Waker>>,
     /// Requests currently queued or executing (admission ceiling).
     inflight_jobs: AtomicU64,
-    /// Shared packed-matrix builds for concurrent same-workload plans.
-    matrix_pool: MatrixPool,
 }
 
 /// A handle for observing and stopping a running [`Server`] from another
@@ -389,7 +382,6 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             waker: Mutex::new(None),
             inflight_jobs: AtomicU64::new(0),
-            matrix_pool: MatrixPool::default(),
         });
         Ok(Server {
             listener,
@@ -841,10 +833,6 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
 
     let canonical = encode_xmap(&xmap);
     let key = plan_request_hash_with_options(&canonical, params.m, params.q, &params.options);
-    // The workload key ignores the engine options: requests that share
-    // an X map share one packed-matrix build even when their full cache
-    // keys differ.
-    let wkey = xhc_wire::content_hash(&canonical);
 
     // A non-hybrid backend produces accounting, not a storable partition
     // plan: answer with its uniform JSON report, computed in-process.
@@ -863,8 +851,6 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
             &xmap,
             &params,
             cancel,
-            wkey,
-            None,
         )?;
         return Ok(Response::new(
             200,
@@ -879,7 +865,7 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
         // The job thread owns its own handle to the shared state.
         let state_ref = Arc::clone(state);
         thread::spawn(move || {
-            let outcome = compute_plan(&state_ref, key, wkey, &canonical, &xmap, &params);
+            let outcome = compute_plan(&state_ref, key, &canonical, &xmap, &params);
             let status = match outcome {
                 Ok((_, engine_ns)) => JobStatus::Done {
                     plan_hash: key,
@@ -908,7 +894,7 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
         .with_header("X-Xhc-Job", id.to_string()));
     }
 
-    let (bytes, engine_ns) = compute_plan(state, key, wkey, &canonical, &xmap, &params)?;
+    let (bytes, engine_ns) = compute_plan(state, key, &canonical, &xmap, &params)?;
     let plan_len = bytes.len();
     let mut body = bytes;
     let traced = trace_session.is_some();
@@ -1003,9 +989,7 @@ struct RaceLeg {
 /// to the single-backend route, persisted under the same address, and
 /// single-flighted against concurrent submissions; the report is then
 /// accounted from the decoded plan without re-running the engine. Every
-/// other backend is pure accounting run in-process, handed the pooled
-/// packed matrix when its capabilities claim one.
-#[allow(clippy::too_many_arguments)]
+/// other backend is pure accounting run in-process.
 fn race_leg(
     state: &ServerState,
     backend: BackendId,
@@ -1013,8 +997,6 @@ fn race_leg(
     xmap: &XMap,
     params: &PlanParams,
     cancel: XCancelConfig,
-    wkey: u64,
-    shared_matrix: Option<&XBitMatrix>,
 ) -> Result<RaceLeg, HandlerError> {
     let started = Instant::now();
     if backend == BackendId::Hybrid {
@@ -1030,7 +1012,7 @@ fn race_leg(
             asynchronous: false,
             trace: false,
         };
-        let (bytes, engine_ns) = compute_plan(state, key, wkey, canonical, xmap, &leg_params)?;
+        let (bytes, engine_ns) = compute_plan(state, key, canonical, xmap, &leg_params)?;
         let (outcome, _) = decode_plan(&bytes)
             .map_err(|e| HandlerError::new(500, format!("stored plan failed to decode: {e}")))?;
         let report = HybridBackend::report_for(xmap, cancel, outcome);
@@ -1041,10 +1023,7 @@ fn race_leg(
             plan: Some((key, engine_ns.is_none())),
         })
     } else {
-        let mut input = WorkloadInput::new(xmap, cancel);
-        if let Some(matrix) = shared_matrix.filter(|_| backend.caps().uses_matrix) {
-            input = input.with_matrix(matrix);
-        }
+        let input = WorkloadInput::new(xmap, cancel);
         let report = backend_for(backend).plan(&input, &params.options);
         Ok(RaceLeg {
             backend,
@@ -1087,8 +1066,8 @@ fn leg_json(leg: &RaceLeg, pareto: Option<bool>) -> String {
 ///
 /// One decode and one lint gate serve every leg; the legs then run
 /// concurrently (scoped threads on the worker that claimed the request).
-/// The hybrid leg shares the plan store, the single-flight set and the
-/// matrix pool with `POST /v1/plan` — see [`race_leg`].
+/// The hybrid leg shares the plan store and the single-flight set with
+/// `POST /v1/plan` — see [`race_leg`].
 fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response, HandlerError> {
     let mut params = parse_plan_params(request)?;
     if params.asynchronous {
@@ -1107,22 +1086,6 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
     let wkey = xhc_wire::content_hash(&canonical);
     let cancel = XCancelConfig::new(params.m, params.q);
 
-    // Matrix-consuming accounting backends share one pooled build, keyed
-    // by workload exactly like the engine's own (the hybrid leg reaches
-    // the same pool through `run_engine`).
-    let shared_matrix: Option<Arc<XBitMatrix>> = if roster
-        .iter()
-        .any(|id| *id != BackendId::Hybrid && id.caps().uses_matrix)
-    {
-        let (matrix, reused) = state.matrix_pool.get_or_build(wkey, || xmap.to_bitmatrix());
-        if reused {
-            state.metrics.batched_total.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(matrix)
-    } else {
-        None
-    };
-
     let state_ref: &ServerState = state;
     let leg_results: Vec<Result<RaceLeg, HandlerError>> = thread::scope(|scope| {
         let handles: Vec<_> = roster
@@ -1131,19 +1094,7 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
                 let canonical = &canonical;
                 let xmap = &xmap;
                 let params = &params;
-                let shared_matrix = shared_matrix.as_deref();
-                scope.spawn(move || {
-                    race_leg(
-                        state_ref,
-                        backend,
-                        canonical,
-                        xmap,
-                        params,
-                        cancel,
-                        wkey,
-                        shared_matrix,
-                    )
-                })
+                scope.spawn(move || race_leg(state_ref, backend, canonical, xmap, params, cancel))
             })
             .collect();
         handles
@@ -1200,7 +1151,6 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
 fn compute_plan(
     state: &ServerState,
     key: u64,
-    wkey: u64,
     canonical: &[u8],
     xmap: &XMap,
     params: &PlanParams,
@@ -1235,30 +1185,29 @@ fn compute_plan(
     // claim is released: waiters re-check the store the moment the key
     // leaves the in-flight set, and an unsaved plan at that instant
     // would make them recompute (a duplicated miss).
-    let result =
-        run_engine(state, wkey, xmap, params).and_then(|(bytes, cert_bytes, engine_ns)| {
-            let store_started = Instant::now();
-            let span = xhc_trace::span("serve.store");
-            // Persist the certificate and the canonical X map first: the
-            // `.plan` file is the cache-hit signal, so a reader that sees it
-            // can rely on the siblings being complete.
-            state
-                .store
-                .save_ext(key, "cert", &cert_bytes)
-                .map_err(store_err)?;
-            state
-                .store
-                .save_ext(key, "xmap", canonical)
-                .map_err(store_err)?;
-            state.store.save(key, &bytes).map_err(store_err)?;
-            drop(span);
-            state
-                .metrics
-                .store_ns
-                .record_ns(store_started.elapsed().as_nanos() as u64);
-            state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            Ok((bytes, Some(engine_ns)))
-        });
+    let result = run_engine(state, xmap, params).and_then(|(bytes, cert_bytes, engine_ns)| {
+        let store_started = Instant::now();
+        let span = xhc_trace::span("serve.store");
+        // Persist the certificate and the canonical X map first: the
+        // `.plan` file is the cache-hit signal, so a reader that sees it
+        // can rely on the siblings being complete.
+        state
+            .store
+            .save_ext(key, "cert", &cert_bytes)
+            .map_err(store_err)?;
+        state
+            .store
+            .save_ext(key, "xmap", canonical)
+            .map_err(store_err)?;
+        state.store.save(key, &bytes).map_err(store_err)?;
+        drop(span);
+        state
+            .metrics
+            .store_ns
+            .record_ns(store_started.elapsed().as_nanos() as u64);
+        state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        Ok((bytes, Some(engine_ns)))
+    });
     // Always release the claim, success or error.
     {
         let mut inflight = state.inflight.lock().expect("inflight set poisoned");
@@ -1275,7 +1224,6 @@ fn compute_plan(
 /// `xhc_plan_engine_seconds`).
 fn run_engine(
     state: &ServerState,
-    wkey: u64,
     xmap: &XMap,
     params: &PlanParams,
 ) -> Result<(Vec<u8>, Vec<u8>, u64), HandlerError> {
@@ -1290,23 +1238,8 @@ fn run_engine(
     let engine = PartitionEngine::with_options(cancel, opts);
     let plan_started = Instant::now();
     let span = xhc_trace::span("serve.plan");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        // Only a best-cost run packs the bit matrix; concurrent requests
-        // for the same workload (any options) share one build through
-        // the pool. Inside the catch so a packing panic is a clean 500
-        // and the pool's claim is released.
-        let shared: Option<Arc<XBitMatrix>> = if matches!(opts.strategy, SplitStrategy::BestCost) {
-            let (matrix, reused) = state.matrix_pool.get_or_build(wkey, || xmap.to_bitmatrix());
-            if reused {
-                state.metrics.batched_total.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(matrix)
-        } else {
-            None
-        };
-        engine.run_with_matrix(xmap, shared.as_deref())
-    }))
-    .map_err(|_| HandlerError::new(500, "partition engine panicked"))?;
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(xmap)))
+        .map_err(|_| HandlerError::new(500, "partition engine panicked"))?;
     drop(span);
     let engine_ns = plan_started.elapsed().as_nanos() as u64;
     state.metrics.plan_ns.record_ns(engine_ns);

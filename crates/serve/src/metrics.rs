@@ -118,9 +118,6 @@ pub(crate) struct Metrics {
     /// Connections answered 408 for idling mid-request past the read
     /// deadline (the slow-loris defence firing).
     pub timeouts_total: AtomicU64,
-    /// Plan requests that reused a concurrently built packed matrix
-    /// instead of packing their own (the batching win).
-    pub batched_total: AtomicU64,
     /// Async jobs submitted.
     pub jobs_submitted: AtomicU64,
     /// Async jobs finished (successfully or not).
@@ -182,7 +179,7 @@ const STAGE_FAMILY: &str = "xhc_stage_latency_ns";
 const STAGE_PUSH: [&str; 3] = ["xhc_stage_count", "xhc_stage_sum_ns", "xhc_stage_p95_ns"];
 
 /// Every daemon series, declared once. Both exporters render this table.
-const SERIES: [Series; 22] = [
+const SERIES: [Series; 21] = [
     Scalar("xhc_requests_total", Int, |m| &m.requests_total),
     Statuses("xhc_responses_total"),
     Scalar("xhc_cache_hits_total", Int, |m| &m.cache_hits),
@@ -190,7 +187,6 @@ const SERIES: [Series; 22] = [
     Scalar("xhc_queue_depth", Int, |m| &m.queue_depth),
     Scalar("xhc_shed_total", Int, |m| &m.shed_total),
     Scalar("xhc_timeouts_total", Int, |m| &m.timeouts_total),
-    Scalar("xhc_batched_total", Int, |m| &m.batched_total),
     Scalar("xhc_jobs_submitted_total", Int, |m| &m.jobs_submitted),
     Scalar("xhc_jobs_completed_total", Int, |m| &m.jobs_completed),
     Scalar("xhc_verify_total", Int, |m| &m.verify_total),
@@ -315,23 +311,19 @@ mod tests {
     /// status) and stage histogram set to a distinct value.
     fn populated() -> Metrics {
         let m = Metrics::default();
-        for (i, counter) in [
-            &m.requests_total,
-            &m.cache_hits,
-            &m.cache_misses,
-            &m.queue_depth,
-            &m.shed_total,
-            &m.timeouts_total,
-            &m.batched_total,
-            &m.jobs_submitted,
-            &m.jobs_completed,
-            &m.verify_total,
-            &m.verify_failures,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            counter.store(101 + i as u64, Ordering::Relaxed);
+        for (counter, value) in [
+            (&m.requests_total, 101),
+            (&m.cache_hits, 102),
+            (&m.cache_misses, 103),
+            (&m.queue_depth, 104),
+            (&m.shed_total, 105),
+            (&m.timeouts_total, 106),
+            (&m.jobs_submitted, 108),
+            (&m.jobs_completed, 109),
+            (&m.verify_total, 110),
+            (&m.verify_failures, 111),
+        ] {
+            counter.store(value, Ordering::Relaxed);
         }
         for (i, &status) in TRACKED_STATUS.iter().enumerate() {
             for _ in 0..=i {
@@ -472,7 +464,7 @@ mod tests {
         assert!(body.contains("xhc_stage_p95_ns,instance=127.0.0.1:9,stage=queue_wait"));
         // Zero-valued statuses are elided; zero-valued scalars are not.
         assert!(!body.contains("status=200"));
-        assert!(body.contains("xhc_batched_total,instance=127.0.0.1:9 value=0u"));
+        assert!(body.contains("xhc_jobs_submitted_total,instance=127.0.0.1:9 value=0u"));
     }
 
     #[test]

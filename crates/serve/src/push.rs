@@ -7,16 +7,14 @@
 //!   /metrics` shows, under the same names: request, response, cache,
 //!   admission, job and verify counters, the engine time, and each
 //!   stage histogram as its count, sum and p95;
-//! - the process-lifetime [`xhc_trace`] stat registry (`xbm.stream_rows`,
-//!   `serve.push_errors`, …) follows, with dots mapped to underscores
-//!   and an `xhc_trace_` prefix.
+//! - the process-lifetime [`xhc_trace`] stat registry
+//!   (`xbm.superset_calls`, `serve.push_errors`, …) follows, with dots
+//!   mapped to underscores and an `xhc_trace_` prefix.
 //!
 //! The collector derives rates from the totals. The serve layer counts
-//! a daemon fact in the table only, never again as a trace stat; the
-//! one overlap left is `serve.batched`, the matrix pool's own trace
-//! counter, which a daemon bumps in step with `xhc_batched_total`.
-//! Failures are counted but never retried in-line; the next interval is
-//! the retry.
+//! a daemon fact in the table only, never again as a trace stat, so no
+//! series is exported twice. Failures are counted but never retried
+//! in-line; the next interval is the retry.
 //!
 //! [`Metrics::render_line_protocol`]: crate::metrics::Metrics::render_line_protocol
 
@@ -82,7 +80,7 @@ fn render_body(state: &ServerState, instance: &str) -> String {
 }
 
 /// Starts the exporter thread if the config asks for one. Enables the
-/// always-on trace stat registry (so `xbm.stream_rows` and friends
+/// always-on trace stat registry (so `xbm.superset_calls` and friends
 /// accumulate without a trace session) and pushes every interval until
 /// shutdown, plus one final flush. Returns `None` (and logs to stderr)
 /// when the URL does not parse — a misconfigured exporter must not take

@@ -1,8 +1,8 @@
 //! Front-end robustness tests for the event loop: fragmented and
 //! pipelined requests must produce the golden response bytes (a captured
 //! head plus the offline engine's plan) at every engine thread count;
-//! concurrent same-workload submissions must share one packed matrix
-//! build; overload must shed with `429` + `Retry-After` while 1000
+//! concurrent same-workload best-cost submissions must each get the
+//! offline engine's plan at their own options; overload must shed with `429` + `Retry-After` while 1000
 //! keep-alive clients under headroom all get the offline plan; a
 //! slow-loris sender must be timed out with `408`; and a shutdown issued
 //! before `run` must still stop it.
@@ -15,7 +15,7 @@ use std::sync::{mpsc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-use xhc_core::PartitionEngine;
+use xhc_core::{PartitionEngine, PlanOptions, SplitStrategy};
 use xhc_misr::XCancelConfig;
 use xhc_scan::XMap;
 use xhc_serve::{client, Server, ServerConfig};
@@ -273,78 +273,47 @@ fn pipelined_requests_match_the_golden_response() {
 }
 
 #[test]
-fn concurrent_best_cost_submissions_share_one_matrix_build() {
-    xhc_trace::enable_stats();
+fn concurrent_best_cost_submissions_match_the_offline_engine() {
     // The big workload: its BestCost engine run takes tens of
-    // milliseconds, and the shared matrix stays alive for the whole
-    // run — so barrier-released concurrent submissions overlap the
-    // builder comfortably even on a loaded CI machine.
+    // milliseconds, so barrier-released submissions overlap in the
+    // engine, each sweeping its own decoded map's rows.
     let xmap = slow_spec().generate();
     let body = encode_xmap(&xmap);
-    // How many rows one packed build streams (the `xbm.stream_rows`
-    // cost of a single build), measured offline. This bumps the stat
-    // registry too, so snapshot after it.
-    let rows_per_build = xmap.to_bitmatrix().num_rows() as u64;
-    assert!(rows_per_build > 0);
-    let stat = |name: &str| -> u64 {
-        xhc_trace::stats_snapshot()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| v)
-    };
-
-    let server = TestServer::start("batch", |c| c.with_threads(2));
+    let server = TestServer::start("concurrent", |c| c.with_threads(2));
     const CLIENTS: usize = 4;
-    // Sharing is only guaranteed while requests actually overlap, so a
-    // pathological scheduler stall can legitimately split the build;
-    // retry a fresh round (distinct cache keys each time) before
-    // declaring the batching path broken.
-    const ATTEMPTS: usize = 3;
-    let mut built_rows = 0;
-    let mut batched = 0;
-    for attempt in 0..ATTEMPTS {
-        let rows_before = stat("xbm.stream_rows");
-        let batched_before = stat("serve.batched");
-        let barrier = Barrier::new(CLIENTS);
-        let results: Vec<u16> = thread::scope(|scope| {
-            let mut joins = Vec::new();
-            for i in 0..CLIENTS {
-                let body = body.clone();
-                let addr = server.addr;
-                let barrier = &barrier;
-                let rounds = 40 + attempt * CLIENTS + i;
-                joins.push(scope.spawn(move || {
-                    barrier.wait();
-                    // Same workload, different engine options: distinct
-                    // cache keys (no single-flight merge), one shared
-                    // packed-matrix build.
-                    let path = format!("/v1/plan?m=32&q=7&strategy=best-cost&max_rounds={rounds}");
-                    client::post(addr, &path, "application/octet-stream", &body)
-                        .expect("post plan")
-                        .status
-                }));
-            }
-            joins.into_iter().map(|j| j.join().unwrap()).collect()
-        });
-        for status in results {
-            assert_eq!(status, 200);
+    let barrier = Barrier::new(CLIENTS);
+    let responses: Vec<(usize, client::HttpResponse)> = thread::scope(|scope| {
+        let mut joins = Vec::new();
+        for i in 0..CLIENTS {
+            let body = &body;
+            let addr = server.addr;
+            let barrier = &barrier;
+            // Distinct options: distinct cache keys, so no single-flight
+            // merge; every submission runs the engine.
+            let rounds = 40 + i;
+            joins.push(scope.spawn(move || {
+                barrier.wait();
+                let path = format!("/v1/plan?m=32&q=7&strategy=best-cost&max_rounds={rounds}");
+                let r =
+                    client::post(addr, &path, "application/octet-stream", body).expect("post plan");
+                (rounds, r)
+            }));
         }
-        built_rows = stat("xbm.stream_rows") - rows_before;
-        batched = stat("serve.batched") - batched_before;
-        if built_rows == rows_per_build {
-            break;
-        }
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    for (rounds, r) in responses {
+        assert_eq!(r.status, 200, "max_rounds={rounds}: {}", r.body_text());
+        let opts = PlanOptions {
+            strategy: SplitStrategy::BestCost,
+            max_rounds: Some(rounds),
+            ..PlanOptions::default()
+        };
+        let outcome = PartitionEngine::with_options(XCancelConfig::new(32, 7), opts).run(&xmap);
+        assert!(
+            r.body == encode_plan(&outcome, xmap.num_patterns()),
+            "max_rounds={rounds}: daemon plan differs from the offline engine"
+        );
     }
-    assert_eq!(
-        built_rows, rows_per_build,
-        "expected exactly one packed-matrix build for {CLIENTS} concurrent submissions \
-         in at least one of {ATTEMPTS} rounds"
-    );
-    assert_eq!(
-        batched,
-        (CLIENTS - 1) as u64,
-        "every non-building submission must reuse the shared matrix"
-    );
 }
 
 #[test]

@@ -514,7 +514,7 @@ pub fn verify(
     let mut touched: Vec<usize> = Vec::new();
     for pos in 0..xmap.num_x_cells() {
         let (cell, xset) = xmap.entry(pos);
-        let words = xset.as_bits().as_words();
+        let words = xset.words();
         for (wi, &word) in words.iter().enumerate() {
             let mut w = word;
             while w != 0 {

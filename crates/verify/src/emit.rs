@@ -62,7 +62,7 @@ pub fn certify_plan(
     let mut touched: Vec<usize> = Vec::new();
     for pos in 0..xmap.num_x_cells() {
         let (cell, xset) = xmap.entry(pos);
-        for p in xset.as_bits().iter_ones() {
+        for p in xset.iter() {
             let a = assignment[p] as usize;
             if counts[a] == 0 {
                 touched.push(a);

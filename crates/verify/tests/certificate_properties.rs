@@ -37,7 +37,7 @@ fn responses_for(xmap: &XMap) -> ResponseMatrix {
     let scan = xmap.config().clone();
     let mut resp = ResponseMatrix::filled(scan, xmap.num_patterns(), Trit::Zero);
     for (cell, xset) in xmap.iter() {
-        for p in xset.as_bits().iter_ones() {
+        for p in xset.iter() {
             resp.set(p, cell, Trit::X);
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::buf::{expect_drained, ArtifactWriter, PutLe, Reader, Sections};
 use crate::{Kind, WireError};
-use xhc_bits::{BitVec, PatternSet};
+use xhc_bits::{BitVec, PatternSet, XBitMatrix};
 use xhc_core::{
     BackendId, CellSelection, HybridCost, PartitionOutcome, PlanOptions, RoundRecord, SplitStrategy,
 };
@@ -110,7 +110,7 @@ pub fn decode_scan_config(bytes: &[u8]) -> Result<ScanConfig, WireError> {
 
 /// Encodes a sparse X map: its topology, pattern universe, the sorted
 /// X-capturing cell indices and one fixed-width pattern-set bitmap per
-/// cell.
+/// cell. The XSETS section is the map's packed rows, little-endian.
 pub fn encode_xmap(xmap: &XMap) -> Vec<u8> {
     let mut w = ArtifactWriter::new(Kind::XMap);
     w.section(SEC_CHAINS, chains_payload(xmap.config()));
@@ -128,13 +128,10 @@ pub fn encode_xmap(xmap: &XMap) -> Vec<u8> {
     }
     w.section(SEC_CELLS, cells);
 
-    let words_per_set = xmap.num_patterns().div_ceil(64);
-    let mut xsets = Vec::with_capacity(8 * words_per_set * xmap.num_x_cells());
-    for pos in 0..xmap.num_x_cells() {
-        let (_, xs) = xmap.entry(pos);
-        for &word in xs.as_bits().as_words() {
-            xsets.put_u64(word);
-        }
+    let words = xmap.to_bitmatrix().words();
+    let mut xsets = Vec::with_capacity(8 * words.len());
+    for &word in words {
+        xsets.put_u64(word);
     }
     w.section(SEC_XSETS, xsets);
     w.finish()
@@ -143,9 +140,11 @@ pub fn encode_xmap(xmap: &XMap) -> Vec<u8> {
 /// Decodes a sparse X map.
 ///
 /// Everything the in-memory type guarantees by construction is checked
-/// here before any builder call: cells strictly ascending and in range,
-/// bitmap tail bits zero, per-cell sets non-empty, and the declared
-/// `total_x` matching the bitmaps.
+/// here before the constructor runs: cells strictly ascending and in
+/// range, bitmap tail bits zero, per-cell sets non-empty, and the
+/// declared `total_x` matching the bitmaps. The XSETS section is already
+/// the map's row-major layout, so it is copied into the map's buffer in
+/// one pass.
 ///
 /// # Errors
 ///
@@ -199,39 +198,47 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     let words_per_set = num_patterns.div_ceil(64);
     let mut xsets_r = Reader::new(sections.require(SEC_XSETS)?);
     check_batch(&xsets_r, num_x_cells, words_per_set * 8, "xmap")?;
-    let mut entries = Vec::with_capacity(cells.len());
+    let words: Vec<u64> = xsets_r
+        .bytes(num_x_cells * words_per_set * 8)?
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
+    expect_drained(&xsets_r, SEC_XSETS)?;
+    let rows = XBitMatrix::from_words(num_patterns, words).map_err(|_| tail_bits_error("xmap"))?;
     let mut counted_x = 0usize;
-    for idx in cells {
-        let mut words = Vec::with_capacity(words_per_set);
-        for _ in 0..words_per_set {
-            words.push(xsets_r.u64()?);
-        }
-        let set = decode_pattern_set(words, num_patterns, "xmap")?;
-        if set.is_empty() {
+    for (pos, &idx) in cells.iter().enumerate() {
+        let card = rows.pattern_row(pos).card();
+        if card == 0 {
             return Err(WireError::Malformed {
                 context: "xmap",
                 message: format!("cell {idx} carries an empty X pattern set"),
             });
         }
-        counted_x += set.card();
-        entries.push((idx, set));
+        counted_x += card;
     }
-    expect_drained(&xsets_r, SEC_XSETS)?;
     if counted_x != total_x {
         return Err(WireError::Malformed {
             context: "xmap",
             message: format!("declared total_x {total_x} but bitmaps hold {counted_x}"),
         });
     }
-    // Every index is in range and strictly ascending, every set is
+    // Every index is in range and strictly ascending, every row is
     // non-empty over `num_patterns`: the constructor cannot panic.
-    Ok(XMap::from_entries(config, num_patterns, entries))
+    Ok(XMap::from_rows(config, cells, rows))
+}
+
+/// The rejection of a bitmap with nonzero bits beyond the universe
+/// (non-canonical encodings would otherwise alias distinct byte strings
+/// to one artifact and break content addressing).
+fn tail_bits_error(context: &'static str) -> WireError {
+    WireError::Malformed {
+        context,
+        message: "nonzero bits beyond the pattern universe".into(),
+    }
 }
 
 /// Decodes one fixed-width bitmap into a [`PatternSet`], rejecting
-/// nonzero bits beyond the universe (non-canonical encodings would
-/// otherwise alias distinct byte strings to one artifact and break
-/// content addressing).
+/// nonzero bits beyond the universe.
 fn decode_pattern_set(
     words: Vec<u64>,
     universe: usize,
@@ -241,10 +248,7 @@ fn decode_pattern_set(
     if tail_bits != 0 {
         let last = *words.last().expect("words_per_set >= 1 when universe > 0");
         if last >> tail_bits != 0 {
-            return Err(WireError::Malformed {
-                context,
-                message: "nonzero bits beyond the pattern universe".into(),
-            });
+            return Err(tail_bits_error(context));
         }
     }
     Ok(PatternSet::from_bits(BitVec::from_words(words, universe)))

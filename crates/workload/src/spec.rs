@@ -1,6 +1,6 @@
 //! Synthetic industrial workload specification and generation.
 
-use xhc_bits::PatternSet;
+use xhc_bits::{PatternSet, XBitMatrix};
 use xhc_prng::{sample_indices, SliceRandom, XhcRng};
 use xhc_scan::{ScanConfig, XMap};
 
@@ -220,15 +220,21 @@ impl WorkloadSpec {
             // nothing from its sampling order.
             pool.shuffle(&mut rng);
         }
-        // One (cell, X pattern set) entry per pool position, in pool
-        // order. The pool is sampled without replacement, so a position
-        // names exactly one cell and every X lands straight in its
-        // entry's set: no cell lookup, no map keyed by cell.
-        let entry = |pos: usize, xs| {
-            let idx = u32::try_from(pool[pos]).expect("linear cell index fits in u32");
-            (idx, xs)
-        };
-        let mut entries = Vec::with_capacity(pool.len());
+        // One packed row per pool cell, in ascending-cell order: the
+        // map's own layout, so the X's land where the map keeps them.
+        // The pool is sampled without replacement, so a position names
+        // exactly one cell, and `row_of[pos]` is that cell's row.
+        let mut order: Vec<usize> = (0..pool.len()).collect();
+        order.sort_unstable_by_key(|&pos| pool[pos]);
+        let mut row_of = vec![0u32; pool.len()];
+        let mut cells = Vec::with_capacity(pool.len());
+        for (row, &pos) in order.iter().enumerate() {
+            row_of[pos] = row as u32;
+            cells.push(u32::try_from(pool[pos]).expect("linear cell index fits in u32"));
+        }
+        let stride = self.num_patterns.div_ceil(64);
+        let mut words = vec![0u64; pool.len() * stride];
+        let row = |pos: usize| row_of[pos] as usize * stride;
 
         // Correlated groups: identical pattern set per group, cells drawn
         // from the front of the pool (they may also receive noise later,
@@ -255,14 +261,13 @@ impl WorkloadSpec {
                     if pool_cursor >= pool.len() {
                         break;
                     }
-                    entries.push(entry(pool_cursor, patterns.clone()));
+                    let r = row(pool_cursor);
+                    words[r..r + stride].copy_from_slice(patterns.as_bits().as_words());
                     pool_cursor += 1;
                 }
             }
         }
         // The rest of the pool starts empty; noise fills it below.
-        let empty = PatternSet::empty(self.num_patterns);
-        entries.extend((pool_cursor..pool.len()).map(|pos| entry(pos, empty.clone())));
 
         // Noise: scattered X's over the part of the pool *not* used by the
         // correlated groups. Keeping group cells pristine matters: the
@@ -294,36 +299,32 @@ impl WorkloadSpec {
         } else {
             noise_budget
         };
-        let cells = Cutpoints::new(cumulative);
+        let picker = Cutpoints::new(cumulative);
         let num_patterns = u32::try_from(self.num_patterns).expect("pattern index fits in u32");
         // Each noise X draws its cell (one f64), then its pattern (one
         // gen_index). A chunk of draws is resolved before any of it is
-        // inserted, so the random stores into the pattern sets stay out
-        // of the draw-and-lookup chain. Pool positions fit in u32 as the
-        // cell indices do.
+        // inserted, so the random stores into the rows stay out of the
+        // draw-and-lookup chain. Pool positions fit in u32 as the cell
+        // indices do.
         let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(NOISE_CHUNK);
         while noise_left > 0 {
             let n = noise_left.min(NOISE_CHUNK);
             chunk.clear();
             chunk.extend((0..n).map(|_| {
                 let pick = rng.gen_range(0.0..total_weight);
-                let pos = noise_start + cells.lookup(pick).min(noise_len - 1);
+                let pos = noise_start + picker.lookup(pick).min(noise_len - 1);
                 let p = rng.gen_index(num_patterns as usize);
                 (pos as u32, p as u32)
             }));
             for &(pos, p) in &chunk {
-                entries[pos as usize].1.insert(p as usize);
+                words[row(pos as usize) + p as usize / 64] |= 1 << (p % 64);
             }
             noise_left -= n;
         }
-        // Free the noise temporaries before `from_entries` allocates the
-        // map's own vectors, so those can reuse the space. Kept live, they
-        // leave a hole below the map, and planning afterwards more often
-        // peaked ~2 MiB higher in RSS (6 of 16 planbench offline_full
-        // runs at seed 7, against 1 of 20 with this drop).
-        drop((cells, chunk));
-
-        XMap::from_entries(config, self.num_patterns, entries)
+        let rows = XBitMatrix::from_words(self.num_patterns, words)
+            .expect("every drawn pattern lies inside the universe");
+        // Pool cells that drew no X are empty rows; the map drops them.
+        XMap::from_rows(config, cells, rows)
     }
 }
 
@@ -491,7 +492,7 @@ mod tests {
             ..small()
         };
         let xmap = spec.generate();
-        let mut by_set: std::collections::HashMap<&PatternSet, usize> =
+        let mut by_set: std::collections::HashMap<xhc_bits::PatternRow<'_>, usize> =
             std::collections::HashMap::new();
         for (_, xs) in xmap.iter() {
             *by_set.entry(xs).or_insert(0) += 1;

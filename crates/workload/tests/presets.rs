@@ -52,7 +52,7 @@ fn presets_have_identical_set_groups() {
     // The §3 property the partitioning pivot needs: a large group of
     // cells sharing one identical X pattern set.
     let xmap = WorkloadSpec::ckt_b().generate();
-    let mut by_set: std::collections::HashMap<&xhc_bits::PatternSet, usize> =
+    let mut by_set: std::collections::HashMap<xhc_bits::PatternRow<'_>, usize> =
         std::collections::HashMap::new();
     for (_, xs) in xmap.iter() {
         *by_set.entry(xs).or_insert(0) += 1;

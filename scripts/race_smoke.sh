@@ -4,6 +4,8 @@
 # across the full fleet, and assert the race's hybrid leg stored a plan
 # whose bytes are identical to a plain /v1/plan submission of the same
 # request — the race must ride the normal planning path, not fork it.
+# The daemon runs with --verify-on-write 1, so every plan the race
+# stores is certificate-checked first.
 #
 # Usage: scripts/race_smoke.sh
 set -euo pipefail
@@ -22,7 +24,8 @@ xhybrid=target/release/xhybrid
 
 "$xhybrid" gen --profile demo --out "$work/demo.xmap"
 
-"$xhybrid" serve --addr 127.0.0.1:0 --store "$work/store" > "$work/serve.log" &
+"$xhybrid" serve --addr 127.0.0.1:0 --store "$work/store" --verify-on-write 1 \
+  > "$work/serve.log" &
 daemon_pid=$!
 # The daemon prints `listening on ADDR` once bound.
 for _ in $(seq 1 100); do
@@ -82,5 +85,9 @@ cmp "$work/raced.plan" "$work/direct.plan" || { echo "race plan bytes differ fro
 # Unknown backends are rejected up front (the XL0501 contract).
 http POST '/v1/plan/race?m=16&q=3&backends=bogus' "$work/demo.xmap" > "$work/bogus.txt"
 grep -q '^HTTP/1.1 400' "$work/bogus.txt" || { echo "bogus roster not rejected"; cat "$work/bogus.txt"; exit 1; }
+
+metrics="$(http GET /metrics)"
+echo "$metrics" | grep -q '^xhc_verify_total 1$' || { echo "the hybrid leg was not verified"; echo "$metrics"; exit 1; }
+echo "$metrics" | grep -q '^xhc_verify_failures_total 0$' || { echo "verify-on-write failed"; echo "$metrics"; exit 1; }
 
 echo "race smoke OK: 5 backends, hybrid leg byte-identical under hash $hash"

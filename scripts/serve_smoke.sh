@@ -4,6 +4,8 @@
 # fetch`, assert the second submission is a cache hit, scrape /metrics
 # to confirm the daemon counted exactly one miss, and check that a lint
 # deny answers 422 naming its rule and a malformed text map answers 400.
+# The daemon runs with --verify-on-write 1, so the plan it produces is
+# certificate-checked before it is stored.
 #
 # Usage: scripts/serve_smoke.sh
 set -euo pipefail
@@ -22,7 +24,8 @@ xhybrid=target/release/xhybrid
 
 "$xhybrid" gen --profile demo --out "$work/demo.xmap"
 
-"$xhybrid" serve --addr 127.0.0.1:0 --store "$work/store" > "$work/serve.log" &
+"$xhybrid" serve --addr 127.0.0.1:0 --store "$work/store" --verify-on-write 1 \
+  > "$work/serve.log" &
 daemon_pid=$!
 # The daemon prints `listening on ADDR` once bound.
 for _ in $(seq 1 100); do
@@ -49,6 +52,8 @@ metrics="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; \
   printf 'GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' >&3; cat <&3)"
 echo "$metrics" | grep -q '^xhc_cache_misses_total 1$' || { echo "bad miss count"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep -q '^xhc_cache_hits_total 1$' || { echo "bad hit count"; echo "$metrics"; exit 1; }
+echo "$metrics" | grep -q '^xhc_verify_total 1$' || { echo "the miss was not verified"; echo "$metrics"; exit 1; }
+echo "$metrics" | grep -q '^xhc_verify_failures_total 0$' || { echo "verify-on-write failed"; echo "$metrics"; exit 1; }
 
 # Rejections over a raw socket: POST a body file, print the response.
 post() {

@@ -3,9 +3,9 @@
 # workload, run `xhybrid plan --trace`, and assert the chrome://tracing
 # export parses as JSON and contains the engine spans the DESIGN doc
 # promises (partition.round, gauss.eliminate) plus the cancel counters
-# and the packed-kernel counters (xbm.stream_rows from the streaming
-# matrix build, xbm.lane_words from the unrolled sweep, xbm.shards from
-# the intra-candidate sharded path — scale 10 keeps the active-cell pool
+# and the packed-kernel counters (xbm.superset_calls per candidate sweep,
+# xbm.lane_words from the unrolled sweep, xbm.shards from the
+# intra-candidate sharded path — scale 10 keeps the active-cell pool
 # above the engine's minimum shard size, and --threads 4 makes the pool
 # wide enough that the seed evaluation shards its sweep).
 #
@@ -46,10 +46,10 @@ for name in ("partition.run", "partition.round", "gauss.eliminate", "cancel.bloc
 for name in ("cancel.halts", "cancel.x_total"):
     assert name in counters, (name, counters)
 
-# Packed-kernel counters: the streaming matrix build reports its row
-# count, the unrolled sweep its full-lane word coverage, and the
-# intra-candidate sharded path its shard fan-out.
-for name in ("xbm.superset_calls", "xbm.stream_rows", "xbm.lane_words", "xbm.shards"):
+# Packed-kernel counters: the sweep reports its call count and its
+# full-lane word coverage, and the intra-candidate sharded path its
+# shard fan-out.
+for name in ("xbm.superset_calls", "xbm.lane_words", "xbm.shards"):
     assert counters.get(name, 0) > 0, (name, counters)
 
 rounds = [e for e in events if e["ph"] == "X" and e["name"] == "partition.round"]
