@@ -26,7 +26,11 @@ fn main() {
         "parts",
         "masked%"
     );
-    for seed in [2u64, 5, 11, 17, 23] {
+    let seeds = [2u64, 5, 11, 17, 23];
+    let mut beats_masking = 0;
+    let mut beats_canceling = 0;
+    let mut canceling_wins = Vec::new();
+    for seed in seeds {
         let circuit = CircuitSpec {
             num_inputs: 10,
             num_gates: 200,
@@ -55,6 +59,16 @@ fn main() {
         ]
         .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
         let outcome = hybrid.outcome.expect("the hybrid carries its plan");
+        let masked_pct = 100.0 * hybrid.masked_x as f64 / xmap.total_x().max(1) as f64;
+        beats_masking += usize::from(masking.control_bits > hybrid.control_bits);
+        if canceling.control_bits > hybrid.control_bits {
+            beats_canceling += 1;
+        } else {
+            canceling_wins.push(format!(
+                "seed {seed} (parts {}, masked {masked_pct:.1}%)",
+                outcome.partitions.len()
+            ));
+        }
         println!(
             "{:<6} {:>6} {:>6} {:>8} {:>7.1}% {:>7.2}% | {:>8.2}x {:>8.2}x {:>7} {:>8.1}%",
             seed,
@@ -66,11 +80,21 @@ fn main() {
             masking.control_bits / hybrid.control_bits,
             canceling.control_bits / hybrid.control_bits,
             outcome.partitions.len(),
-            100.0 * hybrid.masked_x as f64 / xmap.total_x().max(1) as f64,
+            masked_pct,
         );
     }
-    println!("\nthe hybrid's win holds on honestly-simulated responses, not just on the");
-    println!("synthetic industrial profiles: circuit X's (uninitialized registers firing");
-    println!("identically across patterns) are inter-correlated by construction of the");
-    println!("hardware, which is the paper's whole premise.");
+    let n = seeds.len();
+    println!(
+        "\non honestly-simulated responses the hybrid beats masking-only on {beats_masking} of {n}"
+    );
+    println!("circuits and canceling-only on {beats_canceling} of {n}.");
+    if !canceling_wins.is_empty() {
+        println!(
+            "canceling-only is cheaper on {}: no split",
+            canceling_wins.join(", ")
+        );
+        println!("there pays for its mask bits.");
+    }
+    println!("circuit X's (uninitialized registers firing identically across patterns) are");
+    println!("inter-correlated by construction of the hardware, which is the paper's premise.");
 }

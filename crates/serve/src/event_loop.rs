@@ -346,8 +346,6 @@ impl EventLoop {
                     conn.buf_in.drain(..consumed);
                     let keep_alive = request.wants_keep_alive();
                     if self.draining {
-                        let metrics = &self.state.metrics;
-                        metrics.requests_total.fetch_add(1, Ordering::Relaxed);
                         self.respond_inline(
                             slot,
                             Response::text(503, "draining for shutdown\n"),
@@ -368,9 +366,10 @@ impl EventLoop {
                     // Shed: answer 429 inline with backoff advice and
                     // keep parsing pipelined requests (each gets its
                     // own verdict).
-                    let metrics = &self.state.metrics;
-                    metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-                    metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+                    self.state
+                        .metrics
+                        .shed_total
+                        .fetch_add(1, Ordering::Relaxed);
                     let retry = retry_after_secs(&self.state);
                     self.respond_inline(
                         slot,
@@ -413,11 +412,13 @@ impl EventLoop {
         }
     }
 
-    /// Queues an event-loop-generated response (400/408/429/501/503). The
-    /// worker-path metrics equivalents live in `process_request`; inline
-    /// responders count their own statuses.
+    /// Queues an event-loop-generated response (400/408/429/501/503),
+    /// counting its request and its status once, as `process_request`
+    /// does on the worker path.
     fn respond_inline(&mut self, slot: usize, response: Response, close: bool) {
-        self.state.metrics.count_status(response.status);
+        let metrics = &self.state.metrics;
+        metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        metrics.count_status(response.status);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };

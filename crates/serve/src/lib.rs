@@ -22,10 +22,16 @@
 //!
 //! A decoded X map already holds its X rows as the packed matrix a
 //! `best-cost` plan sweeps, so each engine run borrows its own map's
-//! rows and concurrent runs share no matrix. With
-//! [`ServerConfig::with_push_metrics`] the daemon also pushes its
-//! counters as Influx line protocol to an HTTP collector on an interval
-//! (`XHC_PUSH_INTERVAL_MS`, default 2000).
+//! rows and concurrent runs share no matrix.
+//!
+//! The daemon keeps every number it reports in one table (`SERIES` in
+//! `metrics.rs`). `GET /metrics` renders it, and with
+//! [`ServerConfig::with_push_metrics`] the daemon also pushes the same
+//! series, and nothing else, as Influx line protocol to an HTTP
+//! collector on an interval (`XHC_PUSH_INTERVAL_MS`, default 2000).
+//! Each request stage (decode, lint, plan, encode, store, verify) is
+//! timed once: the same interval is its `xhc_stage_latency_ns` sample
+//! and its `serve.<stage>` trace span.
 //!
 //! # Routes
 //!
@@ -43,8 +49,8 @@
 //! Every plan response carries `X-Xhc-Plan-Hash` (the cache key) and
 //! `X-Xhc-Cache: hit|miss`; a miss additionally carries
 //! `X-Xhc-Engine-Ns`, the partition-engine wall time of that cold plan
-//! (the cumulative figure is `xhc_plan_engine_seconds` on `/metrics`).
-//! Identical concurrent submissions are
+//! (its `plan` stage sample; `xhc_plan_engine_seconds` on `/metrics`
+//! sums them). Identical concurrent submissions are
 //! *single-flighted*: one computes, the rest wait and read the store, so
 //! the cache-miss counter increments exactly once per distinct request.
 //!
@@ -570,7 +576,7 @@ fn verify_endpoint(state: &ServerState, hex: &str) -> Result<Response, HandlerEr
         .load_ext(key, "xmap")
         .map_err(store_err)?
         .ok_or_else(|| HandlerError::new(404, format!("no X map stored under {hex}")))?;
-    let started = Instant::now();
+    let timer = state.metrics.verify_ns.start("serve.verify");
     state.metrics.verify_total.fetch_add(1, Ordering::Relaxed);
     let report = xhc_lint::check_certificate_artifacts(
         &LintConfig::default(),
@@ -579,10 +585,7 @@ fn verify_endpoint(state: &ServerState, hex: &str) -> Result<Response, HandlerEr
         &xmap_bytes,
     )
     .map_err(|e| HandlerError::new(500, format!("stored artifacts are malformed: {e}")))?;
-    state
-        .metrics
-        .verify_ns
-        .record_ns(started.elapsed().as_nanos() as u64);
+    timer.stop();
     if report.has_deny() {
         state
             .metrics
@@ -756,8 +759,7 @@ fn decode_request_xmap(
     body: &[u8],
     params: &mut PlanParams,
 ) -> Result<XMap, HandlerError> {
-    let started = Instant::now();
-    let span = xhc_trace::span("serve.decode");
+    let timer = state.metrics.decode_ns.start("serve.decode");
     let result = if body.starts_with(&MAGIC) {
         match peek_kind(body) {
             Ok(Kind::XMap) => decode_xmap(body)
@@ -788,27 +790,18 @@ fn decode_request_xmap(
     } else {
         read_xmap(body).map_err(|e| HandlerError::new(400, format!("bad xmap text: {e}")))
     };
-    drop(span);
-    state
-        .metrics
-        .decode_ns
-        .record_ns(started.elapsed().as_nanos() as u64);
+    timer.stop();
     result
 }
 
 /// Runs the lint gate; `Deny` findings become HTTP 422 with the rendered
 /// diagnostics as the body.
 fn lint_gate(state: &ServerState, xmap: &XMap, m: usize, q: usize) -> Result<(), HandlerError> {
-    let started = Instant::now();
-    let span = xhc_trace::span("serve.lint");
+    let timer = state.metrics.lint_ns.start("serve.lint");
     let lint_config = LintConfig::default();
     let mut report: LintReport = check_xmap(&lint_config, xmap);
     report.merge(check_cancel_params(&lint_config, m, q));
-    drop(span);
-    state
-        .metrics
-        .lint_ns
-        .record_ns(started.elapsed().as_nanos() as u64);
+    timer.stop();
     if report.has_deny() {
         return Err(HandlerError::new(422, report.render_human()));
     }
@@ -1186,8 +1179,7 @@ fn compute_plan(
     // leaves the in-flight set, and an unsaved plan at that instant
     // would make them recompute (a duplicated miss).
     let result = run_engine(state, xmap, params).and_then(|(bytes, cert_bytes, engine_ns)| {
-        let store_started = Instant::now();
-        let span = xhc_trace::span("serve.store");
+        let timer = state.metrics.store_ns.start("serve.store");
         // Persist the certificate and the canonical X map first: the
         // `.plan` file is the cache-hit signal, so a reader that sees it
         // can rely on the siblings being complete.
@@ -1200,11 +1192,7 @@ fn compute_plan(
             .save_ext(key, "xmap", canonical)
             .map_err(store_err)?;
         state.store.save(key, &bytes).map_err(store_err)?;
-        drop(span);
-        state
-            .metrics
-            .store_ns
-            .record_ns(store_started.elapsed().as_nanos() as u64);
+        timer.stop();
         state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         Ok((bytes, Some(engine_ns)))
     });
@@ -1220,8 +1208,8 @@ fn compute_plan(
 /// Runs the partition engine, encodes the plan and certifies it,
 /// converting panics into HTTP 500 instead of poisoning the worker.
 /// Returns the wire-encoded plan, its wire-encoded certificate, and the
-/// engine wall time in nanoseconds (also accumulated into
-/// `xhc_plan_engine_seconds`).
+/// engine wall time in nanoseconds (the `plan` stage sample, which
+/// `xhc_plan_engine_seconds` sums).
 fn run_engine(
     state: &ServerState,
     xmap: &XMap,
@@ -1236,34 +1224,20 @@ fn run_engine(
     };
     let cancel = XCancelConfig::new(params.m, params.q);
     let engine = PartitionEngine::with_options(cancel, opts);
-    let plan_started = Instant::now();
-    let span = xhc_trace::span("serve.plan");
+    let timer = state.metrics.plan_ns.start("serve.plan");
     let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(xmap)))
         .map_err(|_| HandlerError::new(500, "partition engine panicked"))?;
-    drop(span);
-    let engine_ns = plan_started.elapsed().as_nanos() as u64;
-    state.metrics.plan_ns.record_ns(engine_ns);
-    state.metrics.record_engine_ns(engine_ns);
-    let encode_started = Instant::now();
-    let span = xhc_trace::span("serve.encode");
+    let engine_ns = timer.stop();
+    let timer = state.metrics.encode_ns.start("serve.encode");
     let bytes = encode_plan(&outcome, xmap.num_patterns());
     let cert = xhc_verify::certify_plan(xmap, cancel, &outcome, &bytes, None);
     let cert_bytes = xhc_wire::encode_certificate(&cert);
-    drop(span);
-    state
-        .metrics
-        .encode_ns
-        .record_ns(encode_started.elapsed().as_nanos() as u64);
+    timer.stop();
     if state.config.verify_on_write {
-        let verify_started = Instant::now();
-        let span = xhc_trace::span("serve.verify");
+        let timer = state.metrics.verify_ns.start("serve.verify");
         state.metrics.verify_total.fetch_add(1, Ordering::Relaxed);
         let result = xhc_verify::check(&cert, &outcome, &bytes, xmap, cancel);
-        drop(span);
-        state
-            .metrics
-            .verify_ns
-            .record_ns(verify_started.elapsed().as_nanos() as u64);
+        timer.stop();
         if let Err(e) = result {
             // Can only mean an engine or certifier bug — refuse to cache
             // or serve the plan.

@@ -4,7 +4,9 @@
 //! are loops over that table: [`Metrics::render`] (the `GET /metrics`
 //! exposition page) and [`Metrics::render_line_protocol`] (the
 //! `--push-metrics` body). Adding a metric is one field plus one row,
-//! and neither exporter can leave it out.
+//! and neither exporter can leave it out. A daemon stage is timed once,
+//! by a [`StageTimer`]: one clock reading at each end feeds both the
+//! stage's histogram and its `xhc-trace` span.
 
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +38,16 @@ pub(crate) struct Histogram {
 }
 
 impl Histogram {
+    /// Starts timing one stage, under the trace span `span`.
+    pub fn start(&self, span: &'static str) -> StageTimer<'_> {
+        let start_ns = xhc_trace::now_ns();
+        StageTimer {
+            hist: self,
+            span: xhc_trace::span_at(span, start_ns),
+            start_ns,
+        }
+    }
+
     /// Records one observation in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
         let idx = BOUNDS_NS
@@ -96,13 +108,37 @@ impl Histogram {
     }
 }
 
+/// One stage being timed into a [`Histogram`] and an `xhc-trace` span.
+#[must_use = "a stage records its latency only when stopped"]
+pub(crate) struct StageTimer<'a> {
+    hist: &'a Histogram,
+    span: xhc_trace::Span,
+    start_ns: u64,
+}
+
+impl StageTimer<'_> {
+    /// Ends the stage: one clock reading closes the span and records the
+    /// same interval in the histogram. Returns the elapsed nanoseconds.
+    /// A timer dropped unstopped (an error path) closes its span but
+    /// records no sample.
+    pub fn stop(self) -> u64 {
+        let end_ns = xhc_trace::now_ns();
+        let ns = end_ns.saturating_sub(self.start_ns);
+        self.span.close_at(end_ns);
+        self.hist.record_ns(ns);
+        ns
+    }
+}
+
 /// HTTP status classes the daemon tracks individually.
 const TRACKED_STATUS: [u16; 10] = [200, 202, 400, 404, 405, 408, 422, 429, 500, 503];
 
 /// Every counter the daemon exposes; [`SERIES`] names and orders them.
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
-    /// Requests accepted off the socket (before routing).
+    /// Requests received: each one a worker routes, plus each one the
+    /// event loop answers inline (400, 408, 429, 501, 503). On a quiesced
+    /// daemon it equals the sum of `responses`.
     pub requests_total: AtomicU64,
     /// Responses, bucketed by status code (same order as `TRACKED_STATUS`;
     /// the extra slot counts everything else).
@@ -128,7 +164,8 @@ pub(crate) struct Metrics {
     pub decode_ns: Histogram,
     /// Wall time spent in the lint gate.
     pub lint_ns: Histogram,
-    /// Wall time spent in the partition engine (cache misses only).
+    /// Wall time spent in the partition engine (cache misses only); its
+    /// sum and count are also exported as `xhc_plan_engine_seconds`.
     pub plan_ns: Histogram,
     /// Wall time spent encoding responses.
     pub encode_ns: Histogram,
@@ -143,11 +180,8 @@ pub(crate) struct Metrics {
     pub verify_ns: Histogram,
     /// End-to-end request handling time.
     pub total_ns: Histogram,
-    /// Cumulative wall time spent inside `PartitionEngine::run` (cache
-    /// misses only), in nanoseconds; exported in seconds.
-    pub plan_engine_ns_sum: AtomicU64,
-    /// Number of engine runs behind `plan_engine_ns_sum`.
-    pub plan_engine_runs: AtomicU64,
+    /// `--push-metrics` POSTs that failed.
+    pub push_errors: AtomicU64,
 }
 
 /// How a scalar row's counter is printed.
@@ -179,7 +213,7 @@ const STAGE_FAMILY: &str = "xhc_stage_latency_ns";
 const STAGE_PUSH: [&str; 3] = ["xhc_stage_count", "xhc_stage_sum_ns", "xhc_stage_p95_ns"];
 
 /// Every daemon series, declared once. Both exporters render this table.
-const SERIES: [Series; 21] = [
+const SERIES: [Series; 22] = [
     Scalar("xhc_requests_total", Int, |m| &m.requests_total),
     Statuses("xhc_responses_total"),
     Scalar("xhc_cache_hits_total", Int, |m| &m.cache_hits),
@@ -192,11 +226,10 @@ const SERIES: [Series; 21] = [
     Scalar("xhc_verify_total", Int, |m| &m.verify_total),
     Scalar("xhc_verify_failures_total", Int, |m| &m.verify_failures),
     Scalar("xhc_plan_engine_seconds_sum", SecsFromNs, |m| {
-        &m.plan_engine_ns_sum
+        &m.plan_ns.sum_ns
     }),
-    Scalar("xhc_plan_engine_seconds_count", Int, |m| {
-        &m.plan_engine_runs
-    }),
+    Scalar("xhc_plan_engine_seconds_count", Int, |m| &m.plan_ns.count),
+    Scalar("xhc_push_errors_total", Int, |m| &m.push_errors),
     Stage("queue_wait", |m| &m.queue_wait_ns),
     Stage("decode", |m| &m.decode_ns),
     Stage("lint", |m| &m.lint_ns),
@@ -219,16 +252,6 @@ impl Format {
 }
 
 impl Metrics {
-    /// Records one partition-engine run of `ns` nanoseconds.
-    ///
-    /// The sum + count pair lets dashboards decompose cold-plan latency
-    /// into engine time vs everything else (decode, lint, encode, store
-    /// I/O) without bucket-resolution loss.
-    pub fn record_engine_ns(&self, ns: u64) {
-        self.plan_engine_ns_sum.fetch_add(ns, Ordering::Relaxed);
-        self.plan_engine_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one response with the given status code.
     pub fn count_status(&self, status: u16) {
         let idx = TRACKED_STATUS
@@ -322,6 +345,7 @@ mod tests {
             (&m.jobs_completed, 109),
             (&m.verify_total, 110),
             (&m.verify_failures, 111),
+            (&m.push_errors, 112),
         ] {
             counter.store(value, Ordering::Relaxed);
         }
@@ -333,8 +357,6 @@ mod tests {
         for _ in 0..11 {
             m.count_status(418);
         }
-        m.record_engine_ns(1_234_567_891);
-        m.record_engine_ns(7);
         for (i, hist) in [
             &m.queue_wait_ns,
             &m.decode_ns,
@@ -474,8 +496,8 @@ mod tests {
         m.count_status(200);
         m.count_status(418);
         m.cache_hits.fetch_add(1, Ordering::Relaxed);
-        m.record_engine_ns(1_500_000_000);
-        m.record_engine_ns(500_000_000);
+        m.plan_ns.record_ns(1_500_000_000);
+        m.plan_ns.record_ns(500_000_000);
         let page = m.render();
         assert!(page.contains("xhc_plan_engine_seconds_sum 2.000000000"));
         assert!(page.contains("xhc_plan_engine_seconds_count 2"));
@@ -490,5 +512,17 @@ mod tests {
         assert!(page.contains("stage=\"verify\""));
         assert!(page.contains("xhc_verify_total 0"));
         assert!(page.contains("xhc_verify_failures_total 0"));
+        assert!(page.contains("xhc_push_errors_total 0"));
+    }
+
+    #[test]
+    fn stage_timer_records_the_interval_it_returns() {
+        let h = Histogram::default();
+        let ns = h.start("unit.stage").stop();
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.sum_ns.load(Ordering::Relaxed), ns);
+        // An unstopped timer records nothing.
+        drop(h.start("unit.stage"));
+        assert_eq!(h.count(), 1);
     }
 }

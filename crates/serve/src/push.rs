@@ -2,19 +2,16 @@
 //! line protocol to an HTTP collector on a fixed interval (and once
 //! more on shutdown, so short-lived runs still land).
 //!
-//! The body is the daemon's metric table followed by the trace stats:
-//! - [`Metrics::render_line_protocol`] renders every series `GET
-//!   /metrics` shows, under the same names: request, response, cache,
-//!   admission, job and verify counters, the engine time, and each
-//!   stage histogram as its count, sum and p95;
-//! - the process-lifetime [`xhc_trace`] stat registry
-//!   (`xbm.superset_calls`, `serve.push_errors`, …) follows, with dots
-//!   mapped to underscores and an `xhc_trace_` prefix.
+//! The body is exactly the daemon's metric table:
+//! [`Metrics::render_line_protocol`] renders every series `GET /metrics`
+//! shows, under the same names (request, response, cache, admission,
+//! job, verify and push-error counters, the engine time, and each stage
+//! histogram as its count, sum and p95), and nothing else.
 //!
-//! The collector derives rates from the totals. The serve layer counts
-//! a daemon fact in the table only, never again as a trace stat, so no
-//! series is exported twice. Failures are counted but never retried
-//! in-line; the next interval is the retry.
+//! The collector derives rates from the totals. A failed push is counted
+//! in `xhc_push_errors_total`, which `/metrics` shows at once and the
+//! next successful push carries; it is never retried in-line, since the
+//! next interval is the retry.
 //!
 //! [`Metrics::render_line_protocol`]: crate::metrics::Metrics::render_line_protocol
 
@@ -66,25 +63,10 @@ fn unix_ns() -> u128 {
         .unwrap_or(0)
 }
 
-/// One full export body: server metrics plus trace stat totals.
-fn render_body(state: &ServerState, instance: &str) -> String {
-    let ts = unix_ns();
-    let mut body = state.metrics.render_line_protocol(instance, ts);
-    for (name, value) in xhc_trace::stats_snapshot() {
-        let metric = name.replace('.', "_");
-        body.push_str(&format!(
-            "xhc_trace_{metric},instance={instance} value={value}u {ts}\n"
-        ));
-    }
-    body
-}
-
-/// Starts the exporter thread if the config asks for one. Enables the
-/// always-on trace stat registry (so `xbm.superset_calls` and friends
-/// accumulate without a trace session) and pushes every interval until
-/// shutdown, plus one final flush. Returns `None` (and logs to stderr)
-/// when the URL does not parse — a misconfigured exporter must not take
-/// the daemon down.
+/// Starts the exporter thread if the config asks for one, pushing every
+/// interval until shutdown, plus one final flush. Returns `None` (and
+/// logs to stderr) when the URL does not parse — a misconfigured
+/// exporter must not take the daemon down.
 pub(crate) fn spawn_exporter(
     state: &Arc<ServerState>,
     server_addr: SocketAddr,
@@ -97,7 +79,6 @@ pub(crate) fn spawn_exporter(
             return None;
         }
     };
-    xhc_trace::enable_stats();
     let interval_ms = std::env::var("XHC_PUSH_INTERVAL_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -113,9 +94,9 @@ pub(crate) fn spawn_exporter(
             thread::sleep(Duration::from_millis(slice));
             slept += slice;
         }
-        let body = render_body(&state, &instance);
+        let body = state.metrics.render_line_protocol(&instance, unix_ns());
         if client::post(&addr, &path, "text/plain; charset=utf-8", body.as_bytes()).is_err() {
-            xhc_trace::stat_add("serve.push_errors", 1);
+            state.metrics.push_errors.fetch_add(1, Ordering::Relaxed);
         }
         if state.shutdown.load(Ordering::SeqCst) {
             break; // the loop body above already did the final flush

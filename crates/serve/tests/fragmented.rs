@@ -4,7 +4,8 @@
 //! concurrent same-workload best-cost submissions must each get the
 //! offline engine's plan at their own options; overload must shed with `429` + `Retry-After` while 1000
 //! keep-alive clients under headroom all get the offline plan; a
-//! slow-loris sender must be timed out with `408`; and a shutdown issued
+//! slow-loris sender must be timed out with `408`; every request the
+//! event loop answers inline must be counted once; and a shutdown issued
 //! before `run` must still stop it.
 
 use std::fs;
@@ -209,6 +210,29 @@ fn scrape(addr: std::net::SocketAddr, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("{name} missing from /metrics"))
         .parse()
         .expect("integer counter")
+}
+
+/// Checks that every request the daemon counted got a counted response.
+/// Call it once the daemon is quiet: the scrape is then the only request
+/// in flight, counted in `xhc_requests_total` but not yet answered.
+fn assert_requests_balance(addr: std::net::SocketAddr) {
+    let page = client::get(addr, "/metrics").expect("scrape metrics");
+    let page = page.body_text();
+    let value = |line: &str| -> u64 {
+        let (_, n) = line.rsplit_once(' ').expect("metric line");
+        n.parse().expect("integer counter")
+    };
+    let requests = page
+        .lines()
+        .find(|l| l.starts_with("xhc_requests_total "))
+        .map(value)
+        .expect("xhc_requests_total on /metrics");
+    let responses: u64 = page
+        .lines()
+        .filter(|l| l.starts_with("xhc_responses_total{"))
+        .map(value)
+        .sum();
+    assert_eq!(requests, responses + 1, "{page}");
 }
 
 #[test]
@@ -465,6 +489,16 @@ fn chunked_transfer_encoding_is_rejected_with_501() {
     );
     assert!(text.contains("chunked"), "{text}");
     assert!(text.contains("Content-Length"), "{text}");
+    assert_requests_balance(server.addr);
+}
+
+#[test]
+fn malformed_request_lines_are_answered_400_and_counted() {
+    let server = TestServer::start("malformed", |c| c.with_threads(1));
+    let response = send_whole(server.addr, b"NOT-A-REQUEST-LINE\r\n\r\n");
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+    assert_requests_balance(server.addr);
 }
 
 #[test]
@@ -486,6 +520,7 @@ fn slow_loris_senders_get_408() {
         text.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
         "{text}"
     );
+    assert_requests_balance(server.addr);
 }
 
 #[test]

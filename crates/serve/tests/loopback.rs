@@ -161,9 +161,28 @@ fn concurrent_identical_submissions_single_flight() {
         assert_eq!(misses, 1, "expected exactly one computing client");
         assert_eq!(server.metric("xhc_cache_misses_total"), 1);
         assert_eq!(server.metric("xhc_cache_hits_total"), (CLIENTS - 1) as u64);
-        // The engine-seconds summary counts one run per miss, and its sum
-        // is consistent with the reported per-response engine time.
+        // The engine-seconds summary counts one run per miss, and it is
+        // the `plan` stage histogram's count and sum, to the nanosecond.
         assert_eq!(server.metric("xhc_plan_engine_seconds_count"), 1);
+        let page = client::get(server.addr, "/metrics").unwrap().body_text();
+        let value = |name: &str| {
+            page.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("metric {name} missing"))
+        };
+        assert_eq!(
+            value("xhc_plan_engine_seconds_count"),
+            value("xhc_stage_latency_ns_count{stage=\"plan\"}")
+        );
+        // Seconds to nine places, so dropping the point gives whole ns.
+        let engine_ns: u64 = value("xhc_plan_engine_seconds_sum")
+            .replace('.', "")
+            .parse()
+            .expect("engine seconds");
+        let plan_ns: u64 = value("xhc_stage_latency_ns_sum{stage=\"plan\"}")
+            .parse()
+            .expect("plan stage sum");
+        assert_eq!(engine_ns, plan_ns);
 
         // A resubmission is a pure cache hit.
         let again = client::post(

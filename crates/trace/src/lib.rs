@@ -8,8 +8,8 @@
 //!
 //! * **spans** — named intervals with monotonic-nanosecond timestamps and
 //!   small integer arguments, recorded via an RAII [`Span`] guard,
-//! * **counters** — named cumulative sums for hot paths too cheap to
-//!   span (e.g. the packed bit-matrix kernel's row sweeps),
+//! * **counters** — named sums for hot paths too cheap to span (e.g. the
+//!   packed bit-matrix kernel's row sweeps), kept per session,
 //! * **histograms** — a log-bucket [`Histogram`] used by the text
 //!   summary for per-span duration percentiles,
 //! * a per-thread **ring buffer** so recording never takes a lock; the
@@ -34,6 +34,12 @@
 //! that hits an instrumented path contributes events; in a concurrent
 //! server this means a trace can include activity from neighbouring
 //! requests — by design, exactly what a timeline viewer wants.
+//!
+//! Nothing outlives its session: spans and counters are recorded only
+//! while one is active and handed over by [`TraceSession::finish`]. A
+//! long-running process keeps its lifetime totals in its own metric
+//! registry (the daemon's is the `SERIES` table in `xhc-serve`), not
+//! here.
 //!
 //! # Examples
 //!
@@ -62,9 +68,7 @@ use std::time::Instant;
 const RING_CAPACITY: usize = 1 << 14;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static STATS_ENABLED: AtomicBool = AtomicBool::new(false);
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATS: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 static SINK: Mutex<Sink> = Mutex::new(Sink::new());
@@ -221,20 +225,25 @@ pub struct Span {
 /// guard drops.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if enabled() {
-        Span {
-            name,
-            start_ns: now_ns(),
-            args: Vec::new(),
-            live: true,
-        }
-    } else {
-        Span {
-            name,
-            start_ns: 0,
-            args: Vec::new(),
-            live: false,
-        }
+    let live = enabled();
+    Span {
+        name,
+        start_ns: if live { now_ns() } else { 0 },
+        args: Vec::new(),
+        live,
+    }
+}
+
+/// Opens a span that started at `start_ns`, a [`now_ns`] reading the
+/// caller already took. Pair it with [`Span::close_at`] when the caller
+/// times the same interval for its own use, so both read one clock.
+#[inline]
+pub fn span_at(name: &'static str, start_ns: u64) -> Span {
+    Span {
+        name,
+        start_ns,
+        args: Vec::new(),
+        live: enabled(),
     }
 }
 
@@ -254,14 +263,19 @@ impl Span {
             self.args.push((key, value));
         }
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
+    /// Closes the span at `end_ns`, a [`now_ns`] reading the caller
+    /// already took. Dropping a span closes it at the current time.
+    #[inline]
+    pub fn close_at(mut self, end_ns: u64) {
+        self.close(end_ns);
+    }
+
+    fn close(&mut self, end_ns: u64) {
         if !self.live {
             return;
         }
-        let end_ns = now_ns();
+        self.live = false;
         let event = Event {
             name: self.name,
             start_ns: self.start_ns,
@@ -278,14 +292,19 @@ impl Drop for Span {
     }
 }
 
-/// Adds `delta` to the named cumulative counter. Two relaxed loads and
-/// an early return when both tracing and process stats are disabled; no
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.live {
+            self.close(now_ns());
+        }
+    }
+}
+
+/// Adds `delta` to the named counter of the recording session. One
+/// relaxed load and an early return when no session is recording; no
 /// lock on that path.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if stats_enabled() {
-        stat_add(name, delta);
-    }
     if !enabled() {
         return;
     }
@@ -294,47 +313,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
         buf.sync_generation();
         buf.bump(name, delta);
     });
-}
-
-/// Whether the process-lifetime stats registry is collecting.
-#[inline]
-pub fn stats_enabled() -> bool {
-    STATS_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns on the process-lifetime stats registry.
-///
-/// Session counters vanish with their [`TraceSession`]; a long-running
-/// daemon that wants to *export* counters (the serve `--push-metrics`
-/// path) needs totals that survive across — and outside of — sessions.
-/// Once enabled, every [`counter_add`] also accumulates into the
-/// registry, unconditionally and process-wide, readable at any time via
-/// [`stats_snapshot`]. Idempotent; there is deliberately no disable —
-/// monotonic totals are the exporter contract.
-pub fn enable_stats() {
-    STATS_ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Adds `delta` to a process-lifetime stat directly, without touching
-/// session counters. Works whether or not [`enable_stats`] was called —
-/// use for values that only make sense as exported totals (e.g. queue
-/// shed counts) rather than per-run trace data.
-pub fn stat_add(name: &'static str, delta: u64) {
-    let mut stats = STATS.lock().unwrap_or_else(|p| p.into_inner());
-    match stats.iter_mut().find(|(n, _)| *n == name) {
-        Some(entry) => entry.1 += delta,
-        None => stats.push((name, delta)),
-    }
-}
-
-/// A point-in-time copy of the process-lifetime stats, sorted by name.
-/// Empty until something calls [`stat_add`] (directly or via
-/// [`counter_add`] after [`enable_stats`]).
-pub fn stats_snapshot() -> Vec<(&'static str, u64)> {
-    let stats = STATS.lock().unwrap_or_else(|p| p.into_inner());
-    let mut out = stats.clone();
-    out.sort_by_key(|&(name, _)| name);
-    out
 }
 
 /// Moves the calling thread's buffered events and counters into the
@@ -740,6 +718,18 @@ mod tests {
     }
 
     #[test]
+    fn span_at_and_close_at_cover_the_callers_interval() {
+        let _guard = session_lock();
+        let session = TraceSession::begin().expect("claim");
+        span_at("unit.explicit", 100).arg("k", 1).close_at(350);
+        let trace = session.finish();
+        assert_eq!(trace.events.len(), 1);
+        let event = &trace.events[0];
+        assert_eq!((event.start_ns, event.dur_ns), (100, 250));
+        assert_eq!(event.args, vec![("k", 1)]);
+    }
+
+    #[test]
     fn only_one_session_at_a_time() {
         let _guard = session_lock();
         let first = TraceSession::begin().expect("claim");
@@ -882,39 +872,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), 1024);
         h.record(0); // clamps to the first bucket
         assert_eq!(h.min(), 0);
-    }
-
-    #[test]
-    fn stats_accumulate_outside_sessions() {
-        let _guard = session_lock();
-        // Unique names: the registry is process-global and test-shared.
-        stat_add("teststat.direct", 4);
-        stat_add("teststat.direct", 6);
-        let get = |name: &str| {
-            stats_snapshot()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, v)| v)
-        };
-        assert_eq!(get("teststat.direct"), Some(10));
-
-        // Without enable_stats, counter_add stays session-only.
-        let before = get("teststat.mirrored");
-        counter_add("teststat.mirrored", 1);
-        assert_eq!(get("teststat.mirrored"), before);
-
-        // With it, counter_add lands in the registry even with no
-        // session active.
-        enable_stats();
-        assert!(!enabled());
-        counter_add("teststat.mirrored", 3);
-        assert_eq!(get("teststat.mirrored"), Some(before.unwrap_or(0) + 3));
-
-        // Snapshot is sorted by name.
-        let snap = stats_snapshot();
-        let mut sorted = snap.clone();
-        sorted.sort_by_key(|&(n, _)| n);
-        assert_eq!(snap, sorted);
     }
 
     #[test]

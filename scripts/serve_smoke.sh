@@ -3,7 +3,9 @@
 # a loopback socket, submit the demo workload twice through `xhybrid
 # fetch`, assert the second submission is a cache hit, scrape /metrics
 # to confirm the daemon counted exactly one miss, and check that a lint
-# deny answers 422 naming its rule and a malformed text map answers 400.
+# deny answers 422 naming its rule, a malformed text map answers 400 and
+# a malformed request line answers 400. A last scrape checks that every
+# request the daemon counted got a counted response.
 # The daemon runs with --verify-on-write 1, so the plan it produces is
 # certificate-checked before it is stored.
 #
@@ -48,8 +50,12 @@ hash2="$(sed -n 's/^plan hash.*: //p' "$work/second.txt")"
 [[ -n "$hash1" && "$hash1" == "$hash2" ]] || { echo "hash mismatch: '$hash1' vs '$hash2'"; exit 1; }
 
 # The daemon's own counters tell the same story: one miss, one hit.
-metrics="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; \
-  printf 'GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' >&3; cat <&3)"
+scrape() {
+  exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+  printf 'GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' >&3
+  cat <&3
+}
+metrics="$(scrape)"
 echo "$metrics" | grep -q '^xhc_cache_misses_total 1$' || { echo "bad miss count"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep -q '^xhc_cache_hits_total 1$' || { echo "bad hit count"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep -q '^xhc_verify_total 1$' || { echo "the miss was not verified"; echo "$metrics"; exit 1; }
@@ -69,5 +75,18 @@ echo "$lint" | grep -q 'XL0305' || { echo "422 does not name XL0305"; echo "$lin
 printf 'xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n' > "$work/out_of_range.xmap"
 bad="$(post /v1/plan "$work/out_of_range.xmap")"
 echo "$bad" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "out-of-range cell not a 400"; echo "$bad"; exit 1; }
+garbled="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; printf 'NOT-A-REQUEST-LINE\r\n\r\n' >&3; cat <&3)"
+echo "$garbled" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "malformed request line not a 400"; echo "$garbled"; exit 1; }
 
-echo "serve smoke OK: one miss, one hit, stable hash $hash1"
+# Every request was answered and counted once: the daemon is quiet, so
+# the only request without a response yet is this scrape itself.
+metrics="$(scrape)"
+balance="$(echo "$metrics" | tr -d '\r' | awk '
+  /^xhc_requests_total / { requests = $2 }
+  /^xhc_responses_total\{/ { responses += $2 }
+  END { print requests " " responses }')"
+read -r requests responses <<< "$balance"
+[[ -n "$requests" && "$requests" -eq $((responses + 1)) ]] || {
+  echo "xhc_requests_total $requests != sum(xhc_responses_total) $responses + 1"; echo "$metrics"; exit 1; }
+
+echo "serve smoke OK: one miss, one hit, stable hash $hash1, $requests requests balanced"
