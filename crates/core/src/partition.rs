@@ -3,6 +3,7 @@
 use crate::correlation::CorrelationAnalysis;
 use crate::cost::{hybrid_cost_with_masks, HybridCost};
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use xhc_bits::{PatternSet, XBitMatrix};
 use xhc_misr::{MaskWord, XCancelConfig};
 use xhc_prng::{SliceRandom, XhcRng};
@@ -31,10 +32,11 @@ pub enum SplitStrategy {
     /// partitions (ties: higher X count, lower partition index).
     #[default]
     LargestClass,
-    /// An extension beyond the paper: evaluate the cost of splitting on a
+    /// An extension beyond the paper: price the split on a
     /// representative of *every* count class (including singletons) in
-    /// every partition and take the cheapest. One extra analysis pass per
-    /// candidate; can beat the greedy rule on weakly-correlated profiles.
+    /// every partition and take the cheapest. Each partition is priced
+    /// once, when it is made (a split changes no other partition's
+    /// prices); can beat the greedy rule on weakly-correlated profiles.
     BestCost,
 }
 
@@ -87,45 +89,143 @@ impl PartitionOutcome {
     }
 }
 
-/// Per-partition incremental state: everything a round needs without
-/// re-analyzing unchanged partitions.
+/// A `BestCost` split candidate of one partition: split on the X pattern
+/// set of `rep`, the lowest-indexed cell of the count class `count`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Candidate {
+    /// X's the split adds to the masked total: the two children's
+    /// fully-X cells times their sizes, minus the partition's own
+    /// masked X. It never changes while the partition stands, and the
+    /// cost strictly falls as it grows.
+    gain: usize,
+    /// Position of the class among the partition's splittable classes,
+    /// in ascending count order (the tie-break within a partition).
+    class_idx: usize,
+    count: usize,
+    rep: usize,
+    size: usize,
+}
+
+/// What `BestCost` remembers of a partition between rounds: the best
+/// candidate it priced and a ceiling over the ones it skipped.
+#[derive(Debug, Clone)]
+struct BestSplit {
+    /// The first maximum-gain candidate among those priced.
+    best: Option<Candidate>,
+    /// Every candidate whose gain bound is below `limit` is unpriced
+    /// (`usize::MAX` before the first pricing, `0` once none is left).
+    limit: usize,
+    /// The highest skipped bound, and the class index of the first
+    /// skipped candidate that reaches it.
+    ceiling: Option<(usize, usize)>,
+    /// How many candidates were skipped.
+    skipped: usize,
+}
+
+impl BestSplit {
+    fn unpriced() -> Self {
+        BestSplit {
+            best: None,
+            limit: usize::MAX,
+            ceiling: None,
+            skipped: 0,
+        }
+    }
+}
+
+/// A partition's memo of its own best split, fixed until the partition
+/// itself is split (a split changes no other partition's classes).
+#[derive(Debug, Clone)]
+enum SplitMemo {
+    /// `LargestClass`: the partition's [`CorrelationAnalysis::pivot_class`],
+    /// with its cells so every [`CellSelection`] picks from them.
+    Pivot(Option<(usize, Vec<usize>)>),
+    /// `BestCost`: the priced candidates.
+    Best(BestSplit),
+}
+
+/// Per-partition state between rounds: the patterns, their masked X and
+/// the memo. No partition keeps its [`CorrelationAnalysis`]: a split
+/// needs only the parent's, and pricing only the children's (see
+/// [`Newest`]).
 #[derive(Debug, Clone)]
 struct PartitionInfo {
     patterns: PatternSet,
     masked_x: usize,
-    /// The partition's correlation analysis, retained whole so a split
-    /// only rescans this partition's X-active cells (the delta path,
-    /// [`CorrelationAnalysis::analyze_children`]) instead of the full map.
-    analysis: CorrelationAnalysis,
+    memo: SplitMemo,
 }
 
 impl PartitionInfo {
-    fn from_analysis(patterns: PatternSet, analysis: CorrelationAnalysis) -> Self {
-        let masked_x = analysis.fully_x_cells().len() * patterns.card();
+    /// A partition whose split candidates are not priced yet
+    /// (`LargestClass` needs no pricing: its memo is the pivot class).
+    fn new(patterns: PatternSet, analysis: &CorrelationAnalysis, strategy: SplitStrategy) -> Self {
+        let memo = match strategy {
+            SplitStrategy::LargestClass => SplitMemo::Pivot(
+                analysis
+                    .pivot_class()
+                    .map(|(count, cells)| (count, cells.to_vec())),
+            ),
+            SplitStrategy::BestCost => SplitMemo::Best(BestSplit::unpriced()),
+        };
         PartitionInfo {
             patterns,
-            masked_x,
-            analysis,
+            masked_x: masked_of(analysis),
+            memo,
         }
     }
 
-    fn compute(xmap: &XMap, patterns: PatternSet) -> Self {
-        let analysis = CorrelationAnalysis::analyze(xmap, &patterns);
-        Self::from_analysis(patterns, analysis)
+    /// The best priced `BestCost` candidate.
+    fn best(&self) -> Option<Candidate> {
+        match &self.memo {
+            SplitMemo::Best(memo) => memo.best,
+            SplitMemo::Pivot(_) => None,
+        }
+    }
+}
+
+/// Masked X of a partition: its fully-X cells times its size.
+fn masked_of(analysis: &CorrelationAnalysis) -> usize {
+    analysis.fully_x_cells().len() * analysis.partition_card()
+}
+
+/// The analyses of the partitions the last split made (the root's
+/// before round 1), by partition index, kept until the next split. That
+/// split often takes one of them and then needs no rebuild; any other
+/// partition's analysis is rebuilt with one full scan. A split drops the
+/// rest first, so at most three analyses are alive at once: a parent
+/// and its two children.
+struct Newest(Vec<(usize, CorrelationAnalysis)>);
+
+impl Newest {
+    fn of(&self, pi: usize) -> Option<&CorrelationAnalysis> {
+        self.0.iter().find(|(i, _)| *i == pi).map(|(_, a)| a)
     }
 
-    /// Splits this partition on the pivot cell's X pattern set. Both
-    /// children are analyzed with one delta pass over this partition's
-    /// active cells.
-    fn split(&self, xmap: &XMap, pivot_cell: usize, threads: usize) -> (Self, Self) {
+    /// Splits partition `pi`, holding `patterns`, on the pivot cell's X
+    /// pattern set: both children come out of one delta pass over its
+    /// active cells, and their analyses become the newest, at `pi` and
+    /// `pi + 1`.
+    fn split(
+        &mut self,
+        xmap: &XMap,
+        pi: usize,
+        patterns: &PatternSet,
+        pivot_cell: usize,
+        threads: usize,
+    ) -> [PatternSet; 2] {
+        let kept = self
+            .0
+            .iter()
+            .position(|(i, _)| *i == pi)
+            .map(|k| self.0.swap_remove(k).1);
+        self.0.clear();
+        let parent = kept.unwrap_or_else(|| CorrelationAnalysis::analyze(xmap, patterns));
         let xset = xmap.xset_linear(pivot_cell).expect("pivot cell captures X");
-        let (with_x, without_x) = self.patterns.split_by(xset);
+        let (with_x, without_x) = patterns.split_by(xset);
         debug_assert!(!with_x.is_empty() && !without_x.is_empty());
-        let (a_with, a_without) = self.analysis.analyze_children(xmap, &with_x, threads);
-        (
-            Self::from_analysis(with_x, a_with),
-            Self::from_analysis(without_x, a_without),
-        )
+        let (a_with, a_without) = parent.analyze_children(xmap, &with_x, threads);
+        self.0 = vec![(pi, a_with), (pi + 1, a_without)];
+        [with_x, without_x]
     }
 }
 
@@ -134,8 +234,8 @@ impl PartitionInfo {
 /// The superset-counting kernel only reads words at a partition's
 /// nonzero word indices, and the evaluator only writes those same
 /// indices, so the buffers are never zeroed between candidates — they
-/// just need capacity. One `SplitScratch` per worker lives in a pool
-/// owned by [`PartitionEngine::run`] and is reused across rounds.
+/// just need capacity. One `SplitScratch` per worker lives in the
+/// [`Pricer`]'s pool and is reused across rounds.
 #[derive(Debug, Default)]
 struct SplitScratch {
     child_a: Vec<u64>,
@@ -155,19 +255,28 @@ impl SplitScratch {
 /// fan-out costs more than the band sweep it parallelizes.
 const MIN_SHARD_ROWS: usize = 64;
 
+/// Fewest word tests (rows × words) worth one worker of a scoped
+/// fan-out, across candidates or across a sweep's row bands: a spawn
+/// and join cost about as much as this many tests.
+const MIN_WORKER_WORDS: usize = 1 << 16;
+
 /// Shard count for one candidate's superset sweep over `rows` active
-/// rows on a `kernel_threads`-wide pool: one shard per worker, but never
-/// so many that a shard drops under [`MIN_SHARD_ROWS`] rows.
-fn kernel_shards(rows: usize, kernel_threads: usize) -> usize {
+/// rows of `words` words on a `kernel_threads`-wide pool: one shard per
+/// worker, but never so many that a shard drops under [`MIN_SHARD_ROWS`]
+/// rows or [`MIN_WORKER_WORDS`] word tests.
+fn kernel_shards(rows: usize, words: usize, kernel_threads: usize) -> usize {
     if kernel_threads <= 1 {
         1
     } else {
-        kernel_threads.min(rows / MIN_SHARD_ROWS).max(1)
+        kernel_threads
+            .min(rows / MIN_SHARD_ROWS)
+            .min(rows * words / MIN_WORKER_WORDS)
+            .max(1)
     }
 }
 
-/// Per-round, per-partition context shared by all of that partition's
-/// split candidates: the partition's word mask and a suffix histogram of
+/// Per-partition context shared by all of that partition's split
+/// candidates: the partition's word mask and a suffix histogram of
 /// active-cell counts for the pruning bound.
 struct PartCtx {
     /// Nonzero word indices of the partition's pattern set.
@@ -179,16 +288,15 @@ struct PartCtx {
 }
 
 impl PartCtx {
-    fn build(info: &PartitionInfo) -> Self {
-        let word_ids: Vec<u32> = info
-            .patterns
+    fn build(patterns: &PatternSet, analysis: &CorrelationAnalysis) -> Self {
+        let word_ids: Vec<u32> = patterns
             .as_bits()
             .nonzero_word_indices()
             .map(|w| w as u32)
             .collect();
         let mut counts = Vec::new();
         let mut suffix = Vec::new();
-        for (count, cells) in info.analysis.classes() {
+        for (count, cells) in analysis.classes() {
             counts.push(count as u32);
             suffix.push(cells.len());
         }
@@ -208,6 +316,201 @@ impl PartCtx {
     fn cells_with_count_ge(&self, k: usize) -> usize {
         let i = self.counts.partition_point(|&c| (c as usize) < k);
         self.suffix.get(i).copied().unwrap_or(0)
+    }
+}
+
+/// The partition holding the top key over every priced candidate and
+/// every skipped ceiling, and whether that key is a priced candidate.
+/// Keys order by gain (or bound), then earlier partition, then earlier
+/// class; no two are equal.
+fn top_key(infos: &[PartitionInfo]) -> Option<(usize, bool)> {
+    infos
+        .iter()
+        .enumerate()
+        .filter_map(|(pi, info)| match &info.memo {
+            SplitMemo::Best(memo) => Some((pi, memo)),
+            SplitMemo::Pivot(_) => None,
+        })
+        .flat_map(|(pi, memo)| {
+            let priced = memo.best.map(|c| (c.gain, c.class_idx, true));
+            let skipped = memo.ceiling.map(|(ub, idx)| (ub, idx, false));
+            [priced, skipped]
+                .into_iter()
+                .flatten()
+                .map(move |(gain, idx, priced)| ((gain, Reverse(pi), Reverse(idx)), pi, priced))
+        })
+        .max_by_key(|&(key, ..)| key)
+        .map(|(_, pi, priced)| (pi, priced))
+}
+
+/// The bound below which a candidate of the partition at `at` cannot
+/// win: it is beaten by some partition's best priced candidate, or tied
+/// by one that comes first — another partition's only when that
+/// partition stands earlier, its own never (the own best may sit at a
+/// later class).
+fn prune_limit(infos: &[PartitionInfo], at: usize) -> usize {
+    infos
+        .iter()
+        .enumerate()
+        .filter_map(|(pi, info)| info.best().map(|c| c.gain + usize::from(at > pi)))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Prices `BestCost` candidates cost-only on the packed matrix.
+struct Pricer<'a> {
+    xmap: &'a XMap,
+    matrix: &'a XBitMatrix,
+    threads: usize,
+    scratch_pool: Vec<SplitScratch>,
+}
+
+impl Pricer<'_> {
+    /// Prices the partition at `at` from its analysis: every candidate
+    /// not yet priced whose gain bound reaches [`prune_limit`]. The rest
+    /// are skipped and only raise the memo's ceiling. Returns
+    /// `(considered, priced)`.
+    ///
+    /// Which candidates are priced depends on the bounds and the memos
+    /// alone, never on the order in which the pool finishes, so the memo
+    /// is identical at every thread count.
+    fn price_at(
+        &mut self,
+        infos: &mut [PartitionInfo],
+        at: usize,
+        analysis: &CorrelationAnalysis,
+    ) -> (usize, usize) {
+        let limit = prune_limit(infos, at);
+        let info = &mut infos[at];
+        let SplitMemo::Best(memo) = &mut info.memo else {
+            unreachable!("only BestCost partitions are priced");
+        };
+        let patterns = &info.patterns;
+        let (xmap, matrix) = (self.xmap, self.matrix);
+        let card = patterns.card();
+        let masked_x = info.masked_x;
+        let ctx = PartCtx::build(patterns, analysis);
+
+        // Gain bound per candidate: at most suffix(k) active cells can
+        // cover a child of size k (covering needs restricted count >= k),
+        // and the children's masked X's cannot exceed the partition's
+        // total X. A fully-X cell counts toward both children, so the
+        // bound never drops below the partition's own masked X.
+        // `(class_idx, count, rep, size, bound)` of every candidate not
+        // priced before.
+        let unpriced: Vec<(usize, usize, usize, usize, usize)> = analysis
+            .classes()
+            .filter(|&(count, _)| count < card)
+            .enumerate()
+            .map(|(class_idx, (count, cells))| {
+                let ub = (ctx.cells_with_count_ge(count) * count
+                    + ctx.cells_with_count_ge(card - count) * (card - count))
+                    .min(analysis.total_x())
+                    - masked_x;
+                (class_idx, count, cells[0], cells.len(), ub)
+            })
+            .filter(|&(.., ub)| ub < memo.limit)
+            .collect();
+
+        // Cost-only evaluation: the gain of a split, from the exact
+        // masked X each child would have, without building it. A cell
+        // is fully-X in a child iff its X row is a superset of the
+        // child; such a cell is necessarily active in the partition, so
+        // the sweep is restricted to the partition's active entries and
+        // nonzero words. `kernel_threads` is the pool width one
+        // candidate may fan its row sweep over: 1 when the pool is
+        // already busy across candidates, the full width when the
+        // candidates are too few or too small to fill it. Counts are
+        // identical either way — sharding only re-bands the row loop.
+        let stride = matrix.stride();
+        let rows = analysis.active_entries();
+        let part_words = patterns.as_bits().as_words();
+        let eval = |scratch: &mut SplitScratch,
+                    &(_, count, rep, _, _): &(usize, usize, usize, usize, usize),
+                    kernel_threads: usize|
+         -> usize {
+            scratch.ensure(stride);
+            let pivot_pos = xmap.find_entry(rep).expect("pivot cell captures X");
+            let pivot_row = matrix.row(pivot_pos);
+            for &w in &ctx.word_ids {
+                let w = w as usize;
+                let p = part_words[w];
+                let v = pivot_row[w];
+                scratch.child_a[w] = p & v;
+                scratch.child_b[w] = p & !v;
+            }
+            let (na, nb) = matrix.count_supersets_pair_sharded(
+                rows,
+                &ctx.word_ids,
+                &scratch.child_a,
+                &scratch.child_b,
+                kernel_shards(rows.len(), ctx.word_ids.len(), kernel_threads),
+                kernel_threads,
+            );
+            na * count + nb * (card - count) - masked_x
+        };
+        let threads = self.threads;
+        if self.scratch_pool.is_empty() {
+            self.scratch_pool.push(SplitScratch::default());
+        }
+
+        // Seed: the first candidate with the highest bound, priced alone
+        // (its sweep gets the whole pool). Its gain raises the limit for
+        // the rest, strictly, since it may sit at a later class.
+        let mut limit = limit;
+        let mut priced = Vec::new();
+        let seed = unpriced
+            .iter()
+            .filter(|&&(.., ub)| ub >= limit)
+            .max_by_key(|&&(class_idx, .., ub)| (ub, Reverse(class_idx)));
+        if let Some(seed) = seed {
+            let gain = eval(&mut self.scratch_pool[0], seed, threads);
+            limit = limit.max(gain);
+            priced.push((*seed, gain));
+        }
+        let kept: Vec<_> = unpriced
+            .iter()
+            .copied()
+            .filter(|&(class_idx, .., ub)| ub >= limit && Some(class_idx) != seed.map(|s| s.0))
+            .collect();
+        let fan_out = kept.len() >= threads
+            && kept.len() * rows.len() * ctx.word_ids.len() >= threads * MIN_WORKER_WORDS;
+        let gains: Vec<usize> = if fan_out {
+            xhc_par::par_map_scratch_threads(threads, &mut self.scratch_pool, &kept, |s, c| {
+                eval(s, c, 1)
+            })
+        } else {
+            let scratch = &mut self.scratch_pool[0];
+            kept.iter().map(|c| eval(scratch, c, threads)).collect()
+        };
+        priced.extend(kept.into_iter().zip(gains));
+
+        // The first maximum in class order, over the memo's earlier
+        // best and the candidates priced now.
+        for &((class_idx, count, rep, size, _), gain) in &priced {
+            let better = memo
+                .best
+                .is_none_or(|b| gain > b.gain || (gain == b.gain && class_idx < b.class_idx));
+            if better {
+                memo.best = Some(Candidate {
+                    gain,
+                    class_idx,
+                    count,
+                    rep,
+                    size,
+                });
+            }
+        }
+        memo.limit = memo.limit.min(limit);
+        memo.ceiling = None;
+        memo.skipped = 0;
+        for &(class_idx, .., ub) in unpriced.iter().filter(|&&(.., ub)| ub < limit) {
+            memo.skipped += 1;
+            if memo.ceiling.is_none_or(|(c, _)| ub > c) {
+                memo.ceiling = Some((ub, class_idx));
+            }
+        }
+        (unpriced.len(), priced.len())
     }
 }
 
@@ -366,6 +669,7 @@ impl PartitionEngine {
         let num_patterns = xmap.num_patterns();
         let total_x = xmap.total_x();
         let word_bits = xmap.config().mask_word_bits() as u128;
+        let strategy = self.opts.strategy;
         let threads = match self.opts.threads {
             0 => xhc_par::max_threads(),
             t => t,
@@ -390,11 +694,28 @@ impl PartitionEngine {
             }
         };
 
-        let mut infos = vec![PartitionInfo::compute(xmap, PatternSet::all(num_patterns))];
+        let mut pricer = Pricer {
+            xmap,
+            matrix,
+            threads,
+            scratch_pool: Vec::new(),
+        };
+        // BestCost counts: candidates once, when their partition is
+        // first priced; pruned when their partition leaves the plan (is
+        // split, or is final) without ever having priced them.
+        let mut candidates = 0;
+        let mut pruned = 0;
+
+        let root = PatternSet::all(num_patterns);
+        let mut newest = Newest(vec![(0, CorrelationAnalysis::analyze(xmap, &root))]);
+        let root_analysis = newest.of(0).expect("the root is analyzed");
+        let mut infos = vec![PartitionInfo::new(root, root_analysis, strategy)];
+        if strategy == SplitStrategy::BestCost {
+            candidates += pricer.price_at(&mut infos, 0, root_analysis).0;
+        }
         // Masked-X total, maintained incrementally: a split replaces one
         // partition's contribution with its two children's.
         let mut masked_total = infos[0].masked_x;
-        let mut scratch_pool: Vec<SplitScratch> = Vec::new();
         let initial_cost = cost_from(masked_total, 1);
         let mut cost = initial_cost.clone();
         let mut rounds = Vec::new();
@@ -407,30 +728,29 @@ impl PartitionEngine {
             }
             let mut round_span =
                 xhc_trace::span("partition.round").arg("round", (rounds.len() + 1) as u64);
-            // `(pi, pivot_cell, class_count, class_size, child_with,
-            // child_without, next_cost)` of the accepted-candidate split.
-            let chosen = match self.opts.strategy {
+            let num_next = infos.len() + 1;
+            // `(pi, pivot_cell, class_count, class_size, next_masked,
+            // children)`; BestCost knows the masked total from its memo
+            // and materialises the split only once it is accepted, while
+            // LargestClass splits first to learn it.
+            let (pi, pivot_cell, class_count, class_size, next_masked, children) = match strategy {
                 SplitStrategy::LargestClass => {
                     // The paper's rule: largest pivot class wins.
-                    let Some((pi, class_size, class_count)) = infos
+                    let Some((pi, count, cells)) = infos
                         .iter()
                         .enumerate()
-                        .filter_map(|(i, info)| {
-                            info.analysis
-                                .pivot_class()
-                                .map(|(count, cells)| (i, cells.len(), count))
+                        .filter_map(|(i, info)| match &info.memo {
+                            SplitMemo::Pivot(Some((count, cells))) => Some((i, *count, cells)),
+                            _ => None,
                         })
                         .max_by(|a, b| {
-                            (a.1, a.2, std::cmp::Reverse(a.0)).cmp(&(
-                                b.1,
-                                b.2,
-                                std::cmp::Reverse(b.0),
-                            ))
+                            (a.2.len(), a.1, Reverse(a.0)).cmp(&(b.2.len(), b.1, Reverse(b.0)))
                         })
                     else {
                         break;
                     };
-                    let (_, cells) = infos[pi].analysis.pivot_class().expect("candidate present");
+                    #[cfg(debug_assertions)]
+                    oracle::largest_class(xmap, &infos, (pi, count, cells));
                     let pivot_cell = match self.opts.policy {
                         CellSelection::First => cells[0],
                         CellSelection::Seeded(_) => *cells
@@ -445,189 +765,67 @@ impl PartitionEngine {
                             })
                             .expect("class is non-empty"),
                     };
-                    let (w, wo) = infos[pi].split(xmap, pivot_cell, threads);
-                    let next_cost = cost_from(
-                        masked_total - infos[pi].masked_x + w.masked_x + wo.masked_x,
-                        infos.len() + 1,
-                    );
-                    Some((pi, pivot_cell, class_count, class_size, w, wo, next_cost))
+                    let children = newest.split(xmap, pi, &infos[pi].patterns, pivot_cell, threads);
+                    let next_masked = masked_total - infos[pi].masked_x
+                        + masked_of(newest.of(pi).expect("child analyzed"))
+                        + masked_of(newest.of(pi + 1).expect("child analyzed"));
+                    (
+                        pi,
+                        pivot_cell,
+                        count,
+                        cells.len(),
+                        next_masked,
+                        Some(children),
+                    )
                 }
                 SplitStrategy::BestCost => {
-                    // Extension: price a representative of every count
-                    // class and keep the cheapest successor. Candidates
-                    // are evaluated cost-only on the packed matrix — the
-                    // masked-X total of each child is (#active cells
-                    // whose X row covers the child) × |child| — and only
-                    // the winner is materialised via `split()`. Bound
-                    // pruning and the parallel fan-out are arranged so
-                    // the selected pivot is exactly the one the original
-                    // sequential fold over all candidates would pick.
-                    let stride = matrix.stride();
-                    let num_next = infos.len() + 1;
-                    let candidates: Vec<(usize, usize, usize, usize)> = infos
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(pi, info)| {
-                            let card = info.patterns.card();
-                            info.analysis
-                                .classes()
-                                .filter(move |&(count, _)| count > 0 && count < card)
-                                .map(move |(count, cells)| (pi, count, cells[0], cells.len()))
-                        })
-                        .collect();
-                    round_span.set_arg("candidates", candidates.len() as u64);
-                    xhc_trace::counter_add("partition.candidates", candidates.len() as u64);
-                    let ctx: Vec<PartCtx> = infos.iter().map(PartCtx::build).collect();
-
-                    // Cost-only evaluation: the exact masked-X total the
-                    // materialised split would produce, without building
-                    // it. A cell is fully-X in a child iff its X row is a
-                    // superset of the child; such a cell is necessarily
-                    // active in the parent, so the sweep is restricted to
-                    // the parent's active entries and the parent's
-                    // nonzero words.
-                    // `kernel_threads` is the pool width this one
-                    // candidate may fan its row sweep over: 1 when the
-                    // pool is already busy across candidates, the full
-                    // width when candidates are evaluated sequentially
-                    // (the seed, and starved late rounds). Counts are
-                    // identical either way — sharding only re-bands the
-                    // row loop.
-                    let eval = |scratch: &mut SplitScratch,
-                                &(pi, count, rep, _size): &(usize, usize, usize, usize),
-                                kernel_threads: usize|
-                     -> usize {
-                        let info = &infos[pi];
-                        let pc = &ctx[pi];
-                        scratch.ensure(stride);
-                        let part_words = info.patterns.as_bits().as_words();
-                        let pivot_pos = xmap.find_entry(rep).expect("pivot cell captures X");
-                        let pivot_row = matrix.row(pivot_pos);
-                        for &w in &pc.word_ids {
-                            let w = w as usize;
-                            let p = part_words[w];
-                            let v = pivot_row[w];
-                            scratch.child_a[w] = p & v;
-                            scratch.child_b[w] = p & !v;
-                        }
-                        let rows = info.analysis.active_entries();
-                        let (na, nb) = matrix.count_supersets_pair_sharded(
-                            rows,
-                            &pc.word_ids,
-                            &scratch.child_a,
-                            &scratch.child_b,
-                            kernel_shards(rows.len(), kernel_threads),
-                            kernel_threads,
-                        );
-                        let card = info.patterns.card();
-                        masked_total - info.masked_x + na * count + nb * (card - count)
-                    };
-
-                    // Monotone lower bound per candidate: at most
-                    // suffix(k) active cells can cover a child of size k
-                    // (covering needs restricted count >= k), and the
-                    // children's masked X's cannot exceed the parent's
-                    // total X. More masked X never raises the cost, so
-                    // pricing the bound's masked total bounds the true
-                    // cost from below — in f64 too, since control_bits is
-                    // nondecreasing in leaked X.
-                    let bounds: Vec<f64> = candidates
-                        .iter()
-                        .map(|&(pi, count, _, _)| {
-                            let info = &infos[pi];
-                            let card = info.patterns.card();
-                            let pc = &ctx[pi];
-                            let ub_children = (pc.cells_with_count_ge(count) * count
-                                + pc.cells_with_count_ge(card - count) * (card - count))
-                                .min(info.analysis.total_x());
-                            cost_from(masked_total - info.masked_x + ub_children, num_next).total()
-                        })
-                        .collect();
-
-                    // Seed with the lowest-bound candidate (first on
-                    // ties), evaluate it exactly, then prune every
-                    // candidate whose bound strictly exceeds the seed's
-                    // exact cost: such a candidate's cost is > the final
-                    // minimum, so the original fold could never have
-                    // selected it. All of this is sequential or
-                    // order-preserving, so the outcome is identical at
-                    // every thread count.
-                    let mut seed: Option<usize> = None;
-                    for (i, &b) in bounds.iter().enumerate() {
-                        if seed.is_none_or(|s| b < bounds[s]) {
-                            seed = Some(i);
-                        }
-                    }
-                    seed.map(|seed| {
-                        if scratch_pool.is_empty() {
-                            scratch_pool.push(SplitScratch::default());
-                        }
-                        // The seed is evaluated alone, so its sweep gets
-                        // the whole pool.
-                        let seed_masked = eval(&mut scratch_pool[0], &candidates[seed], threads);
-                        let seed_cost = cost_from(seed_masked, num_next).total();
-
-                        let retained: Vec<usize> = (0..candidates.len())
-                            .filter(|&i| i != seed && bounds[i] <= seed_cost)
-                            .collect();
-                        let pruned = (candidates.len() - 1 - retained.len()) as u64;
-                        round_span.set_arg("pruned", pruned);
-                        xhc_trace::counter_add("partition.pruned", pruned);
-                        // Pick the parallel axis: enough survivors keep
-                        // every worker busy across candidates (unsharded
-                        // kernels); starved rounds — the final rounds of
-                        // a full-size run, where pruning leaves a handful
-                        // of candidates — flip to sequential candidates
-                        // with each kernel sharded across the pool.
-                        let evald: Vec<usize> = if retained.len() >= threads {
-                            xhc_par::par_map_scratch_threads(
-                                threads,
-                                &mut scratch_pool,
-                                &retained,
-                                |scratch, &i| eval(scratch, &candidates[i], 1),
-                            )
-                        } else {
-                            let scratch = &mut scratch_pool[0];
-                            retained
-                                .iter()
-                                .map(|&i| eval(scratch, &candidates[i], threads))
-                                .collect()
-                        };
-                        let mut masked_vals: Vec<Option<usize>> = vec![None; candidates.len()];
-                        masked_vals[seed] = Some(seed_masked);
-                        for (&i, m) in retained.iter().zip(evald) {
-                            masked_vals[i] = Some(m);
-                        }
-
-                        // Sequential fold in candidate order: the first
-                        // strict minimum wins, exactly as the unpruned
-                        // fold over all candidates would.
-                        let mut best: Option<(usize, usize, f64)> = None;
-                        for (i, m) in masked_vals.iter().enumerate() {
-                            let Some(m) = *m else { continue };
-                            let t = cost_from(m, num_next).total();
-                            if best.is_none_or(|(_, _, bt)| t < bt) {
-                                best = Some((i, m, t));
+                    // Extension: the best priced candidate wins, first
+                    // in (partition, class) order on equal gains. While a
+                    // skipped ceiling outranks it, that partition prices
+                    // the candidates it skipped and the pick is redone.
+                    let mut settled = 0;
+                    let winner = loop {
+                        match top_key(&infos) {
+                            None => break None,
+                            Some((pi, true)) => break Some(pi),
+                            Some((pi, false)) => {
+                                let rebuilt;
+                                let analysis = match newest.of(pi) {
+                                    Some(analysis) => analysis,
+                                    None => {
+                                        rebuilt =
+                                            CorrelationAnalysis::analyze(xmap, &infos[pi].patterns);
+                                        &rebuilt
+                                    }
+                                };
+                                // The ceiling's candidate outranks every
+                                // priced one, so it passes the bound now:
+                                // each pass prices something, and the
+                                // pick terminates.
+                                let (_, priced) = pricer.price_at(&mut infos, pi, analysis);
+                                assert!(priced > 0, "a settling pass must price its ceiling");
+                                settled += 1;
                             }
                         }
-                        let (i, masked_next, _) = best.expect("seed always evaluated");
-                        let (pi, count, rep, size) = candidates[i];
-                        let (w, wo) = infos[pi].split(xmap, rep, threads);
-                        debug_assert_eq!(
-                            masked_total - infos[pi].masked_x + w.masked_x + wo.masked_x,
-                            masked_next,
-                            "cost-only evaluation must match the materialised split"
-                        );
-                        let next_cost = cost_from(masked_next, num_next);
-                        (pi, rep, count, size, w, wo, next_cost)
-                    })
+                    };
+                    round_span.set_arg("settled", settled);
+                    let Some(pi) = winner else {
+                        break;
+                    };
+                    let best = infos[pi].best().expect("the top key is a priced candidate");
+                    let next_masked = masked_total + best.gain;
+                    #[cfg(debug_assertions)]
+                    oracle::best_cost(
+                        xmap,
+                        &infos,
+                        masked_total,
+                        &|masked| cost_from(masked, num_next).total(),
+                        (pi, best.rep, next_masked),
+                    );
+                    (pi, best.rep, best.count, best.size, next_masked, None)
                 }
             };
-            let Some((pi, pivot_cell, class_count, class_size, child_w, child_wo, next_cost)) =
-                chosen
-            else {
-                break;
-            };
+            let next_cost = cost_from(next_masked, num_next);
             round_span.set_arg("partition", pi as u64);
             round_span.set_arg("pivot", pivot_cell as u64);
             round_span.set_arg("class_count", class_count as u64);
@@ -648,10 +846,45 @@ impl PartitionEngine {
                 class_size,
                 cost_after: next_cost.clone(),
             });
-            masked_total = masked_total - infos[pi].masked_x + child_w.masked_x + child_wo.masked_x;
-            infos[pi] = child_w;
-            infos.insert(pi + 1, child_wo);
+            let [with_x, without_x] = children.unwrap_or_else(|| {
+                newest.split(xmap, pi, &infos[pi].patterns, pivot_cell, threads)
+            });
+            let a_with = newest.of(pi).expect("child analyzed");
+            let a_without = newest.of(pi + 1).expect("child analyzed");
+            debug_assert_eq!(
+                masked_total - infos[pi].masked_x + masked_of(a_with) + masked_of(a_without),
+                next_masked,
+                "cost-only evaluation must match the materialised split"
+            );
+            if let SplitMemo::Best(memo) = &infos[pi].memo {
+                pruned += memo.skipped;
+            }
+            infos[pi] = PartitionInfo::new(with_x, a_with, strategy);
+            infos.insert(pi + 1, PartitionInfo::new(without_x, a_without, strategy));
+            if strategy == SplitStrategy::BestCost {
+                // Price each child once, against every other
+                // partition's best candidate, the sibling's included.
+                let (mut considered, mut priced) = (0, 0);
+                for (at, analysis) in [(pi, a_with), (pi + 1, a_without)] {
+                    let (c, p) = pricer.price_at(&mut infos, at, analysis);
+                    considered += c;
+                    priced += p;
+                }
+                candidates += considered;
+                round_span.set_arg("candidates", considered as u64);
+                round_span.set_arg("pruned", (considered - priced) as u64);
+            }
+            masked_total = next_masked;
             cost = next_cost;
+        }
+        if strategy == SplitStrategy::BestCost {
+            for info in &infos {
+                if let SplitMemo::Best(memo) = &info.memo {
+                    pruned += memo.skipped;
+                }
+            }
+            xhc_trace::counter_add("partition.candidates", candidates as u64);
+            xhc_trace::counter_add("partition.pruned", pruned as u64);
         }
 
         let partitions: Vec<PatternSet> = infos.into_iter().map(|i| i.patterns).collect();
@@ -709,6 +942,78 @@ impl PartitionEngine {
             initial_cost,
             rounds,
         }
+    }
+}
+
+/// Debug-build cross-checks of the memoised pick: every partition is
+/// re-analyzed and re-priced as if nothing were remembered, and the
+/// winner must be the same.
+#[cfg(debug_assertions)]
+mod oracle {
+    use super::*;
+
+    /// The paper's rule over fresh analyses of every partition.
+    pub(super) fn largest_class(
+        xmap: &XMap,
+        infos: &[PartitionInfo],
+        got: (usize, usize, &[usize]),
+    ) {
+        let want = infos
+            .iter()
+            .enumerate()
+            .filter_map(|(pi, info)| {
+                CorrelationAnalysis::analyze(xmap, &info.patterns)
+                    .pivot_class()
+                    .map(|(count, cells)| (pi, count, cells.to_vec()))
+            })
+            .max_by(|a, b| (a.2.len(), a.1, Reverse(a.0)).cmp(&(b.2.len(), b.1, Reverse(b.0))));
+        assert_eq!(
+            want.as_ref()
+                .map(|(pi, count, cells)| (*pi, *count, cells.as_slice())),
+            Some(got),
+            "the memoised LargestClass pick differs from a full re-analysis"
+        );
+    }
+
+    /// Every class representative of every partition, priced by
+    /// materialising both children and counting the cells whose X row
+    /// covers each; the first strict minimum of the total cost wins.
+    /// `got` is `(partition, pivot cell, masked total after the split)`.
+    pub(super) fn best_cost(
+        xmap: &XMap,
+        infos: &[PartitionInfo],
+        masked_total: usize,
+        total_cost: &dyn Fn(usize) -> f64,
+        got: (usize, usize, usize),
+    ) {
+        let mut best: Option<(usize, usize, usize, f64)> = None;
+        for (pi, info) in infos.iter().enumerate() {
+            let analysis = CorrelationAnalysis::analyze(xmap, &info.patterns);
+            assert_eq!(masked_of(&analysis), info.masked_x);
+            let masked = |child: &PatternSet| {
+                let covering = analysis
+                    .active_entries()
+                    .iter()
+                    .filter(|&&pos| child.is_subset_of(xmap.entry(pos as usize).1))
+                    .count();
+                covering * child.card()
+            };
+            let card = info.patterns.card();
+            for (_, cells) in analysis.classes().filter(|&(count, _)| count < card) {
+                let xset = xmap.xset_linear(cells[0]).expect("class cell captures X");
+                let (with_x, without_x) = info.patterns.split_by(xset);
+                let next = masked_total - info.masked_x + masked(&with_x) + masked(&without_x);
+                let t = total_cost(next);
+                if best.is_none_or(|(_, _, _, bt)| t < bt) {
+                    best = Some((pi, cells[0], next, t));
+                }
+            }
+        }
+        assert_eq!(
+            best.map(|(pi, rep, next, _)| (pi, rep, next)),
+            Some(got),
+            "the memoised BestCost pick differs from re-pricing every partition"
+        );
     }
 }
 

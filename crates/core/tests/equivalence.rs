@@ -2,17 +2,20 @@
 //! partition engine must produce outcomes identical to a straightforward
 //! reference implementation of the paper's algorithm (the pre-optimization
 //! engine: `BTreeMap` class analysis, full re-analysis per candidate), and
-//! identical to themselves at every thread count.
+//! identical to themselves at every thread count — on random maps, on
+//! engineered gain ties, and with every [`PlanOptions`] combination on
+//! the paper's Fig. 4 example and scaled CKT-A/B/C profiles.
 
 use std::collections::BTreeMap;
 use xhc_bits::PatternSet;
 use xhc_core::{
-    CellSelection, CorrelationAnalysis, PartitionEngine, PartitionOutcome, PlanOptions,
+    BackendId, CellSelection, CorrelationAnalysis, PartitionEngine, PartitionOutcome, PlanOptions,
     SplitStrategy,
 };
 use xhc_misr::XCancelConfig;
 use xhc_prng::{sample_indices, SliceRandom, XhcRng};
 use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
+use xhc_workload::WorkloadSpec;
 
 /// A seeded random X map with inter-correlated cells: a pool of group
 /// pattern sets, each correlated cell copying one of them, plus a sprinkle
@@ -410,4 +413,238 @@ fn nested_delta_splits_match_full_rescan() {
         let wc: Vec<(usize, Vec<usize>)> = want.classes().map(|(c, s)| (c, s.to_vec())).collect();
         assert_eq!(gc, wc);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Engineered ties: a fresh child's best candidate against an earlier
+// round's best candidate of equal gain.
+// ---------------------------------------------------------------------------
+
+/// One scan chain of 16 cells over 16 patterns, `A = 0..8`, `B = 8..16`:
+/// four cells X over all of `A` (the root splits on them), three over
+/// one half of `A` or of `B` (the next split), and two each over
+/// `{0, 1}` and `{8, 9}`. Every split on a pair masks 4 X's more, so
+/// after two rounds a fresh child's pair and an older partition's pair
+/// tie.
+///
+/// `deep_b` puts the halves in `B`, so `B` splits in round 2 and its
+/// fresh child stands after the tied partition `A`. Otherwise `A`
+/// splits and its fresh child stands before `B`; five more cells X over
+/// `{10, 11}` then loosen the bound of `B`'s pair split, so `B` prices
+/// it in round 1 and it is a priced incumbent when the child is priced.
+fn tie_xmap(deep_b: bool) -> XMap {
+    let mut b = XMapBuilder::new(ScanConfig::uniform(1, 16), 16);
+    let mut cell = 0;
+    let (half, loose) = if deep_b { (8..12, 0) } else { (0..4, 5) };
+    for (cells, patterns) in [(2, 0..2), (3, half), (4, 0..8), (2, 8..10), (loose, 10..12)] {
+        for _ in 0..cells {
+            for p in patterns.clone() {
+                b.add_x(CellId::new(0, cell), p).unwrap();
+            }
+            cell += 1;
+        }
+    }
+    b.finish()
+}
+
+#[test]
+fn equal_gains_go_to_the_earlier_partition_at_every_thread_count() {
+    let cancel = XCancelConfig::new(32, 7);
+    // Round 3 splits partition 0 on cell 0, the first `{0, 1}` cell,
+    // either way: the fresh child `A ∩ {0..4}` at index 0 beats `B` at
+    // index 2, and the older `A` at index 0 beats the fresh child
+    // `B ∩ {8..12}` at index 1.
+    for deep_b in [false, true] {
+        let xmap = tie_xmap(deep_b);
+        let want_ref = ref_run(&xmap, cancel, SplitStrategy::BestCost, CellSelection::First);
+        let base = PartitionEngine::with_options(
+            cancel,
+            PlanOptions {
+                strategy: SplitStrategy::BestCost,
+                threads: 1,
+                ..PlanOptions::default()
+            },
+        )
+        .run(&xmap);
+        assert_matches_reference(&base, &want_ref);
+        assert!(base.rounds.len() >= 3, "deep_b={deep_b}");
+        let tied = &base.rounds[2];
+        assert_eq!(
+            (tied.split_partition, tied.pivot_cell),
+            (0, 0),
+            "deep_b={deep_b}"
+        );
+
+        // The tie is real: after round 2, both pair splits price the same.
+        let after_two: Vec<PatternSet> = {
+            let mut parts = vec![PatternSet::all(16)];
+            for r in &base.rounds[..2] {
+                let xset = xmap.xset_linear(r.pivot_cell).expect("pivot captures X");
+                let (w, wo) = parts[r.split_partition].split_by(xset);
+                parts[r.split_partition] = w;
+                parts.insert(r.split_partition + 1, wo);
+            }
+            parts
+        };
+        let split_cost = |pi: usize, cell: usize| {
+            let mut parts = after_two.clone();
+            let (w, wo) = parts[pi].split_by(xmap.xset_linear(cell).expect("X cell"));
+            parts[pi] = w;
+            parts.insert(pi + 1, wo);
+            xhc_core::hybrid_cost(&xmap, &parts, cancel).total()
+        };
+        let (fresh, older) = if deep_b { (1, 0) } else { (0, 2) };
+        let (fresh_cell, older_cell) = if deep_b { (9, 0) } else { (0, 9) };
+        assert_eq!(split_cost(fresh, fresh_cell), split_cost(older, older_cell));
+
+        for threads in [2, 8] {
+            let other = PartitionEngine::with_options(
+                cancel,
+                PlanOptions {
+                    strategy: SplitStrategy::BestCost,
+                    threads,
+                    ..PlanOptions::default()
+                },
+            )
+            .run(&xmap);
+            assert_outcomes_identical(&base, &other, &format!("deep_b={deep_b} threads={threads}"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Every option combination on the paper's maps: thread-count invariance,
+// and each bounded option steers the run.
+// ---------------------------------------------------------------------------
+
+/// The Fig. 4 X map: 8 patterns, 5 chains x 3 cells, 28 X's.
+fn fig4_xmap() -> XMap {
+    let cfg = ScanConfig::uniform(5, 3);
+    let mut b = XMapBuilder::new(cfg, 8);
+    for p in [0, 3, 4, 5] {
+        b.add_x(CellId::new(0, 0), p).unwrap();
+        b.add_x(CellId::new(1, 0), p).unwrap();
+        b.add_x(CellId::new(2, 0), p).unwrap();
+    }
+    for p in [0, 4] {
+        b.add_x(CellId::new(1, 2), p).unwrap();
+    }
+    for p in [0, 1, 2, 3, 4, 6, 7] {
+        b.add_x(CellId::new(3, 2), p).unwrap();
+    }
+    for p in [0, 1, 3, 4, 6, 7] {
+        b.add_x(CellId::new(4, 1), p).unwrap();
+    }
+    b.add_x(CellId::new(4, 2), 5).unwrap();
+    b.finish()
+}
+
+fn paper_maps() -> Vec<(&'static str, XMap, XCancelConfig)> {
+    let scaled = |spec: WorkloadSpec| spec.scaled(60).generate();
+    vec![
+        ("fig4", fig4_xmap(), XCancelConfig::new(10, 2)),
+        (
+            "ckt-a",
+            scaled(WorkloadSpec::ckt_a()),
+            XCancelConfig::new(32, 7),
+        ),
+        (
+            "ckt-b",
+            scaled(WorkloadSpec::ckt_b()),
+            XCancelConfig::new(32, 7),
+        ),
+        (
+            "ckt-c",
+            scaled(WorkloadSpec::ckt_c()),
+            XCancelConfig::new(32, 7),
+        ),
+    ]
+}
+
+#[test]
+fn plan_options_are_thread_count_invariant() {
+    for (name, xmap, cancel) in paper_maps() {
+        for strategy in [SplitStrategy::LargestClass, SplitStrategy::BestCost] {
+            for policy in [
+                CellSelection::First,
+                CellSelection::Seeded(41),
+                CellSelection::GlobalMaxX,
+            ] {
+                let run = |threads: usize| {
+                    PartitionEngine::with_options(
+                        cancel,
+                        PlanOptions {
+                            strategy,
+                            policy,
+                            threads,
+                            ..PlanOptions::default()
+                        },
+                    )
+                    .run(&xmap)
+                };
+                let baseline = run(1);
+                for threads in [2usize, 8] {
+                    assert_eq!(
+                        baseline,
+                        run(threads),
+                        "thread divergence on {name} ({strategy:?}, {policy:?}, {threads} threads)"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bounded_options_steer_the_run() {
+    let (_, xmap, cancel) = paper_maps().swap_remove(1); // scaled CKT-A
+    let bounded = PartitionEngine::with_options(
+        cancel,
+        PlanOptions {
+            cost_stop: false,
+            max_rounds: Some(3),
+            ..PlanOptions::default()
+        },
+    )
+    .run(&xmap);
+    assert!(
+        bounded.rounds.len() <= 3,
+        "--max-rounds 3 must cap the rounds, got {}",
+        bounded.rounds.len()
+    );
+
+    // Seeded policy is deterministic in the seed, and thread-invariant.
+    let seeded = |threads: usize| {
+        PartitionEngine::with_options(
+            cancel,
+            PlanOptions {
+                policy: CellSelection::Seeded(41),
+                threads,
+                ..PlanOptions::default()
+            },
+        )
+        .run(&xmap)
+    };
+    assert_eq!(seeded(1), seeded(1));
+    assert_eq!(seeded(1), seeded(8));
+}
+
+#[test]
+fn default_options_match_the_plain_constructor() {
+    let (_, xmap, cancel) = paper_maps().swap_remove(3); // scaled CKT-C
+    let plain = PartitionEngine::new(cancel).run(&xmap);
+    let via_options = PartitionEngine::with_options(cancel, PlanOptions::default()).run(&xmap);
+    assert_eq!(plain, via_options);
+
+    // The backend field is planning metadata: it selects a backend at the
+    // `PlanBackend` layer but never perturbs the hybrid engine itself.
+    let tagged = PartitionEngine::with_options(
+        cancel,
+        PlanOptions {
+            backend: BackendId::Superset,
+            ..PlanOptions::default()
+        },
+    )
+    .run(&xmap);
+    assert_eq!(plain, tagged);
 }

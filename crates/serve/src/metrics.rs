@@ -178,7 +178,8 @@ pub(crate) struct Metrics {
     pub verify_failures: AtomicU64,
     /// Wall time spent in the certificate checker.
     pub verify_ns: Histogram,
-    /// End-to-end request handling time.
+    /// End-to-end request handling time, of every request but a
+    /// `GET /metrics` scrape.
     pub total_ns: Histogram,
     /// `--push-metrics` POSTs that failed.
     pub push_errors: AtomicU64,

@@ -206,6 +206,32 @@ fn concurrent_identical_submissions_single_flight() {
 }
 
 #[test]
+fn scrapes_are_not_total_stage_samples() {
+    // Scrape, plan once, scrape again: the `total` stage gains exactly
+    // the samples the `plan` stage gains, so the stage means cover the
+    // same requests. Both scrapes still count as requests.
+    let server = TestServer::start("scrape-total", 1);
+    let total = "xhc_stage_latency_ns_count{stage=\"total\"}";
+    let plan = "xhc_stage_latency_ns_count{stage=\"plan\"}";
+    let before = [total, plan, "xhc_requests_total"].map(|m| server.metric(m));
+    let body = encode_xmap(&test_spec().generate());
+    let response = client::post(
+        server.addr,
+        "/v1/plan?m=32&q=7",
+        "application/octet-stream",
+        &body,
+    )
+    .unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("x-xhc-cache"), Some("miss"));
+    let after = [total, plan, "xhc_requests_total"].map(|m| server.metric(m));
+    assert_eq!(after[1] - before[1], 1, "one engine run");
+    assert_eq!(after[0] - before[0], after[1] - before[1]);
+    // Each scrape counts itself: the plan and the three later scrapes.
+    assert_eq!(after[2] - before[2], 4);
+}
+
+#[test]
 fn text_and_wire_submissions_share_a_cache_entry() {
     let spec = test_spec();
     let xmap = spec.generate();

@@ -4,10 +4,13 @@
 # export parses as JSON and contains the engine spans the DESIGN doc
 # promises (partition.round, gauss.eliminate) plus the cancel counters
 # and the packed-kernel counters (xbm.superset_calls per candidate sweep,
-# xbm.lane_words from the unrolled sweep, xbm.shards from the
-# intra-candidate sharded path — scale 10 keeps the active-cell pool
-# above the engine's minimum shard size, and --threads 4 makes the pool
-# wide enough that the seed evaluation shards its sweep).
+# xbm.lane_words from the unrolled sweep). Then it plans full CKT-B and
+# CKT-C and asserts BestCost prices each partition's candidates once (at
+# most 4,300 and 6,600 `partition.candidates`) and that the
+# intra-candidate sharded path reports its fan-out (xbm.shards): the
+# engine shards only sweeps of at least 2^16 word tests per shard, which
+# the full maps have and the scaled one does not, and --threads 4 makes
+# the pool wide enough for a seed evaluation to shard.
 #
 # Usage: scripts/trace_smoke.sh
 set -euo pipefail
@@ -47,9 +50,8 @@ for name in ("cancel.halts", "cancel.x_total"):
     assert name in counters, (name, counters)
 
 # Packed-kernel counters: the sweep reports its call count and its
-# full-lane word coverage, and the intra-candidate sharded path its
-# shard fan-out.
-for name in ("xbm.superset_calls", "xbm.lane_words", "xbm.shards"):
+# full-lane word coverage.
+for name in ("xbm.superset_calls", "xbm.lane_words"):
     assert counters.get(name, 0) > 0, (name, counters)
 
 rounds = [e for e in events if e["ph"] == "X" and e["name"] == "partition.round"]
@@ -57,3 +59,21 @@ assert all("round" in e["args"] for e in rounds), rounds
 print(f"trace smoke OK: {sum(spans.values())} spans "
       f"({spans.get('partition.round')} rounds), counters {sorted(counters)}")
 EOF
+
+# Full-size BestCost: candidates are counts, so no host can move them.
+for bound in ckt-b:4300 ckt-c:6600; do
+  profile="${bound%%:*}"
+  "$xhybrid" plan --profile "$profile" --strategy best-cost --threads 4 \
+    --trace "$work/$profile.json" > /dev/null 2>&1
+  python3 - "$work/$profile.json" "$profile" "${bound##*:}" <<'EOF'
+import json, sys
+
+path, profile, bound = sys.argv[1], sys.argv[2], int(sys.argv[3])
+counters = {e["name"]: e["args"]["value"] for e in json.load(open(path)) if e["ph"] == "C"}
+candidates = counters.get("partition.candidates", 0)
+assert 0 < candidates <= bound, (profile, candidates, bound)
+assert counters.get("xbm.shards", 0) > 0, (profile, counters)
+print(f"trace smoke OK: full {profile} priced {candidates} candidates (<= {bound}), "
+      f"pruned {counters.get('partition.pruned', 0)}, {counters['xbm.shards']} shards")
+EOF
+done

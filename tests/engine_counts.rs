@@ -1,0 +1,75 @@
+//! The engine's deterministic work counts, pinned. The number of
+//! BestCost split candidates, how many the gain bound skips, and the
+//! superset kernel's calls and rows are functions of the map alone, so
+//! they repeat exactly on any host and at any thread count; the
+//! kernel's lane words and row bands also depend on the pool width. A
+//! change that makes the engine price more, or sweep more rows, fails
+//! here everywhere, not only on a quiet benchmark host.
+
+use xhc_trace::{Trace, TraceSession};
+use xhybrid::prelude::*;
+
+/// `(partition.candidates, partition.pruned, xbm.superset_calls,
+/// xbm.rows_tested)` of a BestCost plan of each /10-scaled circuit.
+const COUNTS: [(&str, [u64; 4]); 3] = [
+    ("ckt-a", [57, 11, 46, 9_292]),
+    ("ckt-b", [462, 15, 447, 164_784]),
+    ("ckt-c", [757, 13, 744, 495_748]),
+];
+
+/// `(xbm.lane_words, xbm.shards)` at [`LANE_THREADS`] engine threads.
+/// No sweep of a /10 map is large enough to be worth sharding, so a
+/// change that fans out sweeps this small fails here too.
+const LANES: [[u64; 2]; 3] = [[184, 0], [1_788, 0], [2_976, 0]];
+const LANE_THREADS: usize = 4;
+
+fn traced_plan(xmap: &XMap, threads: usize) -> (PartitionOutcome, Trace) {
+    let session = TraceSession::begin().expect("no other trace session is active");
+    let outcome = PartitionEngine::with_options(
+        XCancelConfig::new(32, 7),
+        PlanOptions {
+            strategy: SplitStrategy::BestCost,
+            threads,
+            ..PlanOptions::default()
+        },
+    )
+    .run(xmap);
+    (outcome, session.finish())
+}
+
+#[test]
+fn best_cost_work_counts_are_pinned() {
+    let specs = [
+        WorkloadSpec::ckt_a(),
+        WorkloadSpec::ckt_b(),
+        WorkloadSpec::ckt_c(),
+    ];
+    let cancel = XCancelConfig::new(32, 7);
+    for ((spec, (name, want)), want_lanes) in specs.into_iter().zip(COUNTS).zip(LANES) {
+        let xmap = spec.scaled(10).generate();
+        let count = |trace: &Trace, counter: &str| trace.counter(counter).unwrap_or(0);
+        let (base, _) = traced_plan(&xmap, 1);
+        let bytes = xhc_wire::encode_plan(&base, xmap.num_patterns());
+        let cert = xhc_verify::certify_plan(&xmap, cancel, &base, &bytes, None);
+        xhc_verify::check(&cert, &base, &bytes, &xmap, cancel)
+            .unwrap_or_else(|e| panic!("{name}: the plan fails its certificate: {e}"));
+        for threads in [1, 2, 8] {
+            let (outcome, trace) = traced_plan(&xmap, threads);
+            assert_eq!(
+                outcome, base,
+                "{name}: the plan differs at {threads} threads"
+            );
+            let got = [
+                "partition.candidates",
+                "partition.pruned",
+                "xbm.superset_calls",
+                "xbm.rows_tested",
+            ]
+            .map(|c| count(&trace, c));
+            assert_eq!(got, want, "{name} at {threads} threads");
+        }
+        let (_, trace) = traced_plan(&xmap, LANE_THREADS);
+        let lanes = ["xbm.lane_words", "xbm.shards"].map(|c| count(&trace, c));
+        assert_eq!(lanes, want_lanes, "{name} at {LANE_THREADS} threads");
+    }
+}
