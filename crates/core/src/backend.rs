@@ -950,6 +950,97 @@ mod tests {
         assert_eq!(r.leaked_x, 5);
     }
 
+    /// Lost observability by definition: every (pattern, cycle, chain)
+    /// position holding a non-X value whose three outputs each carry an
+    /// X from some other chain in that cycle.
+    fn xcode_lost_by_sweep(xmap: &XMap) -> usize {
+        let config = xmap.config();
+        let chains = config.num_chains();
+        let columns = xcode_columns(chains);
+        let is_x = |p: usize, chain: usize, cycle: usize| {
+            cycle < config.chain_len(chain)
+                && xmap
+                    .xset(CellId::new(chain, cycle))
+                    .is_some_and(|xs| xs.contains(p))
+        };
+        let mut lost = 0;
+        for p in 0..xmap.num_patterns() {
+            for cycle in 0..config.max_chain_len() {
+                for chain in (0..chains).filter(|&ch| cycle < config.chain_len(ch)) {
+                    let blind = columns[chain].iter().all(|o| {
+                        (0..chains).any(|other| is_x(p, other, cycle) && columns[other].contains(o))
+                    });
+                    if !is_x(p, chain, cycle) && blind {
+                        lost += 1;
+                    }
+                }
+            }
+        }
+        lost
+    }
+
+    #[test]
+    fn xcode_lost_observability_equals_a_naive_sweep() {
+        // Uneven chain lengths, so some chains have no cell in the last
+        // cycles. 12 chains take 6 outputs (C(5,3) = 10 < 12 <= 20): a
+        // cycle whose X's dirty at most 5 outputs is counted by
+        // enumerating dirty triples, one dirtying all 6 by sweeping every
+        // chain. Both branches must be reached.
+        let mut rng = xhc_prng::XhcRng::seed_from_u64(0x3C0DE);
+        let (mut triple_cycles, mut sweep_cycles) = (0, 0);
+        for (chains, density) in [(12usize, 0.08), (12, 0.25), (7, 0.15), (40, 0.05)] {
+            let lengths: Vec<usize> = (0..chains).map(|_| rng.gen_range(3..9usize)).collect();
+            let config = ScanConfig::new(lengths);
+            let patterns = 24;
+            let mut b = XMapBuilder::new(config.clone(), patterns);
+            for cell in config.iter_cells() {
+                for p in 0..patterns {
+                    if rng.gen_bool(density) {
+                        b.add_x(cell, p).unwrap();
+                    }
+                }
+            }
+            let xmap = b.finish();
+            let columns = xcode_columns(chains);
+            for p in 0..patterns {
+                for cycle in 0..config.max_chain_len() {
+                    let mut dirty: Vec<u16> = (0..chains)
+                        .filter(|&ch| {
+                            cycle < config.chain_len(ch)
+                                && xmap
+                                    .xset(CellId::new(ch, cycle))
+                                    .is_some_and(|xs| xs.contains(p))
+                        })
+                        .flat_map(|ch| columns[ch])
+                        .collect();
+                    dirty.sort_unstable();
+                    dirty.dedup();
+                    let d = dirty.len();
+                    if d > 3 {
+                        if d * (d - 1) * (d - 2) / 6 <= chains {
+                            triple_cycles += 1;
+                        } else {
+                            sweep_cycles += 1;
+                        }
+                    }
+                }
+            }
+            let r = XCodeBackend.plan(
+                &WorkloadInput::new(&xmap, XCancelConfig::paper_default()),
+                &PlanOptions::default(),
+            );
+            assert_eq!(
+                r.lost_observability,
+                xcode_lost_by_sweep(&xmap),
+                "{chains} chains at density {density}"
+            );
+        }
+        assert!(
+            triple_cycles > 0 && sweep_cycles > 0,
+            "triples {triple_cycles}, sweeps {sweep_cycles}"
+        );
+    }
+
     #[test]
     fn xcode_loses_fully_covered_chains() {
         // 4 chains -> j = 4, columns are the four 3-subsets of {0,1,2,3}.

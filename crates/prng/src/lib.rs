@@ -83,6 +83,7 @@ impl XhcRng {
     }
 
     /// The next 64 uniformly-distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -95,9 +96,20 @@ impl XhcRng {
         result
     }
 
-    /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
+    /// The next 53 uniformly-distributed bits: the draw [`next_f64`]
+    /// scales into `[0, 1)` with [`unit_f64`].
+    ///
+    /// [`next_f64`]: XhcRng::next_f64
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// A uniform `f64` in `[0, 1)` with 53 bits of precision:
+    /// `unit_f64(self.next_u53())`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u53())
     }
 
     /// A Bernoulli draw with success probability `p`.
@@ -122,6 +134,7 @@ impl XhcRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn gen_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "empty range");
         let range = n as u64;
@@ -141,9 +154,20 @@ impl XhcRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
+}
+
+/// The `f64` in `[0, 1)` that a 53-bit draw `k` stands for: exactly
+/// `k / 2^53` (every `k <= 2^53` converts without rounding). [`XhcRng::next_f64`] is `unit_f64(next_u53())`, so
+/// `unit_f64(k) * t` is, bit for bit, the value `gen_range(0.0..t)`
+/// returns for the same draw. The map `k ↦ unit_f64(k) * t` is
+/// monotone, which lets a caller bucket draws by `k` itself.
+#[inline]
+pub fn unit_f64(k: u64) -> f64 {
+    k as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A range type [`XhcRng::gen_range`] can sample from.
@@ -156,6 +180,7 @@ pub trait SampleRange {
 
 impl SampleRange for Range<usize> {
     type Output = usize;
+    #[inline]
     fn sample(self, rng: &mut XhcRng) -> usize {
         assert!(self.start < self.end, "empty range");
         self.start + rng.gen_index(self.end - self.start)
@@ -164,6 +189,7 @@ impl SampleRange for Range<usize> {
 
 impl SampleRange for RangeInclusive<usize> {
     type Output = usize;
+    #[inline]
     fn sample(self, rng: &mut XhcRng) -> usize {
         let (lo, hi) = (*self.start(), *self.end());
         assert!(lo <= hi, "empty range");
@@ -173,6 +199,7 @@ impl SampleRange for RangeInclusive<usize> {
 
 impl SampleRange for Range<f64> {
     type Output = f64;
+    #[inline]
     fn sample(self, rng: &mut XhcRng) -> f64 {
         assert!(self.start < self.end, "empty range");
         self.start + rng.next_f64() * (self.end - self.start)
@@ -352,6 +379,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unit_f64_of_next_u53_is_gen_range_from_zero() {
+        // Same seed on both sides: one stream scaled by hand, one through
+        // `gen_range(0.0..t)`, compared bit for bit.
+        for t in [
+            1.0,
+            3.0,
+            0.1,
+            7_800.0 * 20.085_536_923_187_668,
+            1e300,
+            f64::MIN_POSITIVE,
+        ] {
+            let mut by_hand = XhcRng::seed_from_u64(0x53);
+            let mut ranged = by_hand.clone();
+            for _ in 0..100_000 {
+                let want = ranged.gen_range(0.0..t);
+                let got = unit_f64(by_hand.next_u53()) * t;
+                assert_eq!(got.to_bits(), want.to_bits(), "t {t}");
+            }
+            assert_eq!(by_hand, ranged, "t {t}");
+        }
+        assert_eq!(unit_f64(0), 0.0);
+        assert_eq!(unit_f64((1 << 53) - 1), 1.0 - f64::EPSILON / 2.0);
     }
 
     #[test]

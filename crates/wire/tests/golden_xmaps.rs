@@ -24,6 +24,8 @@ fn generated_maps_match_their_golden_digests() {
         ("scattered pool", scattered_pool(), 195, 6_928, "a930f64ad298cea8"),
         ("groups fill pool", groups_fill_pool(), 10, 805, "f236e28ca2aeec29"),
         ("no groups", no_groups(), 390, 10_001, "e5e70d2fe813302a"),
+        ("one-cell noise pool", one_cell_pool(), 1, 77, "1c5ee8bfa1fa6333"),
+        ("two-cell noise pool", two_cell_pool(), 2, 88, "b8c088a5861b2bcf"),
     ];
     let mut moved = Vec::new();
     for (label, spec, num_x_cells, total_x, digest) in golden {
@@ -75,5 +77,31 @@ fn no_groups() -> WorkloadSpec {
         num_groups: 0,
         seed: 0x06,
         ..WorkloadSpec::ckt_c().scaled(20)
+    }
+}
+
+/// A pool of one cell and no groups: every noise X lands on the same
+/// cell, through the smallest weighted-cell guide (one weight).
+fn one_cell_pool() -> WorkloadSpec {
+    WorkloadSpec {
+        num_groups: 0,
+        correlated_fraction: 0.0,
+        x_cell_fraction: 0.0,
+        x_density: 0.0005,
+        seed: 0x01,
+        ..WorkloadSpec::default()
+    }
+}
+
+/// A pool of two cells and no groups: the smallest guide with a
+/// cumulative weight strictly inside the pick range.
+fn two_cell_pool() -> WorkloadSpec {
+    WorkloadSpec {
+        num_groups: 0,
+        correlated_fraction: 0.0,
+        x_cell_fraction: 0.002,
+        x_density: 0.0005,
+        seed: 0x02,
+        ..WorkloadSpec::default()
     }
 }

@@ -1,7 +1,7 @@
 //! Synthetic industrial workload specification and generation.
 
 use xhc_bits::{PatternSet, XBitMatrix};
-use xhc_prng::{sample_indices, SliceRandom, XhcRng};
+use xhc_prng::{sample_indices, unit_f64, SliceRandom, XhcRng};
 use xhc_scan::{ScanConfig, XMap};
 
 /// A synthetic workload: a scan topology plus a statistically-shaped X
@@ -226,14 +226,20 @@ impl WorkloadSpec {
         // exactly one cell, and `row_of[pos]` is that cell's row.
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_unstable_by_key(|&pos| pool[pos]);
-        let mut row_of = vec![0u32; pool.len()];
-        let mut cells = Vec::with_capacity(pool.len());
+        let pool_len = pool.len();
+        let mut row_of = vec![0u32; pool_len];
+        let mut cells = Vec::with_capacity(pool_len);
         for (row, &pos) in order.iter().enumerate() {
             row_of[pos] = row as u32;
             cells.push(u32::try_from(pool[pos]).expect("linear cell index fits in u32"));
         }
+        // From here on a pool position reaches its row through `row_of`
+        // alone; freeing the sample before the rows are allocated keeps
+        // it out of the generator's high-water mark.
+        drop(order);
+        drop(pool);
         let stride = self.num_patterns.div_ceil(64);
-        let mut words = vec![0u64; pool.len() * stride];
+        let mut words = vec![0u64; pool_len * stride];
         let row = |pos: usize| row_of[pos] as usize * stride;
 
         // Correlated groups: identical pattern set per group, cells drawn
@@ -258,7 +264,7 @@ impl WorkloadSpec {
                 };
                 let cells_in_group = (budget_g / set_size).max(1);
                 for _ in 0..cells_in_group {
-                    if pool_cursor >= pool.len() {
+                    if pool_cursor >= pool_len {
                         break;
                     }
                     let r = row(pool_cursor);
@@ -276,12 +282,12 @@ impl WorkloadSpec {
         // with exactly 406 X's), and the partitioning pivot is defined on
         // those exact-count classes. Only when the groups used up the pool
         // does noise union onto group cells.
-        let noise_start = if pool_cursor < pool.len() {
+        let noise_start = if pool_cursor < pool_len {
             pool_cursor
         } else {
             0
         };
-        let noise_len = pool.len() - noise_start;
+        let noise_len = pool_len - noise_start;
         // Heterogeneous per-cell noise rates (log-uniform weights): real X
         // sources differ wildly in how often they fire, so per-cell X
         // counts spread out instead of clustering binomially around one
@@ -299,25 +305,28 @@ impl WorkloadSpec {
         } else {
             noise_budget
         };
-        let picker = Cutpoints::new(cumulative);
+        let guide = DrawGuide::new(cumulative);
         let num_patterns = u32::try_from(self.num_patterns).expect("pattern index fits in u32");
-        // Each noise X draws its cell (one f64), then its pattern (one
-        // gen_index). A chunk of draws is resolved before any of it is
-        // inserted, so the random stores into the rows stay out of the
-        // draw-and-lookup chain. Pool positions fit in u32 as the cell
-        // indices do.
-        let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(NOISE_CHUNK);
+        // Each noise X draws its cell (the 53 bits `gen_range(0.0..total)`
+        // would scale), then its pattern (one gen_index). A chunk goes
+        // through three passes over one buffer: draw, resolve each entry
+        // in place to its (word, bit), then OR. The random stores into
+        // the rows stay out of the draw-and-lookup chain.
+        let mut chunk: Vec<(u64, u32)> = Vec::with_capacity(NOISE_CHUNK);
         while noise_left > 0 {
             let n = noise_left.min(NOISE_CHUNK);
             chunk.clear();
             chunk.extend((0..n).map(|_| {
-                let pick = rng.gen_range(0.0..total_weight);
-                let pos = noise_start + picker.lookup(pick).min(noise_len - 1);
-                let p = rng.gen_index(num_patterns as usize);
-                (pos as u32, p as u32)
+                let k = rng.next_u53();
+                (k, rng.gen_index(num_patterns as usize) as u32)
             }));
-            for &(pos, p) in &chunk {
-                words[row(pos as usize) + p as usize / 64] |= 1 << (p % 64);
+            for entry in &mut chunk {
+                let pos = noise_start + guide.lookup(entry.0).min(noise_len - 1);
+                let p = entry.1 as usize;
+                *entry = ((row(pos) + p / 64) as u64, (p % 64) as u32);
+            }
+            for &(word, bit) in &chunk {
+                words[word as usize] |= 1 << bit;
             }
             noise_left -= n;
         }
@@ -367,66 +376,71 @@ impl WorkloadSpec {
     }
 }
 
-/// Noise X's resolved per chunk before insertion (8 bytes each).
-const NOISE_CHUNK: usize = 4096;
+/// Noise X's drawn, resolved and inserted per chunk (16 bytes each).
+const NOISE_CHUNK: usize = 1024;
 
-/// Weighted cell selection over a cumulative weight table: the index
-/// `partition_point(|&c| c <= pick)` returns, found with a cutpoint
-/// ("guide") table in O(1) expected time instead of a binary search.
+/// Guide buckets per noise cell.
+const BUCKETS_PER_CELL: usize = 4;
+
+/// Weighted cell selection keyed on a noise X's own 53-bit draw `k`:
+/// the index `partition_point(|&c| c <= pick(k))` returns, where
+/// `pick(k) = unit_f64(k) * total` is the value `gen_range(0.0..total)`
+/// makes of the same draw.
 ///
-/// The pick range `[0, total)` is cut into `2 × len` equal buckets, and
-/// `guide[b]` is the answer for the bucket's lower edge. A lookup
-/// starts there and scans a few steps down and up. The scan makes the
-/// result exact however float rounding places a pick relative to its
-/// bucket edge, so the guide only affects speed.
-struct Cutpoints {
+/// The draws `0..2^53` are cut into `buckets` equal ranges, bucket
+/// `b = (k · buckets) >> 53`, and `guide[b]` is the exact answer for the
+/// bucket's first draw `⌈b · 2^53 / buckets⌉`. `pick` is monotone in `k`,
+/// so every answer in bucket `b` lies in `guide[b]..=guide[b + 1]`. When
+/// the two are equal that is the answer with no float compare at all;
+/// otherwise a scan from `guide[b]` finds it. Either way the result is
+/// exact: rounding can move a pick, never reorder two of them.
+struct DrawGuide {
     cumulative: Vec<f64>,
+    total: f64,
+    buckets: u64,
+    /// `buckets + 1` answers; the last one is for `k = 2^53`.
     guide: Vec<u32>,
-    /// Buckets per unit of weight.
-    scale: f64,
 }
 
-impl Cutpoints {
+/// The first draw of bucket `b` of `buckets`: `⌈b · 2^53 / buckets⌉`.
+fn bucket_first(b: u64, buckets: u64) -> u64 {
+    ((b as u128) << 53).div_ceil(buckets as u128) as u64
+}
+
+impl DrawGuide {
     /// Builds the guide over `cumulative`, which must be non-decreasing.
     fn new(cumulative: Vec<f64>) -> Self {
         let total = cumulative.last().copied().unwrap_or(0.0);
-        if cumulative.is_empty() || total <= 0.0 {
-            return Cutpoints {
-                cumulative,
-                guide: vec![0],
-                scale: 0.0,
-            };
-        }
-        let buckets = 2 * cumulative.len();
-        let width = total / buckets as f64;
+        let buckets = (BUCKETS_PER_CELL * cumulative.len()).max(1) as u64;
         let mut i = 0usize;
-        let guide = (0..buckets)
+        let guide = (0..=buckets)
             .map(|b| {
-                let edge = b as f64 * width;
-                while i < cumulative.len() && cumulative[i] <= edge {
+                let pick = unit_f64(bucket_first(b, buckets)) * total;
+                while i < cumulative.len() && cumulative[i] <= pick {
                     i += 1;
                 }
                 u32::try_from(i).expect("cell count fits in u32")
             })
             .collect();
-        Cutpoints {
+        DrawGuide {
             cumulative,
+            total,
+            buckets,
             guide,
-            scale: buckets as f64 / total,
         }
     }
 
-    /// The first index whose cumulative weight exceeds `pick` (the
-    /// length if none does).
-    fn lookup(&self, pick: f64) -> usize {
-        let c = &self.cumulative;
-        let bucket = ((pick * self.scale) as usize).min(self.guide.len() - 1);
-        let mut i = self.guide[bucket] as usize;
-        while i > 0 && c[i - 1] > pick {
-            i -= 1;
-        }
-        while i < c.len() && c[i] <= pick {
-            i += 1;
+    /// The first index whose cumulative weight exceeds `pick(k)` (the
+    /// length if none does), for a draw `k < 2^53`.
+    #[inline]
+    fn lookup(&self, k: u64) -> usize {
+        let b = ((k as u128 * self.buckets as u128) >> 53) as usize;
+        let (mut i, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        if i < hi {
+            let pick = unit_f64(k) * self.total;
+            while i < hi && self.cumulative[i] <= pick {
+                i += 1;
+            }
         }
         i
     }
@@ -501,49 +515,69 @@ mod tests {
         assert!(largest >= 3, "expected a correlated group, got {largest}");
     }
 
+    const DRAWS: u64 = 1 << 53;
+
+    /// Checks `DrawGuide::lookup` against `partition_point` at every
+    /// bucket's first draw, every weight's threshold draw, both ends of
+    /// the draw range and `random` more draws.
+    fn check_guide(cumulative: &[f64], rng: &mut XhcRng, random: usize) {
+        let len = cumulative.len();
+        let total = *cumulative.last().unwrap();
+        let pick = |k: u64| unit_f64(k) * total;
+        let guide = DrawGuide::new(cumulative.to_vec());
+        assert_eq!(guide.buckets, (BUCKETS_PER_CELL * len) as u64);
+        assert_eq!(guide.guide.len() as u64, guide.buckets + 1);
+        let mut draws = vec![0, DRAWS - 1];
+        for b in 0..=guide.buckets {
+            let first = bucket_first(b, guide.buckets);
+            draws.extend([first.saturating_sub(1), first, first + 1]);
+        }
+        // Each weight's threshold draw: the first `k` whose pick reaches
+        // it, found by binary search over the draws.
+        for &c in cumulative {
+            let (mut lo, mut hi) = (0u64, DRAWS);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if pick(mid) >= c {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            draws.extend([lo.saturating_sub(1), lo, lo + 1]);
+        }
+        draws.extend((0..random).map(|_| rng.next_u53()));
+        for k in draws.into_iter().filter(|&k| k < DRAWS) {
+            let want = cumulative.partition_point(|&c| c <= pick(k));
+            assert_eq!(guide.lookup(k), want, "len {len}, k {k}");
+        }
+    }
+
     #[test]
-    fn cutpoint_lookup_equals_partition_point() {
+    fn draw_guide_lookup_equals_partition_point() {
         let mut rng = XhcRng::seed_from_u64(0xC07);
         for len in [1usize, 2, 63, 64, 65, 7_800] {
+            // The generator's own weights.
             let cumulative: Vec<f64> = (0..len)
                 .scan(0.0f64, |acc, _| {
                     *acc += rng.gen_range(0.0..3.0f64).exp();
                     Some(*acc)
                 })
                 .collect();
-            let total = *cumulative.last().unwrap();
-            let cells = Cutpoints::new(cumulative.clone());
-            let mut picks = vec![0.0, total.next_down(), total];
-            for &c in &cumulative {
-                picks.extend([c, c.next_down(), c.next_up()]);
-            }
-            // Bucket edges, and the floats on either side of them.
-            let buckets = cells.guide.len();
-            for b in 0..=buckets {
-                for edge in [b as f64 * (total / buckets as f64), b as f64 / cells.scale] {
-                    picks.extend([edge, edge.next_down(), edge.next_up()]);
-                }
-            }
-            picks.extend((0..1000).map(|_| rng.gen_range(0.0..total)));
-            // The scan must be exact from any start, as when rounding
-            // puts a pick in the bucket past its answer: a guide of
-            // arbitrary in-range starts drives it both ways.
-            let scrambled = Cutpoints {
-                cumulative: cumulative.clone(),
-                guide: (0..buckets)
-                    .map(|_| rng.gen_index(len + 1) as u32)
-                    .collect(),
-                scale: cells.scale,
-            };
-            for pick in picks.into_iter().filter(|p| *p >= 0.0) {
-                let want = cumulative.partition_point(|&c| c <= pick);
-                assert_eq!(cells.lookup(pick), want, "len {len}, pick {pick}");
-                assert_eq!(
-                    scrambled.lookup(pick),
-                    want,
-                    "scrambled, len {len}, pick {pick}"
-                );
-            }
+            check_guide(&cumulative, &mut rng, 1000);
+            // Weights that sit exactly on the picks of bucket edges and
+            // of the draws either side, so an answer changes right at a
+            // bucket's first draw.
+            let total = len as f64 * 7.3;
+            let buckets = (BUCKETS_PER_CELL * len) as u64;
+            let mut aligned: Vec<f64> = (0..len as u64 - 1)
+                .map(|j| {
+                    let first = bucket_first(BUCKETS_PER_CELL as u64 * j + 1, buckets);
+                    unit_f64(first + j % 3 - 1) * total
+                })
+                .collect();
+            aligned.push(total);
+            check_guide(&aligned, &mut rng, 0);
         }
     }
 
