@@ -107,11 +107,16 @@ fn main() {
         });
     }
 
-    // Workload generation itself: the full-size CKT-C map, the largest
-    // of the three full-size maps to build.
-    h.bench_capped("workload/generate_full_ckt_c", 5, || {
-        black_box(black_box(WorkloadSpec::ckt_c()).generate())
-    });
+    // Workload generation itself: the full-size CKT-B and CKT-C maps,
+    // the two of the three full-size maps that are costly to build.
+    for (name, spec) in [
+        ("ckt_b", WorkloadSpec::ckt_b()),
+        ("ckt_c", WorkloadSpec::ckt_c()),
+    ] {
+        h.bench_capped(&format!("workload/generate_full_{name}"), 5, || {
+            black_box(black_box(&spec).generate())
+        });
+    }
 
     // Certificate overhead: plan once outside the timer, then time the
     // full certify + independent-check pass the daemon runs on every

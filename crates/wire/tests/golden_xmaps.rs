@@ -6,6 +6,7 @@
 //! row pins the content hash of the map's canonical wire encoding, with
 //! its X-cell and X counts so a mismatch says which way it moved.
 
+use xhc_core::inter_correlation_stats;
 use xhc_wire::{content_hash, encode_xmap, hash_hex};
 use xhc_workload::WorkloadSpec;
 
@@ -48,6 +49,43 @@ fn generated_maps_match_their_golden_digests() {
     );
 }
 
+/// The §3 inter-correlation profile of each full-size circuit. The
+/// digests above say *that* a map moved; these say what the move cost
+/// the profile the synthetic circuits stand in for (the paper's CKT-B:
+/// 90% of X's in 4.9% of cells, 172 of 177 cells with one pattern set,
+/// 177 cells with 406 X's each).
+#[test]
+fn full_maps_keep_their_sec3_profile() {
+    // (label, spec, [x cells, total X, cells holding 90% of the X's,
+    // largest identical-set group, largest count class's cells, that
+    // class's X count]), one row per line.
+    #[rustfmt::skip]
+    let golden = [
+        ("CKT-A", WorkloadSpec::ckt_a(), [2020, 729_802, 1168, 178, 178, 956]),
+        ("CKT-B", WorkloadSpec::ckt_b(), [3896, 2_821_638, 2235, 430, 430, 1266]),
+        ("CKT-C", WorkloadSpec::ckt_c(), [7811, 6_116_320, 5262, 844, 846, 908]),
+    ];
+    let mut moved = Vec::new();
+    for (label, spec, want) in golden {
+        let s = inter_correlation_stats(&spec.generate());
+        // `cells_for_90pct` is that count over `total_cells`: pin the
+        // count itself.
+        let cells_for_90pct = (s.cells_for_90pct * s.total_cells as f64).round() as usize;
+        let got = [
+            s.x_cells,
+            s.total_x,
+            cells_for_90pct,
+            s.largest_identical_group,
+            s.largest_count_class,
+            s.largest_count_class_count,
+        ];
+        if got != want {
+            moved.push(format!("{label}: want {want:?}, got {got:?}"));
+        }
+    }
+    assert!(moved.is_empty(), "§3 profiles moved:\n{}", moved.join("\n"));
+}
+
 // Edge paths of the generator that the presets do not reach.
 
 /// `spatial_clustering: 0.0`: the pool is sampled uniformly and then
@@ -81,7 +119,7 @@ fn no_groups() -> WorkloadSpec {
 }
 
 /// A pool of one cell and no groups: every noise X lands on the same
-/// cell, through the smallest weighted-cell guide (one weight).
+/// cell, through the smallest weighted-cell table (one weight).
 fn one_cell_pool() -> WorkloadSpec {
     WorkloadSpec {
         num_groups: 0,
@@ -93,7 +131,7 @@ fn one_cell_pool() -> WorkloadSpec {
     }
 }
 
-/// A pool of two cells and no groups: the smallest guide with a
+/// A pool of two cells and no groups: the smallest table with a
 /// cumulative weight strictly inside the pick range.
 fn two_cell_pool() -> WorkloadSpec {
     WorkloadSpec {

@@ -305,7 +305,8 @@ impl WorkloadSpec {
         } else {
             noise_budget
         };
-        let guide = DrawGuide::new(cumulative);
+        let table = DrawTable::new(&cumulative);
+        drop(cumulative);
         let num_patterns = u32::try_from(self.num_patterns).expect("pattern index fits in u32");
         // Each noise X draws its cell (the 53 bits `gen_range(0.0..total)`
         // would scale), then its pattern (one gen_index). A chunk goes
@@ -321,7 +322,7 @@ impl WorkloadSpec {
                 (k, rng.gen_index(num_patterns as usize) as u32)
             }));
             for entry in &mut chunk {
-                let pos = noise_start + guide.lookup(entry.0).min(noise_len - 1);
+                let pos = noise_start + table.lookup(entry.0).min(noise_len - 1);
                 let p = entry.1 as usize;
                 *entry = ((row(pos) + p / 64) as u64, (p % 64) as u32);
             }
@@ -379,54 +380,76 @@ impl WorkloadSpec {
 /// Noise X's drawn, resolved and inserted per chunk (16 bytes each).
 const NOISE_CHUNK: usize = 1024;
 
-/// Guide buckets per noise cell.
+/// Draw buckets per noise cell, at least (rounded up to a power of two).
 const BUCKETS_PER_CELL: usize = 4;
+
+/// The number of 53-bit draws: `k` runs over `0..DRAWS`.
+const DRAWS: u64 = 1 << 53;
 
 /// Weighted cell selection keyed on a noise X's own 53-bit draw `k`:
 /// the index `partition_point(|&c| c <= pick(k))` returns, where
 /// `pick(k) = unit_f64(k) * total` is the value `gen_range(0.0..total)`
 /// makes of the same draw.
 ///
-/// The draws `0..2^53` are cut into `buckets` equal ranges, bucket
-/// `b = (k · buckets) >> 53`, and `guide[b]` is the exact answer for the
-/// bucket's first draw `⌈b · 2^53 / buckets⌉`. `pick` is monotone in `k`,
-/// so every answer in bucket `b` lies in `guide[b]..=guide[b + 1]`. When
-/// the two are equal that is the answer with no float compare at all;
-/// otherwise a scan from `guide[b]` finds it. Either way the result is
-/// exact: rounding can move a pick, never reorder two of them.
-struct DrawGuide {
-    cumulative: Vec<f64>,
-    total: f64,
-    buckets: u64,
-    /// `buckets + 1` answers; the last one is for `k = 2^53`.
-    guide: Vec<u32>,
+/// `pick` is monotone in `k`, so each weight `c` has a threshold draw
+/// `T = min k` with `pick(k) >= c`, and `c <= pick(k) ⇔ k >= T`. The
+/// answer is therefore `#{i : T[i] <= k}`, an integer count with no
+/// float compare left in it. The draws are cut into `2^m` power-of-two
+/// buckets `b = k >> sh` (`sh = 53 - m`), and one entry per bucket holds
+/// `lo`, the answer at the bucket's first draw `b << sh`; the offset of
+/// the next threshold `T[lo]` from that draw (`2^sh` when it lies past
+/// the bucket); and a flag when a second threshold falls in the bucket
+/// too. An unflagged bucket answers `lo + (k's offset >= T[lo]'s)`; a
+/// flagged one scans the thresholds upward from there.
+struct DrawTable {
+    /// `T[i]` per weight, then a `u64::MAX` sentinel that ends a scan.
+    thresholds: Vec<u64>,
+    /// Per bucket: `lo << (sh + 2) | flag << (sh + 1) | offset`.
+    buckets: Vec<u64>,
+    sh: u32,
 }
 
-/// The first draw of bucket `b` of `buckets`: `⌈b · 2^53 / buckets⌉`.
-fn bucket_first(b: u64, buckets: u64) -> u64 {
-    ((b as u128) << 53).div_ceil(buckets as u128) as u64
+/// The least draw `k <= 2^53` whose pick `unit_f64(k) * total` reaches
+/// `c <= total`. `c / total · 2^53` is within a few draws of it.
+fn threshold(c: f64, total: f64) -> u64 {
+    let pick = |k: u64| unit_f64(k) * total;
+    let mut k = ((c / total * DRAWS as f64) as u64).min(DRAWS);
+    while k > 0 && pick(k - 1) >= c {
+        k -= 1;
+    }
+    while k < DRAWS && pick(k) < c {
+        k += 1;
+    }
+    k
 }
 
-impl DrawGuide {
-    /// Builds the guide over `cumulative`, which must be non-decreasing.
-    fn new(cumulative: Vec<f64>) -> Self {
+impl DrawTable {
+    /// Builds the table over `cumulative`, which must be non-decreasing.
+    fn new(cumulative: &[f64]) -> Self {
         let total = cumulative.last().copied().unwrap_or(0.0);
-        let buckets = (BUCKETS_PER_CELL * cumulative.len()).max(1) as u64;
-        let mut i = 0usize;
-        let guide = (0..=buckets)
+        let mut thresholds: Vec<u64> = cumulative.iter().map(|&c| threshold(c, total)).collect();
+        thresholds.push(u64::MAX);
+        let count = (BUCKETS_PER_CELL * cumulative.len()).next_power_of_two();
+        let sh = 53 - count.trailing_zeros();
+        let width = 1u64 << sh;
+        let mut lo = 0usize;
+        let buckets = (0..count as u64)
             .map(|b| {
-                let pick = unit_f64(bucket_first(b, buckets)) * total;
-                while i < cumulative.len() && cumulative[i] <= pick {
-                    i += 1;
+                let first = b << sh;
+                while thresholds[lo] <= first {
+                    lo += 1;
                 }
-                u32::try_from(i).expect("cell count fits in u32")
+                // Every threshold from `lo` on lies past `first`, and
+                // the sentinel past every bucket.
+                let offset = (thresholds[lo] - first).min(width);
+                let flag = thresholds.get(lo + 1).is_some_and(|&t| t - first < width) as u64;
+                ((lo as u64) << (sh + 2)) | (flag << (sh + 1)) | offset
             })
             .collect();
-        DrawGuide {
-            cumulative,
-            total,
+        DrawTable {
+            thresholds,
             buckets,
-            guide,
+            sh,
         }
     }
 
@@ -434,11 +457,12 @@ impl DrawGuide {
     /// length if none does), for a draw `k < 2^53`.
     #[inline]
     fn lookup(&self, k: u64) -> usize {
-        let b = ((k as u128 * self.buckets as u128) >> 53) as usize;
-        let (mut i, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        if i < hi {
-            let pick = unit_f64(k) * self.total;
-            while i < hi && self.cumulative[i] <= pick {
+        let entry = self.buckets[(k >> self.sh) as usize];
+        let offset = entry & ((2 << self.sh) - 1);
+        let mut i = (entry >> (self.sh + 2)) as usize;
+        i += ((k & ((1 << self.sh) - 1)) >= offset) as usize;
+        if (entry >> (self.sh + 1)) & 1 != 0 {
+            while self.thresholds[i] <= k {
                 i += 1;
             }
         }
@@ -515,70 +539,82 @@ mod tests {
         assert!(largest >= 3, "expected a correlated group, got {largest}");
     }
 
-    const DRAWS: u64 = 1 << 53;
-
-    /// Checks `DrawGuide::lookup` against `partition_point` at every
-    /// bucket's first draw, every weight's threshold draw, both ends of
-    /// the draw range and `random` more draws.
-    fn check_guide(cumulative: &[f64], rng: &mut XhcRng, random: usize) {
+    /// Checks `DrawTable::lookup` against `partition_point` at every
+    /// bucket's first draw ±1, every threshold draw ±1, both ends of the
+    /// draw range and `random` more draws. Returns how many probes only
+    /// the flagged buckets' scan could answer (the answer lies two or
+    /// more past the bucket's `lo`).
+    fn check_table(cumulative: &[f64], rng: &mut XhcRng, random: usize) -> usize {
         let len = cumulative.len();
         let total = *cumulative.last().unwrap();
         let pick = |k: u64| unit_f64(k) * total;
-        let guide = DrawGuide::new(cumulative.to_vec());
-        assert_eq!(guide.buckets, (BUCKETS_PER_CELL * len) as u64);
-        assert_eq!(guide.guide.len() as u64, guide.buckets + 1);
+        let table = DrawTable::new(cumulative);
+        let count = table.buckets.len();
+        assert!(count.is_power_of_two() && count >= BUCKETS_PER_CELL * len);
+        assert_eq!(count << table.sh, DRAWS as usize);
+        assert_eq!(table.thresholds.len(), len + 1);
+        assert_eq!(table.thresholds[len], u64::MAX);
         let mut draws = vec![0, DRAWS - 1];
-        for b in 0..=guide.buckets {
-            let first = bucket_first(b, guide.buckets);
+        for b in 0..count as u64 {
+            let first = b << table.sh;
             draws.extend([first.saturating_sub(1), first, first + 1]);
         }
-        // Each weight's threshold draw: the first `k` whose pick reaches
-        // it, found by binary search over the draws.
-        for &c in cumulative {
-            let (mut lo, mut hi) = (0u64, DRAWS);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if pick(mid) >= c {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            draws.extend([lo.saturating_sub(1), lo, lo + 1]);
+        for &t in &table.thresholds[..len] {
+            draws.extend([t.saturating_sub(1), t, t + 1]);
         }
         draws.extend((0..random).map(|_| rng.next_u53()));
+        let mut scanned = 0;
         for k in draws.into_iter().filter(|&k| k < DRAWS) {
             let want = cumulative.partition_point(|&c| c <= pick(k));
-            assert_eq!(guide.lookup(k), want, "len {len}, k {k}");
+            assert_eq!(table.lookup(k), want, "len {len}, k {k}");
+            let entry = table.buckets[(k >> table.sh) as usize];
+            let flagged = (entry >> (table.sh + 1)) & 1 != 0;
+            if flagged && want >= (entry >> (table.sh + 2)) as usize + 2 {
+                scanned += 1;
+            }
         }
+        scanned
+    }
+
+    /// Cumulative sums of `weights`.
+    fn cumulate(weights: impl Iterator<Item = f64>) -> Vec<f64> {
+        weights
+            .scan(0.0f64, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            })
+            .collect()
     }
 
     #[test]
-    fn draw_guide_lookup_equals_partition_point() {
+    fn draw_table_lookup_equals_partition_point() {
         let mut rng = XhcRng::seed_from_u64(0xC07);
         for len in [1usize, 2, 63, 64, 65, 7_800] {
             // The generator's own weights.
-            let cumulative: Vec<f64> = (0..len)
-                .scan(0.0f64, |acc, _| {
-                    *acc += rng.gen_range(0.0..3.0f64).exp();
-                    Some(*acc)
-                })
-                .collect();
-            check_guide(&cumulative, &mut rng, 1000);
+            let cumulative = cumulate((0..len).map(|_| rng.gen_range(0.0..3.0f64).exp()));
+            check_table(&cumulative, &mut rng, 1000);
             // Weights that sit exactly on the picks of bucket edges and
             // of the draws either side, so an answer changes right at a
             // bucket's first draw.
             let total = len as f64 * 7.3;
-            let buckets = (BUCKETS_PER_CELL * len) as u64;
+            let sh = 53
+                - (BUCKETS_PER_CELL * len)
+                    .next_power_of_two()
+                    .trailing_zeros();
             let mut aligned: Vec<f64> = (0..len as u64 - 1)
                 .map(|j| {
-                    let first = bucket_first(BUCKETS_PER_CELL as u64 * j + 1, buckets);
+                    let first = (BUCKETS_PER_CELL as u64 * j + 1) << sh;
                     unit_f64(first + j % 3 - 1) * total
                 })
                 .collect();
             aligned.push(total);
-            check_guide(&aligned, &mut rng, 0);
+            check_table(&aligned, &mut rng, 0);
         }
+        // Thousands of weight-1 cells beside one weight-10^6 cell: the
+        // light cells' thresholds crowd dozens to a bucket.
+        let weights = (0..3_001).map(|i| if i == 1_500 { 1e6 } else { 1.0 });
+        let scanned = check_table(&cumulate(weights), &mut rng, 1000);
+        assert!(scanned > 0, "no probe took the flagged buckets' scan");
     }
 
     #[test]
