@@ -891,46 +891,6 @@ impl PartitionEngine {
         let (final_cost, masks) = hybrid_cost_with_masks(xmap, &partitions, self.cancel);
         debug_assert!((final_cost.total() - cost.total()).abs() < 1e-6);
 
-        // Self-checks mirroring the xhc-lint rules (kept inline: lint
-        // depends on this crate, so it cannot be called from here).
-        #[cfg(debug_assertions)]
-        {
-            // XL0301 partition-cover: disjoint cover of the pattern set.
-            let mut union = PatternSet::empty(num_patterns);
-            for part in &partitions {
-                debug_assert!(
-                    union.is_disjoint_from(part),
-                    "partition plan has overlapping partitions"
-                );
-                union = union.union(part);
-            }
-            debug_assert_eq!(
-                union.card(),
-                num_patterns,
-                "partition plan does not cover every pattern"
-            );
-            // XL0302 unsafe-mask: a masked cell is X under every pattern
-            // of its partition (no coverage loss).
-            for (part, mask) in partitions.iter().zip(&masks) {
-                for idx in 0..xmap.config().total_cells() {
-                    if mask.masks(idx) {
-                        let cell = xmap.config().cell_at(idx);
-                        debug_assert!(
-                            xmap.xset(cell).is_some_and(|xs| part.is_subset_of(xs)),
-                            "mask gates a non-X response at cell {cell}"
-                        );
-                    }
-                }
-            }
-            // XL0303 cost-mismatch: accounting balances the X budget.
-            debug_assert_eq!(
-                final_cost.masked_x + final_cost.leaked_x,
-                total_x,
-                "masked + leaked X must equal the map's total X"
-            );
-            debug_assert_eq!(final_cost.num_partitions, partitions.len());
-        }
-
         run_span.set_arg("partitions", partitions.len() as u64);
         run_span.set_arg("rounds", rounds.len() as u64);
         run_span.set_arg("masked_x", final_cost.masked_x as u64);

@@ -11,9 +11,9 @@
 //! | XL0401 | content-hash link between certificate and plan |
 //! | XL0402 | cover/disjointness witness |
 //! | XL0403 | per-partition X-class histograms |
-//! | XL0404 | control-bit accounting and cost totals |
+//! | XL0404 | mask safety, control-bit accounting and cost totals |
 //! | XL0405 | per-block Gauss rank certificates |
-//! | XL0406 | shape vs the scan config / X map |
+//! | XL0406 | plan and certificate shape vs the scan config / X map |
 
 use crate::diag::{LintCode, LintConfig, LintReport};
 use xhc_core::PartitionOutcome;
@@ -33,6 +33,9 @@ fn code_for(e: &VerifyError) -> LintCode {
         PlanHashMismatch { .. } => LintCode::CertPlanHash,
         PatternCountMismatch { .. }
         | PartitionCountMismatch { .. }
+        | MaskCountMismatch { .. }
+        | PlanMaskWidthMismatch { .. }
+        | PartitionUniverseMismatch { .. }
         | MaskWidthMismatch { .. }
         | TotalXMismatch { .. }
         | CancelParamMismatch { .. } => LintCode::CertScanMismatch,
@@ -68,13 +71,14 @@ fn help_for(code: LintCode) -> &'static str {
             "re-derive the X-class histograms from the X map restricted to each partition"
         }
         LintCode::CertAccounting => {
-            "recompute masked/leaked splits and the paper's cost formula from the X map"
+            "mask only cells X under the whole partition; recompute masked/leaked \
+             splits and the paper's cost formula from the X map"
         }
         LintCode::CertRankBound => {
             "re-eliminate the embedded dependency matrix; rank and pivots must reproduce"
         }
         LintCode::CertScanMismatch => {
-            "the certificate describes a different topology, pattern set or (m, q)"
+            "the plan or certificate describes a different topology, pattern set or (m, q)"
         }
         _ => "see the rule documentation",
     }
@@ -99,13 +103,18 @@ pub fn check_certificate(
         let count = emitted.entry(code).or_insert(0usize);
         *count += 1;
         if *count <= MAX_INSTANCES {
-            report.push(
-                config,
-                code,
-                "plan certificate",
-                e.to_string(),
-                help_for(code),
-            );
+            // The checker rejects a mask wider than the topology before it
+            // judges any of its cells, so `cell_at` cannot panic.
+            let location = match e {
+                VerifyError::MaskUnsafe { partition, cell } => {
+                    format!(
+                        "partition {partition}, cell {}",
+                        xmap.config().cell_at(*cell)
+                    )
+                }
+                _ => "plan certificate".to_string(),
+            };
+            report.push(config, code, location, e.to_string(), help_for(code));
         }
     }
     for (code, count) in emitted {

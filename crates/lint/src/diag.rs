@@ -6,9 +6,8 @@ use std::fmt;
 
 /// How seriously a finding is treated.
 ///
-/// `Deny` findings fail the CLI (nonzero exit) and trip the
-/// `debug_assert!`-gated library checks; `Warn` findings are reported but
-/// non-fatal; `Allow` suppresses the rule entirely.
+/// `Deny` findings fail the CLI (nonzero exit); `Warn` findings are
+/// reported but non-fatal; `Allow` suppresses the rule entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suppressed: the rule still runs but its findings are dropped.
@@ -32,7 +31,9 @@ impl fmt::Display for Severity {
 /// Every rule the analyzer ships, with a stable `XLxxxx` identifier.
 ///
 /// The numbering is grouped by pipeline stage: `XL01xx` netlist, `XL02xx`
-/// scan / X-map, `XL03xx` hybrid (partition plan / MISR).
+/// scan / X-map, `XL03xx` hybrid configuration (MISR, `(m, q)`, planning
+/// budget), `XL04xx` plan certificate, `XL05xx` backend fleet. Retired
+/// identifiers are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintCode {
     /// XL0101: combinational cycle in the netlist.
@@ -51,14 +52,6 @@ pub enum LintCode {
     XOutOfRange,
     /// XL0203: duplicate X entries for the same cell or pattern.
     DuplicateX,
-    /// XL0301: partition plan is not a disjoint cover of the pattern set.
-    PartitionCover,
-    /// XL0302: mask bit set for a cell that is not X under every pattern
-    /// of its partition (fault-coverage loss).
-    UnsafeMask,
-    /// XL0303: claimed control-bit accounting disagrees with
-    /// [`xhc_core::hybrid_cost`].
-    CostMismatch,
     /// XL0304: degenerate or non-primitive MISR feedback polynomial.
     DegenerateMisr,
     /// XL0305: inconsistent X-canceling `(m, q)` configuration.
@@ -93,7 +86,7 @@ pub enum LintCode {
 
 impl LintCode {
     /// All rules, in code order.
-    pub const ALL: [LintCode; 21] = [
+    pub const ALL: [LintCode; 18] = [
         LintCode::CombLoop,
         LintCode::FloatingNet,
         LintCode::DeadLogic,
@@ -102,9 +95,6 @@ impl LintCode {
         LintCode::ChainImbalance,
         LintCode::XOutOfRange,
         LintCode::DuplicateX,
-        LintCode::PartitionCover,
-        LintCode::UnsafeMask,
-        LintCode::CostMismatch,
         LintCode::DegenerateMisr,
         LintCode::BadCancelConfig,
         LintCode::BestCostLatency,
@@ -128,9 +118,6 @@ impl LintCode {
             LintCode::ChainImbalance => "XL0201",
             LintCode::XOutOfRange => "XL0202",
             LintCode::DuplicateX => "XL0203",
-            LintCode::PartitionCover => "XL0301",
-            LintCode::UnsafeMask => "XL0302",
-            LintCode::CostMismatch => "XL0303",
             LintCode::DegenerateMisr => "XL0304",
             LintCode::BadCancelConfig => "XL0305",
             LintCode::BestCostLatency => "XL0306",
@@ -155,9 +142,6 @@ impl LintCode {
             LintCode::ChainImbalance => "chain-imbalance",
             LintCode::XOutOfRange => "x-out-of-range",
             LintCode::DuplicateX => "duplicate-x",
-            LintCode::PartitionCover => "partition-cover",
-            LintCode::UnsafeMask => "unsafe-mask",
-            LintCode::CostMismatch => "cost-mismatch",
             LintCode::DegenerateMisr => "degenerate-misr",
             LintCode::BadCancelConfig => "bad-cancel-config",
             LintCode::BestCostLatency => "best-cost-latency",
@@ -178,9 +162,6 @@ impl LintCode {
             | LintCode::FloatingNet
             | LintCode::BadArity
             | LintCode::XOutOfRange
-            | LintCode::PartitionCover
-            | LintCode::UnsafeMask
-            | LintCode::CostMismatch
             | LintCode::BadCancelConfig
             | LintCode::CertPlanHash
             | LintCode::CertCover
@@ -534,13 +515,13 @@ mod tests {
         let mut report = LintReport::new();
         report.push(
             &LintConfig::default(),
-            LintCode::UnsafeMask,
+            LintCode::CertAccounting,
             "partition 0",
             "mask covers a non-X value",
             "unmask the cell",
         );
         let text = report.render_human();
-        assert!(text.contains("deny[XL0302]"));
+        assert!(text.contains("deny[XL0404]"));
         assert!(text.contains("partition 0"));
         assert!(text.contains("help: unmask the cell"));
         assert!(text.contains("1 deny, 0 warn"));

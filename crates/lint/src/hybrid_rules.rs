@@ -1,228 +1,11 @@
-//! Hybrid-architecture rules (XL03xx): partition plans, mask words,
-//! control-bit accounting, MISR configuration.
+//! Hybrid-architecture rules (XL03xx): MISR feedback, X-canceling
+//! `(m, q)` and the BestCost planning-latency budget. A finished plan's
+//! cover, mask safety and cost are judged by `xhc-verify` (XL04xx).
 
 use crate::diag::{LintCode, LintConfig, LintReport, Severity};
 use crate::poly::taps_primitive;
-use xhc_bits::PatternSet;
-use xhc_core::{hybrid_cost, HybridCost};
-use xhc_misr::{MaskWord, Taps, XCancelConfig};
-use xhc_scan::XMap;
+use xhc_misr::Taps;
 use xhc_workload::WorkloadSpec;
-
-/// How many per-instance diagnostics a single rule emits before it
-/// summarizes the rest (partition plans can have thousands of cells).
-const MAX_INSTANCES: usize = 10;
-
-/// XL0301: the partition plan must be a disjoint cover of
-/// `0..num_patterns`.
-pub fn check_partition_cover(
-    config: &LintConfig,
-    num_patterns: usize,
-    partitions: &[PatternSet],
-) -> LintReport {
-    let mut report = LintReport::new();
-    if partitions.is_empty() {
-        report.push(
-            config,
-            LintCode::PartitionCover,
-            "partition plan",
-            "plan has no partitions",
-            "every pattern must belong to exactly one partition",
-        );
-        return report;
-    }
-    let mut union = PatternSet::empty(num_patterns);
-    let mut card_sum = 0usize;
-    for (i, part) in partitions.iter().enumerate() {
-        if part.universe() != num_patterns {
-            report.push(
-                config,
-                LintCode::PartitionCover,
-                format!("partition {i}"),
-                format!(
-                    "partition is over a {}-pattern universe, plan expects {num_patterns}",
-                    part.universe()
-                ),
-                "regenerate the plan against the actual pattern set",
-            );
-            return report;
-        }
-        card_sum += part.card();
-        union = union.union(part);
-    }
-    if union.card() < num_patterns {
-        let missing: Vec<usize> = (0..num_patterns)
-            .filter(|&p| !union.contains(p))
-            .take(MAX_INSTANCES)
-            .collect();
-        report.push(
-            config,
-            LintCode::PartitionCover,
-            format!("patterns {missing:?}"),
-            format!(
-                "{} pattern(s) belong to no partition",
-                num_patterns - union.card()
-            ),
-            "uncovered patterns would never be scheduled; fix the split",
-        );
-    }
-    if card_sum > union.card() {
-        // Find one witness pair for the report.
-        let witness = partitions
-            .iter()
-            .enumerate()
-            .flat_map(|(i, a)| {
-                partitions
-                    .iter()
-                    .enumerate()
-                    .skip(i + 1)
-                    .map(move |(j, b)| (i, j, a, b))
-            })
-            .find(|(_, _, a, b)| !a.is_disjoint_from(b));
-        let location = match witness {
-            Some((i, j, ..)) => format!("partitions {i} and {j}"),
-            None => "partition plan".to_string(),
-        };
-        report.push(
-            config,
-            LintCode::PartitionCover,
-            location,
-            format!(
-                "partitions overlap: cardinalities sum to {card_sum} over a \
-                 {num_patterns}-pattern universe",
-            ),
-            "a pattern in two partitions is applied twice with different masks",
-        );
-    }
-    report
-}
-
-/// XL0302: a mask bit may be set only for a cell that captures X under
-/// *every* pattern of its partition (the paper's no-coverage-loss rule).
-pub fn check_masks_safe(
-    config: &LintConfig,
-    xmap: &XMap,
-    partitions: &[PatternSet],
-    masks: &[MaskWord],
-) -> LintReport {
-    let mut report = LintReport::new();
-    if partitions.len() != masks.len() {
-        report.push(
-            config,
-            LintCode::UnsafeMask,
-            "partition plan",
-            format!(
-                "{} partition(s) but {} mask word(s)",
-                partitions.len(),
-                masks.len()
-            ),
-            "each partition needs exactly one shared mask word",
-        );
-        return report;
-    }
-    let scan = xmap.config();
-    let mut shown = 0usize;
-    let mut suppressed = 0usize;
-    for (pi, (part, mask)) in partitions.iter().zip(masks).enumerate() {
-        for idx in 0..scan.total_cells() {
-            if !mask.masks(idx) {
-                continue;
-            }
-            let cell = scan.cell_at(idx);
-            let all_x = xmap
-                .xset(cell)
-                .is_some_and(|xs| part.is_subset_of(xs) && !part.is_empty());
-            if all_x {
-                continue;
-            }
-            if shown < MAX_INSTANCES {
-                shown += 1;
-                let witness = part.iter().find(|&p| !xmap.is_x(p, cell));
-                report.push(
-                    config,
-                    LintCode::UnsafeMask,
-                    format!("partition {pi}, cell {cell}"),
-                    match witness {
-                        Some(p) => format!(
-                            "mask gates a non-X response: {cell} is known under pattern {p}"
-                        ),
-                        None => format!("mask gates {cell} in an empty partition"),
-                    },
-                    "masking a known value loses fault coverage; unmask the cell",
-                );
-            } else {
-                suppressed += 1;
-            }
-        }
-    }
-    if suppressed > 0 {
-        report.push(
-            config,
-            LintCode::UnsafeMask,
-            "partition plan",
-            format!("{suppressed} further unsafe mask bit(s) suppressed"),
-            "fix the reported cells first; rerun for the rest",
-        );
-    }
-    report
-}
-
-/// XL0303: claimed cost accounting must match a recomputation via
-/// [`hybrid_cost`].
-pub fn check_cost_accounting(
-    config: &LintConfig,
-    xmap: &XMap,
-    partitions: &[PatternSet],
-    cancel: XCancelConfig,
-    claimed: &HybridCost,
-) -> LintReport {
-    let mut report = LintReport::new();
-    let actual = hybrid_cost(xmap, partitions, cancel);
-    let mut mismatches: Vec<String> = Vec::new();
-    if claimed.masking_bits != actual.masking_bits {
-        mismatches.push(format!(
-            "masking_bits {} != {}",
-            claimed.masking_bits, actual.masking_bits
-        ));
-    }
-    if (claimed.canceling_bits - actual.canceling_bits).abs() > 1e-6 {
-        mismatches.push(format!(
-            "canceling_bits {} != {}",
-            claimed.canceling_bits, actual.canceling_bits
-        ));
-    }
-    if claimed.masked_x != actual.masked_x {
-        mismatches.push(format!(
-            "masked_x {} != {}",
-            claimed.masked_x, actual.masked_x
-        ));
-    }
-    if claimed.leaked_x != actual.leaked_x {
-        mismatches.push(format!(
-            "leaked_x {} != {}",
-            claimed.leaked_x, actual.leaked_x
-        ));
-    }
-    if claimed.num_partitions != actual.num_partitions {
-        mismatches.push(format!(
-            "num_partitions {} != {}",
-            claimed.num_partitions, actual.num_partitions
-        ));
-    }
-    if !mismatches.is_empty() {
-        report.push(
-            config,
-            LintCode::CostMismatch,
-            "hybrid cost accounting",
-            format!(
-                "claimed cost disagrees with hybrid_cost: {}",
-                mismatches.join("; ")
-            ),
-            "control-bit budgets derived from a stale cost are wrong on the tester",
-        );
-    }
-    report
-}
 
 /// XL0304: degenerate or non-primitive MISR feedback.
 pub fn check_misr_taps(config: &LintConfig, m: usize, taps: &Taps) -> LintReport {
@@ -270,7 +53,7 @@ pub fn check_misr_taps(config: &LintConfig, m: usize, taps: &Taps) -> LintReport
 }
 
 /// XL0305: X-canceling `(m, q)` sanity. Runs on raw integers so that
-/// configurations [`XCancelConfig::new`] would reject are also lintable.
+/// configurations [`xhc_misr::XCancelConfig::new`] would reject are also lintable.
 pub fn check_cancel_params(config: &LintConfig, m: usize, q: usize) -> LintReport {
     let mut report = LintReport::new();
     let location = format!("X-cancel config (m={m}, q={q})");
@@ -370,112 +153,9 @@ pub fn check_plan_latency(config: &LintConfig, spec: &WorkloadSpec) -> LintRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xhc_core::PartitionEngine;
-    use xhc_scan::{CellId, ScanConfig, XMapBuilder};
-
-    fn fig4_xmap() -> XMap {
-        let cfg = ScanConfig::uniform(5, 3);
-        let mut b = XMapBuilder::new(cfg, 8);
-        for p in [0, 3, 4, 5] {
-            b.add_x(CellId::new(0, 0), p).unwrap();
-            b.add_x(CellId::new(1, 0), p).unwrap();
-            b.add_x(CellId::new(2, 0), p).unwrap();
-        }
-        for p in [0, 4] {
-            b.add_x(CellId::new(1, 2), p).unwrap();
-        }
-        for p in [0, 1, 2, 3, 4, 6, 7] {
-            b.add_x(CellId::new(3, 2), p).unwrap();
-        }
-        for p in [0, 1, 3, 4, 6, 7] {
-            b.add_x(CellId::new(4, 1), p).unwrap();
-        }
-        b.add_x(CellId::new(4, 2), 5).unwrap();
-        b.finish()
-    }
 
     fn codes(report: &LintReport) -> Vec<LintCode> {
         report.diagnostics.iter().map(|d| d.code).collect()
-    }
-
-    #[test]
-    fn engine_outcome_is_clean() {
-        let xmap = fig4_xmap();
-        let cancel = XCancelConfig::new(10, 2);
-        let outcome = PartitionEngine::new(cancel).run(&xmap);
-        let lc = LintConfig::default();
-        assert!(check_partition_cover(&lc, 8, &outcome.partitions).is_empty());
-        assert!(check_masks_safe(&lc, &xmap, &outcome.partitions, &outcome.masks).is_empty());
-        assert!(
-            check_cost_accounting(&lc, &xmap, &outcome.partitions, cancel, &outcome.cost)
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn overlapping_partitions_fire() {
-        let parts = vec![
-            PatternSet::from_patterns(8, [0, 1, 2, 3]),
-            PatternSet::from_patterns(8, [3, 4, 5, 6, 7]),
-        ];
-        let report = check_partition_cover(&LintConfig::default(), 8, &parts);
-        assert_eq!(codes(&report), vec![LintCode::PartitionCover]);
-        assert!(report.render_human().contains("partitions 0 and 1"));
-    }
-
-    #[test]
-    fn uncovered_patterns_fire() {
-        let parts = vec![PatternSet::from_patterns(8, [0, 1, 2])];
-        let report = check_partition_cover(&LintConfig::default(), 8, &parts);
-        assert_eq!(codes(&report), vec![LintCode::PartitionCover]);
-        assert!(report.has_deny());
-    }
-
-    #[test]
-    fn empty_plan_and_wrong_universe_fire() {
-        let lc = LintConfig::default();
-        assert!(check_partition_cover(&lc, 8, &[]).has_deny());
-        let parts = vec![PatternSet::all(6)];
-        assert!(check_partition_cover(&lc, 8, &parts).has_deny());
-    }
-
-    #[test]
-    fn unsafe_mask_fires_with_witness_pattern() {
-        let xmap = fig4_xmap();
-        let parts = vec![PatternSet::all(8)];
-        // SC5[1] is X under 6 of 8 patterns — masking it over the whole
-        // set gates two known values.
-        let mut mask = MaskWord::none(xmap.config());
-        mask.mask(xmap.config(), CellId::new(4, 1));
-        let report = check_masks_safe(&LintConfig::default(), &xmap, &parts, &[mask]);
-        assert_eq!(codes(&report), vec![LintCode::UnsafeMask]);
-        assert!(report.render_human().contains("SC5[1]"));
-    }
-
-    #[test]
-    fn mask_count_mismatch_fires() {
-        let xmap = fig4_xmap();
-        let parts = vec![PatternSet::all(8)];
-        let report = check_masks_safe(&LintConfig::default(), &xmap, &parts, &[]);
-        assert!(report.has_deny());
-    }
-
-    #[test]
-    fn tampered_cost_fires() {
-        let xmap = fig4_xmap();
-        let cancel = XCancelConfig::new(10, 2);
-        let outcome = PartitionEngine::new(cancel).run(&xmap);
-        let mut claimed = outcome.cost.clone();
-        claimed.leaked_x += 1;
-        let report = check_cost_accounting(
-            &LintConfig::default(),
-            &xmap,
-            &outcome.partitions,
-            cancel,
-            &claimed,
-        );
-        assert_eq!(codes(&report), vec![LintCode::CostMismatch]);
-        assert!(report.render_human().contains("leaked_x"));
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! The crate checks the artifacts the workspace produces and consumes —
 //! netlists, scan topologies, X maps, partition plans, mask words, cost
 //! accounting, MISR configurations and plan certificates — against
-//! twenty-one rules grouped by pipeline stage:
+//! eighteen rules grouped by pipeline stage:
 //!
 //! | Codes | Stage | Rules |
 //! |-------|-------|-------|
 //! | `XL01xx` | netlist | combinational loops, floating nets, dead logic, gate arity, unreachable flops |
 //! | `XL02xx` | scan / X map | chain imbalance, out-of-range X entries, duplicate X entries |
-//! | `XL03xx` | hybrid | partition cover, unsafe masks, cost accounting, MISR feedback, `(m, q)` sanity, BestCost planning latency |
-//! | `XL04xx` | certificate | plan-hash link, cover witness, X-class histograms, control-bit accounting, Gauss rank bounds, scan-config consistency (cross-artifact, via `xhc-verify`) |
+//! | `XL03xx` | hybrid | MISR feedback (XL0304), `(m, q)` sanity (XL0305), BestCost planning latency (XL0306) |
+//! | `XL04xx` | certificate | plan-hash link, cover witness, X-class histograms, control-bit accounting and mask safety, Gauss rank bounds, plan and scan-config shape (cross-artifact, via `xhc-verify`) |
 //! | `XL05xx` | backend fleet | unknown backend selector (wire byte or CLI/query token) |
+//!
+//! A partition plan has one judge: [`check_outcome`] certifies it and
+//! runs `xhc-verify`'s engine-independent checker, so a bad cover is
+//! reported as XL0402, an unsafe mask or wrong cost as XL0404, and a
+//! mis-shaped plan as XL0406.
 //!
 //! Each rule carries a default [`Severity`] (`Deny` for correctness
 //! violations, `Warn` for quality findings) that a [`LintConfig`] can
@@ -58,10 +63,7 @@ pub use backend_rules::{check_backend_code, check_backend_token};
 pub use cert_rules::{check_certificate, check_certificate_artifacts};
 pub use diag::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 pub use graph::nontrivial_sccs;
-pub use hybrid_rules::{
-    check_cancel_params, check_cost_accounting, check_masks_safe, check_misr_taps,
-    check_partition_cover, check_plan_latency,
-};
+pub use hybrid_rules::{check_cancel_params, check_misr_taps, check_plan_latency};
 pub use netlist_rules::{check_netlist, check_netlist_facts, NetlistFacts, NodeFact};
 pub use poly::taps_primitive;
 pub use scan_rules::{check_scan_config, check_xmap, check_xmap_facts, XMapFacts};
@@ -71,30 +73,26 @@ use xhc_misr::{Taps, XCancelConfig};
 use xhc_scan::XMap;
 use xhc_workload::WorkloadSpec;
 
-/// Lints a finished partition outcome against its X map and cancel
-/// config: disjoint cover (XL0301), mask safety (XL0302) and cost
-/// accounting (XL0303).
+/// Lints a freshly made partition plan: encodes it, certifies it with
+/// [`xhc_verify::certify_plan`] and runs [`check_certificate`] on the
+/// result (cover XL0402, accounting and mask safety XL0404, shape
+/// XL0406).
+///
+/// # Panics
+///
+/// Panics where [`xhc_verify::certify_plan`] does: if the partitions are
+/// not a disjoint cover of the map's patterns, or if the mask words do
+/// not fit the partitions and the scan topology. To judge a plan made
+/// elsewhere, lint its own certificate with [`check_certificate`].
 pub fn check_outcome(
     config: &LintConfig,
     xmap: &XMap,
     outcome: &PartitionOutcome,
     cancel: XCancelConfig,
 ) -> LintReport {
-    let mut report = check_partition_cover(config, xmap.num_patterns(), &outcome.partitions);
-    report.merge(check_masks_safe(
-        config,
-        xmap,
-        &outcome.partitions,
-        &outcome.masks,
-    ));
-    report.merge(check_cost_accounting(
-        config,
-        xmap,
-        &outcome.partitions,
-        cancel,
-        &outcome.cost,
-    ));
-    report
+    let plan_bytes = xhc_wire::encode_plan(outcome, xmap.num_patterns());
+    let cert = xhc_verify::certify_plan(xmap, cancel, outcome, &plan_bytes, None);
+    check_certificate(config, &cert, outcome, &plan_bytes, xmap, cancel)
 }
 
 /// Lints a workload end to end: estimates the planning-latency budget

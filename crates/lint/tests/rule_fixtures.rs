@@ -2,15 +2,14 @@
 //! fires (and only it fires) and a clean fixture on which it stays quiet.
 
 use xhc_bits::PatternSet;
-use xhc_core::PartitionEngine;
+use xhc_core::{PartitionEngine, PartitionOutcome};
 use xhc_lint::{
-    check_cancel_params, check_certificate, check_cost_accounting, check_masks_safe,
-    check_misr_taps, check_netlist, check_netlist_facts, check_outcome, check_partition_cover,
-    check_plan_latency, check_scan_config, check_xmap, check_xmap_facts, LintCode, LintConfig,
-    LintReport, NetlistFacts, NodeFact, XMapFacts,
+    check_cancel_params, check_certificate, check_misr_taps, check_netlist, check_netlist_facts,
+    check_outcome, check_plan_latency, check_scan_config, check_xmap, check_xmap_facts, LintCode,
+    LintConfig, LintReport, NetlistFacts, NodeFact, XMapFacts,
 };
 use xhc_logic::{FlopInit, GateKind, NetlistBuilder};
-use xhc_misr::{MaskWord, Taps, XCancelConfig};
+use xhc_misr::{Taps, XCancelConfig};
 use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
 use xhc_workload::WorkloadSpec;
 
@@ -264,106 +263,6 @@ fn xl0203_builder_output_passes() {
     assert!(report.is_empty(), "{}", report.render_human());
 }
 
-// ---------------------------------------------------------------- XL0301
-
-#[test]
-fn xl0301_bad_cover_fires() {
-    let lc = LintConfig::default();
-    // Overlap.
-    let parts = vec![
-        PatternSet::from_patterns(6, [0, 1, 2]),
-        PatternSet::from_patterns(6, [2, 3, 4, 5]),
-    ];
-    assert_eq!(
-        codes(&check_partition_cover(&lc, 6, &parts)),
-        vec![LintCode::PartitionCover]
-    );
-    // Hole.
-    let parts = vec![
-        PatternSet::from_patterns(6, [0, 1]),
-        PatternSet::from_patterns(6, [3, 4, 5]),
-    ];
-    assert_eq!(
-        codes(&check_partition_cover(&lc, 6, &parts)),
-        vec![LintCode::PartitionCover]
-    );
-}
-
-#[test]
-fn xl0301_disjoint_cover_passes() {
-    let parts = vec![
-        PatternSet::from_patterns(6, [0, 2, 4]),
-        PatternSet::from_patterns(6, [1, 3]),
-        PatternSet::from_patterns(6, [5]),
-    ];
-    let report = check_partition_cover(&LintConfig::default(), 6, &parts);
-    assert!(report.is_empty(), "{}", report.render_human());
-}
-
-// ---------------------------------------------------------------- XL0302
-
-fn two_cell_xmap() -> XMap {
-    let mut b = XMapBuilder::new(ScanConfig::uniform(1, 2), 4);
-    // Cell 0 is X everywhere; cell 1 only under pattern 0.
-    for p in 0..4 {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-    }
-    b.add_x(CellId::new(0, 1), 0).unwrap();
-    b.finish()
-}
-
-#[test]
-fn xl0302_unsafe_mask_fires() {
-    let xmap = two_cell_xmap();
-    let parts = vec![PatternSet::all(4)];
-    let mut mask = MaskWord::none(xmap.config());
-    mask.mask(xmap.config(), CellId::new(0, 1)); // known under patterns 1–3
-    let report = check_masks_safe(&LintConfig::default(), &xmap, &parts, &[mask]);
-    assert_eq!(codes(&report), vec![LintCode::UnsafeMask]);
-    assert!(report.has_deny());
-}
-
-#[test]
-fn xl0302_all_x_mask_passes() {
-    let xmap = two_cell_xmap();
-    let parts = vec![PatternSet::all(4)];
-    let mut mask = MaskWord::none(xmap.config());
-    mask.mask(xmap.config(), CellId::new(0, 0)); // X under every pattern
-    let report = check_masks_safe(&LintConfig::default(), &xmap, &parts, &[mask]);
-    assert!(report.is_empty(), "{}", report.render_human());
-}
-
-// ---------------------------------------------------------------- XL0303
-
-#[test]
-fn xl0303_cost_mismatch_fires() {
-    let xmap = two_cell_xmap();
-    let cancel = XCancelConfig::new(4, 1);
-    let outcome = PartitionEngine::new(cancel).run(&xmap);
-    let mut claimed = outcome.cost.clone();
-    claimed.masking_bits += 2;
-    claimed.canceling_bits += 0.5;
-    let report = check_cost_accounting(
-        &LintConfig::default(),
-        &xmap,
-        &outcome.partitions,
-        cancel,
-        &claimed,
-    );
-    assert_eq!(codes(&report), vec![LintCode::CostMismatch]);
-    let text = report.render_human();
-    assert!(text.contains("masking_bits") && text.contains("canceling_bits"));
-}
-
-#[test]
-fn xl0303_engine_cost_passes() {
-    let xmap = two_cell_xmap();
-    let cancel = XCancelConfig::new(4, 1);
-    let outcome = PartitionEngine::new(cancel).run(&xmap);
-    let report = check_outcome(&LintConfig::default(), &xmap, &outcome, cancel);
-    assert!(report.is_empty(), "{}", report.render_human());
-}
-
 // ---------------------------------------------------------------- XL0304
 
 #[test]
@@ -464,6 +363,142 @@ fn xl0306_mid_size_spec_passes_under_the_sharded_model() {
 }
 
 // ---------------------------------------------------------------- XL04xx
+
+fn two_cell_xmap() -> XMap {
+    let mut b = XMapBuilder::new(ScanConfig::uniform(1, 2), 4);
+    // Cell 0 is X everywhere; cell 1 only under pattern 0.
+    for p in 0..4 {
+        b.add_x(CellId::new(0, 0), p).unwrap();
+    }
+    b.add_x(CellId::new(0, 1), 0).unwrap();
+    b.finish()
+}
+
+/// The paper's Fig. 4 map: 5 chains of 3 cells, 8 patterns, 28 X's.
+/// With `(m, q) = (10, 2)` the engine splits it into {1,2,6,7},
+/// {0,3,4} and {5}.
+fn fig4_xmap() -> XMap {
+    let mut b = XMapBuilder::new(ScanConfig::uniform(5, 3), 8);
+    let cells: [(usize, usize, &[usize]); 7] = [
+        (0, 0, &[0, 3, 4, 5]),
+        (1, 0, &[0, 3, 4, 5]),
+        (2, 0, &[0, 3, 4, 5]),
+        (1, 2, &[0, 4]),
+        (3, 2, &[0, 1, 2, 3, 4, 6, 7]),
+        (4, 1, &[0, 1, 3, 4, 6, 7]),
+        (4, 2, &[5]),
+    ];
+    for (chain, pos, patterns) in cells {
+        for &p in patterns {
+            b.add_x(CellId::new(chain, pos), p).unwrap();
+        }
+    }
+    b.finish()
+}
+
+/// Certifies the engine's Fig. 4 plan, then breaks the *plan* (not its
+/// certificate) and lints the pair. The plan bytes stay the certified
+/// ones, so the hash link (XL0401) holds and only the broken invariant
+/// fires. `mutate` gets the plan and the index of the partition that
+/// holds a given pattern.
+fn lint_broken_fig4_plan(
+    mutate: impl FnOnce(&mut PartitionOutcome, &dyn Fn(usize) -> usize),
+) -> LintReport {
+    let xmap = fig4_xmap();
+    let cancel = XCancelConfig::new(10, 2);
+    let mut outcome = PartitionEngine::new(cancel).run(&xmap);
+    let plan_bytes = xhc_wire::encode_plan(&outcome, xmap.num_patterns());
+    let cert = xhc_verify::certify_plan(&xmap, cancel, &outcome, &plan_bytes, None);
+    let parts = outcome.partitions.clone();
+    let holding = move |p: usize| parts.iter().position(|s| s.contains(p)).unwrap();
+    mutate(&mut outcome, &holding);
+    check_certificate(
+        &LintConfig::default(),
+        &cert,
+        &outcome,
+        &plan_bytes,
+        &xmap,
+        cancel,
+    )
+}
+
+#[test]
+fn xl0402_overlapping_plan_fires() {
+    // Pattern 0 also joins {1,2,6,7}; SC4[2] stays X under all of them,
+    // so the mask is still safe and only the cover breaks.
+    let report = lint_broken_fig4_plan(|plan, holding| plan.partitions[holding(1)].insert(0));
+    assert_eq!(codes(&report), vec![LintCode::CertCover]);
+    assert!(report.has_deny());
+}
+
+#[test]
+fn xl0402_plan_with_a_hole_fires() {
+    // Pattern 3 leaves {0,3,4}; every masked cell is still X under {0,4}.
+    let report = lint_broken_fig4_plan(|plan, holding| plan.partitions[holding(3)].remove(3));
+    assert_eq!(codes(&report), vec![LintCode::CertCover]);
+    assert!(report.render_human().contains("pattern 3"));
+}
+
+#[test]
+fn xl0406_empty_plan_fires() {
+    let report = lint_broken_fig4_plan(|plan, _| {
+        plan.partitions.clear();
+        plan.masks.clear();
+    });
+    assert_eq!(codes(&report), vec![LintCode::CertScanMismatch]);
+}
+
+#[test]
+fn xl0406_wrong_universe_fires() {
+    let report = lint_broken_fig4_plan(|plan, holding| {
+        plan.partitions[holding(5)] = PatternSet::from_patterns(6, [5]);
+    });
+    assert_eq!(codes(&report), vec![LintCode::CertScanMismatch]);
+    assert!(report.render_human().contains("over 6 patterns"));
+}
+
+#[test]
+fn xl0404_unsafe_mask_fires() {
+    // SC5[1] is X under 0,1,3,4,6,7 but known under pattern 2.
+    let scan = fig4_xmap().config().clone();
+    let report = lint_broken_fig4_plan(|plan, holding| {
+        plan.masks[holding(2)].mask(&scan, CellId::new(4, 1));
+    });
+    assert_eq!(codes(&report), vec![LintCode::CertAccounting]);
+    assert!(report.render_human().contains("SC5[1]"));
+}
+
+#[test]
+fn xl0406_mask_count_mismatch_fires() {
+    let report = lint_broken_fig4_plan(|plan, _| {
+        plan.masks.pop();
+    });
+    assert_eq!(codes(&report), vec![LintCode::CertScanMismatch]);
+    assert!(report
+        .render_human()
+        .contains("2 mask words for 3 partitions"));
+}
+
+#[test]
+fn xl0404_tampered_cost_fires() {
+    let report = lint_broken_fig4_plan(|plan, _| {
+        plan.cost.masking_bits += 2;
+        plan.cost.canceling_bits += 0.5;
+    });
+    assert_eq!(codes(&report), vec![LintCode::CertAccounting]);
+    let text = report.render_human();
+    assert!(text.contains("masking bits") && text.contains("canceling bits"));
+}
+
+#[test]
+fn xl0303_engine_cost_passes() {
+    // `check_outcome` certifies a fresh engine plan and checks it.
+    let xmap = two_cell_xmap();
+    let cancel = XCancelConfig::new(4, 1);
+    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    let report = check_outcome(&LintConfig::default(), &xmap, &outcome, cancel);
+    assert!(report.is_empty(), "{}", report.render_human());
+}
 
 /// A certified two-cell plan: engine outcome, its wire bytes and a valid
 /// certificate to mutate per-rule.

@@ -201,8 +201,8 @@ impl CancelSession {
         xhc_trace::counter_add("cancel.halts", halts as u64);
         xhc_trace::counter_add("cancel.x_total", total_x as u64);
 
-        // Self-checks mirroring the xhc-lint accounting rules (XL0303
-        // family; kept inline — lint depends on this crate).
+        // Debug self-checks of the session's own accounting: block X
+        // counts and control bits must add up to the session totals.
         #[cfg(debug_assertions)]
         {
             // Every block's X count and control bits must balance: the

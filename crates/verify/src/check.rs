@@ -50,6 +50,31 @@ pub enum VerifyError {
         /// `ScanConfig::mask_word_bits()` of the X map.
         actual: usize,
     },
+    /// The plan does not carry one mask word per partition.
+    MaskCountMismatch {
+        /// Mask words in the plan.
+        masks: usize,
+        /// Partitions in the plan.
+        partitions: usize,
+    },
+    /// A plan mask word is not as wide as the scan topology.
+    PlanMaskWidthMismatch {
+        /// The partition whose mask is mis-sized.
+        partition: usize,
+        /// Width of the plan's mask word.
+        width: usize,
+        /// `ScanConfig::total_cells()` of the X map: one bit per cell.
+        expected: usize,
+    },
+    /// A plan partition is over another pattern universe than the X map.
+    PartitionUniverseMismatch {
+        /// The partition.
+        partition: usize,
+        /// Universe of the plan's partition bitmap.
+        universe: usize,
+        /// The X map's pattern count.
+        expected: usize,
+    },
     /// The certificate's total X count is not the X map's.
     TotalXMismatch {
         /// Total the certificate claims.
@@ -227,6 +252,25 @@ impl fmt::Display for VerifyError {
             MaskWidthMismatch { claimed, actual } => {
                 write!(f, "certificate claims {claimed}-bit mask words, topology needs {actual}")
             }
+            MaskCountMismatch { masks, partitions } => {
+                write!(f, "plan has {masks} mask words for {partitions} partitions")
+            }
+            PlanMaskWidthMismatch {
+                partition,
+                width,
+                expected,
+            } => write!(
+                f,
+                "partition {partition} has a {width}-bit mask word, topology needs {expected}"
+            ),
+            PartitionUniverseMismatch {
+                partition,
+                universe,
+                expected,
+            } => write!(
+                f,
+                "partition {partition} is over {universe} patterns, X map has {expected}"
+            ),
             TotalXMismatch { claimed, actual } => {
                 write!(f, "certificate claims {claimed} total X's, X map has {actual}")
             }
@@ -414,8 +458,9 @@ pub fn verify(
         });
     }
 
-    // Pass 2: shape. Universe or partition-count disagreement poisons
-    // every later pass, so bail out on those.
+    // Pass 2: shape. A wrong universe, partition count, mask count or
+    // mask width poisons every later pass, so bail out on those.
+    let before_shape = errors.len();
     let num_patterns = xmap.num_patterns();
     let num_partitions = plan.partitions.len();
     if cert.num_patterns != num_patterns {
@@ -436,12 +481,33 @@ pub fn verify(
             actual: num_patterns,
         });
     }
-    if !errors.iter().all(|e| {
-        !matches!(
-            e,
-            VerifyError::PatternCountMismatch { .. } | VerifyError::PartitionCountMismatch { .. }
-        )
-    }) {
+    if plan.masks.len() != num_partitions {
+        errors.push(VerifyError::MaskCountMismatch {
+            masks: plan.masks.len(),
+            partitions: num_partitions,
+        });
+    }
+    let cells = xmap.config().total_cells();
+    for (partition, mask) in plan.masks.iter().enumerate() {
+        let width = mask.as_bits().len();
+        if width != cells {
+            errors.push(VerifyError::PlanMaskWidthMismatch {
+                partition,
+                width,
+                expected: cells,
+            });
+        }
+    }
+    for (partition, part) in plan.partitions.iter().enumerate() {
+        if part.universe() != num_patterns {
+            errors.push(VerifyError::PartitionUniverseMismatch {
+                partition,
+                universe: part.universe(),
+                expected: num_patterns,
+            });
+        }
+    }
+    if errors.len() > before_shape {
         return errors;
     }
     let mask_bits = xmap.config().mask_word_bits();
@@ -474,22 +540,16 @@ pub fn verify(
     let mut fibers = vec![0usize; num_partitions];
     for (p, &a) in cert.assignment.iter().enumerate() {
         let a = a as usize;
-        if a >= num_partitions {
+        if a < num_partitions {
+            fibers[a] += 1;
+        }
+        // Pass 2 pinned every partition's universe, so `p` is in range.
+        if a >= num_partitions || !bit(plan.partitions[a].as_bits().as_words(), p) {
             errors.push(VerifyError::AssignmentOutsidePartition {
                 pattern: p,
                 partition: a,
             });
-            continue;
         }
-        let words = plan.partitions[a].as_bits().as_words();
-        if p / 64 >= words.len() || !bit(words, p) {
-            errors.push(VerifyError::AssignmentOutsidePartition {
-                pattern: p,
-                partition: a,
-            });
-            continue;
-        }
-        fibers[a] += 1;
     }
     for (i, &fiber) in fibers.iter().enumerate() {
         let pop = popcount(plan.partitions[i].as_bits().as_words());
@@ -508,6 +568,7 @@ pub fn verify(
     // per-partition histogram and masked/leaked split from the assignment
     // alone, checking mask safety on the way.
     let mut masked = vec![0usize; num_partitions];
+    let mut masked_cells = vec![0usize; num_partitions];
     let mut leaked = vec![0usize; num_partitions];
     let mut hists: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); num_partitions];
     let mut counts = vec![0usize; num_partitions];
@@ -536,6 +597,7 @@ pub fn verify(
             *hists[a].entry(c).or_insert(0) += 1;
             if bit(plan.masks[a].as_bits().as_words(), cell) {
                 masked[a] += c;
+                masked_cells[a] += 1;
                 if c != fibers[a] {
                     errors.push(VerifyError::MaskUnsafe { partition: a, cell });
                 }
@@ -544,6 +606,21 @@ pub fn verify(
             }
         }
         touched.clear();
+    }
+    // A masked cell with no X in its partition never came up above; find
+    // it only when the mask holds more cells than the pass met.
+    for (a, mask) in plan.masks.iter().enumerate() {
+        if popcount(mask.as_bits().as_words()) == masked_cells[a] {
+            continue;
+        }
+        for cell in mask.as_bits().iter_ones() {
+            let met = xmap
+                .xset_linear(cell)
+                .is_some_and(|xs| xs.iter().any(|p| cert.assignment[p] as usize == a));
+            if !met {
+                errors.push(VerifyError::MaskUnsafe { partition: a, cell });
+            }
+        }
     }
     for (i, acc) in cert.partitions.iter().enumerate() {
         let actual: Vec<(usize, usize)> = hists[i].iter().map(|(&c, &n)| (c, n)).collect();

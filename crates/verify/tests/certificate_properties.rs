@@ -3,9 +3,10 @@
 //! single-field mutation of a valid certificate is rejected with the
 //! typed error naming the violated invariant.
 
+use xhc_bits::PatternSet;
 use xhc_core::{PartitionEngine, PartitionOutcome, PlanOptions};
 use xhc_logic::Trit;
-use xhc_misr::{CancelSession, Taps, XCancelConfig};
+use xhc_misr::{CancelSession, MaskWord, Taps, XCancelConfig};
 use xhc_scan::{CellId, ResponseMatrix, ScanConfig, XMap, XMapBuilder};
 use xhc_verify::{certify_plan, check, verify, PlanCertificate, VerifyError};
 use xhc_wire::{decode_certificate, encode_certificate, encode_plan};
@@ -397,4 +398,48 @@ fn certificate_is_bound_to_its_exact_plan() {
     assert!(errors
         .iter()
         .any(|e| matches!(e, VerifyError::PlanHashMismatch { .. })));
+}
+
+#[test]
+fn mis_shaped_plans_are_rejected_not_panicked_on() {
+    // A plan broken after certification (its bytes, and so the hash link,
+    // stay the certified ones) must come back as a typed shape error;
+    // otherwise narrow masks on a 1,000-cell map are indexed past their
+    // last word.
+    let xmap = WorkloadSpec::default().generate();
+    let cancel = XCancelConfig::new(32, 7);
+    let (outcome, plan_bytes, cert) = plan_and_certify(&xmap, cancel, 1, false);
+    let n = outcome.partitions.len();
+    let verdict = |mutate: &dyn Fn(&mut PartitionOutcome)| {
+        let mut plan = outcome.clone();
+        mutate(&mut plan);
+        check(&cert, &plan, &plan_bytes, &xmap, cancel)
+    };
+
+    let narrow = MaskWord::none(&ScanConfig::uniform(4, 4));
+    assert_eq!(
+        verdict(&|plan| plan.masks.fill(narrow.clone())),
+        Err(VerifyError::PlanMaskWidthMismatch {
+            partition: 0,
+            width: 16,
+            expected: 1000,
+        })
+    );
+    assert_eq!(
+        verdict(&|plan| {
+            plan.masks.pop();
+        }),
+        Err(VerifyError::MaskCountMismatch {
+            masks: n - 1,
+            partitions: n,
+        })
+    );
+    assert_eq!(
+        verdict(&|plan| plan.partitions[0] = PatternSet::all(199)),
+        Err(VerifyError::PartitionUniverseMismatch {
+            partition: 0,
+            universe: 199,
+            expected: 200,
+        })
+    );
 }

@@ -2,9 +2,11 @@
 # End-to-end smoke test of the plan-certificate checker: plan + certify
 # the demo workload through `xhybrid verify`, re-verify the written
 # artifacts independently, then prove the checker actually rejects —
-# a certificate paired with the wrong X map, and a corrupted
-# certificate file. Finally, on a scaled CKT-B workload the verify
-# pass must cost under 10% of planning time.
+# a certificate paired with the wrong X map, a corrupted certificate
+# file, and a plan for a narrower scan with the same pattern count
+# (exit 1 with FAILED; a crash exits 101 and fails the script).
+# Finally, on a scaled CKT-B workload the verify pass must cost under
+# 10% of planning time.
 #
 # Usage: scripts/verify_smoke.sh
 set -euo pipefail
@@ -51,6 +53,24 @@ if "$xhybrid" verify "$work/demo.xmap" \
   exit 1
 fi
 echo "corrupted certificate correctly rejected"
+
+# --- rejection 3: same pattern count, narrower scan ------------------
+# An 8-cell map (two chains of 4) with the demo's 200 patterns passes
+# the pattern-count check, so only the plan-shape check stands between
+# its 8-bit masks and the demo map's 1,000 cells.
+printf 'xmap v1\nchains 4 4\npatterns 200\nx 0 : 1 2 3\n' > "$work/narrow.xmap"
+"$xhybrid" verify "$work/narrow.xmap" \
+  --plan-out "$work/narrow.plan" --cert-out "$work/narrow.cert" > /dev/null
+status=0
+"$xhybrid" verify "$work/demo.xmap" \
+  --plan "$work/narrow.plan" --cert "$work/narrow.cert" 2> "$work/err3.txt" || status=$?
+if [[ $status -ne 1 ]]; then
+  echo "narrower-scan plan: exit $status, expected 1" >&2
+  cat "$work/err3.txt" >&2
+  exit 1
+fi
+grep -q 'FAILED' "$work/err3.txt" || { cat "$work/err3.txt"; exit 1; }
+echo "narrower-scan plan correctly rejected"
 
 # --- overhead bound on a scaled paper workload -----------------------
 "$xhybrid" gen --profile ckt-b --scale 4 --out "$work/cktb.xmap"

@@ -4,6 +4,9 @@
 //! CKT-A/B/C industrial profiles, and the uniform report's internal
 //! accounting holds on arbitrary maps.
 
+mod common;
+
+use common::certified;
 use xhc_prng::XhcRng;
 use xhybrid::prelude::*;
 
@@ -59,8 +62,14 @@ fn test_maps() -> Vec<(&'static str, XMap, XCancelConfig)> {
     ]
 }
 
+/// One backend's report; a backend that exposes its partition plan (the
+/// hybrid) has that plan certified and checked too.
 fn report(backend: BackendId, xmap: &XMap, cancel: XCancelConfig) -> BackendReport {
-    backend_for(backend).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default())
+    let r = backend_for(backend).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default());
+    if let Some(outcome) = &r.outcome {
+        certified(xmap, cancel, outcome);
+    }
+    r
 }
 
 /// One backend's account: `(control_bits, masked_x, leaked_x,

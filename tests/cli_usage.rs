@@ -96,6 +96,44 @@ fn gen_partition_pipeline_succeeds() {
 }
 
 #[test]
+fn verify_against_a_mismatched_map_fails_cleanly() {
+    // A plan and certificate made for an 8-cell map (two chains of 4),
+    // checked against the 1,000-cell demo map with the same 200 patterns:
+    // a runtime failure naming the checker's verdict, not a panic.
+    let small = temp_path("small.xmap");
+    let demo = temp_path("demo.xmap");
+    let plan = temp_path("small.plan");
+    let cert = temp_path("small.cert");
+    std::fs::write(&small, "xmap v1\nchains 4 4\npatterns 200\nx 0 : 1 2 3\n").unwrap();
+    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
+    let (code, _, err) = run(&["gen", "--profile", "demo", "--out", &path(&demo)]);
+    assert_eq!(code, 0, "{err}");
+    let (code, _, err) = run(&[
+        "verify",
+        &path(&small),
+        "--plan-out",
+        &path(&plan),
+        "--cert-out",
+        &path(&cert),
+    ]);
+    assert_eq!(code, 0, "{err}");
+
+    let (code, _, err) = run(&[
+        "verify",
+        &path(&demo),
+        "--plan",
+        &path(&plan),
+        "--cert",
+        &path(&cert),
+    ]);
+    assert_eq!(code, 1, "{err}");
+    assert!(err.contains("FAILED"), "{err}");
+    for p in [small, demo, plan, cert] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
 fn fetch_without_addr_is_a_usage_error() {
     let (code, _, err) = run(&["fetch", "some.xmap"]);
     assert_eq!(code, 2);

@@ -6,6 +6,9 @@
 //! change that makes the engine price more, or sweep more rows, fails
 //! here everywhere, not only on a quiet benchmark host.
 
+mod common;
+
+use common::certified;
 use xhc_trace::{Trace, TraceSession};
 use xhybrid::prelude::*;
 
@@ -66,10 +69,7 @@ fn best_cost_work_counts_are_pinned() {
     for ((spec, (name, want)), want_lanes) in specs.into_iter().zip(COUNTS).zip(LANES) {
         let xmap = spec.scaled(10).generate();
         let (base, _) = traced_plan(&xmap, 1);
-        let bytes = xhc_wire::encode_plan(&base, xmap.num_patterns());
-        let cert = xhc_verify::certify_plan(&xmap, cancel, &base, &bytes, None);
-        xhc_verify::check(&cert, &base, &bytes, &xmap, cancel)
-            .unwrap_or_else(|e| panic!("{name}: the plan fails its certificate: {e}"));
+        certified(&xmap, cancel, &base);
         for threads in [1, 2, 8] {
             let (outcome, trace) = traced_plan(&xmap, threads);
             assert_eq!(
@@ -95,9 +95,11 @@ fn full_size_best_cost_work_counts_are_pinned() {
         WorkloadSpec::ckt_b(),
         WorkloadSpec::ckt_c(),
     ];
+    let cancel = XCancelConfig::new(32, 7);
     for (spec, (name, want)) in specs.into_iter().zip(FULL_COUNTS) {
         let xmap = spec.generate();
         let (base, trace) = traced_plan(&xmap, 1);
+        certified(&xmap, cancel, &base);
         assert_eq!(work_counts(&trace), want, "{name} at 1 thread");
         let (outcome, trace) = traced_plan(&xmap, 2);
         assert_eq!(outcome, base, "{name}: the plan differs at 2 threads");

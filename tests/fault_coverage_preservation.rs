@@ -3,6 +3,9 @@
 //! loses no fault coverage, while a naive "mask anything with an X"
 //! policy does.
 
+mod common;
+
+use common::certified;
 use xhybrid::atpg::{generate_tests, AtpgConfig};
 use xhybrid::core::PartitionEngine;
 use xhybrid::fault::{all_output_faults, fault_coverage, FullObservability};
@@ -34,7 +37,9 @@ fn hybrid_masking_preserves_coverage_across_circuits() {
         let responses = harness.run(&atpg.patterns);
         let xmap = responses.to_xmap();
 
-        let outcome = PartitionEngine::new(XCancelConfig::new(12, 3)).run(&xmap);
+        let cancel = XCancelConfig::new(12, 3);
+        let outcome = PartitionEngine::new(cancel).run(&xmap);
+        certified(&xmap, cancel, &outcome);
 
         let raw = fault_coverage(&harness, &atpg.patterns, &faults, &FullObservability);
         let hybrid = fault_coverage(&harness, &atpg.patterns, &faults, &|p: usize, c: usize| {

@@ -2,6 +2,9 @@
 //! including the operational pipeline: mask application and the
 //! time-multiplexed X-canceling session on the leaked X's.
 
+mod common;
+
+use common::certified;
 use xhybrid::bits::PatternSet;
 use xhybrid::core::{
     apply_partition_masks, backend_for, BackendId, CorrelationAnalysis, PartitionEngine,
@@ -64,7 +67,9 @@ fn fig4_correlation_analysis_classes() {
 #[test]
 fn fig5_partition_sequence() {
     let xmap = fig4_xmap();
-    let outcome = PartitionEngine::new(XCancelConfig::new(10, 2)).run(&xmap);
+    let cancel = XCancelConfig::new(10, 2);
+    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
     // Final state: Partition 2 = {P2,P3,P7,P8}, Partition 3 = {P1,P4,P5},
     // Partition 4 = {P6}.
     let mut got: Vec<Vec<usize>> = outcome
@@ -81,10 +86,12 @@ fn fig6_control_bit_generation() {
     // "This method removes 23 X's out of total 28 X's... reduces 120
     //  control bits to 45 bits (i.e., 15 control bits for each partition)"
     let xmap = fig4_xmap();
-    let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
+    let cancel = XCancelConfig::new(10, 2);
+    let input = WorkloadInput::new(&xmap, cancel);
     let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
     assert_eq!(plan(BackendId::MaskingOnly).control_bits, 120.0);
     let outcome = plan(BackendId::Hybrid).outcome.expect("hybrid plan");
+    certified(&xmap, cancel, &outcome);
     assert_eq!(outcome.cost.masking_bits, 45);
     assert_eq!(outcome.masked_x(), 23);
     assert_eq!(outcome.leaked_x(), 5);
@@ -96,7 +103,9 @@ fn fig6_control_bit_generation() {
 fn fig6_cost_function_round_trace() {
     // Round costs with (m=10, q=2): 85 (round 0) -> 60 -> 57.5.
     let xmap = fig4_xmap();
-    let outcome = PartitionEngine::new(XCancelConfig::new(10, 2)).run(&xmap);
+    let cancel = XCancelConfig::new(10, 2);
+    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
     assert!((outcome.initial_cost.total() - 85.0).abs() < 1e-9);
     assert_eq!(outcome.rounds.len(), 2);
     assert!((outcome.rounds[0].cost_after.total() - 60.0).abs() < 1e-9);
@@ -107,7 +116,9 @@ fn fig6_cost_function_round_trace() {
 fn fig6_alternate_misr_config_stops_earlier() {
     // (m=10, q=1): 44 bits at round 1, 51 at round 2 -> stop at round 1.
     let xmap = fig4_xmap();
-    let outcome = PartitionEngine::new(XCancelConfig::new(10, 1)).run(&xmap);
+    let cancel = XCancelConfig::new(10, 1);
+    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
     assert_eq!(outcome.rounds.len(), 1);
     assert_eq!(outcome.cost.total_ceil(), 44);
 }
@@ -118,6 +129,7 @@ fn operational_pipeline_cancels_the_five_leaked_x() {
     let responses = fig4_responses(&xmap);
     let cancel = XCancelConfig::new(10, 2);
     let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
 
     let masked = apply_partition_masks(&responses, &outcome);
     assert_eq!(masked.total_x(), 5);
@@ -141,7 +153,9 @@ fn operational_pipeline_cancels_the_five_leaked_x() {
 fn masks_match_fig6_cell_lists() {
     let xmap = fig4_xmap();
     let cfg = xmap.config().clone();
-    let outcome = PartitionEngine::new(XCancelConfig::new(10, 2)).run(&xmap);
+    let cancel = XCancelConfig::new(10, 2);
+    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
     for (part, mask) in outcome.partitions.iter().zip(&outcome.masks) {
         let members: Vec<usize> = part.iter().collect();
         let masked: Vec<CellId> = (0..cfg.total_cells())

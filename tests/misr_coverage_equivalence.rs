@@ -7,6 +7,9 @@
 //! its combinations span at least the canceling-only ones — coverage can
 //! only stay equal, never drop.
 
+mod common;
+
+use common::certified;
 use xhybrid::atpg::{generate_tests, AtpgConfig};
 use xhybrid::bits::BitVec;
 use xhybrid::core::PartitionEngine;
@@ -80,6 +83,7 @@ fn hybrid_coverage_equals_canceling_coverage_through_the_misr() {
         // Hybrid: cells masked off, remaining (leaked) X's into the MISR.
         let xmap = s.responses.to_xmap();
         let outcome = PartitionEngine::new(cancel).run(&xmap);
+        certified(&xmap, cancel, &outcome);
         let masked = xhybrid::core::apply_partition_masks(&s.responses, &outcome);
         let masked_x: Vec<Vec<usize>> = (0..masked.num_patterns())
             .map(|p| {
@@ -172,6 +176,7 @@ fn hybrid_reduces_x_into_the_misr_strictly() {
     }
     let cancel = XCancelConfig::new(12, 3);
     let outcome = PartitionEngine::new(cancel).run(&xmap);
+    certified(&xmap, cancel, &outcome);
     let masked = xhybrid::core::apply_partition_masks(&s.responses, &outcome);
     assert!(masked.total_x() <= s.responses.total_x());
     assert_eq!(masked.total_x(), outcome.leaked_x());

@@ -7,6 +7,9 @@
 //! and one map pins the exact values (see EXPERIMENTS.md for the
 //! full-scale numbers).
 
+mod common;
+
+use common::certified;
 use xhybrid::prelude::*;
 
 /// One Table-1 row, planned through the backend fleet: the hybrid's
@@ -29,6 +32,7 @@ fn table1_row(xmap: &XMap) -> Row {
         BackendId::Hybrid,
     ]
     .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+    certified(xmap, cancel, hybrid.outcome.as_ref().expect("hybrid plan"));
     Row {
         impv_over_masking: masking.control_bits / hybrid.control_bits,
         impv_over_canceling: canceling.control_bits / hybrid.control_bits,
