@@ -282,23 +282,32 @@ impl HybridBackend {
         outcome: PartitionOutcome,
     ) -> BackendReport {
         let word_bits = xmap.config().mask_word_bits() as f64;
-        let total_cells = xmap.config().total_cells();
         let x_per_pattern = xmap.x_per_pattern();
-        // Per-partition masked-cell count: every masked cell is X under
-        // every member pattern, so it masks exactly one X per pattern.
-        let masked_cells: Vec<usize> = outcome
-            .masks
-            .iter()
-            .map(|mask| (0..total_cells).filter(|&i| mask.masks(i)).count())
+        let part_of: Vec<usize> = (0..xmap.num_patterns())
+            .map(|p| {
+                outcome
+                    .partitions
+                    .iter()
+                    .position(|set| set.contains(p))
+                    .expect("plan covers every pattern")
+            })
             .collect();
+        // A pattern's masked X's are the cells its partition's mask gates
+        // that hold an X under it, so a mask gating a known cell leaks
+        // nothing here and is left to the certificate checker to reject.
+        let mut masked_per_pattern = vec![0usize; xmap.num_patterns()];
+        for (cell, xs) in xmap.iter() {
+            let idx = xmap.config().linear_index(cell);
+            for p in xs.iter() {
+                if outcome.masks[part_of[p]].masks(idx) {
+                    masked_per_pattern[p] += 1;
+                }
+            }
+        }
         let mut per_pattern: Vec<PatternBreakdown> = Vec::with_capacity(xmap.num_patterns());
         for (p, &total_x) in x_per_pattern.iter().enumerate() {
-            let part = outcome
-                .partitions
-                .iter()
-                .position(|set| set.contains(p))
-                .expect("plan covers every pattern");
-            let masked = masked_cells[part];
+            let part = part_of[p];
+            let masked = masked_per_pattern[p];
             let leaked = total_x - masked;
             // The pattern's share: an equal slice of its partition's mask
             // word plus the canceling cost of its own leaked X's.

@@ -19,10 +19,6 @@
 use xhc_bits::{PatternRow, PatternSet};
 use xhc_scan::XMap;
 
-/// Minimum active-cell population before a child analysis fans out over
-/// the worker pool; below this the scoped-thread overhead dominates.
-const PAR_MIN_ACTIVE: usize = 4096;
-
 /// Per-cell X counts within a pattern subset, grouped into count classes.
 ///
 /// # Examples
@@ -97,8 +93,9 @@ impl CorrelationAnalysis {
     /// `with` must be the child pattern set `self ∩ pivot`, as a set or a
     /// borrowed row (the other child is implicitly `parent \ with`): a
     /// cell's "without" count is then `parent_count − with_count`, so the
-    /// whole split costs one subset intersection per *active* cell. For
-    /// large active populations the intersections fan out over up to
+    /// whole split costs one subset intersection per *active* cell. When
+    /// active cells × row words reach `threads` ×
+    /// [`xhc_par::MIN_WORKER_WORDS`], the intersections fan out over
     /// `threads` workers; the result is identical for every thread count.
     ///
     /// # Panics
@@ -119,24 +116,21 @@ impl CorrelationAnalysis {
         );
         let n = self.entries.len();
 
-        // One intersection per active cell, fanned out when worthwhile.
-        let with_counts: Vec<u32> = if n >= PAR_MIN_ACTIVE && threads > 1 {
-            let chunk = n.div_ceil(threads).max(1024);
-            xhc_par::par_chunks_threads(threads, &self.entries, chunk, |positions| {
-                positions
-                    .iter()
-                    .map(|&pos| xmap.entry(pos as usize).1.intersection_card(with) as u32)
-                    .collect::<Vec<u32>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            self.entries
+        // One intersection per active cell, fanned out in one chunk per
+        // worker when every chunk holds the fan-out floor's word tests.
+        let count = |positions: &[u32]| -> Vec<u32> {
+            positions
                 .iter()
                 .map(|&pos| xmap.entry(pos as usize).1.intersection_card(with) as u32)
                 .collect()
         };
+        let with_counts: Vec<u32> =
+            if threads > 1 && n * with.words().len() >= threads * xhc_par::MIN_WORKER_WORDS {
+                let chunks: Vec<&[u32]> = self.entries.chunks(n.div_ceil(threads)).collect();
+                xhc_par::par_map_threads(threads, &chunks, |c| count(c)).concat()
+            } else {
+                count(&self.entries)
+            };
 
         let mut w = (Vec::new(), Vec::new(), Vec::new(), 0usize);
         let mut wo = (Vec::new(), Vec::new(), Vec::new(), 0usize);

@@ -60,26 +60,34 @@ impl HybridCost {
 }
 
 /// Computes the safe (no non-X loss) masks for each partition and the
-/// resulting hybrid control-bit cost.
+/// resulting hybrid control-bit cost, on the caller's thread.
 ///
 /// # Panics
 ///
 /// Panics if a partition's universe differs from the map's pattern count.
 pub fn hybrid_cost(xmap: &XMap, partitions: &[PatternSet], cancel: XCancelConfig) -> HybridCost {
-    let (cost, _) = hybrid_cost_with_masks(xmap, partitions, cancel);
+    let (cost, _) = hybrid_cost_with_masks(xmap, partitions, cancel, 1);
     cost
 }
 
-/// Like [`hybrid_cost`] but also returns the per-partition mask words.
+/// Like [`hybrid_cost`] but also returns the per-partition mask words,
+/// extracting them on up to `threads` workers.
+///
+/// Each partition's extraction tests every X cell's row, so the fan-out
+/// takes one worker per [`xhc_par::MIN_WORKER_WORDS`] of partitions × X
+/// cells × row words, at most `threads`. The result is identical for
+/// every width.
 pub fn hybrid_cost_with_masks(
     xmap: &XMap,
     partitions: &[PatternSet],
     cancel: XCancelConfig,
+    threads: usize,
 ) -> (HybridCost, Vec<MaskWord>) {
     let total_x = xmap.total_x();
-    // Per-partition mask extraction is independent; fan it out. Results
-    // come back in partition order, so the fold is deterministic.
-    let per: Vec<(MaskWord, usize)> = xhc_par::par_map(partitions, |part| {
+    let words = partitions.len() * xmap.num_x_cells() * xmap.num_patterns().div_ceil(64);
+    let workers = threads.min(words / xhc_par::MIN_WORKER_WORDS);
+    // Results come back in partition order, so the fold is deterministic.
+    let per: Vec<(MaskWord, usize)> = xhc_par::par_map_threads(workers, partitions, |part| {
         let mask = safe_mask(xmap, part);
         let removed = mask.x_removed(xmap, Some(part));
         (mask, removed)
@@ -253,7 +261,7 @@ mod tests {
             PatternSet::from_patterns(8, [0, 3, 4]),
             PatternSet::from_patterns(8, [5]),
         ];
-        let (cost, masks) = hybrid_cost_with_masks(&xmap, &parts, XCancelConfig::new(10, 2));
+        let (cost, masks) = hybrid_cost_with_masks(&xmap, &parts, XCancelConfig::new(10, 2), 1);
         assert_eq!(masks.len(), 3);
         // Fig. 6 mask populations: 1, 5, 4 cells.
         assert_eq!(masks[0].count(), 1);
@@ -265,5 +273,50 @@ mod tests {
             .map(|(m, p)| m.x_removed(&xmap, Some(p)))
             .sum();
         assert_eq!(removed, cost.masked_x);
+    }
+
+    #[test]
+    fn masks_are_identical_at_every_width() {
+        let cancel = XCancelConfig::new(10, 2);
+        let fig4 = fig4_xmap();
+        let fig4_parts = vec![
+            PatternSet::from_patterns(8, [1, 2, 6, 7]),
+            PatternSet::from_patterns(8, [0, 3, 4]),
+            PatternSet::from_patterns(8, [5]),
+        ];
+        // Large enough that partitions × X cells × row words exceed two
+        // workers' floor, so the 2- and 8-thread calls really fan out.
+        let seeded = xhc_workload::WorkloadSpec {
+            total_cells: 4000,
+            num_chains: 20,
+            num_patterns: 640,
+            x_density: 0.02,
+            x_cell_fraction: 0.5,
+            seed: 7,
+            ..Default::default()
+        }
+        .generate();
+        // Disjoint partitions, each carved from one X cell's pattern row
+        // so that cell is masked, plus the rest of the patterns.
+        let mut used = PatternSet::empty(640);
+        let mut carved = Vec::new();
+        for (_, xs) in seeded.iter() {
+            let part = xs.to_set().difference(&used);
+            if carved.len() < 16 && part.card() >= 8 {
+                used = used.union(&part);
+                carved.push(part);
+            }
+        }
+        carved.push(PatternSet::all(640).difference(&used));
+        assert!(carved.len() * seeded.num_x_cells() * 10 > 2 * xhc_par::MIN_WORKER_WORDS);
+        for (xmap, parts) in [(&fig4, fig4_parts), (&seeded, carved)] {
+            let serial = hybrid_cost_with_masks(xmap, &parts, cancel, 1);
+            assert!(serial.0.masked_x > 0);
+            assert_eq!(serial.0, hybrid_cost(xmap, &parts, cancel));
+            for threads in [2, 8] {
+                let got = hybrid_cost_with_masks(xmap, &parts, cancel, threads);
+                assert_eq!(got, serial, "threads={threads}");
+            }
+        }
     }
 }

@@ -255,22 +255,17 @@ impl SplitScratch {
 /// fan-out costs more than the band sweep it parallelizes.
 const MIN_SHARD_ROWS: usize = 64;
 
-/// Fewest word tests (rows × words) worth one worker of a scoped
-/// fan-out, across candidates or across a sweep's row bands: a spawn
-/// and join cost about as much as this many tests.
-const MIN_WORKER_WORDS: usize = 1 << 16;
-
 /// Shard count for one candidate's superset sweep over `rows` active
 /// rows of `words` words on a `kernel_threads`-wide pool: one shard per
 /// worker, but never so many that a shard drops under [`MIN_SHARD_ROWS`]
-/// rows or [`MIN_WORKER_WORDS`] word tests.
+/// rows or [`xhc_par::MIN_WORKER_WORDS`] word tests.
 fn kernel_shards(rows: usize, words: usize, kernel_threads: usize) -> usize {
     if kernel_threads <= 1 {
         1
     } else {
         kernel_threads
             .min(rows / MIN_SHARD_ROWS)
-            .min(rows * words / MIN_WORKER_WORDS)
+            .min(rows * words / xhc_par::MIN_WORKER_WORDS)
             .max(1)
     }
 }
@@ -474,7 +469,7 @@ impl Pricer<'_> {
             .filter(|&(class_idx, .., ub)| ub >= limit && Some(class_idx) != seed.map(|s| s.0))
             .collect();
         let fan_out = kept.len() >= threads
-            && kept.len() * rows.len() * ctx.word_ids.len() >= threads * MIN_WORKER_WORDS;
+            && kept.len() * rows.len() * ctx.word_ids.len() >= threads * xhc_par::MIN_WORKER_WORDS;
         let gains: Vec<usize> = if fan_out {
             xhc_par::par_map_scratch_threads(threads, &mut self.scratch_pool, &kept, |s, c| {
                 eval(s, c, 1)
@@ -536,7 +531,8 @@ pub struct PlanOptions {
     pub strategy: SplitStrategy,
     /// How the engine picks the pivot cell within the chosen class.
     pub policy: CellSelection,
-    /// Worker-pool width for candidate evaluation and child re-analysis.
+    /// Worker-pool width for every engine fan-out: candidate pricing,
+    /// kernel shards, child re-analysis and final mask extraction.
     /// `0` means [`xhc_par::max_threads`]. The outcome is bit-identical
     /// for every width — this knob trades wall-clock only (the
     /// equivalence suite runs it at 1, 2 and 8).
@@ -888,7 +884,7 @@ impl PartitionEngine {
         }
 
         let partitions: Vec<PatternSet> = infos.into_iter().map(|i| i.patterns).collect();
-        let (final_cost, masks) = hybrid_cost_with_masks(xmap, &partitions, self.cancel);
+        let (final_cost, masks) = hybrid_cost_with_masks(xmap, &partitions, self.cancel, threads);
         debug_assert!((final_cost.total() - cost.total()).abs() < 1e-6);
 
         run_span.set_arg("partitions", partitions.len() as u64);

@@ -7,29 +7,28 @@
 //! the engine actually needs, built on [`std::thread::scope`] (the same
 //! no-external-deps precedent as `xhc-prng`):
 //!
-//! * [`par_map`] / [`par_map_threads`] — map a function over a slice on a
-//!   scoped worker pool, returning results **in input order** regardless
-//!   of scheduling;
-//! * [`par_chunks`] / [`par_chunks_threads`] — the same over consecutive
-//!   sub-slices, for stages whose per-item cost is too small to amortise
-//!   a task each;
-//! * [`par_map_scratch_threads`] — `par_map` with a caller-owned pool of
-//!   per-worker scratch objects, for kernels that would otherwise
-//!   allocate working buffers on every item;
+//! * [`par_map_scratch_threads`] — the one scheduler: map a function
+//!   over a slice on up to `threads` scoped workers, each with exclusive
+//!   use of one caller-owned scratch object, returning results **in
+//!   input order** regardless of scheduling;
+//! * [`par_map_threads`] — the same without scratch;
 //! * [`par_shard_reduce_threads`] — split an index range into contiguous
 //!   shards, map each shard on the pool, and fold the partial results
 //!   **in shard order**, for reductions that must parallelize *inside*
 //!   one logical task (e.g. one split candidate's superset sweep) without
 //!   perturbing the result;
-//! * [`max_threads`] — the pool width: the `XHC_THREADS` environment
-//!   variable when set, otherwise [`std::thread::available_parallelism`].
+//! * [`max_threads`] — the default width: the `XHC_THREADS` environment
+//!   variable when set, otherwise [`std::thread::available_parallelism`];
+//! * [`MIN_WORKER_WORDS`] — the one fan-out floor: a caller gives no
+//!   worker fewer than this many 64-bit word operations.
 //!
-//! Determinism is the contract: every helper returns exactly what the
-//! sequential equivalent (`items.iter().map(f).collect()`) returns, in
-//! the same order, for every thread count. Callers that fold the results
-//! sequentially therefore produce bit-identical outputs at 1 and N
-//! threads — the property the partition engine's equivalence suite
-//! checks.
+//! Every helper takes its width from the caller; `threads <= 1` runs on
+//! the caller's thread. Determinism is the contract: every helper
+//! returns exactly what the sequential equivalent
+//! (`items.iter().map(f).collect()`) returns, in the same order, for
+//! every thread count. Callers that fold the results sequentially
+//! therefore produce bit-identical outputs at 1 and N threads — the
+//! property the partition engine's equivalence suite checks.
 //!
 //! Work distribution is an atomic index counter (dynamic self-scheduling)
 //! so unevenly-sized tasks — split candidates whose partitions differ
@@ -43,11 +42,8 @@
 //! # Examples
 //!
 //! ```
-//! let squares = xhc_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares = xhc_par::par_map_threads(2, &[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! let sums = xhc_par::par_chunks(&[1u64, 2, 3, 4, 5], 2, |c| c.iter().sum::<u64>());
-//! assert_eq!(sums, vec![3, 7, 5]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,15 +52,20 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Environment variable overriding the worker-pool width.
-pub const THREADS_ENV: &str = "XHC_THREADS";
+/// Environment variable overriding the default pool width.
+const THREADS_ENV: &str = "XHC_THREADS";
+
+/// Fewest word operations worth one worker of a scoped fan-out: a spawn
+/// and join cost about as much as this many 64-bit word tests. Callers
+/// size their fan-out so no worker gets less.
+pub const MIN_WORKER_WORDS: usize = 1 << 16;
 
 /// The default pool width: `XHC_THREADS` when set to a positive integer,
 /// otherwise the machine's available parallelism (at least 1).
 ///
-/// Read once and cached for the process lifetime; pass an explicit count
-/// to [`par_map_threads`] / [`par_chunks_threads`] to vary it at runtime
-/// (the equivalence tests do).
+/// Read once and cached for the process lifetime. The helpers never read
+/// it: a caller resolves its width here once (for an "automatic" setting
+/// such as `threads = 0`) and passes that width to every helper.
 pub fn max_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -79,17 +80,6 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Maps `f` over `items` on the default pool (see [`max_threads`]),
-/// returning results in input order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(max_threads(), items, f)
-}
-
 /// Maps `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. `threads <= 1` (or a short input) runs
 /// sequentially on the caller's thread; the output is identical either
@@ -100,50 +90,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    // Dynamic self-scheduling: workers claim the next unclaimed index, so
-    // uneven task costs balance. Each worker keeps `(index, result)`
-    // pairs; the pairs are re-placed by index afterwards, which makes the
-    // output order independent of scheduling.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-
-    let buckets = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(&items[i])));
-                    }
-                    xhc_trace::flush_thread();
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("xhc-par worker panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    for (i, r) in buckets.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "index {i} claimed twice");
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index processed"))
-        .collect()
+    par_map_scratch_threads(threads, &mut Vec::<()>::new(), items, |_, t| f(t))
 }
 
 /// Maps `f` over `items` on up to `threads` scoped workers, handing each
@@ -172,18 +119,19 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        if pool.is_empty() {
-            pool.push(S::default());
-        }
-        let scratch = &mut pool[0];
-        return items.iter().map(|t| f(scratch, t)).collect();
-    }
+    let workers = threads.clamp(1, items.len());
     while pool.len() < workers {
         pool.push(S::default());
     }
+    if workers == 1 {
+        let scratch = &mut pool[0];
+        return items.iter().map(|t| f(scratch, t)).collect();
+    }
 
+    // Dynamic self-scheduling: workers claim the next unclaimed index, so
+    // uneven task costs balance. Each worker keeps `(index, result)`
+    // pairs; the pairs are re-placed by index afterwards, which makes the
+    // output order independent of scheduling.
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
@@ -290,63 +238,6 @@ where
     debug_assert_eq!(start, len);
     let partials = par_map_threads(threads, &ranges, |r| map(r.clone()));
     partials.into_iter().fold(init, fold)
-}
-
-/// Applies `f` to consecutive chunks of `items` (each of `chunk_size`
-/// elements, the last possibly shorter) on the default pool, returning
-/// one result per chunk in chunk order.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    par_chunks_threads(max_threads(), items, chunk_size, f)
-}
-
-/// Like [`par_chunks`] with an explicit worker count.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_chunks_threads<T, R, F>(threads: usize, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_map_threads(threads, &chunks, |c| f(c))
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-///
-/// A convenience for two-way forks (e.g. the two child partitions of a
-/// split). Sequential when the pool width is 1.
-pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if max_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(|| {
-            let rb = b();
-            xhc_trace::flush_thread();
-            rb
-        });
-        let ra = a();
-        (ra, hb.join().expect("xhc-par join worker panicked"))
-    })
 }
 
 #[cfg(test)]
@@ -471,26 +362,24 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_all_items_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        for threads in [1, 4] {
-            let got = par_chunks_threads(threads, &items, 10, |c| c.to_vec());
-            let flat: Vec<u32> = got.into_iter().flatten().collect();
-            assert_eq!(flat, items, "threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn par_chunks_rejects_zero_chunk() {
-        par_chunks_threads(2, &[1u8, 2], 0, |c| c.len());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
+    fn width_one_runs_every_item_on_the_caller_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..64).collect();
+        let on_caller = |_: &u64| std::thread::current().id() == caller;
+        assert!(par_map_threads(1, &items, on_caller).into_iter().all(|b| b));
+        let mut pool: Vec<u8> = Vec::new();
+        let got = par_map_scratch_threads(1, &mut pool, &items, |_, x| on_caller(x));
+        assert!(got.into_iter().all(|b| b));
+        assert_eq!(pool.len(), 1);
+        let all = par_shard_reduce_threads(
+            1,
+            items.len(),
+            8,
+            true,
+            |_| std::thread::current().id() == caller,
+            |a, b| a && b,
+        );
+        assert!(all);
     }
 
     #[test]
@@ -510,20 +399,8 @@ mod tests {
             x + 1
         });
         assert_eq!(got.len(), 32);
-        let (a, b) = join(
-            || {
-                xhc_trace::counter_add("par.test.join", 1);
-                1u32
-            },
-            || {
-                xhc_trace::counter_add("par.test.join", 1);
-                2u32
-            },
-        );
-        assert_eq!((a, b), (1, 2));
         let trace = session.finish();
         assert_eq!(trace.spans("par.test.item").count(), 32);
         assert_eq!(trace.counter("par.test.items"), Some(32));
-        assert_eq!(trace.counter("par.test.join"), Some(2));
     }
 }

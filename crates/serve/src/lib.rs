@@ -238,13 +238,6 @@ impl ServerConfig {
     }
 }
 
-/// The stable wire code of a split strategy (persisted inside cache keys,
-/// so the mapping must never change). Delegates to
-/// [`xhc_wire::strategy_code`], which owns the pinned table.
-pub fn strategy_code(strategy: SplitStrategy) -> u8 {
-    xhc_wire::strategy_code(strategy)
-}
-
 /// Parses the strategy names the CLI and the query string share.
 pub fn parse_strategy(s: &str) -> Option<SplitStrategy> {
     match s {

@@ -4,7 +4,7 @@
 //! typed error naming the violated invariant.
 
 use xhc_bits::PatternSet;
-use xhc_core::{PartitionEngine, PartitionOutcome, PlanOptions};
+use xhc_core::{HybridBackend, PartitionEngine, PartitionOutcome, PlanOptions};
 use xhc_logic::Trit;
 use xhc_misr::{CancelSession, MaskWord, Taps, XCancelConfig};
 use xhc_scan::{CellId, ResponseMatrix, ScanConfig, XMap, XMapBuilder};
@@ -442,4 +442,30 @@ fn mis_shaped_plans_are_rejected_not_panicked_on() {
             expected: 200,
         })
     );
+}
+
+#[test]
+fn a_mask_on_a_never_x_cell_is_reported_then_rejected() {
+    // The hybrid report must account such a plan without overflowing its
+    // per-pattern leak; judging it is the checker's job (XL0404).
+    let xmap = fig4_xmap();
+    let cancel = XCancelConfig::new(10, 2);
+    let (valid, ..) = plan_and_certify(&xmap, cancel, 1, false);
+    let never_x = CellId::new(0, 1);
+    assert_eq!(xmap.x_count(never_x), 0);
+    let mut plan = valid.clone();
+    plan.masks[0].mask(xmap.config(), never_x);
+
+    let report = HybridBackend::report_for(&xmap, cancel, plan.clone());
+    let expected = HybridBackend::report_for(&xmap, cancel, valid);
+    assert_eq!(report.per_pattern, expected.per_pattern);
+
+    let plan_bytes = encode_plan(&plan, xmap.num_patterns());
+    let cert = certify_plan(&xmap, cancel, &plan, &plan_bytes, None);
+    let unsafe_mask = VerifyError::MaskUnsafe {
+        partition: 0,
+        cell: xmap.config().linear_index(never_x),
+    };
+    assert!(verify(&cert, &plan, &plan_bytes, &xmap, cancel).contains(&unsafe_mask));
+    assert!(check(&cert, &plan, &plan_bytes, &xmap, cancel).is_err());
 }

@@ -6,7 +6,7 @@
 # file, and a plan for a narrower scan with the same pattern count
 # (exit 1 with FAILED; a crash exits 101 and fails the script).
 # Finally, on a scaled CKT-B workload the verify pass must cost under
-# 10% of planning time.
+# 10% of planning time, in the median of five runs.
 #
 # Usage: scripts/verify_smoke.sh
 set -euo pipefail
@@ -73,12 +73,18 @@ grep -q 'FAILED' "$work/err3.txt" || { cat "$work/err3.txt"; exit 1; }
 echo "narrower-scan plan correctly rejected"
 
 # --- overhead bound on a scaled paper workload -----------------------
+# One ~1 ms check against one ~13 ms plan swings with host noise, so the
+# bound holds on the median ratio of five runs.
 "$xhybrid" gen --profile ckt-b --scale 4 --out "$work/cktb.xmap"
-"$xhybrid" verify "$work/cktb.xmap" --m 16 --q 3 --strategy best-cost \
-  | tee "$work/scaled.txt"
-ratio="$(sed -n 's/.*(\([0-9.]*\)% of plan).*/\1/p' "$work/scaled.txt")"
-[[ -n "$ratio" ]] || { echo "no verify/plan ratio in output"; exit 1; }
+for run in 1 2 3 4 5; do
+  "$xhybrid" verify "$work/cktb.xmap" --m 16 --q 3 --strategy best-cost \
+    | tee "$work/scaled.txt"
+  r="$(sed -n 's/.*(\([0-9.]*\)% of plan).*/\1/p' "$work/scaled.txt")"
+  [[ -n "$r" ]] || { echo "no verify/plan ratio in output of run $run"; exit 1; }
+  echo "$r" >> "$work/ratios.txt"
+done
+ratio="$(sort -g "$work/ratios.txt" | sed -n 3p)"
 awk -v r="$ratio" 'BEGIN { exit !(r < 10.0) }' \
-  || { echo "verify overhead ${ratio}% exceeds the 10% bound"; exit 1; }
+  || { echo "median verify overhead ${ratio}% exceeds the 10% bound"; exit 1; }
 
-echo "verify smoke OK: round-trip checked, rejections fired, overhead ${ratio}%"
+echo "verify smoke OK: round-trip checked, rejections fired, median overhead ${ratio}%"

@@ -20,7 +20,7 @@
 //! | [`misr`] | `xhc-misr` | MISR, symbolic simulation, X-masking, X-canceling |
 //! | [`core`] | `xhc-core` | **the paper's contribution**: correlation analysis, pattern partitioning, hybrid cost model, baselines |
 //! | [`workload`] | `xhc-workload` | synthetic CKT-A/B/C industrial X profiles |
-//! | [`par`] | `xhc-par` | scoped-thread work pool (deterministic `par_map`/`par_chunks`) |
+//! | [`par`] | `xhc-par` | scoped-thread work pool (deterministic `par_map_threads`, one fan-out floor) |
 //! | [`trace`] | `xhc-trace` | zero-dependency structured tracing: spans, counters, chrome://tracing export |
 //! | [`wire`] | `xhc-wire` | versioned binary wire format + content addressing for artifacts |
 //! | [`verify`] | `xhc-verify` | plan certificates + engine-independent static checker |
