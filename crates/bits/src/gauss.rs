@@ -193,28 +193,12 @@ pub fn eliminate(matrix: &BitMatrix) -> Elimination {
 ///
 /// See the crate-level example, which reproduces the paper's Fig. 3.
 pub fn x_free_combinations(dependency: &BitMatrix) -> Vec<BitVec> {
-    x_free_combinations_limited(dependency, usize::MAX)
-}
-
-/// Like [`x_free_combinations`] but stops after `max` combinations, in the
-/// same (reduction) order.
-///
-/// The time-multiplexed canceling session only streams `q` combinations
-/// per halt, so it never needs the full null-space basis materialised;
-/// this variant skips building the unused [`BitVec`] rows.
-pub fn x_free_combinations_limited(dependency: &BitMatrix, max: usize) -> Vec<BitVec> {
     let flat = eliminate_flat(dependency);
     let m = flat.num_rows();
-    let mut out = Vec::new();
-    for r in 0..m {
-        if out.len() >= max {
-            break;
-        }
-        if flat.dep_row(r).iter().all(|&w| w == 0) {
-            out.push(BitVec::from_words(flat.comb_row(r).to_vec(), m));
-        }
-    }
-    out
+    (0..m)
+        .filter(|&r| flat.dep_row(r).iter().all(|&w| w == 0))
+        .map(|r| BitVec::from_words(flat.comb_row(r).to_vec(), m))
+        .collect()
 }
 
 /// Verifies that `combination` (one bit per row of `dependency`) XORs to an

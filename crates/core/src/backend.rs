@@ -91,9 +91,20 @@ impl BackendId {
         }
     }
 
-    /// Parses a backend token as produced by [`BackendId::name`].
-    pub fn parse(s: &str) -> Option<BackendId> {
-        BackendId::ALL.into_iter().find(|b| b.name() == s)
+    /// Parses a backend token as produced by [`BackendId::name`]; an
+    /// unknown token is an error carrying the message the CLI and the
+    /// daemon print.
+    pub fn parse(s: &str) -> Result<BackendId, String> {
+        BackendId::ALL
+            .into_iter()
+            .find(|b| b.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = BackendId::ALL.iter().map(|b| b.name()).collect();
+                format!(
+                    "`{s}` is not a backend (expected one of {})",
+                    names.join(", ")
+                )
+            })
     }
 
     /// The backend's capability flags.
@@ -758,12 +769,18 @@ mod tests {
     #[test]
     fn ids_name_parse_roundtrip() {
         for id in BackendId::ALL {
-            assert_eq!(BackendId::parse(id.name()), Some(id));
+            assert_eq!(BackendId::parse(id.name()), Ok(id));
             assert_eq!(id.to_string(), id.name());
             assert_eq!(backend_for(id).id(), id);
             assert_eq!(backend_for(id).caps(), id.caps());
         }
-        assert_eq!(BackendId::parse("nope"), None);
+        assert_eq!(
+            BackendId::parse("nope"),
+            Err(
+                "`nope` is not a backend (expected one of hybrid, masking, canceling, superset, xcode)"
+                    .to_string()
+            )
+        );
         assert_eq!(BackendId::default(), BackendId::Hybrid);
     }
 

@@ -1,7 +1,7 @@
 //! Control-bit cost accounting for the hybrid architecture.
 
 use xhc_bits::PatternSet;
-use xhc_misr::{safe_mask, MaskWord, XCancelConfig};
+use xhc_misr::{safe_mask, XCancelConfig};
 use xhc_scan::XMap;
 
 /// The control-bit cost of a partitioning of the pattern set, per the
@@ -59,59 +59,33 @@ impl HybridCost {
     }
 }
 
-/// Computes the safe (no non-X loss) masks for each partition and the
-/// resulting hybrid control-bit cost, on the caller's thread.
+/// Computes the safe (no non-X loss) mask of each partition with
+/// [`safe_mask`] and the resulting hybrid control-bit cost, on the
+/// caller's thread. The engine keeps the same masks incrementally; this
+/// is the serial reference it is tested against.
 ///
 /// # Panics
 ///
 /// Panics if a partition's universe differs from the map's pattern count.
 pub fn hybrid_cost(xmap: &XMap, partitions: &[PatternSet], cancel: XCancelConfig) -> HybridCost {
-    let (cost, _) = hybrid_cost_with_masks(xmap, partitions, cancel, 1);
-    cost
-}
-
-/// Like [`hybrid_cost`] but also returns the per-partition mask words,
-/// extracting them on up to `threads` workers.
-///
-/// Each partition's extraction tests every X cell's row, so the fan-out
-/// takes one worker per [`xhc_par::MIN_WORKER_WORDS`] of partitions × X
-/// cells × row words, at most `threads`. The result is identical for
-/// every width.
-pub fn hybrid_cost_with_masks(
-    xmap: &XMap,
-    partitions: &[PatternSet],
-    cancel: XCancelConfig,
-    threads: usize,
-) -> (HybridCost, Vec<MaskWord>) {
-    let total_x = xmap.total_x();
-    let words = partitions.len() * xmap.num_x_cells() * xmap.num_patterns().div_ceil(64);
-    let workers = threads.min(words / xhc_par::MIN_WORKER_WORDS);
-    // Results come back in partition order, so the fold is deterministic.
-    let per: Vec<(MaskWord, usize)> = xhc_par::par_map_threads(workers, partitions, |part| {
-        let mask = safe_mask(xmap, part);
-        let removed = mask.x_removed(xmap, Some(part));
-        (mask, removed)
-    });
-    let masked_x: usize = per.iter().map(|&(_, removed)| removed).sum();
-    let masks: Vec<MaskWord> = per.into_iter().map(|(mask, _)| mask).collect();
-    let leaked_x = total_x - masked_x;
-    let masking_bits = xmap.config().mask_word_bits() as u128 * partitions.len() as u128;
-    let canceling_bits = cancel.control_bits(leaked_x);
-    (
-        HybridCost {
-            masking_bits,
-            canceling_bits,
-            masked_x,
-            leaked_x,
-            num_partitions: partitions.len(),
-        },
-        masks,
-    )
+    let masked_x: usize = partitions
+        .iter()
+        .map(|part| safe_mask(xmap, part).x_removed(xmap, Some(part)))
+        .sum();
+    let leaked_x = xmap.total_x() - masked_x;
+    HybridCost {
+        masking_bits: xmap.config().mask_word_bits() as u128 * partitions.len() as u128,
+        canceling_bits: cancel.control_bits(leaked_x),
+        masked_x,
+        leaked_x,
+        num_partitions: partitions.len(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xhc_misr::MaskWord;
     use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 
     fn fig4_xmap() -> XMap {
@@ -261,8 +235,8 @@ mod tests {
             PatternSet::from_patterns(8, [0, 3, 4]),
             PatternSet::from_patterns(8, [5]),
         ];
-        let (cost, masks) = hybrid_cost_with_masks(&xmap, &parts, XCancelConfig::new(10, 2), 1);
-        assert_eq!(masks.len(), 3);
+        let cost = hybrid_cost(&xmap, &parts, XCancelConfig::new(10, 2));
+        let masks: Vec<MaskWord> = parts.iter().map(|p| safe_mask(&xmap, p)).collect();
         // Fig. 6 mask populations: 1, 5, 4 cells.
         assert_eq!(masks[0].count(), 1);
         assert_eq!(masks[1].count(), 5);
@@ -273,50 +247,5 @@ mod tests {
             .map(|(m, p)| m.x_removed(&xmap, Some(p)))
             .sum();
         assert_eq!(removed, cost.masked_x);
-    }
-
-    #[test]
-    fn masks_are_identical_at_every_width() {
-        let cancel = XCancelConfig::new(10, 2);
-        let fig4 = fig4_xmap();
-        let fig4_parts = vec![
-            PatternSet::from_patterns(8, [1, 2, 6, 7]),
-            PatternSet::from_patterns(8, [0, 3, 4]),
-            PatternSet::from_patterns(8, [5]),
-        ];
-        // Large enough that partitions × X cells × row words exceed two
-        // workers' floor, so the 2- and 8-thread calls really fan out.
-        let seeded = xhc_workload::WorkloadSpec {
-            total_cells: 4000,
-            num_chains: 20,
-            num_patterns: 640,
-            x_density: 0.02,
-            x_cell_fraction: 0.5,
-            seed: 7,
-            ..Default::default()
-        }
-        .generate();
-        // Disjoint partitions, each carved from one X cell's pattern row
-        // so that cell is masked, plus the rest of the patterns.
-        let mut used = PatternSet::empty(640);
-        let mut carved = Vec::new();
-        for (_, xs) in seeded.iter() {
-            let part = xs.to_set().difference(&used);
-            if carved.len() < 16 && part.card() >= 8 {
-                used = used.union(&part);
-                carved.push(part);
-            }
-        }
-        carved.push(PatternSet::all(640).difference(&used));
-        assert!(carved.len() * seeded.num_x_cells() * 10 > 2 * xhc_par::MIN_WORKER_WORDS);
-        for (xmap, parts) in [(&fig4, fig4_parts), (&seeded, carved)] {
-            let serial = hybrid_cost_with_masks(xmap, &parts, cancel, 1);
-            assert!(serial.0.masked_x > 0);
-            assert_eq!(serial.0, hybrid_cost(xmap, &parts, cancel));
-            for threads in [2, 8] {
-                let got = hybrid_cost_with_masks(xmap, &parts, cancel, threads);
-                assert_eq!(got, serial, "threads={threads}");
-            }
-        }
     }
 }

@@ -73,7 +73,7 @@ pub use correlation::{
     inter_correlation_stats, intra_correlation_stats, CorrelationAnalysis, InterCorrelationStats,
     IntraCorrelationStats,
 };
-pub use cost::{hybrid_cost, hybrid_cost_with_masks, HybridCost};
+pub use cost::{hybrid_cost, HybridCost};
 pub use hybrid::apply_partition_masks;
 pub use partition::{
     CellSelection, PartitionEngine, PartitionOutcome, PlanOptions, RoundRecord, SplitStrategy,

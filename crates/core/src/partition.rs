@@ -1,10 +1,11 @@
 //! The pattern-partitioning algorithm (the paper's §4, Algorithm 1).
 
+use crate::backend::BackendId;
 use crate::correlation::CorrelationAnalysis;
-use crate::cost::{hybrid_cost_with_masks, HybridCost};
+use crate::cost::HybridCost;
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use xhc_bits::{PatternSet, XBitMatrix};
+use xhc_bits::{BitVec, PatternSet, XBitMatrix};
 use xhc_misr::{MaskWord, XCancelConfig};
 use xhc_prng::{SliceRandom, XhcRng};
 use xhc_scan::XMap;
@@ -25,6 +26,35 @@ pub enum CellSelection {
     GlobalMaxX,
 }
 
+impl CellSelection {
+    /// The stable token (`policy=` query value, `--policy` flag value).
+    /// A seeded policy's seed travels separately, as `seed`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CellSelection::First => "first",
+            CellSelection::Seeded(_) => "seeded",
+            CellSelection::GlobalMaxX => "global-max-x",
+        }
+    }
+
+    /// Parses a policy token as produced by [`CellSelection::name`];
+    /// `seed` is the stream seed a `seeded` policy binds. An unknown
+    /// token is an error carrying the message the CLI and the daemon
+    /// print.
+    pub fn parse(s: &str, seed: u64) -> Result<CellSelection, String> {
+        [
+            CellSelection::First,
+            CellSelection::Seeded(seed),
+            CellSelection::GlobalMaxX,
+        ]
+        .into_iter()
+        .find(|p| p.name() == s)
+        .ok_or_else(|| {
+            format!("`{s}` is not a policy (expected `first`, `seeded` or `global-max-x`)")
+        })
+    }
+}
+
 /// How the engine chooses *which* split to attempt each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SplitStrategy {
@@ -38,6 +68,27 @@ pub enum SplitStrategy {
     /// once, when it is made (a split changes no other partition's
     /// prices); can beat the greedy rule on weakly-correlated profiles.
     BestCost,
+}
+
+impl SplitStrategy {
+    /// The stable token (`strategy=` query value, `--strategy` flag
+    /// value).
+    pub fn name(self) -> &'static str {
+        match self {
+            SplitStrategy::LargestClass => "largest",
+            SplitStrategy::BestCost => "best-cost",
+        }
+    }
+
+    /// Parses a strategy token as produced by [`SplitStrategy::name`]; an
+    /// unknown token is an error carrying the message the CLI and the
+    /// daemon print.
+    pub fn parse(s: &str) -> Result<SplitStrategy, String> {
+        [SplitStrategy::LargestClass, SplitStrategy::BestCost]
+            .into_iter()
+            .find(|st| st.name() == s)
+            .ok_or_else(|| format!("`{s}` is not a strategy (expected `largest` or `best-cost`)"))
+    }
 }
 
 /// One accepted partitioning round.
@@ -144,14 +195,16 @@ enum SplitMemo {
     Best(BestSplit),
 }
 
-/// Per-partition state between rounds: the patterns, their masked X and
-/// the memo. No partition keeps its [`CorrelationAnalysis`]: a split
-/// needs only the parent's, and pricing only the children's (see
-/// [`Newest`]).
+/// Per-partition state between rounds: the patterns, their fully-X
+/// cells and the memo. No partition keeps its [`CorrelationAnalysis`]:
+/// a split needs only the parent's, and pricing only the children's
+/// (see [`Newest`]).
 #[derive(Debug, Clone)]
 struct PartitionInfo {
     patterns: PatternSet,
-    masked_x: usize,
+    /// Linear indices of the cells X under every pattern of the
+    /// partition: the cells its mask word gates.
+    fully_x: Vec<u32>,
     memo: SplitMemo,
 }
 
@@ -169,9 +222,15 @@ impl PartitionInfo {
         };
         PartitionInfo {
             patterns,
-            masked_x: masked_of(analysis),
+            fully_x: analysis.fully_x_cells().iter().map(|&c| c as u32).collect(),
             memo,
         }
+    }
+
+    /// X's the partition's mask removes: its fully-X cells times its
+    /// size.
+    fn masked_x(&self) -> usize {
+        self.fully_x.len() * self.patterns.card()
     }
 
     /// The best priced `BestCost` candidate.
@@ -377,13 +436,13 @@ impl Pricer<'_> {
     ) -> (usize, usize) {
         let limit = prune_limit(infos, at);
         let info = &mut infos[at];
+        let masked_x = info.masked_x();
         let SplitMemo::Best(memo) = &mut info.memo else {
             unreachable!("only BestCost partitions are priced");
         };
         let patterns = &info.patterns;
         let (xmap, matrix) = (self.xmap, self.matrix);
         let card = patterns.card();
-        let masked_x = info.masked_x;
         let ctx = PartCtx::build(patterns, analysis);
 
         // Gain bound per candidate: at most suffix(k) active cells can
@@ -532,7 +591,7 @@ pub struct PlanOptions {
     /// How the engine picks the pivot cell within the chosen class.
     pub policy: CellSelection,
     /// Worker-pool width for every engine fan-out: candidate pricing,
-    /// kernel shards, child re-analysis and final mask extraction.
+    /// kernel shards and child re-analysis.
     /// `0` means [`xhc_par::max_threads`]. The outcome is bit-identical
     /// for every width — this knob trades wall-clock only (the
     /// equivalence suite runs it at 1, 2 and 8).
@@ -547,7 +606,71 @@ pub struct PlanOptions {
     /// [`crate::backend`]). [`PartitionEngine`] itself ignores this — it
     /// *is* the hybrid backend — but the wire `PlanRequest`, the daemon
     /// and the CLI route on it, so it rides in the shared options struct.
-    pub backend: crate::backend::BackendId,
+    pub backend: BackendId,
+}
+
+impl PlanOptions {
+    /// Reads every option but `threads` by its query name (`strategy`,
+    /// `policy`, `seed`, `max_rounds`, `cost_stop`, `backend`) through
+    /// `get`; an absent one keeps its [`Default`]. The daemon passes its
+    /// query string, the `xhybrid` CLI its flags (`--max-rounds` for
+    /// `max_rounds`), so both accept and reject the same values with the
+    /// same message.
+    ///
+    /// ```
+    /// use xhc_core::{CellSelection, PlanOptions};
+    ///
+    /// let query = [("policy", "seeded"), ("seed", "3")];
+    /// let get = |name: &str| query.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+    /// let opts = PlanOptions::from_params(get).unwrap();
+    /// assert_eq!(opts.policy, CellSelection::Seeded(3));
+    /// assert_eq!(
+    ///     PlanOptions::from_params(|name| (name == "seed").then_some("3")),
+    ///     Err("`seed` requires `policy=seeded`".to_string())
+    /// );
+    /// ```
+    ///
+    /// The error is the first rejected value's message, one line.
+    pub fn from_params<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Result<PlanOptions, String> {
+        let defaults = PlanOptions::default();
+        let strategy = get("strategy").map_or(Ok(defaults.strategy), SplitStrategy::parse)?;
+        let seed = get("seed")
+            .map(|raw| {
+                raw.parse::<u64>()
+                    .map_err(|_| format!("`{raw}` is not a valid `seed`"))
+            })
+            .transpose()?;
+        let policy = get("policy").map_or(Ok(defaults.policy), |raw| {
+            CellSelection::parse(raw, seed.unwrap_or(0))
+        })?;
+        if seed.is_some() && !matches!(policy, CellSelection::Seeded(_)) {
+            return Err("`seed` requires `policy=seeded`".to_string());
+        }
+        let max_rounds = get("max_rounds")
+            .map(|raw| {
+                raw.parse::<usize>()
+                    .map_err(|_| format!("`{raw}` is not a valid `max_rounds`"))
+            })
+            .transpose()?;
+        let cost_stop = match get("cost_stop") {
+            None | Some("1") => true,
+            Some("0") => false,
+            Some(raw) => {
+                return Err(format!(
+                    "`{raw}` is not a valid `cost_stop` (expected `0` or `1`)"
+                ))
+            }
+        };
+        let backend = get("backend").map_or(Ok(defaults.backend), BackendId::parse)?;
+        Ok(PlanOptions {
+            strategy,
+            policy,
+            max_rounds,
+            cost_stop,
+            backend,
+            ..defaults
+        })
+    }
 }
 
 impl Default for PlanOptions {
@@ -561,7 +684,7 @@ impl Default for PlanOptions {
             threads: 0,
             max_rounds: None,
             cost_stop: true,
-            backend: crate::backend::BackendId::Hybrid,
+            backend: BackendId::Hybrid,
         }
     }
 }
@@ -711,7 +834,7 @@ impl PartitionEngine {
         }
         // Masked-X total, maintained incrementally: a split replaces one
         // partition's contribution with its two children's.
-        let mut masked_total = infos[0].masked_x;
+        let mut masked_total = infos[0].masked_x();
         let initial_cost = cost_from(masked_total, 1);
         let mut cost = initial_cost.clone();
         let mut rounds = Vec::new();
@@ -762,7 +885,7 @@ impl PartitionEngine {
                             .expect("class is non-empty"),
                     };
                     let children = newest.split(xmap, pi, &infos[pi].patterns, pivot_cell, threads);
-                    let next_masked = masked_total - infos[pi].masked_x
+                    let next_masked = masked_total - infos[pi].masked_x()
                         + masked_of(newest.of(pi).expect("child analyzed"))
                         + masked_of(newest.of(pi + 1).expect("child analyzed"));
                     (
@@ -848,7 +971,7 @@ impl PartitionEngine {
             let a_with = newest.of(pi).expect("child analyzed");
             let a_without = newest.of(pi + 1).expect("child analyzed");
             debug_assert_eq!(
-                masked_total - infos[pi].masked_x + masked_of(a_with) + masked_of(a_without),
+                masked_total - infos[pi].masked_x() + masked_of(a_with) + masked_of(a_without),
                 next_masked,
                 "cost-only evaluation must match the materialised split"
             );
@@ -883,18 +1006,28 @@ impl PartitionEngine {
             xhc_trace::counter_add("partition.pruned", pruned as u64);
         }
 
-        let partitions: Vec<PatternSet> = infos.into_iter().map(|i| i.patterns).collect();
-        let (final_cost, masks) = hybrid_cost_with_masks(xmap, &partitions, self.cancel, threads);
-        debug_assert!((final_cost.total() - cost.total()).abs() < 1e-6);
+        // Each mask gates exactly its partition's fully-X cells, so the
+        // incremental cost is the plan's cost.
+        let total_cells = xmap.config().total_cells();
+        let (partitions, masks): (Vec<PatternSet>, Vec<MaskWord>) = infos
+            .into_iter()
+            .map(|info| {
+                let mut bits = BitVec::zeros(total_cells);
+                for &cell in &info.fully_x {
+                    bits.set(cell as usize, true);
+                }
+                (info.patterns, MaskWord::from_bits(bits))
+            })
+            .unzip();
 
         run_span.set_arg("partitions", partitions.len() as u64);
         run_span.set_arg("rounds", rounds.len() as u64);
-        run_span.set_arg("masked_x", final_cost.masked_x as u64);
-        run_span.set_arg("leaked_x", final_cost.leaked_x as u64);
+        run_span.set_arg("masked_x", cost.masked_x as u64);
+        run_span.set_arg("leaked_x", cost.leaked_x as u64);
         PartitionOutcome {
             partitions,
             masks,
-            cost: final_cost,
+            cost,
             initial_cost,
             rounds,
         }
@@ -945,7 +1078,7 @@ mod oracle {
         let mut best: Option<(usize, usize, usize, f64)> = None;
         for (pi, info) in infos.iter().enumerate() {
             let analysis = CorrelationAnalysis::analyze(xmap, &info.patterns);
-            assert_eq!(masked_of(&analysis), info.masked_x);
+            assert_eq!(masked_of(&analysis), info.masked_x());
             let masked = |child: &PatternSet| {
                 let covering = analysis
                     .active_entries()
@@ -958,7 +1091,7 @@ mod oracle {
             for (_, cells) in analysis.classes().filter(|&(count, _)| count < card) {
                 let xset = xmap.xset_linear(cells[0]).expect("class cell captures X");
                 let (with_x, without_x) = info.patterns.split_by(xset);
-                let next = masked_total - info.masked_x + masked(&with_x) + masked(&without_x);
+                let next = masked_total - info.masked_x() + masked(&with_x) + masked(&without_x);
                 let t = total_cost(next);
                 if best.is_none_or(|(_, _, _, bt)| t < bt) {
                     best = Some((pi, cells[0], next, t));
@@ -1223,7 +1356,90 @@ mod tests {
         assert_eq!(opts.threads, 0);
         assert_eq!(opts.max_rounds, None);
         assert!(opts.cost_stop);
-        assert_eq!(opts.backend, crate::backend::BackendId::Hybrid);
+        assert_eq!(opts.backend, BackendId::Hybrid);
+    }
+
+    /// `PlanOptions::from_params` over one query string.
+    fn from_query(query: &[(&str, &str)]) -> Result<PlanOptions, String> {
+        PlanOptions::from_params(|name| {
+            query
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, value)| *value)
+        })
+    }
+
+    #[test]
+    fn no_parameters_give_the_default_options() {
+        assert_eq!(from_query(&[]), Ok(PlanOptions::default()));
+    }
+
+    #[test]
+    fn every_token_round_trips_through_name_and_parse() {
+        for strategy in [SplitStrategy::LargestClass, SplitStrategy::BestCost] {
+            assert_eq!(SplitStrategy::parse(strategy.name()), Ok(strategy));
+            assert_eq!(
+                from_query(&[("strategy", strategy.name())]).map(|o| o.strategy),
+                Ok(strategy)
+            );
+        }
+        for policy in [
+            CellSelection::First,
+            CellSelection::Seeded(7),
+            CellSelection::GlobalMaxX,
+        ] {
+            assert_eq!(CellSelection::parse(policy.name(), 7), Ok(policy));
+        }
+        assert_eq!(
+            from_query(&[("policy", "seeded"), ("seed", "7")]).map(|o| o.policy),
+            Ok(CellSelection::Seeded(7))
+        );
+        for backend in BackendId::ALL {
+            assert_eq!(BackendId::parse(backend.name()), Ok(backend));
+            assert_eq!(
+                from_query(&[("backend", backend.name())]).map(|o| o.backend),
+                Ok(backend)
+            );
+        }
+        let bounded = from_query(&[("max_rounds", "3"), ("cost_stop", "0")]).unwrap();
+        assert_eq!((bounded.max_rounds, bounded.cost_stop), (Some(3), false));
+    }
+
+    #[test]
+    fn each_rejection_names_the_value() {
+        let rejected = |query: &[(&str, &str)]| from_query(query).unwrap_err();
+        assert_eq!(
+            rejected(&[("strategy", "bogus")]),
+            "`bogus` is not a strategy (expected `largest` or `best-cost`)"
+        );
+        assert_eq!(
+            rejected(&[("policy", "bogus")]),
+            "`bogus` is not a policy (expected `first`, `seeded` or `global-max-x`)"
+        );
+        assert_eq!(
+            rejected(&[("backend", "bogus")]),
+            "`bogus` is not a backend (expected one of hybrid, masking, canceling, superset, xcode)"
+        );
+        assert_eq!(
+            rejected(&[("policy", "seeded"), ("seed", "-1")]),
+            "`-1` is not a valid `seed`"
+        );
+        assert_eq!(
+            rejected(&[("seed", "3")]),
+            "`seed` requires `policy=seeded`"
+        );
+        assert_eq!(
+            rejected(&[("policy", "first"), ("seed", "3")]),
+            "`seed` requires `policy=seeded`"
+        );
+        assert_eq!(
+            rejected(&[("max_rounds", "many")]),
+            "`many` is not a valid `max_rounds`"
+        );
+        assert_eq!(
+            rejected(&[("cost_stop", "yes")]),
+            "`yes` is not a valid `cost_stop` (expected `0` or `1`)"
+        );
     }
 
     #[test]

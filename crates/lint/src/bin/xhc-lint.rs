@@ -69,7 +69,6 @@ fn describe(code: LintCode) -> &'static str {
         LintCode::CertAccounting => "unsafe mask or control-bit accounting wrong",
         LintCode::CertRankBound => "block rank certificate fails re-elimination",
         LintCode::CertScanMismatch => "plan or certificate shape disagrees with the map",
-        LintCode::UnknownBackend => "plan request selects an unregistered backend",
     }
 }
 

@@ -32,8 +32,8 @@ impl fmt::Display for Severity {
 ///
 /// The numbering is grouped by pipeline stage: `XL01xx` netlist, `XL02xx`
 /// scan / X-map, `XL03xx` hybrid configuration (MISR, `(m, q)`, planning
-/// budget), `XL04xx` plan certificate, `XL05xx` backend fleet. Retired
-/// identifiers are never reused.
+/// budget), `XL04xx` plan certificate. Retired identifiers (`XL0301`–
+/// `XL0303`, `XL0501`) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintCode {
     /// XL0101: combinational cycle in the netlist.
@@ -79,14 +79,11 @@ pub enum LintCode {
     /// count, mask width, total X, `(m, q)`) disagrees with the scan
     /// config / X map it is checked against.
     CertScanMismatch,
-    /// XL0501: a plan request selects a backend id the fleet does not
-    /// register (unknown wire code or unparseable token).
-    UnknownBackend,
 }
 
 impl LintCode {
     /// All rules, in code order.
-    pub const ALL: [LintCode; 18] = [
+    pub const ALL: [LintCode; 17] = [
         LintCode::CombLoop,
         LintCode::FloatingNet,
         LintCode::DeadLogic,
@@ -104,7 +101,6 @@ impl LintCode {
         LintCode::CertAccounting,
         LintCode::CertRankBound,
         LintCode::CertScanMismatch,
-        LintCode::UnknownBackend,
     ];
 
     /// The stable `XLxxxx` identifier.
@@ -127,7 +123,6 @@ impl LintCode {
             LintCode::CertAccounting => "XL0404",
             LintCode::CertRankBound => "XL0405",
             LintCode::CertScanMismatch => "XL0406",
-            LintCode::UnknownBackend => "XL0501",
         }
     }
 
@@ -151,7 +146,6 @@ impl LintCode {
             LintCode::CertAccounting => "cert-accounting",
             LintCode::CertRankBound => "cert-rank-bound",
             LintCode::CertScanMismatch => "cert-scan-mismatch",
-            LintCode::UnknownBackend => "unknown-backend",
         }
     }
 
@@ -168,8 +162,7 @@ impl LintCode {
             | LintCode::CertHistogram
             | LintCode::CertAccounting
             | LintCode::CertRankBound
-            | LintCode::CertScanMismatch
-            | LintCode::UnknownBackend => Severity::Deny,
+            | LintCode::CertScanMismatch => Severity::Deny,
             LintCode::DeadLogic
             | LintCode::UnreachableFlop
             | LintCode::ChainImbalance

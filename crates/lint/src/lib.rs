@@ -4,7 +4,7 @@
 //! The crate checks the artifacts the workspace produces and consumes —
 //! netlists, scan topologies, X maps, partition plans, mask words, cost
 //! accounting, MISR configurations and plan certificates — against
-//! eighteen rules grouped by pipeline stage:
+//! seventeen rules grouped by pipeline stage:
 //!
 //! | Codes | Stage | Rules |
 //! |-------|-------|-------|
@@ -12,7 +12,6 @@
 //! | `XL02xx` | scan / X map | chain imbalance, out-of-range X entries, duplicate X entries |
 //! | `XL03xx` | hybrid | MISR feedback (XL0304), `(m, q)` sanity (XL0305), BestCost planning latency (XL0306) |
 //! | `XL04xx` | certificate | plan-hash link, cover witness, X-class histograms, control-bit accounting and mask safety, Gauss rank bounds, plan and scan-config shape (cross-artifact, via `xhc-verify`) |
-//! | `XL05xx` | backend fleet | unknown backend selector (wire byte or CLI/query token) |
 //!
 //! A partition plan has one judge: [`check_outcome`] certifies it and
 //! runs `xhc-verify`'s engine-independent checker, so a bad cover is
@@ -50,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend_rules;
 mod cert_rules;
 mod diag;
 mod graph;
@@ -59,7 +57,6 @@ mod netlist_rules;
 mod poly;
 mod scan_rules;
 
-pub use backend_rules::{check_backend_code, check_backend_token};
 pub use cert_rules::{check_certificate, check_certificate_artifacts};
 pub use diag::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
 pub use graph::nontrivial_sccs;

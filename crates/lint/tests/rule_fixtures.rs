@@ -700,43 +700,3 @@ fn overrides_change_exit_semantics() {
     let scan = ScanConfig::new(vec![100, 10, 10]);
     assert!(check_scan_config(&escalated, &scan).has_deny());
 }
-
-// ---------------------------------------------------------------- XL05xx
-
-#[test]
-fn xl0501_unknown_backend_fires() {
-    let lc = LintConfig::default();
-    // A wire byte past the registry fires, names the byte, and lists
-    // the valid roster in the help text.
-    let report = xhc_lint::check_backend_code(&lc, 200);
-    assert_eq!(codes(&report), vec![LintCode::UnknownBackend]);
-    assert!(report.has_deny());
-    assert!(report.diagnostics[0].message.contains("200"));
-    assert!(report.diagnostics[0].help.contains("hybrid (0)"));
-    assert!(report.diagnostics[0].help.contains("xcode (4)"));
-    // So does an unparseable CLI/query token.
-    let report = xhc_lint::check_backend_token(&lc, "bogus");
-    assert_eq!(codes(&report), vec![LintCode::UnknownBackend]);
-    assert!(report.diagnostics[0].message.contains("bogus"));
-}
-
-#[test]
-fn xl0501_registered_backends_pass() {
-    let lc = LintConfig::default();
-    for backend in xhc_core::BackendId::ALL {
-        let code = xhc_wire::backend_code(backend);
-        assert!(
-            xhc_lint::check_backend_code(&lc, code).is_empty(),
-            "{backend} must lint clean"
-        );
-        assert!(
-            xhc_lint::check_backend_token(&lc, backend.name()).is_empty(),
-            "{backend} token must lint clean"
-        );
-    }
-    // Demoting the rule keeps the finding but drops the deny.
-    let demoted = LintConfig::default().warn(LintCode::UnknownBackend);
-    let report = xhc_lint::check_backend_code(&demoted, 99);
-    assert_eq!(report.len(), 1);
-    assert!(!report.has_deny());
-}

@@ -2,7 +2,9 @@
 //!
 //! A std-only HTTP/1.1 service that turns X maps (or workload specs)
 //! into partition plans, caches every plan in a content-addressed
-//! on-disk store keyed by [`xhc_wire::plan_request_hash`], and exposes
+//! on-disk store keyed by [`xhc_wire::plan_request_hash_with_options`]
+//! (the canonical X map, `(m, q)` and every option but the thread
+//! count), and exposes
 //! plaintext metrics. Zero external dependencies: an `xhc-aio` event
 //! loop over `std::net` sockets, a fixed worker pool, and the
 //! workspace's own crates for everything else.
@@ -54,13 +56,15 @@
 //! *single-flighted*: one computes, the rest wait and read the store, so
 //! the cache-miss counter increments exactly once per distinct request.
 //!
-//! A wire-encoded [`xhc_wire::PlanRequest`] body carries its own cancel
-//! parameters and [`xhc_core::PlanOptions`], which override the query
-//! string (the engine thread count stays server-controlled). Every other
-//! body takes its options from the query: `policy` is `first`, `seeded`
-//! (with `seed=<u64>`) or `global-max-x`; `max_rounds` caps the round
-//! count; `cost_stop=0` disables the cost-based stop; `backend` picks the
-//! planning backend by its stable token (default `hybrid`).
+//! A wire-encoded [`xhc_wire::PlanRequest`] body (what `xhybrid fetch`
+//! sends) carries its own cancel parameters and [`xhc_core::PlanOptions`],
+//! which override the query string (the engine thread count stays
+//! server-controlled). Every other body takes its options from the
+//! query, read by [`xhc_core::PlanOptions::from_params`]: `policy` is
+//! `first`, `seeded` (with `seed=<u64>`) or `global-max-x`; `max_rounds`
+//! caps the round count; `cost_stop=0` disables the cost-based stop;
+//! `backend` picks the planning backend by its stable token (default
+//! `hybrid`). A rejected value answers `400` with the parser's message.
 //!
 //! Bodies are framed by `Content-Length` only: a request declaring
 //! `Transfer-Encoding: chunked` (or any other transfer coding) is
@@ -131,8 +135,7 @@ use xhc_aio::queue::JobQueue;
 use xhc_aio::Waker;
 
 use xhc_core::{
-    backend_for, BackendId, CellSelection, HybridBackend, PartitionEngine, PlanOptions,
-    SplitStrategy, WorkloadInput,
+    backend_for, BackendId, HybridBackend, PartitionEngine, PlanOptions, WorkloadInput,
 };
 use xhc_lint::{check_cancel_params, check_xmap, LintConfig, LintReport};
 use xhc_misr::XCancelConfig;
@@ -236,39 +239,6 @@ impl ServerConfig {
         self.push_metrics = Some(url.into());
         self
     }
-}
-
-/// Parses the strategy names the CLI and the query string share.
-pub fn parse_strategy(s: &str) -> Option<SplitStrategy> {
-    match s {
-        "largest" => Some(SplitStrategy::LargestClass),
-        "best-cost" => Some(SplitStrategy::BestCost),
-        _ => None,
-    }
-}
-
-/// Parses the cell-selection policy names the CLI and the query string
-/// share; `seed` is the stream seed a `seeded` policy binds.
-pub fn parse_policy(s: &str, seed: u64) -> Option<CellSelection> {
-    match s {
-        "first" => Some(CellSelection::First),
-        "seeded" => Some(CellSelection::Seeded(seed)),
-        "global-max-x" => Some(CellSelection::GlobalMaxX),
-        _ => None,
-    }
-}
-
-/// Parses the backend tokens the CLI and the query string share — the
-/// stable [`BackendId::name`] values (`hybrid`, `masking`, `canceling`,
-/// `superset`, `xcode`).
-pub fn parse_backend(s: &str) -> Option<BackendId> {
-    BackendId::parse(s)
-}
-
-/// The `expected one of ...` tail of a bad-backend diagnostic.
-fn backend_name_list() -> String {
-    let names: Vec<&str> = BackendId::ALL.iter().map(|b| b.name()).collect();
-    names.join(", ")
 }
 
 /// A parsed request travelling from the event loop to the worker pool.
@@ -634,66 +604,8 @@ fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
     };
     let m = parse_num("m", 32)?;
     let q = parse_num("q", 7)?;
-    let strategy = match request.query_param("strategy") {
-        None => SplitStrategy::LargestClass,
-        Some(raw) => parse_strategy(raw).ok_or_else(|| {
-            HandlerError::new(
-                400,
-                format!("`{raw}` is not a strategy (expected `largest` or `best-cost`)"),
-            )
-        })?,
-    };
-    let seed = match request.query_param("seed") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse::<u64>()
-                .map_err(|_| HandlerError::new(400, format!("`{raw}` is not a valid `seed`")))?,
-        ),
-    };
-    let policy = match request.query_param("policy") {
-        None => CellSelection::First,
-        Some(raw) => parse_policy(raw, seed.unwrap_or(0)).ok_or_else(|| {
-            HandlerError::new(
-                400,
-                format!("`{raw}` is not a policy (expected `first`, `seeded` or `global-max-x`)"),
-            )
-        })?,
-    };
-    if seed.is_some() && !matches!(policy, CellSelection::Seeded(_)) {
-        return Err(HandlerError::new(
-            400,
-            "`seed` requires `policy=seeded`".to_string(),
-        ));
-    }
-    let max_rounds =
-        match request.query_param("max_rounds") {
-            None => None,
-            Some(raw) => Some(raw.parse::<usize>().map_err(|_| {
-                HandlerError::new(400, format!("`{raw}` is not a valid `max_rounds`"))
-            })?),
-        };
-    let cost_stop = match request.query_param("cost_stop") {
-        None | Some("1") => true,
-        Some("0") => false,
-        Some(raw) => {
-            return Err(HandlerError::new(
-                400,
-                format!("`{raw}` is not a valid `cost_stop` (expected `0` or `1`)"),
-            ))
-        }
-    };
-    let backend = match request.query_param("backend") {
-        None => BackendId::default(),
-        Some(raw) => parse_backend(raw).ok_or_else(|| {
-            HandlerError::new(
-                400,
-                format!(
-                    "`{raw}` is not a backend (expected one of {})",
-                    backend_name_list()
-                ),
-            )
-        })?,
-    };
+    let options = PlanOptions::from_params(|name| request.query_param(name))
+        .map_err(|e| HandlerError::new(400, e))?;
     let asynchronous = match request.query_param("mode") {
         None | Some("sync") => false,
         Some("async") => true,
@@ -717,14 +629,7 @@ fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
     Ok(PlanParams {
         m,
         q,
-        options: PlanOptions {
-            strategy,
-            policy,
-            max_rounds,
-            cost_stop,
-            backend,
-            ..PlanOptions::default()
-        },
+        options,
         asynchronous,
         trace,
     })
@@ -943,15 +848,7 @@ fn parse_race_roster(request: &Request) -> Result<Vec<BackendId>, HandlerError> 
     };
     let mut roster = Vec::new();
     for token in raw.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let id = parse_backend(token).ok_or_else(|| {
-            HandlerError::new(
-                400,
-                format!(
-                    "`{token}` is not a backend (expected one of {})",
-                    backend_name_list()
-                ),
-            )
-        })?;
+        let id = BackendId::parse(token).map_err(|e| HandlerError::new(400, e))?;
         if !roster.contains(&id) {
             roster.push(id);
         }

@@ -82,7 +82,7 @@ grep -q 'cache            : hit' "$work/direct.txt" || { echo "race did not warm
 grep -q "plan hash        : $hash" "$work/direct.txt" || { echo "hash mismatch vs /v1/plan"; exit 1; }
 cmp "$work/raced.plan" "$work/direct.plan" || { echo "race plan bytes differ from /v1/plan"; exit 1; }
 
-# Unknown backends are rejected up front (the XL0501 contract).
+# Unknown backends are rejected up front (`BackendId::parse`'s 400).
 http POST '/v1/plan/race?m=16&q=3&backends=bogus' "$work/demo.xmap" > "$work/bogus.txt"
 grep -q '^HTTP/1.1 400' "$work/bogus.txt" || { echo "bogus roster not rejected"; cat "$work/bogus.txt"; exit 1; }
 

@@ -2,10 +2,13 @@
 # End-to-end smoke test of the planning daemon: start `xhybrid serve` on
 # a loopback socket, submit the demo workload twice through `xhybrid
 # fetch`, assert the second submission is a cache hit, scrape /metrics
-# to confirm the daemon counted exactly one miss, and check that a lint
-# deny answers 422 naming its rule, a malformed text map answers 400 and
-# a malformed request line answers 400. A last scrape checks that every
-# request the daemon counted got a counted response.
+# to confirm the daemon counted exactly one miss, submit it a third time
+# with a seeded policy (a miss under a new hash: fetch sends every
+# option), and check that a lint deny answers 422 naming its rule, a
+# malformed text map answers 400, a malformed request line answers 400
+# and a bad option answers 400 with the text `xhybrid fetch` prints for
+# it. A last scrape checks that every request the daemon counted got a
+# counted response.
 # The daemon runs with --verify-on-write 1, so the plan it produces is
 # certificate-checked before it is stored.
 #
@@ -61,6 +64,13 @@ echo "$metrics" | grep -q '^xhc_cache_hits_total 1$' || { echo "bad hit count"; 
 echo "$metrics" | grep -q '^xhc_verify_total 1$' || { echo "the miss was not verified"; echo "$metrics"; exit 1; }
 echo "$metrics" | grep -q '^xhc_verify_failures_total 0$' || { echo "verify-on-write failed"; echo "$metrics"; exit 1; }
 
+# Every option reaches the daemon: a seeded policy is another request.
+"$xhybrid" fetch --addr "$addr" "$work/demo.xmap" --m 16 --q 3 --policy seeded --seed 5 \
+  | tee "$work/third.txt"
+grep -q 'cache            : miss' "$work/third.txt" || { echo "seeded fetch not a miss"; exit 1; }
+hash3="$(sed -n 's/^plan hash.*: //p' "$work/third.txt")"
+[[ -n "$hash3" && "$hash3" != "$hash1" ]] || { echo "seeded fetch reused hash '$hash1'"; exit 1; }
+
 # Rejections over a raw socket: POST a body file, print the response.
 post() {
   exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
@@ -75,6 +85,14 @@ echo "$lint" | grep -q 'XL0305' || { echo "422 does not name XL0305"; echo "$lin
 printf 'xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n' > "$work/out_of_range.xmap"
 bad="$(post /v1/plan "$work/out_of_range.xmap")"
 echo "$bad" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "out-of-range cell not a 400"; echo "$bad"; exit 1; }
+# A bad option: the daemon's 400 carries the text the CLI exits 2 with.
+cli_status=0
+"$xhybrid" fetch --addr "$addr" "$work/demo.xmap" --strategy bogus 2> "$work/cli_bogus.txt" || cli_status=$?
+[[ "$cli_status" -eq 2 ]] || { echo "fetch --strategy bogus exited $cli_status, not 2"; exit 1; }
+bogus="$(post '/v1/plan?strategy=bogus' "$work/demo.xmap")"
+echo "$bogus" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "strategy=bogus not a 400"; echo "$bogus"; exit 1; }
+[[ "$(echo "$bogus" | tail -n 1)" == "$(cat "$work/cli_bogus.txt")" ]] || {
+  echo "daemon and CLI disagree:"; echo "$bogus"; cat "$work/cli_bogus.txt"; exit 1; }
 garbled="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; printf 'NOT-A-REQUEST-LINE\r\n\r\n' >&3; cat <&3)"
 echo "$garbled" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "malformed request line not a 400"; echo "$garbled"; exit 1; }
 
@@ -89,4 +107,4 @@ read -r requests responses <<< "$balance"
 [[ -n "$requests" && "$requests" -eq $((responses + 1)) ]] || {
   echo "xhc_requests_total $requests != sum(xhc_responses_total) $responses + 1"; echo "$metrics"; exit 1; }
 
-echo "serve smoke OK: one miss, one hit, stable hash $hash1, $requests requests balanced"
+echo "serve smoke OK: one miss, one hit, stable hash $hash1, seeded hash $hash3, $requests requests balanced"

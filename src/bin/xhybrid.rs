@@ -3,11 +3,12 @@
 //! ```text
 //! xhybrid gen --profile ckt-b [--scale N] [--seed S] --out FILE
 //! xhybrid analyze FILE
-//! xhybrid partition FILE [--m 32] [--q 7] [--strategy largest|best-cost]
+//! xhybrid partition FILE [--m 32] [--q 7] [engine flags]
 //! xhybrid schedule FILE [--m 32] [--q 7] [--channels 32]
 //! xhybrid verify FILE [--m 32] [--q 7] [--plan-out FILE] [--cert-out FILE]
 //! xhybrid serve [--addr 127.0.0.1:7878] [--store DIR] [--threads N]
-//! xhybrid fetch --addr HOST:PORT (FILE | --hash HASH) [--out FILE]
+//! xhybrid fetch --addr HOST:PORT (FILE [--m 32] [--q 7] [engine flags] | --hash HASH)
+//!               [--out FILE]
 //! ```
 //!
 //! Files use the `xmap v1` text format (see `xhybrid::scan::write_xmap`)
@@ -27,16 +28,18 @@ use xhybrid::core::{
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
 use xhybrid::scan::{read_xmap, write_xmap, AteConfig, ResponseMatrix, XMap};
-use xhybrid::serve::{client, parse_policy, parse_strategy, Server, ServerConfig};
+use xhybrid::serve::{client, Server, ServerConfig};
 use xhybrid::trace::TraceSession;
-use xhybrid::wire::{decode_plan, parse_hash_hex, peek_kind};
+use xhybrid::wire::{
+    decode_plan, encode_plan_request, encode_xmap, parse_hash_hex, peek_kind, PlanRequest,
+};
 use xhybrid::workload::WorkloadSpec;
 
 fn usage() -> &'static str {
     "usage:
   xhybrid gen --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N] [--seed S] --out FILE
   xhybrid analyze FILE
-  xhybrid partition FILE [--m 32] [--q 7] [--strategy largest|best-cost]
+  xhybrid partition FILE [--m 32] [--q 7] [engine flags]
   xhybrid plan (FILE | --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N])
                [--backend hybrid|masking|canceling|superset|xcode]
                [--m 32] [--q 7] [--strategy largest|best-cost]
@@ -48,8 +51,8 @@ fn usage() -> &'static str {
   xhybrid serve [--addr 127.0.0.1:7878] [--store DIR] [--threads N] [--workers N]
                 [--verify-on-write 0|1] [--max-inflight N] [--queue-depth N]
                 [--push-metrics URL]
-  xhybrid fetch --addr HOST:PORT (FILE | --hash HASH) [--m 32] [--q 7]
-                [--strategy largest|best-cost] [--out FILE]
+  xhybrid fetch --addr HOST:PORT (FILE [--m 32] [--q 7] [engine flags] | --hash HASH)
+                [--out FILE]
 
 run `xhybrid <command> --help` for per-command details"
 }
@@ -73,14 +76,17 @@ Prints density and correlation statistics for an X map.",
         ),
         "partition" => Some(
             "xhybrid partition FILE [--m 32] [--q 7] [--strategy largest|best-cost]
+                  [--policy first|seeded|global-max-x] [--seed S] [--threads N]
+                  [--max-rounds N] [--cost-stop 0|1]
 
 Runs the pattern-partitioning engine on an X map and reports the
 hybrid control-bit cost against the masking-only and canceling-only
 baselines.
 
-  --m         MISR length (default 32)
-  --q         X-cancel quotient, 0 < q < m (default 7)
-  --strategy  partition split heuristic (default largest)",
+  --m           MISR length (default 32)
+  --q           X-cancel quotient, 0 < q < m (default 7)
+  engine flags  as for `xhybrid plan`; --backend other than hybrid is a
+                usage error (it belongs to `plan`)",
         ),
         "plan" => Some(
             "xhybrid plan (FILE | --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N])
@@ -173,18 +179,27 @@ admission limits requests are shed with 429 + Retry-After. See README
                      (default 2000)",
         ),
         "fetch" => Some(
-            "xhybrid fetch --addr HOST:PORT (FILE | --hash HASH) [--m 32] [--q 7]
-              [--strategy largest|best-cost] [--out FILE]
+            "xhybrid fetch --addr HOST:PORT FILE [--m 32] [--q 7] [--strategy largest|best-cost]
+              [--policy first|seeded|global-max-x] [--seed S] [--max-rounds N]
+              [--cost-stop 0|1] [--backend hybrid|masking|canceling|superset|xcode]
+              [--out FILE]
+xhybrid fetch --addr HOST:PORT --hash HASH [--out FILE]
 
-Client for a running `xhybrid serve`. With FILE, submits the X map
-(text or wire format) to /v1/plan and prints the plan summary; with
---hash, fetches an already-cached plan by content address.
+Client for a running `xhybrid serve`. With FILE (an X map in text or
+wire format, or a wire workload spec), submits one wire plan request
+carrying (m, q), every engine flag and the map to /v1/plan and prints
+the plan summary; a non-hybrid --backend prints the daemon's JSON
+report instead. With --hash, fetches an already-cached plan by content
+address. Flags are checked as `plan` checks them, and a rejected value
+exits 2 with the message the daemon would answer with.
 
-  --addr      daemon address (required)
-  --hash      16-hex plan hash from a previous submission
-  --m, --q    cancel parameters sent with FILE (defaults 32, 7)
-  --strategy  split heuristic sent with FILE (default largest)
-  --out       also write the wire-encoded plan to FILE",
+  --addr        daemon address (required)
+  --hash        16-hex plan hash from a previous submission
+  --m, --q      cancel parameters sent with FILE (defaults 32, 7)
+  engine flags  as for `xhybrid plan`, sent with FILE; the daemon owns
+                the engine thread count, so there is no --threads
+  --out         also write the wire-encoded plan (or the JSON report)
+                to FILE",
         ),
         _ => None,
     }
@@ -334,52 +349,33 @@ fn cmd_analyze(args: &Args) -> CmdResult {
     Ok(())
 }
 
-fn split_strategy(args: &Args) -> Result<xhybrid::core::SplitStrategy, CliError> {
-    let raw = args.flag("strategy").unwrap_or("largest");
-    parse_strategy(raw).ok_or_else(|| CliError::usage(format!("unknown strategy `{raw}`")))
+/// The engine flags: the daemon's query parameters as dashed flags
+/// (`--max-rounds` for `max_rounds`), read by the same parser, so a
+/// rejected value prints the message the daemon answers with.
+fn engine_options(args: &Args) -> Result<PlanOptions, CliError> {
+    PlanOptions::from_params(|name| args.flag(&name.replace('_', "-"))).map_err(CliError::Usage)
 }
 
-/// Builds a full [`PlanOptions`] from the shared engine flags.
+/// [`engine_options`] plus `--threads`, for the commands that run the
+/// engine in this process.
 fn plan_options(args: &Args) -> Result<PlanOptions, CliError> {
-    let strategy = split_strategy(args)?;
-    let seed: u64 = args.flag_parse("seed", 0).map_err(CliError::Usage)?;
-    let policy_raw = args.flag("policy").unwrap_or("first");
-    let policy = parse_policy(policy_raw, seed)
-        .ok_or_else(|| CliError::usage(format!("unknown policy `{policy_raw}`")))?;
-    if args.flag("seed").is_some() && policy_raw != "seeded" {
-        return Err(CliError::usage("--seed requires --policy seeded"));
-    }
     let threads: usize = args.flag_parse("threads", 0).map_err(CliError::Usage)?;
-    let max_rounds = match args.flag("max-rounds") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|e| CliError::usage(format!("bad --max-rounds: {e}")))?,
-        ),
-    };
-    let cost_stop = match args.flag("cost-stop").unwrap_or("1") {
-        "1" => true,
-        "0" => false,
-        other => {
-            return Err(CliError::usage(format!(
-                "bad --cost-stop `{other}` (expected 0 or 1)"
-            )))
-        }
-    };
-    let backend_raw = args.flag("backend").unwrap_or("hybrid");
-    let backend = BackendId::parse(backend_raw).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown backend `{backend_raw}` (expected hybrid, masking, canceling, superset, or xcode)"
-        ))
-    })?;
     Ok(PlanOptions {
-        strategy,
-        policy,
         threads,
-        max_rounds,
-        cost_stop,
-        backend,
+        ..engine_options(args)?
     })
+}
+
+/// [`plan_options`] for a command that only plans with the hybrid
+/// backend (`partition`, `verify`).
+fn hybrid_plan_options(args: &Args, cmd: &str) -> Result<PlanOptions, CliError> {
+    let opts = plan_options(args)?;
+    if opts.backend != BackendId::Hybrid {
+        return Err(CliError::usage(format!(
+            "{cmd} works on hybrid partition plans; --backend belongs to `plan`"
+        )));
+    }
+    Ok(opts)
 }
 
 fn cmd_partition(args: &Args) -> CmdResult {
@@ -388,10 +384,7 @@ fn cmd_partition(args: &Args) -> CmdResult {
         .first()
         .ok_or_else(|| CliError::usage("partition needs a FILE"))?;
     let cancel = cancel_config(args)?;
-    let opts = PlanOptions {
-        strategy: split_strategy(args)?,
-        ..PlanOptions::default()
-    };
+    let opts = hybrid_plan_options(args, "partition")?;
     let xmap = load(path)?;
     let hybrid = backend_for(BackendId::Hybrid).plan(&WorkloadInput::new(&xmap, cancel), &opts);
     let canceling = print_vs_baselines(&xmap, cancel, &hybrid);
@@ -638,12 +631,7 @@ fn cmd_verify(args: &Args) -> CmdResult {
     }
 
     let cancel = cancel_config(args)?;
-    let opts = plan_options(args)?;
-    if opts.backend != BackendId::Hybrid {
-        return Err(CliError::usage(
-            "verify certifies hybrid partition plans; --backend belongs to `plan`",
-        ));
-    }
+    let opts = hybrid_plan_options(args, "verify")?;
     let plan_started = std::time::Instant::now();
     let outcome = PartitionEngine::with_options(cancel, opts).run(&xmap);
     let plan_ns = plan_started.elapsed().as_nanos();
@@ -729,39 +717,50 @@ fn cmd_fetch(args: &Args) -> CmdResult {
     let addr = args
         .flag("addr")
         .ok_or_else(|| CliError::usage("fetch needs --addr HOST:PORT"))?;
-    let response = if let Some(hex) = args.flag("hash") {
+    // Every backend but the hybrid answers with a JSON report, not a plan.
+    let (response, is_plan) = if let Some(hex) = args.flag("hash") {
         if parse_hash_hex(hex).is_none() {
             return Err(CliError::usage(format!(
                 "`{hex}` is not a 16-hex plan hash"
             )));
         }
-        client::get(addr, &format!("/v1/plan/{hex}"))
-            .map_err(|e| CliError::runtime(format!("cannot reach {addr}: {e}")))?
+        let response = client::get(addr, &format!("/v1/plan/{hex}"))
+            .map_err(|e| CliError::runtime(format!("cannot reach {addr}: {e}")))?;
+        (response, true)
     } else {
         let path = args
             .positional
             .first()
             .ok_or_else(|| CliError::usage("fetch needs a FILE or --hash HASH"))?;
-        let body = std::fs::read(path)
+        let cancel = cancel_config(args)?;
+        // The engine's thread count belongs to the daemon.
+        let options = engine_options(args)?;
+        let file = std::fs::read(path)
             .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-        let m: usize = args.flag_parse("m", 32).map_err(CliError::Usage)?;
-        let q: usize = args.flag_parse("q", 7).map_err(CliError::Usage)?;
-        let strategy = args.flag("strategy").unwrap_or("largest");
-        if parse_strategy(strategy).is_none() {
-            return Err(CliError::usage(format!("unknown strategy `{strategy}`")));
-        }
-        let content_type = if peek_kind(&body).is_ok() {
-            "application/octet-stream"
+        // A wire artifact travels as is; a text map is parsed and sent as
+        // its wire encoding. The daemon keys the plan by the canonical map
+        // either way.
+        let artifact = if peek_kind(&file).is_ok() {
+            file
         } else {
-            "text/plain"
+            let xmap = read_xmap(file.as_slice())
+                .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))?;
+            encode_xmap(&xmap)
         };
-        client::post(
+        let request = PlanRequest {
+            m: cancel.m(),
+            q: cancel.q(),
+            options,
+            artifact,
+        };
+        let response = client::post(
             addr,
-            &format!("/v1/plan?m={m}&q={q}&strategy={strategy}"),
-            content_type,
-            &body,
+            "/v1/plan",
+            "application/octet-stream",
+            &encode_plan_request(&request),
         )
-        .map_err(|e| CliError::runtime(format!("cannot reach {addr}: {e}")))?
+        .map_err(|e| CliError::runtime(format!("cannot reach {addr}: {e}")))?;
+        (response, options.backend == BackendId::Hybrid)
     };
 
     if response.status != 200 {
@@ -771,28 +770,32 @@ fn cmd_fetch(args: &Args) -> CmdResult {
             response.body_text().trim_end()
         )));
     }
-    let (outcome, num_patterns) = decode_plan(&response.body)
-        .map_err(|e| CliError::runtime(format!("daemon sent an undecodable plan: {e}")))?;
-    if let Some(hash) = response.header("x-xhc-plan-hash") {
-        println!("plan hash        : {hash}");
+    if is_plan {
+        let (outcome, num_patterns) = decode_plan(&response.body)
+            .map_err(|e| CliError::runtime(format!("daemon sent an undecodable plan: {e}")))?;
+        if let Some(hash) = response.header("x-xhc-plan-hash") {
+            println!("plan hash        : {hash}");
+        }
+        if let Some(cache) = response.header("x-xhc-cache") {
+            println!("cache            : {cache}");
+        }
+        println!(
+            "partitions       : {} over {} patterns (after {} rounds)",
+            outcome.partitions.len(),
+            num_patterns,
+            outcome.rounds.len()
+        );
+        println!(
+            "control bits     : mask {} + cancel {:.1}",
+            outcome.cost.masking_bits, outcome.cost.canceling_bits
+        );
+        println!(
+            "X's              : {} masked + {} leaked",
+            outcome.cost.masked_x, outcome.cost.leaked_x
+        );
+    } else {
+        print!("{}", response.body_text());
     }
-    if let Some(cache) = response.header("x-xhc-cache") {
-        println!("cache            : {cache}");
-    }
-    println!(
-        "partitions       : {} over {} patterns (after {} rounds)",
-        outcome.partitions.len(),
-        num_patterns,
-        outcome.rounds.len()
-    );
-    println!(
-        "control bits     : mask {} + cancel {:.1}",
-        outcome.cost.masking_bits, outcome.cost.canceling_bits
-    );
-    println!(
-        "X's              : {} masked + {} leaked",
-        outcome.cost.masked_x, outcome.cost.leaked_x
-    );
     if let Some(out) = args.flag("out") {
         std::fs::write(out, &response.body)
             .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;

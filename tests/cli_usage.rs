@@ -3,7 +3,7 @@
 //! per-subcommand `--help`, and the serve/fetch loop over a real socket.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 fn xhybrid() -> Command {
@@ -159,27 +159,12 @@ impl Drop for DaemonGuard {
     }
 }
 
-#[test]
-fn serve_and_fetch_roundtrip_over_a_socket() {
-    let store = temp_path("cli-store");
-    let xmap_path = temp_path("served.xmap");
-    let (code, _, err) = run(&[
-        "gen",
-        "--profile",
-        "demo",
-        "--out",
-        xmap_path.to_str().unwrap(),
-    ]);
-    assert_eq!(code, 0, "{err}");
-
+/// Starts `xhybrid serve` on a free loopback port over `store` and
+/// returns its guard and the address it printed.
+fn start_daemon(store: &Path) -> (DaemonGuard, String) {
     let child = xhybrid()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--store",
-            store.to_str().unwrap(),
-        ])
+        .args(["serve", "--addr", "127.0.0.1:0", "--store"])
+        .arg(store)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -197,6 +182,23 @@ fn serve_and_fetch_roundtrip_over_a_socket() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected bind line: {first_line}"))
         .to_string();
+    (guard, addr)
+}
+
+#[test]
+fn serve_and_fetch_roundtrip_over_a_socket() {
+    let store = temp_path("cli-store");
+    let xmap_path = temp_path("served.xmap");
+    let (code, _, err) = run(&[
+        "gen",
+        "--profile",
+        "demo",
+        "--out",
+        xmap_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+
+    let (_guard, addr) = start_daemon(&store);
 
     // First fetch submits and plans (cache miss)...
     let (code, out, err) = run(&[
@@ -253,6 +255,136 @@ fn serve_and_fetch_roundtrip_over_a_socket() {
     let (code, _, err) = run(&["fetch", "--addr", &addr, "--hash", "00000000000000ff"]);
     assert_eq!(code, 1);
     assert!(err.contains("404"), "{err}");
+
+    let _ = std::fs::remove_file(&xmap_path);
+    let _ = std::fs::remove_file(&plan_path);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn partition_with_a_non_hybrid_backend_is_a_usage_error() {
+    let (code, _, err) = run(&["partition", "file.xmap", "--backend", "masking"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--backend belongs to `plan`"), "{err}");
+}
+
+#[test]
+fn cli_and_daemon_reject_an_option_with_the_same_message() {
+    let store = temp_path("parity-store");
+    let xmap_path = temp_path("parity.xmap");
+    let (code, _, err) = run(&[
+        "gen",
+        "--profile",
+        "demo",
+        "--out",
+        xmap_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    let body = std::fs::read(&xmap_path).unwrap();
+    let (_guard, addr) = start_daemon(&store);
+
+    // `(query string, flags)` naming the same bad input.
+    let cases: [(&str, &[&str]); 7] = [
+        ("strategy=bogus", &["--strategy", "bogus"]),
+        ("policy=bogus", &["--policy", "bogus"]),
+        ("backend=bogus", &["--backend", "bogus"]),
+        (
+            "policy=seeded&seed=x",
+            &["--policy", "seeded", "--seed", "x"],
+        ),
+        ("seed=3", &["--seed", "3"]),
+        ("max_rounds=x", &["--max-rounds", "x"]),
+        ("cost_stop=2", &["--cost-stop", "2"]),
+    ];
+    for (query, flags) in cases {
+        let answer = xhybrid::serve::client::post(
+            addr.as_str(),
+            &format!("/v1/plan?m=16&q=3&{query}"),
+            "text/plain",
+            &body,
+        )
+        .expect("daemon answers");
+        assert_eq!(answer.status, 400, "{query}: {}", answer.body_text());
+
+        let mut argv = vec!["fetch", "--addr", &addr, xmap_path.to_str().unwrap()];
+        argv.extend_from_slice(flags);
+        let (code, _, err) = run(&argv);
+        assert_eq!(code, 2, "{flags:?}: {err}");
+        assert_eq!(err, answer.body_text(), "{query} vs {flags:?}");
+    }
+    let _ = std::fs::remove_file(&xmap_path);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn fetch_sends_every_option_in_a_plan_request() {
+    use xhybrid::core::{CellSelection, PartitionEngine, PlanOptions};
+    use xhybrid::misr::XCancelConfig;
+
+    let store = temp_path("options-store");
+    let xmap_path = temp_path("options.xmap");
+    let plan_path = temp_path("options.plan");
+    let (code, _, err) = run(&[
+        "gen",
+        "--profile",
+        "demo",
+        "--out",
+        xmap_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    let (_guard, addr) = start_daemon(&store);
+
+    let (code, out, err) = run(&[
+        "fetch",
+        "--addr",
+        &addr,
+        xmap_path.to_str().unwrap(),
+        "--m",
+        "16",
+        "--q",
+        "3",
+        "--policy",
+        "seeded",
+        "--seed",
+        "3",
+        "--out",
+        plan_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("cache            : miss"), "{out}");
+
+    // The daemon keyed the plan by the seeded options...
+    let xmap = xhybrid::scan::read_xmap(std::fs::File::open(&xmap_path).unwrap()).unwrap();
+    let opts = PlanOptions {
+        policy: CellSelection::Seeded(3),
+        ..PlanOptions::default()
+    };
+    let want_hash = xhybrid::wire::plan_request_hash_with_options(
+        &xhybrid::wire::encode_xmap(&xmap),
+        16,
+        3,
+        &opts,
+    );
+    let hash_line = format!("plan hash        : {}", xhybrid::wire::hash_hex(want_hash));
+    assert!(out.contains(&hash_line), "{out}");
+
+    // ...and planned with them: the plan is the offline engine's, byte
+    // for byte.
+    let outcome = PartitionEngine::with_options(XCancelConfig::new(16, 3), opts).run(&xmap);
+    let want_plan = xhybrid::wire::encode_plan(&outcome, xmap.num_patterns());
+    assert_eq!(std::fs::read(&plan_path).unwrap(), want_plan);
+
+    // Another backend reaches the daemon too, which answers with its report.
+    let (code, out, err) = run(&[
+        "fetch",
+        "--addr",
+        &addr,
+        xmap_path.to_str().unwrap(),
+        "--backend",
+        "masking",
+    ]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("\"backend\":\"masking\""), "{out}");
 
     let _ = std::fs::remove_file(&xmap_path);
     let _ = std::fs::remove_file(&plan_path);
