@@ -3,7 +3,7 @@
 //! The `table1` binary prints the actual table; this measures its cost.
 
 use xhc_bench::timing::{black_box, Harness};
-use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
+use xhc_core::{BackendId, PlanOptions};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -24,13 +24,13 @@ fn main() {
     ] {
         let xmap = spec.generate();
         h.bench(&format!("table1_row/{}", spec.name), || {
-            let input = WorkloadInput::new(black_box(&xmap), XCancelConfig::paper_default());
+            let cancel = XCancelConfig::paper_default();
             [
                 BackendId::MaskingOnly,
                 BackendId::CancelingOnly,
                 BackendId::Hybrid,
             ]
-            .map(|id| black_box(backend_for(id).plan(&input, &PlanOptions::default())))
+            .map(|id| black_box(id.plan(black_box(&xmap), cancel, &PlanOptions::default())))
         });
     }
 

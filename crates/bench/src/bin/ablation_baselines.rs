@@ -6,10 +6,7 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin ablation_baselines`
 
-use xhc_core::{
-    backend_for, toggle_masking, BackendId, PlanOptions, SupersetBackend, TogglePolicy,
-    WorkloadInput,
-};
+use xhc_core::{superset_report, toggle_masking, BackendId, PlanOptions, TogglePolicy};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -23,13 +20,12 @@ fn main() {
     };
     let xmap = spec.generate();
     let cancel = XCancelConfig::paper_default();
-    let input = WorkloadInput::new(&xmap, cancel);
     let [masking, canceling, hybrid] = [
         BackendId::MaskingOnly,
         BackendId::CancelingOnly,
         BackendId::Hybrid,
     ]
-    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+    .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
 
     println!(
         "workload {}: {} cells, {} patterns, {} X's ({:.2}%)",
@@ -52,7 +48,7 @@ fn main() {
         "X-canceling MISR only [12]", canceling.control_bits, 0
     );
     for slack in [0.0, 0.25, 0.5, 1.0] {
-        let sup = SupersetBackend::report_at(&xmap, cancel, slack);
+        let sup = superset_report(&xmap, cancel, slack);
         println!(
             "{:<34} {:>14.0} {:>22}",
             format!("superset-style [17,18], slack {slack}"),

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p xhc-bench --bin circuit_flow`
 
 use xhc_atpg::{generate_tests, AtpgConfig};
-use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
+use xhc_core::{BackendId, PlanOptions};
 use xhc_logic::generate::CircuitSpec;
 use xhc_misr::XCancelConfig;
 use xhc_scan::{ScanConfig, ScanHarness};
@@ -51,13 +51,12 @@ fn main() {
         let atpg = generate_tests(&harness, &faults, AtpgConfig::default());
         let responses = harness.run(&atpg.patterns);
         let xmap = responses.to_xmap();
-        let input = WorkloadInput::new(&xmap, cancel);
         let [masking, canceling, hybrid] = [
             BackendId::MaskingOnly,
             BackendId::CancelingOnly,
             BackendId::Hybrid,
         ]
-        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+        .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
         let outcome = hybrid.outcome.expect("the hybrid carries its plan");
         let masked_pct = 100.0 * hybrid.masked_x as f64 / xmap.total_x().max(1) as f64;
         beats_masking += usize::from(masking.control_bits > hybrid.control_bits);

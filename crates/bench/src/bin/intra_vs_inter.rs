@@ -11,10 +11,7 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin intra_vs_inter`
 
-use xhc_core::{
-    backend_for, intra_correlation_stats, toggle_masking, BackendId, PlanOptions, TogglePolicy,
-    WorkloadInput,
-};
+use xhc_core::{intra_correlation_stats, toggle_masking, BackendId, PlanOptions, TogglePolicy};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -46,8 +43,7 @@ fn main() {
         let intra = intra_correlation_stats(&xmap);
         let safe = toggle_masking(&xmap, cancel, TogglePolicy::Conservative);
         let greedy = toggle_masking(&xmap, cancel, TogglePolicy::Aggressive);
-        let hybrid = backend_for(BackendId::Hybrid)
-            .plan(&WorkloadInput::new(&xmap, cancel), &PlanOptions::default());
+        let hybrid = BackendId::Hybrid.plan(&xmap, cancel, &PlanOptions::default());
         println!(
             "{:<22.1} {:>10} {:>12} | {:>14.0}b {:>12.0}b* {:>14.0}b",
             clustering,

@@ -11,7 +11,7 @@
 //! (add `--scale N` to shrink the workloads by N× for a quick look)
 
 use xhc_bench::{fmt_mbits, has_flag};
-use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
+use xhc_core::{BackendId, PlanOptions};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -58,13 +58,12 @@ fn main() {
     ] {
         let spec = scaled(spec, scale);
         let xmap = spec.generate();
-        let input = WorkloadInput::new(&xmap, cancel);
         let [masking, canceling, hybrid] = [
             BackendId::MaskingOnly,
             BackendId::CancelingOnly,
             BackendId::Hybrid,
         ]
-        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+        .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
         let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
         let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
         println!(

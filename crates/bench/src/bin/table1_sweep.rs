@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin table1_sweep`
 
-use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
+use xhc_core::{BackendId, PlanOptions};
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
 
@@ -48,13 +48,12 @@ fn main() {
                 ..spec.clone()
             }
             .generate();
-            let input = WorkloadInput::new(&xmap, cancel);
             let [masking, canceling, hybrid] = [
                 BackendId::MaskingOnly,
                 BackendId::CancelingOnly,
                 BackendId::Hybrid,
             ]
-            .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+            .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
             impv5.push(masking.control_bits / hybrid.control_bits);
             impv12.push(canceling.control_bits / hybrid.control_bits);
             let outcome = hybrid.outcome.expect("the hybrid carries its plan");

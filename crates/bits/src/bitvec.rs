@@ -93,11 +93,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Number of backing words (`len.div_ceil(64)`).
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Iterator over the indices of nonzero backing words, ascending.
     ///
     /// A partition's word mask: the sweep kernels of

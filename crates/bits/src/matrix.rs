@@ -131,15 +131,6 @@ impl BitMatrix {
         a.xor_with(b);
     }
 
-    /// Swaps two rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        self.rows.swap(a, b);
-    }
-
     /// Appends a row.
     ///
     /// # Panics

@@ -65,11 +65,6 @@ impl PatternSet {
         &self.bits
     }
 
-    /// Consumes the set, returning the underlying bit vector.
-    pub fn into_bits(self) -> BitVec {
-        self.bits
-    }
-
     /// Size of the pattern universe.
     pub fn universe(&self) -> usize {
         self.bits.len()

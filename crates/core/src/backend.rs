@@ -1,8 +1,8 @@
 //! One planning API over the fleet of compaction backends.
 //!
 //! The paper's hybrid architecture is one point in a design space of
-//! X-tolerant response-compaction schemes. This module puts every scheme
-//! the workspace knows behind a single [`PlanBackend`] trait so the CLI,
+//! X-tolerant response-compaction schemes. This module plans every scheme
+//! the workspace knows through one call, [`BackendId::plan`], so the CLI,
 //! the wire format and the planning daemon can treat them uniformly:
 //!
 //! | id | scheme | control bits |
@@ -13,28 +13,25 @@
 //! | [`BackendId::Superset`] | superset-X-canceling clustering \[17, 18\] | per-cluster canceling bits |
 //! | [`BackendId::XCode`] | weight-3 X-code combinational compactor (Fujiwara & Colbourn, arXiv:1508.00481) | `0` — pays in lost observability instead |
 //!
-//! Every backend plans from the same [`WorkloadInput`] (an
-//! [`XMap`] plus the MISR configuration, optionally sharing a packed
-//! bit-matrix) and fills the same [`BackendReport`]: total control bits,
-//! the observed-X account (masked / leaked / lost), a per-pattern
-//! breakdown, and — for backends that produce a partition plan — the
-//! [`PartitionOutcome`] certificate hook.
+//! Every backend plans from an [`XMap`] plus the MISR configuration and
+//! fills the same [`BackendReport`]: total control bits, the observed-X
+//! account (masked / leaked / lost), and — for backends that produce a
+//! partition plan — the [`PartitionOutcome`] certificate hook.
 //!
 //! # Examples
 //!
 //! ```
-//! use xhc_core::{all_backends, BackendId, PlanOptions, WorkloadInput};
+//! use xhc_core::{BackendId, PlanOptions};
 //! use xhc_misr::XCancelConfig;
 //! use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 //!
 //! let mut b = XMapBuilder::new(ScanConfig::uniform(4, 4), 8);
 //! b.add_x(CellId::new(0, 0), 3).unwrap();
 //! let xmap = b.finish();
-//! let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
 //!
-//! for backend in all_backends() {
-//!     let report = backend.plan(&input, &PlanOptions::default());
-//!     assert_eq!(report.backend, backend.id());
+//! for id in BackendId::ALL {
+//!     let report = id.plan(&xmap, XCancelConfig::new(10, 2), &PlanOptions::default());
+//!     assert_eq!(report.backend, id);
 //!     // The observed-X account always balances.
 //!     assert_eq!(report.masked_x + report.leaked_x, xmap.total_x());
 //! }
@@ -147,6 +144,38 @@ impl BackendId {
             },
         }
     }
+
+    /// Plans `xmap` under `cancel` with this backend and returns the
+    /// uniform report. Total: it never fails and never panics on a
+    /// well-formed map.
+    ///
+    /// Only the hybrid reads `opts` (every engine knob; `opts.backend` is
+    /// not consulted) and only the X-canceling schemes read `cancel`. The
+    /// superset baseline clusters at [`SUPERSET_BACKEND_SLACK`].
+    pub fn plan(self, xmap: &XMap, cancel: XCancelConfig, opts: &PlanOptions) -> BackendReport {
+        let total_x = xmap.total_x();
+        let uncertified = |control_bits, masked_x, lost_observability| BackendReport {
+            backend: self,
+            control_bits,
+            masked_x,
+            leaked_x: total_x - masked_x,
+            lost_observability,
+            outcome: None,
+        };
+        match self {
+            BackendId::Hybrid => {
+                BackendReport::hybrid(PartitionEngine::with_options(cancel, *opts).run(xmap))
+            }
+            BackendId::MaskingOnly => uncertified(
+                conventional_masking_bits(xmap.config(), xmap.num_patterns()) as f64,
+                total_x,
+                0,
+            ),
+            BackendId::CancelingOnly => uncertified(cancel.control_bits(total_x), 0, 0),
+            BackendId::Superset => superset_report(xmap, cancel, SUPERSET_BACKEND_SLACK),
+            BackendId::XCode => uncertified(0.0, 0, xcode_lost_observability(xmap)),
+        }
+    }
 }
 
 impl fmt::Display for BackendId {
@@ -173,44 +202,9 @@ pub struct BackendCaps {
     pub uses_matrix: bool,
 }
 
-/// Everything a backend plans from: the workload plus the MISR
-/// configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadInput<'a> {
-    /// The X-location map to plan over.
-    pub xmap: &'a XMap,
-    /// The X-canceling MISR configuration (ignored by backends whose
-    /// [`BackendCaps::canceling`] is false).
-    pub cancel: XCancelConfig,
-}
-
-impl<'a> WorkloadInput<'a> {
-    /// The input for planning `xmap` under `cancel`.
-    pub fn new(xmap: &'a XMap, cancel: XCancelConfig) -> Self {
-        WorkloadInput { xmap, cancel }
-    }
-}
-
-/// One pattern's slice of a backend's account.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternBreakdown {
-    /// The pattern index.
-    pub pattern: usize,
-    /// X's this pattern's responses carry.
-    pub total_x: usize,
-    /// X's removed before the observation path (masked or clustered
-    /// away).
-    pub masked_x: usize,
-    /// X's entering the observation path (MISR or compactor).
-    pub leaked_x: usize,
-    /// This pattern's share of the backend's control bits. Shares sum to
-    /// [`BackendReport::control_bits`] (up to float rounding).
-    pub control_bits: f64,
-}
-
 /// The uniform result every backend returns: the control-bit total, the
-/// observed-X account, a per-pattern breakdown, and (for partitioning
-/// backends) the certificate hook.
+/// observed-X account and (for partitioning backends) the certificate
+/// hook.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendReport {
     /// Which backend produced this report.
@@ -229,8 +223,6 @@ pub struct BackendReport {
     /// (0 for lossless backends; the superset baseline and the X-code
     /// compactor pay here instead of in control bits).
     pub lost_observability: usize,
-    /// Per-pattern account, index-aligned with the pattern set.
-    pub per_pattern: Vec<PatternBreakdown>,
     /// The certificate hook: the partition plan behind the numbers, for
     /// backends whose [`BackendCaps::partitions`] is set. `xhc-wire` can
     /// encode it and derive a checkable [`PlanCertificate`] from it.
@@ -240,6 +232,22 @@ pub struct BackendReport {
 }
 
 impl BackendReport {
+    /// The hybrid's report of an already-computed plan: a read of
+    /// `outcome.cost`, without re-running the engine. The daemon's race
+    /// reports a cached plan through this under the same accounting as a
+    /// fresh [`BackendId::plan`] call. Judging the plan (cover, mask
+    /// safety, cost) is `xhc-verify`'s job, not this report's.
+    pub fn hybrid(outcome: PartitionOutcome) -> BackendReport {
+        BackendReport {
+            backend: BackendId::Hybrid,
+            control_bits: outcome.cost.total(),
+            masked_x: outcome.cost.masked_x,
+            leaked_x: outcome.cost.leaked_x,
+            lost_observability: 0,
+            outcome: Some(outcome),
+        }
+    }
+
     /// Normalized test time of this scheme per the paper's §5 formula:
     /// the X-density fed to [`XCancelConfig::normalized_test_time`] is
     /// this report's leaked X's over the map's response bits. `xmap` and
@@ -255,338 +263,92 @@ impl BackendReport {
     }
 }
 
-/// A planning backend: one X-tolerant compaction scheme, planned from an
-/// [`XMap`] into a uniform [`BackendReport`].
-///
-/// Implementations are stateless unit structs — obtain them with
-/// [`backend_for`] or [`all_backends`] rather than constructing them.
-pub trait PlanBackend: Sync {
-    /// The backend's stable identifier.
-    fn id(&self) -> BackendId;
-
-    /// The backend's capability flags (defaults to the id's table).
-    fn caps(&self) -> BackendCaps {
-        self.id().caps()
-    }
-
-    /// Plans the workload and returns the uniform report.
-    ///
-    /// `opts` carries the engine knobs; backends that run no partition
-    /// engine ignore everything except what their documentation names.
-    fn plan(&self, input: &WorkloadInput<'_>, opts: &PlanOptions) -> BackendReport;
-}
-
-/// The planning backend for [`BackendId::Hybrid`]: the paper's partition
-/// engine, reported through the uniform interface.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HybridBackend;
-
-impl HybridBackend {
-    /// Accounts an already-computed [`PartitionOutcome`] into the uniform
-    /// report, without re-running the engine. `outcome` must have been
-    /// produced from `xmap` with `cancel` — the daemon's race endpoint
-    /// uses this to report a cached plan under the same accounting as a
-    /// fresh [`PlanBackend::plan`] call.
-    pub fn report_for(
-        xmap: &XMap,
-        cancel: XCancelConfig,
-        outcome: PartitionOutcome,
-    ) -> BackendReport {
-        let word_bits = xmap.config().mask_word_bits() as f64;
-        let x_per_pattern = xmap.x_per_pattern();
-        let part_of: Vec<usize> = (0..xmap.num_patterns())
-            .map(|p| {
-                outcome
-                    .partitions
-                    .iter()
-                    .position(|set| set.contains(p))
-                    .expect("plan covers every pattern")
-            })
-            .collect();
-        // A pattern's masked X's are the cells its partition's mask gates
-        // that hold an X under it, so a mask gating a known cell leaks
-        // nothing here and is left to the certificate checker to reject.
-        let mut masked_per_pattern = vec![0usize; xmap.num_patterns()];
-        for (cell, xs) in xmap.iter() {
-            let idx = xmap.config().linear_index(cell);
-            for p in xs.iter() {
-                if outcome.masks[part_of[p]].masks(idx) {
-                    masked_per_pattern[p] += 1;
-                }
-            }
-        }
-        let mut per_pattern: Vec<PatternBreakdown> = Vec::with_capacity(xmap.num_patterns());
-        for (p, &total_x) in x_per_pattern.iter().enumerate() {
-            let part = part_of[p];
-            let masked = masked_per_pattern[p];
-            let leaked = total_x - masked;
-            // The pattern's share: an equal slice of its partition's mask
-            // word plus the canceling cost of its own leaked X's.
-            let share =
-                word_bits / outcome.partitions[part].card() as f64 + cancel.control_bits(leaked);
-            per_pattern.push(PatternBreakdown {
-                pattern: p,
-                total_x,
-                masked_x: masked,
-                leaked_x: leaked,
-                control_bits: share,
-            });
-        }
-        BackendReport {
-            backend: BackendId::Hybrid,
-            control_bits: outcome.cost.total(),
-            masked_x: outcome.cost.masked_x,
-            leaked_x: outcome.cost.leaked_x,
-            lost_observability: 0,
-            per_pattern,
-            outcome: Some(outcome),
-        }
-    }
-}
-
-impl PlanBackend for HybridBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Hybrid
-    }
-
-    /// Runs [`PartitionEngine`] with `opts` (honouring every knob) and
-    /// derives the account from the outcome via
-    /// [`HybridBackend::report_for`].
-    fn plan(&self, input: &WorkloadInput<'_>, opts: &PlanOptions) -> BackendReport {
-        let engine = PartitionEngine::with_options(input.cancel, *opts);
-        let outcome = engine.run(input.xmap);
-        HybridBackend::report_for(input.xmap, input.cancel, outcome)
-    }
-}
-
-/// The planning backend for [`BackendId::MaskingOnly`]: baseline \[5\],
-/// one `L·C` mask word per pattern, every X masked, nothing leaks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaskingOnlyBackend;
-
-impl PlanBackend for MaskingOnlyBackend {
-    fn id(&self) -> BackendId {
-        BackendId::MaskingOnly
-    }
-
-    /// Pure accounting (`opts` is ignored): control bits are `L·C·P`,
-    /// each pattern pays one mask word.
-    fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
-        let xmap = input.xmap;
-        let word_bits = xmap.config().mask_word_bits() as f64;
-        let per_pattern = xmap
-            .x_per_pattern()
-            .into_iter()
-            .enumerate()
-            .map(|(p, total_x)| PatternBreakdown {
-                pattern: p,
-                total_x,
-                masked_x: total_x,
-                leaked_x: 0,
-                control_bits: word_bits,
-            })
-            .collect();
-        BackendReport {
-            backend: BackendId::MaskingOnly,
-            control_bits: conventional_masking_bits(xmap.config(), xmap.num_patterns()) as f64,
-            masked_x: xmap.total_x(),
-            leaked_x: 0,
-            lost_observability: 0,
-            per_pattern,
-            outcome: None,
-        }
-    }
-}
-
-/// The planning backend for [`BackendId::CancelingOnly`]: baseline
-/// \[12\], every X shifts into the X-canceling MISR.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CancelingOnlyBackend;
-
-impl PlanBackend for CancelingOnlyBackend {
-    fn id(&self) -> BackendId {
-        BackendId::CancelingOnly
-    }
-
-    /// Pure accounting (`opts` is ignored): control bits are
-    /// `m·q·totalX/(m−q)`, split per pattern by its own X count.
-    fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
-        let xmap = input.xmap;
-        let per_pattern = xmap
-            .x_per_pattern()
-            .into_iter()
-            .enumerate()
-            .map(|(p, total_x)| PatternBreakdown {
-                pattern: p,
-                total_x,
-                masked_x: 0,
-                leaked_x: total_x,
-                control_bits: input.cancel.control_bits(total_x),
-            })
-            .collect();
-        BackendReport {
-            backend: BackendId::CancelingOnly,
-            control_bits: input.cancel.control_bits(xmap.total_x()),
-            masked_x: 0,
-            leaked_x: xmap.total_x(),
-            lost_observability: 0,
-            per_pattern,
-            outcome: None,
-        }
-    }
-}
-
-/// The merge slack [`SupersetBackend`] plans with through
-/// [`PlanBackend::plan`] (the CLI, the daemon and the race);
-/// [`SupersetBackend::report_at`] plans at any other slack.
+/// The merge slack [`BackendId::Superset`] plans with through
+/// [`BackendId::plan`] (the CLI, the daemon and the race);
+/// [`superset_report`] plans at any other slack.
 pub const SUPERSET_BACKEND_SLACK: f64 = 0.25;
 
-/// The planning backend for [`BackendId::Superset`]: greedy
-/// superset-X-canceling clustering at [`SUPERSET_BACKEND_SLACK`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SupersetBackend;
-
-impl SupersetBackend {
-    /// Clusters the patterns at `merge_slack` and accounts the result
-    /// into the uniform report.
-    ///
-    /// This is a faithful-in-spirit re-implementation of the *accounting*
-    /// of \[17, 18\]: patterns are greedily clustered by X-location
-    /// similarity; each cluster's selective-XOR control data is computed
-    /// once for the union of its X locations and reused by every member
-    /// pattern. A pattern joins the cluster whose union grows least, when
-    /// that growth is at most `merge_slack × |pattern's X cells|` (0.0 =
-    /// only identical-or-subset merges; larger = more aggressive merging
-    /// and more lost observability). It is documented as an approximation
-    /// in `DESIGN.md` (the original's exact merge heuristic is not
-    /// published in the DAC'16 paper).
-    ///
-    /// Unlike the paper's proposed method, merging a pattern whose X set
-    /// is a *proper subset* of the cluster union treats some of its non-X
-    /// values as X — `lost_observability` counts those positions, which
-    /// is exactly why \[17, 18\] need iterative fault simulation and the
-    /// proposed method does not. Every X reaches the MISR (`leaked`);
-    /// each pattern pays an equal slice of its cluster's canceling bits,
-    /// X-free patterns pay nothing, and the total is rounded to 1/1000
-    /// bit.
-    pub fn report_at(xmap: &XMap, cancel: XCancelConfig, merge_slack: f64) -> BackendReport {
-        // Invert the map: X-cell set per pattern.
-        let mut x_cells: Vec<Vec<usize>> = vec![Vec::new(); xmap.num_patterns()];
-        for (cell, xs) in xmap.iter() {
-            let idx = xmap.config().linear_index(cell);
-            for p in xs.iter() {
-                x_cells[p].push(idx);
-            }
-        }
-
-        struct Cluster {
-            union: HashSet<usize>,
-            members: usize,
-        }
-        let mut clusters: Vec<Cluster> = Vec::new();
-        let mut lost = 0usize;
-        let mut cluster_of: Vec<Option<usize>> = vec![None; xmap.num_patterns()];
-
-        for (pattern, xcells) in x_cells.iter().enumerate() {
-            if xcells.is_empty() {
-                // An X-free pattern needs no canceling at all.
-                continue;
-            }
-            // Find the cluster whose union grows least.
-            let mut best: Option<(usize, usize)> = None; // (cluster idx, growth)
-            for (ci, cluster) in clusters.iter().enumerate() {
-                let growth = xcells.iter().filter(|c| !cluster.union.contains(c)).count();
-                if best.is_none_or(|(_, g)| growth < g) {
-                    best = Some((ci, growth));
-                }
-            }
-            let budget = (merge_slack * xcells.len() as f64).floor() as usize;
-            match best {
-                Some((ci, growth)) if growth <= budget => {
-                    let cluster = &mut clusters[ci];
-                    // This pattern loses the union positions where it is
-                    // non-X; every existing member retroactively loses the
-                    // `growth` newly-added cells (none were in any member's
-                    // X set, by construction of the union).
-                    lost += cluster.union.len() + growth - xcells.len();
-                    lost += growth * cluster.members;
-                    cluster.union.extend(xcells.iter().copied());
-                    cluster.members += 1;
-                    cluster_of[pattern] = Some(ci);
-                }
-                _ => {
-                    clusters.push(Cluster {
-                        union: xcells.iter().copied().collect(),
-                        members: 1,
-                    });
-                    cluster_of[pattern] = Some(clusters.len() - 1);
-                }
-            }
-        }
-
-        let cluster_bits: Vec<f64> = clusters
-            .iter()
-            .map(|c| cancel.control_bits(c.union.len()))
-            .collect();
-        // Summed up from +0.0 (`Sum` starts at -0.0, which an X-free map
-        // would keep and print as "-0").
-        let mut control_bits = 0.0f64;
-        for bits in &cluster_bits {
-            control_bits += bits;
-        }
-        let per_pattern = xmap
-            .x_per_pattern()
-            .into_iter()
-            .enumerate()
-            .map(|(p, total_x)| PatternBreakdown {
-                pattern: p,
-                total_x,
-                masked_x: 0,
-                leaked_x: total_x,
-                control_bits: cluster_of[p]
-                    .map_or(0.0, |ci| cluster_bits[ci] / clusters[ci].members as f64),
-            })
-            .collect();
-        BackendReport {
-            backend: BackendId::Superset,
-            control_bits: (control_bits * 1000.0).round() / 1000.0,
-            masked_x: 0,
-            leaked_x: xmap.total_x(),
-            lost_observability: lost,
-            per_pattern,
-            outcome: None,
-        }
-    }
-}
-
-impl PlanBackend for SupersetBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Superset
-    }
-
-    /// Pure accounting (`opts` is ignored):
-    /// [`SupersetBackend::report_at`] at [`SUPERSET_BACKEND_SLACK`].
-    fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
-        SupersetBackend::report_at(input.xmap, input.cancel, SUPERSET_BACKEND_SLACK)
-    }
-}
-
-/// The planning backend for [`BackendId::XCode`]: a weight-3 X-code
-/// combinational compactor in the style of Fujiwara & Colbourn
-/// (arXiv:1508.00481).
+/// The superset-X-canceling report of `xmap` with the patterns clustered
+/// at `merge_slack`.
 ///
-/// Each of the `C` scan chains feeds exactly three of `j` XOR outputs,
-/// where `j` is the smallest width with `C(j,3) >= C` and every chain
-/// gets a *distinct* 3-subset. Because two distinct 3-subsets share at
-/// most two outputs, any single X per shift cycle leaves every other
-/// chain at least one clean output — the classic 1-X-tolerance of
-/// X-codes — with **zero** per-pattern control bits. The price appears
-/// on the other axis: in a cycle with several X's, a chain whose three
-/// outputs are all dirtied by X columns becomes unobservable, and
-/// [`BackendReport::lost_observability`] counts exactly those
-/// (pattern, cycle, chain) positions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct XCodeBackend;
+/// This is a faithful-in-spirit re-implementation of the *accounting* of
+/// \[17, 18\]: patterns are greedily clustered by X-location similarity;
+/// each cluster's selective-XOR control data is computed once for the
+/// union of its X locations and reused by every member pattern. A pattern
+/// joins the cluster whose union grows least, when that growth is at most
+/// `merge_slack × |pattern's X cells|` (0.0 = only identical-or-subset
+/// merges; larger = more aggressive merging and more lost
+/// observability). It is documented as an approximation in `DESIGN.md`
+/// (the original's exact merge heuristic is not published in the DAC'16
+/// paper).
+///
+/// Unlike the paper's proposed method, merging a pattern whose X set is a
+/// *proper subset* of the cluster union treats some of its non-X values
+/// as X — `lost_observability` counts those positions, which is exactly
+/// why \[17, 18\] need iterative fault simulation and the proposed method
+/// does not. Every X reaches the MISR (`leaked`), X-free patterns join no
+/// cluster and cost nothing, and the total is rounded to 1/1000 bit.
+pub fn superset_report(xmap: &XMap, cancel: XCancelConfig, merge_slack: f64) -> BackendReport {
+    // Invert the map: X-cell set per pattern.
+    let mut x_cells: Vec<Vec<usize>> = vec![Vec::new(); xmap.num_patterns()];
+    for (cell, xs) in xmap.iter() {
+        let idx = xmap.config().linear_index(cell);
+        for p in xs.iter() {
+            x_cells[p].push(idx);
+        }
+    }
+
+    struct Cluster {
+        union: HashSet<usize>,
+        members: usize,
+    }
+    let mut clusters: Vec<Cluster> = Vec::new();
+    let mut lost = 0usize;
+
+    for xcells in x_cells.iter().filter(|xcells| !xcells.is_empty()) {
+        // Find the cluster whose union grows least.
+        let mut best: Option<(usize, usize)> = None; // (cluster idx, growth)
+        for (ci, cluster) in clusters.iter().enumerate() {
+            let growth = xcells.iter().filter(|c| !cluster.union.contains(c)).count();
+            if best.is_none_or(|(_, g)| growth < g) {
+                best = Some((ci, growth));
+            }
+        }
+        let budget = (merge_slack * xcells.len() as f64).floor() as usize;
+        match best {
+            Some((ci, growth)) if growth <= budget => {
+                let cluster = &mut clusters[ci];
+                // This pattern loses the union positions where it is
+                // non-X; every existing member retroactively loses the
+                // `growth` newly-added cells (none were in any member's X
+                // set, by construction of the union).
+                lost += cluster.union.len() + growth - xcells.len();
+                lost += growth * cluster.members;
+                cluster.union.extend(xcells.iter().copied());
+                cluster.members += 1;
+            }
+            _ => clusters.push(Cluster {
+                union: xcells.iter().copied().collect(),
+                members: 1,
+            }),
+        }
+    }
+
+    // Summed up from +0.0 (`Sum` starts at -0.0, which an X-free map would
+    // keep and print as "-0").
+    let mut control_bits = 0.0f64;
+    for cluster in &clusters {
+        control_bits += cancel.control_bits(cluster.union.len());
+    }
+    BackendReport {
+        backend: BackendId::Superset,
+        control_bits: (control_bits * 1000.0).round() / 1000.0,
+        masked_x: 0,
+        leaked_x: xmap.total_x(),
+        lost_observability: lost,
+        outcome: None,
+    }
+}
 
 /// The minimal output width for a weight-3 X-code over `chains` inputs:
 /// the smallest `j >= 3` with `C(j,3) >= chains`.
@@ -616,127 +378,84 @@ fn xcode_columns(chains: usize) -> Vec<[u16; 3]> {
     columns
 }
 
-impl PlanBackend for XCodeBackend {
-    fn id(&self) -> BackendId {
-        BackendId::XCode
+/// The non-X response bits a weight-3 X-code compactor in the style of
+/// Fujiwara & Colbourn (arXiv:1508.00481) cannot observe on `xmap`.
+///
+/// Each of the `C` scan chains feeds exactly three of `j` XOR outputs,
+/// where `j` is [`xcode_output_width`] and every chain gets a *distinct*
+/// 3-subset. Because two distinct 3-subsets share at most two outputs,
+/// any single X per shift cycle leaves every other chain at least one
+/// clean output — the classic 1-X-tolerance of X-codes — with **zero**
+/// control bits. In a cycle with several X's, a chain whose three outputs
+/// are all dirtied by X columns becomes unobservable; this counts exactly
+/// those (pattern, cycle, chain) positions, sweeping only the cycles that
+/// carry more than one X.
+fn xcode_lost_observability(xmap: &XMap) -> usize {
+    let config = xmap.config();
+    let chains = config.num_chains();
+    let columns = xcode_columns(chains);
+    let column_of: HashMap<[u16; 3], usize> = columns
+        .iter()
+        .enumerate()
+        .map(|(chain, &col)| (col, chain))
+        .collect();
+
+    // Group the map's X's by (pattern, cycle): only those cycles can dirty
+    // outputs, so the sweep is O(total_x), not O(response bits).
+    let mut x_chains: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+    for (cell, xs) in xmap.iter() {
+        for p in xs.iter() {
+            x_chains
+                .entry((p, cell.position as usize))
+                .or_default()
+                .push(cell.chain as usize);
+        }
     }
 
-    /// Plans the compactor (`opts` and the MISR config are ignored —
-    /// there is no MISR): zero control bits, every X leaks into the
-    /// outputs, and the lost-observability sweep runs only over cycles
-    /// that actually carry more than one X.
-    fn plan(&self, input: &WorkloadInput<'_>, _opts: &PlanOptions) -> BackendReport {
-        let xmap = input.xmap;
-        let config = xmap.config();
-        let chains = config.num_chains();
-        let columns = xcode_columns(chains);
-        let column_of: HashMap<[u16; 3], usize> = columns
-            .iter()
-            .enumerate()
-            .map(|(chain, &col)| (col, chain))
-            .collect();
-
-        // Group the map's X's by (pattern, cycle): only those cycles can
-        // dirty outputs, so the sweep is O(total_x), not O(response bits).
-        let mut x_chains: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        for (cell, xs) in xmap.iter() {
-            for p in xs.iter() {
-                x_chains
-                    .entry((p, cell.position as usize))
-                    .or_default()
-                    .push(cell.chain as usize);
-            }
+    let mut lost_total = 0usize;
+    for (&(_, cycle), dirty_chains) in &x_chains {
+        if dirty_chains.len() < 2 {
+            // Weight-3 distinct columns: one X can cover at most two of
+            // any other chain's three outputs.
+            continue;
         }
-
-        let mut lost_total = 0usize;
-        for (&(_, cycle), dirty_chains) in &x_chains {
-            if dirty_chains.len() < 2 {
-                // Weight-3 distinct columns: one X can cover at most two
-                // of any other chain's three outputs.
-                continue;
-            }
-            let mut dirty: Vec<u16> = dirty_chains.iter().flat_map(|&ch| columns[ch]).collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            let d = dirty.len();
-            // A chain is lost iff its whole column lies inside the dirty
-            // set. Enumerate whichever is smaller: the C(d,3) triples of
-            // dirty outputs, or the chains themselves.
-            let triples = d * (d - 1) * (d - 2) / 6;
-            let lost_here: usize = if triples <= chains {
-                let mut lost = 0usize;
-                for ai in 0..d {
-                    for bi in (ai + 1)..d {
-                        for ci in (bi + 1)..d {
-                            let col = [dirty[ai], dirty[bi], dirty[ci]];
-                            if let Some(&chain) = column_of.get(&col) {
-                                if cycle < config.chain_len(chain) && !dirty_chains.contains(&chain)
-                                {
-                                    lost += 1;
-                                }
+        let mut dirty: Vec<u16> = dirty_chains.iter().flat_map(|&ch| columns[ch]).collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        let d = dirty.len();
+        // A chain is lost iff its whole column lies inside the dirty set.
+        // Enumerate whichever is smaller: the C(d,3) triples of dirty
+        // outputs, or the chains themselves.
+        let triples = d * (d - 1) * (d - 2) / 6;
+        let lost_here: usize = if triples <= chains {
+            let mut lost = 0usize;
+            for ai in 0..d {
+                for bi in (ai + 1)..d {
+                    for ci in (bi + 1)..d {
+                        let col = [dirty[ai], dirty[bi], dirty[ci]];
+                        if let Some(&chain) = column_of.get(&col) {
+                            if cycle < config.chain_len(chain) && !dirty_chains.contains(&chain) {
+                                lost += 1;
                             }
                         }
                     }
                 }
-                lost
-            } else {
-                (0..chains)
-                    .filter(|&chain| {
-                        cycle < config.chain_len(chain)
-                            && !dirty_chains.contains(&chain)
-                            && columns[chain]
-                                .iter()
-                                .all(|o| dirty.binary_search(o).is_ok())
-                    })
-                    .count()
-            };
-            lost_total += lost_here;
-        }
-
-        let x_per_pattern = xmap.x_per_pattern();
-        let per_pattern = x_per_pattern
-            .into_iter()
-            .enumerate()
-            .map(|(p, total_x)| PatternBreakdown {
-                pattern: p,
-                total_x,
-                masked_x: 0,
-                leaked_x: total_x,
-                control_bits: 0.0,
-            })
-            .collect();
-        BackendReport {
-            backend: BackendId::XCode,
-            control_bits: 0.0,
-            masked_x: 0,
-            leaked_x: xmap.total_x(),
-            lost_observability: lost_total,
-            per_pattern,
-            outcome: None,
-        }
+            }
+            lost
+        } else {
+            (0..chains)
+                .filter(|&chain| {
+                    cycle < config.chain_len(chain)
+                        && !dirty_chains.contains(&chain)
+                        && columns[chain]
+                            .iter()
+                            .all(|o| dirty.binary_search(o).is_ok())
+                })
+                .count()
+        };
+        lost_total += lost_here;
     }
-}
-
-/// The backend implementing `id`, as a shared static.
-pub fn backend_for(id: BackendId) -> &'static dyn PlanBackend {
-    match id {
-        BackendId::Hybrid => &HybridBackend,
-        BackendId::MaskingOnly => &MaskingOnlyBackend,
-        BackendId::CancelingOnly => &CancelingOnlyBackend,
-        BackendId::Superset => &SupersetBackend,
-        BackendId::XCode => &XCodeBackend,
-    }
-}
-
-/// Every backend, in [`BackendId::ALL`] order.
-pub fn all_backends() -> [&'static dyn PlanBackend; 5] {
-    [
-        &HybridBackend,
-        &MaskingOnlyBackend,
-        &CancelingOnlyBackend,
-        &SupersetBackend,
-        &XCodeBackend,
-    ]
+    lost_total
 }
 
 #[cfg(test)]
@@ -771,8 +490,6 @@ mod tests {
         for id in BackendId::ALL {
             assert_eq!(BackendId::parse(id.name()), Ok(id));
             assert_eq!(id.to_string(), id.name());
-            assert_eq!(backend_for(id).id(), id);
-            assert_eq!(backend_for(id).caps(), id.caps());
         }
         assert_eq!(
             BackendId::parse("nope"),
@@ -787,27 +504,12 @@ mod tests {
     #[test]
     fn every_report_balances_the_x_account() {
         let xmap = fig4_xmap();
-        let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
-        for backend in all_backends() {
-            let r = backend.plan(&input, &PlanOptions::default());
-            assert_eq!(r.backend, backend.id());
+        for id in BackendId::ALL {
+            let r = id.plan(&xmap, XCancelConfig::new(10, 2), &PlanOptions::default());
+            assert_eq!(r.backend, id);
             assert_eq!(r.masked_x + r.leaked_x, xmap.total_x(), "{}", r.backend);
-            assert_eq!(r.per_pattern.len(), xmap.num_patterns());
-            let masked: usize = r.per_pattern.iter().map(|p| p.masked_x).sum();
-            let leaked: usize = r.per_pattern.iter().map(|p| p.leaked_x).sum();
-            assert_eq!(masked, r.masked_x, "{}", r.backend);
-            assert_eq!(leaked, r.leaked_x, "{}", r.backend);
-            let share_sum: f64 = r.per_pattern.iter().map(|p| p.control_bits).sum();
-            // 1e-3 tolerance: the superset report's total is rounded to
-            // milli-bits on the wire-friendly x1000 fixed point.
-            assert!(
-                (share_sum - r.control_bits).abs() < 1e-3,
-                "{}: per-pattern shares sum to {share_sum}, report says {}",
-                r.backend,
-                r.control_bits
-            );
-            assert_eq!(r.outcome.is_some(), backend.caps().partitions);
-            if backend.caps().lossless {
+            assert_eq!(r.outcome.is_some(), id.caps().partitions);
+            if id.caps().lossless {
                 assert_eq!(r.lost_observability, 0, "{}", r.backend);
             }
         }
@@ -816,8 +518,7 @@ mod tests {
     #[test]
     fn hybrid_backend_matches_the_engine() {
         let xmap = fig4_xmap();
-        let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
-        let r = HybridBackend.plan(&input, &PlanOptions::default());
+        let r = BackendId::Hybrid.plan(&xmap, XCancelConfig::new(10, 2), &PlanOptions::default());
         assert!((r.control_bits - 57.5).abs() < 1e-9);
         assert_eq!(r.masked_x, 23);
         assert_eq!(r.leaked_x, 5);
@@ -828,12 +529,12 @@ mod tests {
     #[test]
     fn baseline_backends_match_fig4_numbers() {
         let xmap = fig4_xmap();
-        let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
-        let opts = PlanOptions::default();
-        let masking = MaskingOnlyBackend.plan(&input, &opts);
+        let plan =
+            |id: BackendId| id.plan(&xmap, XCancelConfig::new(10, 2), &PlanOptions::default());
+        let masking = plan(BackendId::MaskingOnly);
         assert_eq!(masking.control_bits, 120.0);
         assert_eq!(masking.leaked_x, 0);
-        let canceling = CancelingOnlyBackend.plan(&input, &opts);
+        let canceling = plan(BackendId::CancelingOnly);
         assert!((canceling.control_bits - 70.0).abs() < 1e-9);
         assert_eq!(canceling.masked_x, 0);
     }
@@ -842,11 +543,10 @@ mod tests {
     fn report_matches_fig6_numbers() {
         let xmap = fig4_xmap();
         let cancel = XCancelConfig::new(10, 2);
-        let input = WorkloadInput::new(&xmap, cancel);
-        let opts = PlanOptions::default();
-        let hybrid = HybridBackend.plan(&input, &opts);
-        let masking = MaskingOnlyBackend.plan(&input, &opts);
-        let canceling = CancelingOnlyBackend.plan(&input, &opts);
+        let plan = |id: BackendId| id.plan(&xmap, cancel, &PlanOptions::default());
+        let hybrid = plan(BackendId::Hybrid);
+        let masking = plan(BackendId::MaskingOnly);
+        let canceling = plan(BackendId::CancelingOnly);
         assert_eq!(hybrid.masked_x + hybrid.leaked_x, 28);
         assert_eq!(masking.control_bits, 120.0);
         assert!((hybrid.control_bits - 57.5).abs() < 1e-9);
@@ -866,13 +566,12 @@ mod tests {
         let cfg = ScanConfig::uniform(3, 3);
         let xmap = XMapBuilder::new(cfg, 10).finish();
         let cancel = XCancelConfig::paper_default();
-        let input = WorkloadInput::new(&xmap, cancel);
-        let opts = PlanOptions::default();
-        let hybrid = HybridBackend.plan(&input, &opts);
+        let plan = |id: BackendId| id.plan(&xmap, cancel, &PlanOptions::default());
+        let hybrid = plan(BackendId::Hybrid);
         assert_eq!(hybrid.masked_x + hybrid.leaked_x, 0);
         assert_eq!(hybrid.outcome.as_ref().map(|o| o.partitions.len()), Some(1));
         assert_eq!(hybrid.normalized_test_time(&xmap, cancel), 1.0);
-        assert_eq!(CancelingOnlyBackend.plan(&input, &opts).control_bits, 0.0);
+        assert_eq!(plan(BackendId::CancelingOnly).control_bits, 0.0);
     }
 
     /// A one-chain map: `sets` lists (cell index, X patterns).
@@ -890,7 +589,7 @@ mod tests {
     }
 
     fn superset_at(xmap: &XMap, merge_slack: f64) -> BackendReport {
-        SupersetBackend::report_at(xmap, XCancelConfig::new(10, 2), merge_slack)
+        superset_report(xmap, XCancelConfig::new(10, 2), merge_slack)
     }
 
     #[test]
@@ -928,13 +627,15 @@ mod tests {
 
     #[test]
     fn x_free_patterns_cost_nothing() {
+        // One X under pattern 1 of 5: a single one-cell cluster (2.5
+        // bits), the same as the pattern alone; the four X-free patterns
+        // add nothing.
         let xmap = map_with(&[(0, &[1])], 5);
         let report = superset_at(&xmap, 0.0);
         assert!((report.control_bits - 2.5).abs() < 1e-6);
-        for share in &report.per_pattern {
-            let expected = if share.pattern == 1 { 2.5 } else { 0.0 };
-            assert_eq!(share.control_bits, expected, "pattern {}", share.pattern);
-        }
+        let alone = superset_at(&map_with(&[(0, &[0])], 1), 0.0);
+        assert_eq!(report.control_bits, alone.control_bits);
+        assert_eq!(superset_at(&map_with(&[], 5), 0.0).control_bits, 0.0);
     }
 
     #[test]
@@ -967,8 +668,9 @@ mod tests {
             b.add_x(CellId::new(p % 6, p % 4), p).unwrap();
         }
         let xmap = b.finish();
-        let r = XCodeBackend.plan(
-            &WorkloadInput::new(&xmap, XCancelConfig::paper_default()),
+        let r = BackendId::XCode.plan(
+            &xmap,
+            XCancelConfig::paper_default(),
             &PlanOptions::default(),
         );
         assert_eq!(r.control_bits, 0.0);
@@ -1051,8 +753,9 @@ mod tests {
                     }
                 }
             }
-            let r = XCodeBackend.plan(
-                &WorkloadInput::new(&xmap, XCancelConfig::paper_default()),
+            let r = BackendId::XCode.plan(
+                &xmap,
+                XCancelConfig::paper_default(),
                 &PlanOptions::default(),
             );
             assert_eq!(
@@ -1078,8 +781,9 @@ mod tests {
             b.add_x(CellId::new(chain, 0), 0).unwrap();
         }
         let xmap = b.finish();
-        let r = XCodeBackend.plan(
-            &WorkloadInput::new(&xmap, XCancelConfig::paper_default()),
+        let r = BackendId::XCode.plan(
+            &xmap,
+            XCancelConfig::paper_default(),
             &PlanOptions::default(),
         );
         assert_eq!(r.lost_observability, 1);

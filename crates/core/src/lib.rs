@@ -11,11 +11,11 @@
 //!    function (§4, Algorithm 1);
 //! 3. [`hybrid_cost`] — the §4 total-control-bit formula
 //!    `L·C·#partitions + m·q·leakedX/(m−q)`;
-//! 4. [`backend`] — the [`PlanBackend`] trait putting the hybrid, both
-//!    Table-1 baselines (X-masking-only \[5\] and X-canceling-only
-//!    \[12\]), a superset-X-canceling comparison point (\[17, 18\]) and a
-//!    weight-3 X-code compactor behind one planning API with a uniform
-//!    [`BackendReport`]. A Table-1 row is three reports — masking,
+//! 4. [`backend`] — [`BackendId::plan`], one planning call over the
+//!    hybrid, both Table-1 baselines (X-masking-only \[5\] and
+//!    X-canceling-only \[12\]), a superset-X-canceling comparison point
+//!    (\[17, 18\]) and a weight-3 X-code compactor, each returning a
+//!    uniform [`BackendReport`]. A Table-1 row is three reports — masking,
 //!    canceling, hybrid — compared on control bits and on
 //!    [`BackendReport::normalized_test_time`];
 //! 5. [`apply_partition_masks`] — operational gating of real captured
@@ -30,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use xhc_core::{backend_for, BackendId, PlanOptions, WorkloadInput};
+//! use xhc_core::{BackendId, PlanOptions};
 //! use xhc_misr::XCancelConfig;
 //! use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 //!
@@ -43,8 +43,7 @@
 //! }
 //! let xmap = b.finish();
 //!
-//! let input = WorkloadInput::new(&xmap, XCancelConfig::new(8, 2));
-//! let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+//! let plan = |id: BackendId| id.plan(&xmap, XCancelConfig::new(8, 2), &PlanOptions::default());
 //! let (hybrid, masking) = (plan(BackendId::Hybrid), plan(BackendId::MaskingOnly));
 //! // The correlated X's are fully masked by two shared mask words.
 //! assert_eq!(hybrid.leaked_x, 0);
@@ -64,11 +63,7 @@ mod partition;
 mod schedule;
 mod toggle;
 
-pub use backend::{
-    all_backends, backend_for, BackendCaps, BackendId, BackendReport, CancelingOnlyBackend,
-    HybridBackend, MaskingOnlyBackend, PatternBreakdown, PlanBackend, SupersetBackend,
-    WorkloadInput, XCodeBackend,
-};
+pub use backend::{superset_report, BackendCaps, BackendId, BackendReport};
 pub use correlation::{
     inter_correlation_stats, intra_correlation_stats, CorrelationAnalysis, InterCorrelationStats,
     IntraCorrelationStats,

@@ -101,11 +101,6 @@ pub fn x_prone_sequential() -> (Netlist, Vec<usize>) {
     (nl, scan_flops)
 }
 
-/// Node ids of the `c17` primary inputs, for tests that need to name them.
-pub fn c17_input_ids() -> Vec<NodeId> {
-    c17().inputs().to_vec()
-}
-
 /// An `n`-bit ripple-carry adder: inputs `[a0..a(n-1), b0..b(n-1), cin]`,
 /// outputs `[s0..s(n-1), cout]`.
 ///

@@ -136,20 +136,6 @@ impl<'a> Simulator<'a> {
         &self.state
     }
 
-    /// Replaces the full flop state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len() != num_flops`.
-    pub fn set_state(&mut self, state: &[Trit]) {
-        assert_eq!(
-            state.len(),
-            self.state.len(),
-            "state vector length mismatch"
-        );
-        self.state.copy_from_slice(state);
-    }
-
     /// Resets every flop to its power-up value.
     pub fn reset(&mut self) {
         for (i, &f) in self.netlist.flops.iter().enumerate() {

@@ -47,8 +47,8 @@ impl AteConfig {
     /// one shift cycle per cell of the longest chain per pattern, plus one
     /// capture cycle per pattern, plus the final unload.
     pub fn scan_cycles(&self, config: &ScanConfig, num_patterns: usize) -> usize {
-        let per_pattern = config.max_chain_len() + 1;
-        num_patterns * per_pattern + config.max_chain_len()
+        let pattern_cycles = config.max_chain_len() + 1;
+        num_patterns * pattern_cycles + config.max_chain_len()
     }
 }
 

@@ -276,17 +276,6 @@ impl XMap {
     pub fn to_bitmatrix(&self) -> &XBitMatrix {
         &self.rows
     }
-
-    /// Number of X's per pattern (indexed by pattern).
-    pub fn x_per_pattern(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_patterns()];
-        for (_, xs) in self.iter() {
-            for p in xs.iter() {
-                counts[p] += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// Incremental builder for [`XMap`], for callers that add X's at
@@ -465,15 +454,6 @@ mod tests {
         assert_eq!(cells.len(), 7);
         // Linear order: chain-major.
         assert!(cells.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn x_per_pattern_sums_to_total() {
-        let m = fig4_xmap();
-        let per = m.x_per_pattern();
-        assert_eq!(per.iter().sum::<usize>(), 28);
-        // P6 (index 5): SC1[0], SC2[0], SC3[0], SC5[2] -> 4 X's.
-        assert_eq!(per[5], 4);
     }
 
     #[test]

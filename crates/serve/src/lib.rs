@@ -134,9 +134,7 @@ use std::time::Instant;
 use xhc_aio::queue::JobQueue;
 use xhc_aio::Waker;
 
-use xhc_core::{
-    backend_for, BackendId, HybridBackend, PartitionEngine, PlanOptions, WorkloadInput,
-};
+use xhc_core::{BackendId, BackendReport, PartitionEngine, PlanOptions};
 use xhc_lint::{check_cancel_params, check_xmap, LintConfig, LintReport};
 use xhc_misr::XCancelConfig;
 use xhc_scan::{read_xmap, XMap};
@@ -738,15 +736,7 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
                 "`mode=async` supports only the hybrid backend",
             ));
         }
-        let cancel = XCancelConfig::new(params.m, params.q);
-        let leg = race_leg(
-            state,
-            params.options.backend,
-            &canonical,
-            &xmap,
-            &params,
-            cancel,
-        )?;
+        let leg = race_leg(state, params.options.backend, &canonical, &xmap, &params)?;
         return Ok(Response::new(
             200,
             "application/json",
@@ -864,7 +854,7 @@ fn parse_race_roster(request: &Request) -> Result<Vec<BackendId>, HandlerError> 
 /// whether it was a cache hit.
 struct RaceLeg {
     backend: BackendId,
-    report: xhc_core::BackendReport,
+    report: BackendReport,
     latency_ns: u64,
     plan: Option<(u64, bool)>,
 }
@@ -875,15 +865,14 @@ struct RaceLeg {
 /// key `POST /v1/plan` would derive, so its plan bytes are byte-identical
 /// to the single-backend route, persisted under the same address, and
 /// single-flighted against concurrent submissions; the report is then
-/// accounted from the decoded plan without re-running the engine. Every
-/// other backend is pure accounting run in-process.
+/// read from the decoded plan's cost without re-running the engine. Every
+/// other backend is planned in-process by [`BackendId::plan`].
 fn race_leg(
     state: &ServerState,
     backend: BackendId,
     canonical: &[u8],
     xmap: &XMap,
     params: &PlanParams,
-    cancel: XCancelConfig,
 ) -> Result<RaceLeg, HandlerError> {
     let started = Instant::now();
     if backend == BackendId::Hybrid {
@@ -902,19 +891,20 @@ fn race_leg(
         let (bytes, engine_ns) = compute_plan(state, key, canonical, xmap, &leg_params)?;
         let (outcome, _) = decode_plan(&bytes)
             .map_err(|e| HandlerError::new(500, format!("stored plan failed to decode: {e}")))?;
-        let report = HybridBackend::report_for(xmap, cancel, outcome);
         Ok(RaceLeg {
             backend,
-            report,
+            report: BackendReport::hybrid(outcome),
             latency_ns: started.elapsed().as_nanos() as u64,
             plan: Some((key, engine_ns.is_none())),
         })
     } else {
-        let input = WorkloadInput::new(xmap, cancel);
-        let report = backend_for(backend).plan(&input, &params.options);
         Ok(RaceLeg {
             backend,
-            report,
+            report: backend.plan(
+                xmap,
+                XCancelConfig::new(params.m, params.q),
+                &params.options,
+            ),
             latency_ns: started.elapsed().as_nanos() as u64,
             plan: None,
         })
@@ -971,7 +961,6 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
     lint_gate(state, &xmap, params.m, params.q)?;
     let canonical = encode_xmap(&xmap);
     let wkey = xhc_wire::content_hash(&canonical);
-    let cancel = XCancelConfig::new(params.m, params.q);
 
     let state_ref: &ServerState = state;
     let leg_results: Vec<Result<RaceLeg, HandlerError>> = thread::scope(|scope| {
@@ -981,7 +970,7 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
                 let canonical = &canonical;
                 let xmap = &xmap;
                 let params = &params;
-                scope.spawn(move || race_leg(state_ref, backend, canonical, xmap, params, cancel))
+                scope.spawn(move || race_leg(state_ref, backend, canonical, xmap, params))
             })
             .collect();
         handles

@@ -597,7 +597,7 @@ fn distinct_params_get_distinct_cache_entries() {
 
 #[test]
 fn backends_listing_and_single_backend_reports() {
-    use xhc_core::{backend_for, BackendId, WorkloadInput};
+    use xhc_core::BackendId;
 
     let xmap = test_spec().generate();
     let body = encode_xmap(&xmap);
@@ -628,10 +628,8 @@ fn backends_listing_and_single_backend_reports() {
     .unwrap();
     assert_eq!(response.status, 200, "{}", response.body_text());
     let text = response.body_text();
-    let expected = backend_for(BackendId::MaskingOnly).plan(
-        &WorkloadInput::new(&xmap, XCancelConfig::new(32, 7)),
-        &PlanOptions::default(),
-    );
+    let expected =
+        BackendId::MaskingOnly.plan(&xmap, XCancelConfig::new(32, 7), &PlanOptions::default());
     assert!(text.contains("\"backend\":\"masking\""), "{text}");
     assert!(
         text.contains(&format!("\"control_bits\":{:.3}", expected.control_bits)),
@@ -662,6 +660,19 @@ fn race_fans_out_and_hybrid_leg_is_byte_identical_to_single_backend_path() {
     let expected_key = plan_request_hash(&body, 32, 7, 0);
     let offline = PartitionEngine::new(XCancelConfig::new(32, 7)).run(&xmap);
     let offline_bytes = encode_plan(&offline, xmap.num_patterns());
+    // Every race row must read what an in-process `BackendId::plan` of the
+    // same request reports, number for number.
+    let rows: Vec<String> = BackendId::ALL
+        .iter()
+        .map(|&id| {
+            let r = id.plan(&xmap, XCancelConfig::new(32, 7), &PlanOptions::default());
+            format!(
+                "{{\"backend\":\"{id}\",\"control_bits\":{:.3},\"masked_x\":{},\"leaked_x\":{},\
+                 \"lost_observability\":{},\"latency_ns\":",
+                r.control_bits, r.masked_x, r.leaked_x, r.lost_observability
+            )
+        })
+        .collect();
 
     for engine_threads in [1, 2, 8] {
         let server = TestServer::start("race", engine_threads);
@@ -677,10 +688,10 @@ fn race_fans_out_and_hybrid_leg_is_byte_identical_to_single_backend_path() {
         .unwrap();
         assert_eq!(race.status, 200, "{}", race.body_text());
         let text = race.body_text();
-        for id in BackendId::ALL {
+        for row in &rows {
             assert!(
-                text.contains(&format!("\"backend\":\"{id}\"")),
-                "threads={engine_threads} missing {id}: {text}"
+                text.contains(row.as_str()),
+                "threads={engine_threads} cold race lacks {row}: {text}"
             );
         }
         assert!(
@@ -718,6 +729,25 @@ fn race_fans_out_and_hybrid_leg_is_byte_identical_to_single_backend_path() {
             client::get(server.addr, &format!("/v1/plan/{}", hash_hex(expected_key))).unwrap();
         assert_eq!(fetched.status, 200);
         assert_eq!(fetched.body, offline_bytes);
+
+        // A second race reads the hybrid plan from the cache and reports
+        // the same rows.
+        let again = client::post(
+            server.addr,
+            "/v1/plan/race?m=32&q=7",
+            "application/octet-stream",
+            &body,
+        )
+        .unwrap();
+        assert_eq!(again.status, 200, "{}", again.body_text());
+        let text = again.body_text();
+        assert!(text.contains("\"cache\":\"hit\""), "{text}");
+        for row in &rows {
+            assert!(
+                text.contains(row.as_str()),
+                "threads={engine_threads} cached race lacks {row}: {text}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! typed error naming the violated invariant.
 
 use xhc_bits::PatternSet;
-use xhc_core::{HybridBackend, PartitionEngine, PartitionOutcome, PlanOptions};
+use xhc_core::{BackendReport, PartitionEngine, PartitionOutcome, PlanOptions};
 use xhc_logic::Trit;
 use xhc_misr::{CancelSession, MaskWord, Taps, XCancelConfig};
 use xhc_scan::{CellId, ResponseMatrix, ScanConfig, XMap, XMapBuilder};
@@ -446,8 +446,8 @@ fn mis_shaped_plans_are_rejected_not_panicked_on() {
 
 #[test]
 fn a_mask_on_a_never_x_cell_is_reported_then_rejected() {
-    // The hybrid report must account such a plan without overflowing its
-    // per-pattern leak; judging it is the checker's job (XL0404).
+    // The hybrid report must account such a plan without panicking, as a
+    // read of its cost; judging it is the checker's job (XL0404).
     let xmap = fig4_xmap();
     let cancel = XCancelConfig::new(10, 2);
     let (valid, ..) = plan_and_certify(&xmap, cancel, 1, false);
@@ -456,9 +456,12 @@ fn a_mask_on_a_never_x_cell_is_reported_then_rejected() {
     let mut plan = valid.clone();
     plan.masks[0].mask(xmap.config(), never_x);
 
-    let report = HybridBackend::report_for(&xmap, cancel, plan.clone());
-    let expected = HybridBackend::report_for(&xmap, cancel, valid);
-    assert_eq!(report.per_pattern, expected.per_pattern);
+    let report = BackendReport::hybrid(plan.clone());
+    let expected = BackendReport::hybrid(valid);
+    assert_eq!(
+        (report.control_bits, report.masked_x, report.leaked_x),
+        (expected.control_bits, expected.masked_x, expected.leaked_x)
+    );
 
     let plan_bytes = encode_plan(&plan, xmap.num_patterns());
     let cert = certify_plan(&xmap, cancel, &plan, &plan_bytes, None);

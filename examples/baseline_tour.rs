@@ -6,9 +6,7 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::{
-    backend_for, toggle_masking, BackendId, PlanOptions, SplitStrategy, TogglePolicy, WorkloadInput,
-};
+use xhybrid::core::{toggle_masking, BackendId, PlanOptions, SplitStrategy, TogglePolicy};
 use xhybrid::misr::{shadow_cancel_report, XCancelConfig};
 use xhybrid::workload::WorkloadSpec;
 
@@ -34,8 +32,7 @@ fn main() {
         "{:<44} {:>12} {:>10} {:>12}",
         "scheme", "ctrl bits", "time", "sacrifice"
     );
-    let input = WorkloadInput::new(&xmap, cancel);
-    let plan = |id, opts| backend_for(id).plan(&input, &opts);
+    let plan = |id: BackendId, opts| id.plan(&xmap, cancel, &opts);
     let row = |name: &str, bits: f64, time: String, sacrifice: String| {
         println!("{name:<44} {bits:>12.0} {time:>10} {sacrifice:>12}");
     };

@@ -9,7 +9,7 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::{backend_for, inter_correlation_stats, BackendId, PlanOptions, WorkloadInput};
+use xhybrid::core::{inter_correlation_stats, BackendId, PlanOptions};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::workload::WorkloadSpec;
 
@@ -34,13 +34,12 @@ fn evaluate(spec: &WorkloadSpec) {
     );
 
     let cancel = XCancelConfig::paper_default();
-    let input = WorkloadInput::new(&xmap, cancel);
     let [masking, canceling, hybrid] = [
         BackendId::MaskingOnly,
         BackendId::CancelingOnly,
         BackendId::Hybrid,
     ]
-    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+    .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
     println!(
         "control bits: masking-only {:.2}M | canceling-only {:.2}M | proposed {:.2}M",
         masking.control_bits / 1e6,

@@ -9,7 +9,7 @@
 
 #![deny(deprecated)]
 
-use xhybrid::core::{backend_for, BackendId, BackendReport, PlanOptions, WorkloadInput};
+use xhybrid::core::{BackendId, BackendReport, PlanOptions};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::scan::{CellId, ScanConfig, XMap, XMapBuilder};
 
@@ -36,7 +36,7 @@ fn fig4_xmap() -> XMap {
 }
 
 fn plan(id: BackendId, xmap: &XMap, cancel: XCancelConfig) -> BackendReport {
-    backend_for(id).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default())
+    id.plan(xmap, cancel, &PlanOptions::default())
 }
 
 fn main() {

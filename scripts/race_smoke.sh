@@ -3,7 +3,8 @@
 # loopback socket, list the backend roster, race the demo workload
 # across the full fleet, and assert the race's hybrid leg stored a plan
 # whose bytes are identical to a plain /v1/plan submission of the same
-# request — the race must ride the normal planning path, not fork it.
+# request — the race must ride the normal planning path, not fork it —
+# and that every row's control bits match `xhybrid plan --backend`.
 # The daemon runs with --verify-on-write 1, so every plan the race
 # stores is certificate-checked first.
 #
@@ -71,6 +72,20 @@ grep -q '"pareto":true' "$work/race.txt"
 hash="$(tr ',' '\n' < "$work/race.txt" | sed -n 's/.*"plan_hash":"\([0-9a-f]\{16\}\)".*/\1/p' | head -n1)"
 [[ -n "$hash" ]] || { echo "race reported no plan hash"; cat "$work/race.txt"; exit 1; }
 echo "race OK, hybrid plan hash $hash"
+
+# The CLI and the race plan every backend through the same
+# `BackendId::plan` call: each race row's control bits, rounded to the
+# CLI's one decimal, must equal what `xhybrid plan --backend <id>` prints.
+for id in hybrid masking canceling superset xcode; do
+  raced="$(tr '{' '\n' < "$work/race.txt" \
+    | sed -n "s/^\"backend\":\"$id\",\"control_bits\":\([0-9.]*\),.*/\1/p")"
+  cli="$("$xhybrid" plan "$work/demo.xmap" --m 16 --q 3 --backend "$id" \
+    | sed -n 's/^control bits *: \([0-9.]*\).*/\1/p')"
+  [[ -n "$raced" && -n "$cli" ]] || { echo "no control bits for $id (race '$raced', cli '$cli')"; exit 1; }
+  [[ "$(LC_ALL=C printf '%.1f' "$raced")" == "$cli" ]] \
+    || { echo "$id: race reports $raced control bits, xhybrid plan prints $cli"; exit 1; }
+  echo "  $id: $cli control bits on both paths"
+done
 
 # The plan the race stored is byte-identical to the single-backend path:
 # fetch it by hash, then submit the same request through /v1/plan (must

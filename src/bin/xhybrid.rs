@@ -14,7 +14,8 @@
 //! Files use the `xmap v1` text format (see `xhybrid::scan::write_xmap`)
 //! or the binary wire format (see `xhybrid::wire`). Exit codes follow the
 //! `xhc-lint` convention: `0` success, `1` runtime failure, `2` usage
-//! error. Every subcommand answers `--help`.
+//! error. Every subcommand answers `--help`, and a flag it does not read
+//! is a usage error.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -22,8 +23,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use xhybrid::core::{
-    backend_for, inter_correlation_stats, intra_correlation_stats, schedule_hybrid, BackendId,
-    BackendReport, HybridBackend, PartitionEngine, PlanOptions, ScheduleOptions, WorkloadInput,
+    inter_correlation_stats, intra_correlation_stats, schedule_hybrid, BackendId, BackendReport,
+    PartitionEngine, PlanOptions, ScheduleOptions,
 };
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
@@ -144,7 +145,8 @@ wire-encoded artifacts against the X map instead; any violated
 invariant exits 1 with a typed error.
 
   --m, --q      cancel parameters (defaults 32, 7; fresh mode only)
-  engine flags  as for `xhybrid plan` (fresh mode only)
+  engine flags  as for `xhybrid plan` (fresh mode only); --backend other
+                than hybrid is a usage error (it belongs to `plan`)
   --plan-out    write the wire-encoded plan to FILE
   --cert-out    write the wire-encoded certificate to FILE
   --plan        verify this wire-encoded plan instead of planning
@@ -222,6 +224,75 @@ impl CliError {
 }
 
 type CmdResult = Result<(), CliError>;
+
+/// A subcommand's entry point.
+type CmdFn = fn(&Args) -> CmdResult;
+
+/// `println!`, except that a closed stdout (`xhybrid partition FILE |
+/// head -1`) ends the process quietly with exit 0 instead of panicking;
+/// any other write error exits 1.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The engine flags: the daemon's plan-option query parameters
+/// ([`PlanOptions::from_params`]) with dashes for underscores.
+const ENGINE_FLAGS: [&str; 6] = [
+    "strategy",
+    "policy",
+    "seed",
+    "max-rounds",
+    "cost-stop",
+    "backend",
+];
+
+/// A command's entry point and the flags it reads; `None` for an unknown
+/// command. Any other flag is a usage error, so a misspelt or misplaced
+/// flag is never ignored.
+fn command(cmd: &str) -> Option<(CmdFn, Vec<&'static str>)> {
+    let planning = |extra: &[&'static str]| [&["m", "q"][..], &ENGINE_FLAGS, extra].concat();
+    Some(match cmd {
+        "gen" => (cmd_gen, vec!["profile", "scale", "seed", "out"]),
+        "analyze" => (cmd_analyze, vec![]),
+        "partition" => (cmd_partition, planning(&["threads"])),
+        "plan" => (
+            cmd_plan,
+            planning(&["threads", "trace", "profile", "scale"]),
+        ),
+        "schedule" => (cmd_schedule, vec!["m", "q", "channels"]),
+        "verify" => (
+            cmd_verify,
+            planning(&["threads", "plan-out", "cert-out", "plan", "cert"]),
+        ),
+        "serve" => (
+            cmd_serve,
+            vec![
+                "addr",
+                "store",
+                "threads",
+                "workers",
+                "verify-on-write",
+                "max-inflight",
+                "queue-depth",
+                "push-metrics",
+            ],
+        ),
+        "fetch" => (cmd_fetch, planning(&["addr", "hash", "out"])),
+        _ => return None,
+    })
+}
 
 /// Minimal flag parser: `--name value` pairs plus positional arguments.
 struct Args {
@@ -316,26 +387,26 @@ fn cmd_analyze(args: &Args) -> CmdResult {
     let xmap = load(path)?;
     let inter = inter_correlation_stats(&xmap);
     let intra = intra_correlation_stats(&xmap);
-    println!("cells            : {}", inter.total_cells);
-    println!(
+    outln!("cells            : {}", inter.total_cells);
+    outln!(
         "X-capturing cells: {} ({:.2}%)",
         inter.x_cells,
         100.0 * inter.x_cells as f64 / inter.total_cells.max(1) as f64
     );
-    println!(
+    outln!(
         "total X's        : {} ({:.3}% density)",
         inter.total_x,
         100.0 * xmap.x_density()
     );
-    println!(
+    outln!(
         "90% of X's in    : {:.2}% of cells",
         100.0 * inter.cells_for_90pct
     );
-    println!(
+    outln!(
         "inter-correlation: largest identical-set group = {} cells; largest count class = {} cells x {} X's",
         inter.largest_identical_group, inter.largest_count_class, inter.largest_count_class_count
     );
-    println!(
+    outln!(
         "intra-correlation: {} of {} X-cells have an X neighbour; {} runs, longest {}{}",
         intra.x_cells_with_x_neighbour,
         intra.x_cells,
@@ -386,11 +457,11 @@ fn cmd_partition(args: &Args) -> CmdResult {
     let cancel = cancel_config(args)?;
     let opts = hybrid_plan_options(args, "partition")?;
     let xmap = load(path)?;
-    let hybrid = backend_for(BackendId::Hybrid).plan(&WorkloadInput::new(&xmap, cancel), &opts);
+    let hybrid = BackendId::Hybrid.plan(&xmap, cancel, &opts);
     let canceling = print_vs_baselines(&xmap, cancel, &hybrid);
     let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
     let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
-    println!(
+    outln!(
         "test time        : {:.3} -> {:.3} ({:.2}x)",
         time_canceling_only,
         time_proposed,
@@ -404,30 +475,31 @@ fn cmd_partition(args: &Args) -> CmdResult {
 /// summary `partition` and `plan` share). Returns the canceling-only
 /// report.
 fn print_vs_baselines(xmap: &XMap, cancel: XCancelConfig, hybrid: &BackendReport) -> BackendReport {
-    let input = WorkloadInput::new(xmap, cancel);
     let opts = PlanOptions::default();
-    let masking = backend_for(BackendId::MaskingOnly).plan(&input, &opts);
-    let canceling = backend_for(BackendId::CancelingOnly).plan(&input, &opts);
+    let masking = BackendId::MaskingOnly.plan(xmap, cancel, &opts);
+    let canceling = BackendId::CancelingOnly.plan(xmap, cancel, &opts);
     let outcome = hybrid
         .outcome
         .as_ref()
         .expect("the hybrid carries its plan");
-    println!(
+    outln!(
         "partitions       : {} (after {} rounds)",
         outcome.partitions.len(),
         outcome.rounds.len()
     );
-    println!(
+    outln!(
         "X's              : {} masked + {} leaked = {}",
         hybrid.masked_x,
         hybrid.leaked_x,
         xmap.total_x()
     );
-    println!(
+    outln!(
         "control bits     : {:.1} (mask {} + cancel {:.1})",
-        hybrid.control_bits, outcome.cost.masking_bits, outcome.cost.canceling_bits
+        hybrid.control_bits,
+        outcome.cost.masking_bits,
+        outcome.cost.canceling_bits
     );
-    println!(
+    outln!(
         "vs baselines     : {:.2}x over X-masking-only, {:.2}x over X-canceling-only",
         masking.control_bits / hybrid.control_bits,
         canceling.control_bits / hybrid.control_bits
@@ -483,16 +555,16 @@ fn cmd_plan(args: &Args) -> CmdResult {
         if trace_out.is_some() {
             return Err(CliError::usage("--trace requires the hybrid backend"));
         }
-        let report = backend_for(opts.backend).plan(&WorkloadInput::new(&xmap, cancel), &opts);
-        println!("backend          : {}", report.backend);
-        println!("control bits     : {:.1}", report.control_bits);
-        println!(
+        let report = opts.backend.plan(&xmap, cancel, &opts);
+        outln!("backend          : {}", report.backend);
+        outln!("control bits     : {:.1}", report.control_bits);
+        outln!(
             "X's              : {} masked + {} leaked = {}",
             report.masked_x,
             report.leaked_x,
             report.masked_x + report.leaked_x
         );
-        println!(
+        outln!(
             "observability    : {} non-X response bits lost",
             report.lost_observability
         );
@@ -538,12 +610,8 @@ fn cmd_plan(args: &Args) -> CmdResult {
     let report = CancelSession::new(config, cancel, Taps::default_for(cancel.m())).run(&masked);
     debug_assert_eq!(report.total_x, sample_leaked);
 
-    print_vs_baselines(
-        &xmap,
-        cancel,
-        &HybridBackend::report_for(&xmap, cancel, outcome),
-    );
-    println!(
+    print_vs_baselines(&xmap, cancel, &BackendReport::hybrid(outcome));
+    outln!(
         "validation       : first {sample} patterns -> {} halts, {} leaked X's canceled, {} control bits",
         report.halts, report.total_x, report.total_control_bits
     );
@@ -580,18 +648,20 @@ fn cmd_schedule(args: &Args) -> CmdResult {
         AteConfig::new(channels),
         ScheduleOptions::default(),
     );
-    println!("shift cycles     : {}", schedule.shift_cycles);
-    println!("capture cycles   : {}", schedule.capture_cycles);
-    println!(
+    outln!("shift cycles     : {}", schedule.shift_cycles);
+    outln!("capture cycles   : {}", schedule.capture_cycles);
+    outln!(
         "mask loads       : {} ({} reload cycles)",
-        schedule.mask_loads, schedule.mask_reload_cycles
+        schedule.mask_loads,
+        schedule.mask_reload_cycles
     );
-    println!(
+    outln!(
         "halts            : {} ({} extraction cycles)",
-        schedule.halts, schedule.extraction_cycles
+        schedule.halts,
+        schedule.extraction_cycles
     );
-    println!("total cycles     : {}", schedule.total_cycles());
-    println!("normalized time  : {:.4}", schedule.normalized());
+    outln!("total cycles     : {}", schedule.total_cycles());
+    outln!("normalized time  : {:.4}", schedule.normalized());
     Ok(())
 }
 
@@ -622,11 +692,14 @@ fn cmd_verify(args: &Args) -> CmdResult {
         xhybrid::verify::check(&cert, &outcome, &plan_bytes, &xmap, cancel)
             .map_err(|e| CliError::runtime(format!("certificate verification FAILED: {e}")))?;
         let verify_ns = started.elapsed().as_nanos();
-        println!(
+        outln!(
             "verified         : {} partitions over {} patterns, m={} q={}",
-            cert.num_partitions, num_patterns, cert.m, cert.q
+            cert.num_partitions,
+            num_patterns,
+            cert.m,
+            cert.q
         );
-        println!("verify time      : {:.3} ms", verify_ns as f64 / 1e6);
+        outln!("verify time      : {:.3} ms", verify_ns as f64 / 1e6);
         return Ok(());
     }
 
@@ -640,20 +713,20 @@ fn cmd_verify(args: &Args) -> CmdResult {
     let verify_started = std::time::Instant::now();
     let checked = xhybrid::verify::check(&cert, &outcome, &plan_bytes, &xmap, cancel);
     let verify_ns = verify_started.elapsed().as_nanos();
-    println!(
+    outln!(
         "plan             : {} partitions over {} patterns (after {} rounds)",
         outcome.partitions.len(),
         xmap.num_patterns(),
         outcome.rounds.len()
     );
-    println!(
+    outln!(
         "certificate      : mask {} + cancel {:.1} control bits, {} masked + {} leaked X's",
         cert.mask_bits as u128 * cert.num_partitions as u128,
         cert.partitions.iter().map(|p| p.cancel_bits).sum::<f64>(),
         cert.partitions.iter().map(|p| p.masked_x).sum::<usize>(),
         cert.partitions.iter().map(|p| p.leaked_x).sum::<usize>(),
     );
-    println!(
+    outln!(
         "plan time        : {:.3} ms, verify time {:.3} ms ({:.1}% of plan)",
         plan_ns as f64 / 1e6,
         verify_ns as f64 / 1e6,
@@ -704,10 +777,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
     }
     let server = Server::bind(addr, config)
         .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?;
-    println!("listening on {}", server.local_addr());
-    std::io::stdout()
-        .flush()
-        .map_err(|e| CliError::runtime(e.to_string()))?;
+    outln!("listening on {}", server.local_addr());
     server
         .run()
         .map_err(|e| CliError::runtime(format!("server failed: {e}")))
@@ -774,27 +844,29 @@ fn cmd_fetch(args: &Args) -> CmdResult {
         let (outcome, num_patterns) = decode_plan(&response.body)
             .map_err(|e| CliError::runtime(format!("daemon sent an undecodable plan: {e}")))?;
         if let Some(hash) = response.header("x-xhc-plan-hash") {
-            println!("plan hash        : {hash}");
+            outln!("plan hash        : {hash}");
         }
         if let Some(cache) = response.header("x-xhc-cache") {
-            println!("cache            : {cache}");
+            outln!("cache            : {cache}");
         }
-        println!(
+        outln!(
             "partitions       : {} over {} patterns (after {} rounds)",
             outcome.partitions.len(),
             num_patterns,
             outcome.rounds.len()
         );
-        println!(
+        outln!(
             "control bits     : mask {} + cancel {:.1}",
-            outcome.cost.masking_bits, outcome.cost.canceling_bits
+            outcome.cost.masking_bits,
+            outcome.cost.canceling_bits
         );
-        println!(
+        outln!(
             "X's              : {} masked + {} leaked",
-            outcome.cost.masked_x, outcome.cost.leaked_x
+            outcome.cost.masked_x,
+            outcome.cost.leaked_x
         );
     } else {
-        print!("{}", response.body_text());
+        outln!("{}", response.body_text().trim_end());
     }
     if let Some(out) = args.flag("out") {
         std::fs::write(out, &response.body)
@@ -819,38 +891,30 @@ fn run() -> CmdResult {
         return Err(CliError::usage(usage()));
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        println!("{}", usage());
+        outln!("{}", usage());
         return Ok(());
     }
+    let Some((run_cmd, flags)) = command(cmd) else {
+        return Err(CliError::usage(format!(
+            "unknown command `{cmd}`\n{}",
+            usage()
+        )));
+    };
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        match command_help(cmd) {
-            Some(help) => {
-                println!("{help}");
-                return Ok(());
-            }
-            None => {
-                return Err(CliError::usage(format!(
-                    "unknown command `{cmd}`\n{}",
-                    usage()
-                )))
-            }
-        }
+        outln!("{}", command_help(cmd).unwrap_or(usage()));
+        return Ok(());
     }
     let args = Args::parse(rest).map_err(CliError::Usage)?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "analyze" => cmd_analyze(&args),
-        "partition" => cmd_partition(&args),
-        "plan" => cmd_plan(&args),
-        "schedule" => cmd_schedule(&args),
-        "verify" => cmd_verify(&args),
-        "serve" => cmd_serve(&args),
-        "fetch" => cmd_fetch(&args),
-        other => Err(CliError::usage(format!(
-            "unknown command `{other}`\n{}",
-            usage()
-        ))),
+    if let Some((name, _)) = args
+        .flags
+        .iter()
+        .find(|(name, _)| !flags.contains(&name.as_str()))
+    {
+        return Err(CliError::usage(format!(
+            "unknown flag --{name} for `xhybrid {cmd}` (see `xhybrid {cmd} --help`)"
+        )));
     }
+    run_cmd(&args)
 }
 
 fn main() -> ExitCode {
@@ -915,5 +979,40 @@ mod tests {
             assert!(command_help(cmd).is_some(), "{cmd} lacks help text");
         }
         assert!(command_help("bogus").is_none());
+    }
+
+    #[test]
+    fn every_flag_a_command_reads_is_in_its_help() {
+        for cmd in [
+            "gen",
+            "analyze",
+            "partition",
+            "plan",
+            "schedule",
+            "verify",
+            "serve",
+            "fetch",
+        ] {
+            let (_, flags) = command(cmd).expect("a known command");
+            let help = command_help(cmd).expect("a known command");
+            for flag in flags {
+                assert!(help.contains(&format!("--{flag}")), "{cmd}: --{flag}");
+            }
+        }
+        assert!(command("bogus").is_none());
+    }
+
+    #[test]
+    fn engine_flags_are_the_plan_option_parameters() {
+        let read = std::cell::RefCell::new(Vec::new());
+        let _ = PlanOptions::from_params(|name| {
+            read.borrow_mut().push(name.replace('_', "-"));
+            None
+        });
+        let mut read = read.into_inner();
+        read.sort();
+        let mut flags = ENGINE_FLAGS.map(String::from).to_vec();
+        flags.sort();
+        assert_eq!(read, flags);
     }
 }

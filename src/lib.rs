@@ -50,8 +50,7 @@
 //! b.add_x(CellId::new(4, 2), 5).unwrap();
 //! let xmap = b.finish();
 //!
-//! let input = WorkloadInput::new(&xmap, XCancelConfig::new(10, 2));
-//! let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+//! let plan = |id: BackendId| id.plan(&xmap, XCancelConfig::new(10, 2), &PlanOptions::default());
 //! let hybrid = plan(BackendId::Hybrid);
 //! let outcome = hybrid.outcome.as_ref().expect("the hybrid carries its plan");
 //! assert_eq!(outcome.partitions.len(), 3);       // Fig. 5's final state
@@ -93,9 +92,8 @@ pub mod prelude {
     //! assert!(!outcome.partitions.is_empty());
     //! ```
     pub use xhc_core::{
-        all_backends, backend_for, BackendCaps, BackendId, BackendReport, CellSelection,
-        HybridCost, PartitionEngine, PartitionOutcome, PlanBackend, PlanOptions, SplitStrategy,
-        WorkloadInput,
+        BackendCaps, BackendId, BackendReport, CellSelection, HybridCost, PartitionEngine,
+        PartitionOutcome, PlanOptions, SplitStrategy,
     };
     pub use xhc_misr::XCancelConfig;
     pub use xhc_scan::{CellId, ScanConfig, ScanError, XMap, XMapBuilder};

@@ -1,4 +1,4 @@
-//! The backend fleet's numbers are pinned: every [`PlanBackend`]'s
+//! The backend fleet's numbers are pinned: every [`BackendId::plan`]'s
 //! `control_bits` and observed-X account (masked / leaked / lost) are
 //! golden values on the paper's Fig. 4 worked example and on scaled
 //! CKT-A/B/C industrial profiles, and the uniform report's internal
@@ -65,7 +65,7 @@ fn test_maps() -> Vec<(&'static str, XMap, XCancelConfig)> {
 /// One backend's report; a backend that exposes its partition plan (the
 /// hybrid) has that plan certified and checked too.
 fn report(backend: BackendId, xmap: &XMap, cancel: XCancelConfig) -> BackendReport {
-    let r = backend_for(backend).plan(&WorkloadInput::new(xmap, cancel), &PlanOptions::default());
+    let r = backend.plan(xmap, cancel, &PlanOptions::default());
     if let Some(outcome) = &r.outcome {
         certified(xmap, cancel, outcome);
     }
@@ -186,15 +186,6 @@ fn uniform_reports_account_for_every_x_on_arbitrary_maps() {
                 xmap.total_x(),
                 "{backend}: masked + leaked must partition the X count"
             );
-            assert_eq!(r.per_pattern.len(), xmap.num_patterns(), "{backend}");
-            let share_sum: f64 = r.per_pattern.iter().map(|p| p.control_bits).sum();
-            assert!(
-                (share_sum - r.control_bits).abs() <= 1e-3 * r.control_bits.max(1.0),
-                "{backend}: per-pattern shares sum to {share_sum}, report says {}",
-                r.control_bits
-            );
-            let per_pattern_x: usize = r.per_pattern.iter().map(|p| p.total_x).sum();
-            assert_eq!(per_pattern_x, xmap.total_x(), "{backend}");
             if backend.caps().lossless {
                 assert_eq!(r.lost_observability, 0, "{backend} is lossless");
             }

@@ -390,3 +390,62 @@ fn fetch_sends_every_option_in_a_plan_request() {
     let _ = std::fs::remove_file(&plan_path);
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // `xhybrid analyze FILE | head -1`, with the reader gone before the
+    // first line: the command must stop with exit 0, not panic (101).
+    let xmap_path = temp_path("closed-stdout.xmap");
+    let (code, _, err) = run(&[
+        "gen",
+        "--profile",
+        "demo",
+        "--out",
+        xmap_path.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{err}");
+    for cmd in ["analyze", "partition"] {
+        let mut child = xhybrid()
+            .arg(cmd)
+            .arg(&xmap_path)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn xhybrid");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("wait for xhybrid");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_ne!(output.status.code(), Some(101), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+        assert_eq!(output.status.code(), Some(0), "{cmd}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&xmap_path);
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_a_usage_error() {
+    let xmap_path = temp_path("unknown-flag.xmap");
+    let xmap = xmap_path.to_str().unwrap();
+    let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
+    assert_eq!(code, 0, "{err}");
+    // A misspelt engine flag used to run with the default cost stop, and
+    // `fetch --threads` was dropped: the daemon owns the thread count.
+    let cases: [(&str, &[&str]); 2] = [
+        ("partition", &["partition", xmap, "--cost_stop", "0"]),
+        (
+            "fetch",
+            &["fetch", "--addr", "127.0.0.1:1", xmap, "--threads", "4"],
+        ),
+    ];
+    for (cmd, argv) in cases {
+        let flag = argv[argv.len() - 2];
+        let (code, out, err) = run(argv);
+        assert_eq!(code, 2, "{argv:?}: {err}");
+        assert!(out.is_empty(), "{argv:?} must not run: {out}");
+        assert!(
+            err.contains(flag) && err.contains(&format!("xhybrid {cmd}")),
+            "{argv:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&xmap_path);
+}

@@ -652,8 +652,9 @@ fn default_options_match_the_plain_constructor() {
     certified(&xmap, cancel, &via_options);
     assert_eq!(plain, via_options);
 
-    // The backend field is planning metadata: it selects a backend at the
-    // `PlanBackend` layer but never perturbs the hybrid engine itself.
+    // The backend field is planning metadata: the CLI and the daemon pick
+    // the `BackendId` to plan with from it, but it never perturbs the
+    // hybrid engine itself.
     let tagged = PartitionEngine::with_options(
         cancel,
         PlanOptions {

@@ -7,8 +7,7 @@ mod common;
 use common::certified;
 use xhybrid::bits::PatternSet;
 use xhybrid::core::{
-    apply_partition_masks, backend_for, BackendId, CorrelationAnalysis, PartitionEngine,
-    PlanOptions, WorkloadInput,
+    apply_partition_masks, BackendId, CorrelationAnalysis, PartitionEngine, PlanOptions,
 };
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
@@ -87,8 +86,7 @@ fn fig6_control_bit_generation() {
     //  control bits to 45 bits (i.e., 15 control bits for each partition)"
     let xmap = fig4_xmap();
     let cancel = XCancelConfig::new(10, 2);
-    let input = WorkloadInput::new(&xmap, cancel);
-    let plan = |id| backend_for(id).plan(&input, &PlanOptions::default());
+    let plan = |id: BackendId| id.plan(&xmap, cancel, &PlanOptions::default());
     assert_eq!(plan(BackendId::MaskingOnly).control_bits, 120.0);
     let outcome = plan(BackendId::Hybrid).outcome.expect("hybrid plan");
     certified(&xmap, cancel, &outcome);

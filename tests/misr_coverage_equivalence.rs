@@ -41,8 +41,8 @@ fn setup(netlist: &xhybrid::logic::Netlist, scan_flops: Vec<usize>) -> Setup<'_>
 
 /// Per-pattern MISR observability masks for a given X-cell list per
 /// pattern.
-fn misr_observability(xc: &XCancelingMisr, per_pattern_x: &[Vec<usize>]) -> Vec<BitVec> {
-    per_pattern_x
+fn misr_observability(xc: &XCancelingMisr, x_cells_of: &[Vec<usize>]) -> Vec<BitVec> {
+    x_cells_of
         .iter()
         .map(|x_cells| xc.observable_cells(x_cells))
         .collect()

@@ -6,10 +6,7 @@ mod common;
 
 use common::certified;
 use xhc_prng::XhcRng;
-use xhybrid::core::{
-    backend_for, BackendId, CellSelection, PartitionEngine, PlanOptions, SplitStrategy,
-    WorkloadInput,
-};
+use xhybrid::core::{BackendId, CellSelection, PartitionEngine, PlanOptions, SplitStrategy};
 use xhybrid::misr::XCancelConfig;
 use xhybrid::scan::{CellId, ScanConfig, XMap, XMapBuilder};
 use xhybrid::workload::WorkloadSpec;
@@ -171,13 +168,12 @@ fn workload_generator_feeds_the_pipeline() {
         };
         let xmap = spec.generate();
         let cancel = XCancelConfig::new(16, 4);
-        let input = WorkloadInput::new(&xmap, cancel);
         let [masking, canceling, hybrid] = [
             BackendId::MaskingOnly,
             BackendId::CancelingOnly,
             BackendId::Hybrid,
         ]
-        .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+        .map(|id| id.plan(&xmap, cancel, &PlanOptions::default()));
         // The hybrid never does worse than its own starting point, and the
         // improvement ratios are well-defined.
         let outcome = hybrid.outcome.as_ref().expect("hybrid plan");

@@ -25,13 +25,12 @@ struct Row {
 
 fn table1_row(xmap: &XMap) -> Row {
     let cancel = XCancelConfig::paper_default();
-    let input = WorkloadInput::new(xmap, cancel);
     let [masking, canceling, hybrid] = [
         BackendId::MaskingOnly,
         BackendId::CancelingOnly,
         BackendId::Hybrid,
     ]
-    .map(|id| backend_for(id).plan(&input, &PlanOptions::default()));
+    .map(|id| id.plan(xmap, cancel, &PlanOptions::default()));
     certified(xmap, cancel, hybrid.outcome.as_ref().expect("hybrid plan"));
     Row {
         impv_over_masking: masking.control_bits / hybrid.control_bits,
