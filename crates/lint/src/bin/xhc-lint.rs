@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use xhc_core::PartitionEngine;
 use xhc_lint::{
     check_cancel_params, check_misr_taps, check_outcome, check_xmap, lint_workload, LintCode,
-    LintConfig, LintReport, Severity,
+    LintConfig, LintReport, Severity, RULES,
 };
 use xhc_misr::{Taps, XCancelConfig};
 use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
@@ -49,28 +49,6 @@ Options:
   -h, --help     show this help
 
 Exit status: 0 clean (warnings allowed), 1 any deny finding, 2 usage error.";
-
-fn describe(code: LintCode) -> &'static str {
-    match code {
-        LintCode::CombLoop => "combinational cycle in the netlist",
-        LintCode::FloatingNet => "driverless bus or unconnected flop D pin",
-        LintCode::DeadLogic => "combinational logic no output observes",
-        LintCode::BadArity => "gate fan-in invalid for its kind",
-        LintCode::UnreachableFlop => "flop no primary output observes",
-        LintCode::ChainImbalance => "ragged scan chains waste mask-word bits",
-        LintCode::XOutOfRange => "X entry references no cell/pattern",
-        LintCode::DuplicateX => "duplicate X entries",
-        LintCode::DegenerateMisr => "degenerate / non-primitive MISR feedback",
-        LintCode::BadCancelConfig => "inconsistent X-canceling (m, q)",
-        LintCode::BestCostLatency => "BestCost planning latency above budget",
-        LintCode::CertPlanHash => "certificate not linked to this plan",
-        LintCode::CertCover => "certificate cover witness disagrees with plan",
-        LintCode::CertHistogram => "certificate histograms disagree with X map",
-        LintCode::CertAccounting => "unsafe mask or control-bit accounting wrong",
-        LintCode::CertRankBound => "block rank certificate fails re-elimination",
-        LintCode::CertScanMismatch => "plan or certificate shape disagrees with the map",
-    }
-}
 
 /// The Fig. 4 worked example from the paper: 15 cells in 5 chains of 3,
 /// 8 patterns, 28 X's.
@@ -151,13 +129,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--list" => {
                 println!("{:<8} {:<18} {:<6} description", "code", "rule", "level");
-                for code in LintCode::ALL {
+                for rule in RULES {
                     println!(
                         "{:<8} {:<18} {:<6} {}",
-                        code.id(),
-                        code.name(),
-                        code.default_severity().to_string(),
-                        describe(code)
+                        rule.id,
+                        rule.slug,
+                        rule.severity.to_string(),
+                        rule.summary
                     );
                 }
                 return Ok(None);

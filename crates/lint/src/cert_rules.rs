@@ -3,8 +3,8 @@
 //!
 //! The heavy lifting is `xhc-verify`'s engine-independent checker; this
 //! module is the dataflow glue that decodes the artifacts, runs the
-//! checker once, and folds each typed [`VerifyError`] into the lint rule
-//! family that certifies the same invariant:
+//! checker once, and reports each typed [`VerifyError`] under the rule
+//! its [`VerifyError::code`] names:
 //!
 //! | code | invariant |
 //! |---|---|
@@ -15,7 +15,7 @@
 //! | XL0405 | per-block Gauss rank certificates |
 //! | XL0406 | plan and certificate shape vs the scan config / X map |
 
-use crate::diag::{LintCode, LintConfig, LintReport};
+use crate::diag::{LintConfig, LintReport};
 use xhc_core::PartitionOutcome;
 use xhc_misr::XCancelConfig;
 use xhc_scan::XMap;
@@ -26,63 +26,6 @@ use xhc_wire::WireError;
 /// can violate one invariant thousands of times (e.g. every pattern's
 /// assignment), and ten witnesses tell the story.
 const MAX_INSTANCES: usize = 10;
-
-fn code_for(e: &VerifyError) -> LintCode {
-    use VerifyError::*;
-    match e {
-        PlanHashMismatch { .. } => LintCode::CertPlanHash,
-        PatternCountMismatch { .. }
-        | PartitionCountMismatch { .. }
-        | MaskCountMismatch { .. }
-        | PlanMaskWidthMismatch { .. }
-        | PartitionUniverseMismatch { .. }
-        | MaskWidthMismatch { .. }
-        | TotalXMismatch { .. }
-        | CancelParamMismatch { .. } => LintCode::CertScanMismatch,
-        AssignmentOutsidePartition { .. } | PartitionCardinalityMismatch { .. } => {
-            LintCode::CertCover
-        }
-        HistogramMismatch { .. } | HistogramSumMismatch { .. } => LintCode::CertHistogram,
-        MaskUnsafe { .. }
-        | MaskedXMismatch { .. }
-        | LeakedXMismatch { .. }
-        | MaskCellsMismatch { .. }
-        | PartitionCancelBitsMismatch { .. }
-        | MaskingBitsMismatch { .. }
-        | CancelingBitsMismatch { .. }
-        | CostFieldMismatch { .. } => LintCode::CertAccounting,
-        BlockShapeMismatch { .. }
-        | BlockRankMismatch { .. }
-        | BlockPivotMismatch { .. }
-        | BlockCombinationCountMismatch { .. }
-        | BlockControlBitsMismatch { .. } => LintCode::CertRankBound,
-    }
-}
-
-fn help_for(code: LintCode) -> &'static str {
-    match code {
-        LintCode::CertPlanHash => {
-            "the certificate was issued for different plan bytes; re-certify the plan"
-        }
-        LintCode::CertCover => {
-            "the assignment witness must place every pattern inside its claimed partition"
-        }
-        LintCode::CertHistogram => {
-            "re-derive the X-class histograms from the X map restricted to each partition"
-        }
-        LintCode::CertAccounting => {
-            "mask only cells X under the whole partition; recompute masked/leaked \
-             splits and the paper's cost formula from the X map"
-        }
-        LintCode::CertRankBound => {
-            "re-eliminate the embedded dependency matrix; rank and pivots must reproduce"
-        }
-        LintCode::CertScanMismatch => {
-            "the plan or certificate describes a different topology, pattern set or (m, q)"
-        }
-        _ => "see the rule documentation",
-    }
-}
 
 /// XL0401–XL0406: validates a plan certificate against its plan and X
 /// map, reporting each violated invariant under its rule code (capped at
@@ -99,7 +42,7 @@ pub fn check_certificate(
     let errors = verify(cert, plan, plan_bytes, xmap, cancel);
     let mut emitted = std::collections::BTreeMap::new();
     for e in &errors {
-        let code = code_for(e);
+        let code = e.code();
         let count = emitted.entry(code).or_insert(0usize);
         *count += 1;
         if *count <= MAX_INSTANCES {
@@ -114,7 +57,7 @@ pub fn check_certificate(
                 }
                 _ => "plan certificate".to_string(),
             };
-            report.push(config, code, location, e.to_string(), help_for(code));
+            report.push(config, code, location, e.to_string(), code.rule().summary);
         }
     }
     for (code, count) in emitted {
@@ -127,7 +70,7 @@ pub fn check_certificate(
                     "... and {} more violation(s) of this invariant",
                     count - MAX_INSTANCES
                 ),
-                help_for(code),
+                code.rule().summary,
             );
         }
     }

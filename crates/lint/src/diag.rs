@@ -1,190 +1,9 @@
-//! The diagnostics engine: lint codes, severities, structured
-//! diagnostics, per-rule severity overrides and renderers.
+//! The diagnostics engine: structured diagnostics, per-rule severity
+//! overrides and renderers. The rules themselves are the rows of
+//! [`xhc_scan::RULES`].
 
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// How seriously a finding is treated.
-///
-/// `Deny` findings fail the CLI (nonzero exit); `Warn` findings are
-/// reported but non-fatal; `Allow` suppresses the rule entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Suppressed: the rule still runs but its findings are dropped.
-    Allow,
-    /// Reported, never fatal.
-    Warn,
-    /// Reported and fatal.
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Allow => "allow",
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        })
-    }
-}
-
-/// Every rule the analyzer ships, with a stable `XLxxxx` identifier.
-///
-/// The numbering is grouped by pipeline stage: `XL01xx` netlist, `XL02xx`
-/// scan / X-map, `XL03xx` hybrid configuration (MISR, `(m, q)`, planning
-/// budget), `XL04xx` plan certificate. Retired identifiers (`XL0301`–
-/// `XL0303`, `XL0501`) are never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LintCode {
-    /// XL0101: combinational cycle in the netlist.
-    CombLoop,
-    /// XL0102: floating net — driverless bus or unconnected flop D pin.
-    FloatingNet,
-    /// XL0103: combinational logic whose value can never be observed.
-    DeadLogic,
-    /// XL0104: gate fan-in count invalid for its [`xhc_logic::GateKind`].
-    BadArity,
-    /// XL0105: flop that no primary output transitively observes.
-    UnreachableFlop,
-    /// XL0201: scan chain lengths waste mask-word bits (`L·C` ≫ cells).
-    ChainImbalance,
-    /// XL0202: X entry references a cell or pattern out of range.
-    XOutOfRange,
-    /// XL0203: duplicate X entries for the same cell or pattern.
-    DuplicateX,
-    /// XL0304: degenerate or non-primitive MISR feedback polynomial.
-    DegenerateMisr,
-    /// XL0305: inconsistent X-canceling `(m, q)` configuration.
-    BadCancelConfig,
-    /// XL0306: workload shape puts estimated BestCost planning latency
-    /// above the interactive budget.
-    BestCostLatency,
-    /// XL0401: certificate's content-hash link does not match the plan it
-    /// is presented with.
-    CertPlanHash,
-    /// XL0402: certificate's cover witness (pattern→partition assignment
-    /// plus cardinalities) disagrees with the plan's partitions.
-    CertCover,
-    /// XL0403: certificate's per-partition X-class histograms disagree
-    /// with the X map.
-    CertHistogram,
-    /// XL0404: certificate's control-bit accounting (masked/leaked splits,
-    /// mask populations, per-partition cancel bits, plan cost totals)
-    /// disagrees with the paper's cost model.
-    CertAccounting,
-    /// XL0405: a block's Gauss rank certificate (rank, pivot columns,
-    /// combination/control-bit counts) fails re-elimination.
-    CertRankBound,
-    /// XL0406: certificate's claimed shape (pattern universe, partition
-    /// count, mask width, total X, `(m, q)`) disagrees with the scan
-    /// config / X map it is checked against.
-    CertScanMismatch,
-}
-
-impl LintCode {
-    /// All rules, in code order.
-    pub const ALL: [LintCode; 17] = [
-        LintCode::CombLoop,
-        LintCode::FloatingNet,
-        LintCode::DeadLogic,
-        LintCode::BadArity,
-        LintCode::UnreachableFlop,
-        LintCode::ChainImbalance,
-        LintCode::XOutOfRange,
-        LintCode::DuplicateX,
-        LintCode::DegenerateMisr,
-        LintCode::BadCancelConfig,
-        LintCode::BestCostLatency,
-        LintCode::CertPlanHash,
-        LintCode::CertCover,
-        LintCode::CertHistogram,
-        LintCode::CertAccounting,
-        LintCode::CertRankBound,
-        LintCode::CertScanMismatch,
-    ];
-
-    /// The stable `XLxxxx` identifier.
-    pub fn id(self) -> &'static str {
-        match self {
-            LintCode::CombLoop => "XL0101",
-            LintCode::FloatingNet => "XL0102",
-            LintCode::DeadLogic => "XL0103",
-            LintCode::BadArity => "XL0104",
-            LintCode::UnreachableFlop => "XL0105",
-            LintCode::ChainImbalance => "XL0201",
-            LintCode::XOutOfRange => "XL0202",
-            LintCode::DuplicateX => "XL0203",
-            LintCode::DegenerateMisr => "XL0304",
-            LintCode::BadCancelConfig => "XL0305",
-            LintCode::BestCostLatency => "XL0306",
-            LintCode::CertPlanHash => "XL0401",
-            LintCode::CertCover => "XL0402",
-            LintCode::CertHistogram => "XL0403",
-            LintCode::CertAccounting => "XL0404",
-            LintCode::CertRankBound => "XL0405",
-            LintCode::CertScanMismatch => "XL0406",
-        }
-    }
-
-    /// The human-facing rule slug (used for CLI severity overrides).
-    pub fn name(self) -> &'static str {
-        match self {
-            LintCode::CombLoop => "comb-loop",
-            LintCode::FloatingNet => "floating-net",
-            LintCode::DeadLogic => "dead-logic",
-            LintCode::BadArity => "bad-arity",
-            LintCode::UnreachableFlop => "unreachable-flop",
-            LintCode::ChainImbalance => "chain-imbalance",
-            LintCode::XOutOfRange => "x-out-of-range",
-            LintCode::DuplicateX => "duplicate-x",
-            LintCode::DegenerateMisr => "degenerate-misr",
-            LintCode::BadCancelConfig => "bad-cancel-config",
-            LintCode::BestCostLatency => "best-cost-latency",
-            LintCode::CertPlanHash => "cert-plan-hash",
-            LintCode::CertCover => "cert-cover",
-            LintCode::CertHistogram => "cert-histogram",
-            LintCode::CertAccounting => "cert-accounting",
-            LintCode::CertRankBound => "cert-rank-bound",
-            LintCode::CertScanMismatch => "cert-scan-mismatch",
-        }
-    }
-
-    /// The severity the rule carries unless overridden.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            LintCode::CombLoop
-            | LintCode::FloatingNet
-            | LintCode::BadArity
-            | LintCode::XOutOfRange
-            | LintCode::BadCancelConfig
-            | LintCode::CertPlanHash
-            | LintCode::CertCover
-            | LintCode::CertHistogram
-            | LintCode::CertAccounting
-            | LintCode::CertRankBound
-            | LintCode::CertScanMismatch => Severity::Deny,
-            LintCode::DeadLogic
-            | LintCode::UnreachableFlop
-            | LintCode::ChainImbalance
-            | LintCode::DuplicateX
-            | LintCode::DegenerateMisr
-            | LintCode::BestCostLatency => Severity::Warn,
-        }
-    }
-
-    /// Parses an `XLxxxx` id or a rule slug.
-    pub fn parse(s: &str) -> Option<LintCode> {
-        LintCode::ALL
-            .into_iter()
-            .find(|c| c.id().eq_ignore_ascii_case(s) || c.name() == s)
-    }
-}
-
-impl fmt::Display for LintCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({})", self.id(), self.name())
-    }
-}
+pub use xhc_scan::{LintCode, Rule, Severity, RULES};
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,10 +43,7 @@ pub struct LintConfig {
 impl LintConfig {
     /// The effective severity of a rule.
     pub fn severity(&self, code: LintCode) -> Severity {
-        self.overrides
-            .get(&code)
-            .copied()
-            .unwrap_or_else(|| code.default_severity())
+        self.severity_or(code, code.rule().severity)
     }
 
     /// The effective severity when the rule itself proposes a `base` for
@@ -283,17 +99,8 @@ impl LintReport {
         message: impl Into<String>,
         help: impl Into<String>,
     ) {
-        let severity = config.severity(code);
-        if severity == Severity::Allow {
-            return;
-        }
-        self.diagnostics.push(Diagnostic {
-            code,
-            severity,
-            location: location.into(),
-            message: message.into(),
-            help: help.into(),
-        });
+        let base = code.rule().severity;
+        self.push_at(config, code, base, location, message, help);
     }
 
     /// Like [`push`](Self::push), but the finding carries `base` severity
@@ -387,7 +194,7 @@ impl LintReport {
             out.push_str(&format!(
                 "\n  {{\"code\":\"{}\",\"rule\":\"{}\",\"severity\":\"{}\",\"location\":{},\"message\":{},\"help\":{}}}",
                 d.code.id(),
-                d.code.name(),
+                d.code.rule().slug,
                 d.severity,
                 json_string(&d.location),
                 json_string(&d.message),
@@ -422,7 +229,7 @@ impl LintReport {
             out.push_str(&format!(
                 "\n            {{\"id\": {}, \"name\": {}}}",
                 json_string(code.id()),
-                json_string(code.name())
+                json_string(code.rule().slug)
             ));
         }
         if !rules.is_empty() {
@@ -477,17 +284,6 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_unique_and_parse_roundtrips() {
-        let ids: std::collections::BTreeSet<&str> = LintCode::ALL.iter().map(|c| c.id()).collect();
-        assert_eq!(ids.len(), LintCode::ALL.len());
-        for code in LintCode::ALL {
-            assert_eq!(LintCode::parse(code.id()), Some(code));
-            assert_eq!(LintCode::parse(code.name()), Some(code));
-        }
-        assert_eq!(LintCode::parse("nope"), None);
-    }
 
     #[test]
     fn config_overrides_apply() {

@@ -57,15 +57,9 @@ pub fn check_misr_taps(config: &LintConfig, m: usize, taps: &Taps) -> LintReport
 pub fn check_cancel_params(config: &LintConfig, m: usize, q: usize) -> LintReport {
     let mut report = LintReport::new();
     let location = format!("X-cancel config (m={m}, q={q})");
-    if m < 2 {
-        report.push(
-            config,
-            LintCode::BadCancelConfig,
-            location,
-            "MISR size m must be at least 2",
-            "pick a real register width (the paper uses m=32)",
-        );
-    } else if q == 0 || q >= m {
+    // `m < 2` leaves no q with 0 < q < m: one message names every
+    // rejected (m, q).
+    if q == 0 || q >= m {
         report.push(
             config,
             LintCode::BadCancelConfig,

@@ -18,9 +18,13 @@
 //! reported as XL0402, an unsafe mask or wrong cost as XL0404, and a
 //! mis-shaped plan as XL0406.
 //!
-//! Each rule carries a default [`Severity`] (`Deny` for correctness
-//! violations, `Warn` for quality findings) that a [`LintConfig`] can
-//! override per rule. Findings accumulate in a [`LintReport`] with
+//! Each rule is one row of [`RULES`]: its id, slug, default
+//! [`Severity`] (`Deny` for correctness violations, `Warn` for quality
+//! findings) and one-line summary. A check names its findings by their
+//! [`LintCode`] where it finds them: these rule functions, the checker's
+//! `VerifyError::code()`, and the decoders' `WireError::code()` and
+//! `ReadXMapError::code()`. A [`LintConfig`] can override a severity per
+//! rule. Findings accumulate in a [`LintReport`] with
 //! `rustc`-style human and line-oriented JSON renderers.
 //!
 //! Structural rules run on plain-data *facts* views
@@ -29,9 +33,9 @@
 //! produce — are still expressible and detectable. [`check_netlist`]
 //! extracts the facts from a validated netlist as a clean-pass
 //! baseline. [`check_xmap`] does not: a built `XMap` cannot hold an
-//! out-of-range or duplicate X (XL0202/XL0203), so it runs only the
-//! scan-config rule (XL0201). Raw X entry lists go through
-//! [`check_xmap_facts`].
+//! out-of-range or duplicate X (XL0202/XL0203), whose decoder
+//! rejections name those rules, so it runs only the scan-config rule
+//! (XL0201). Raw X entry lists go through [`check_xmap_facts`].
 //!
 //! The `xhc-lint` binary lints the repo's bundled workload presets end to
 //! end and exits nonzero iff any `Deny` finding fires.
@@ -58,7 +62,7 @@ mod poly;
 mod scan_rules;
 
 pub use cert_rules::{check_certificate, check_certificate_artifacts};
-pub use diag::{Diagnostic, LintCode, LintConfig, LintReport, Severity};
+pub use diag::{Diagnostic, LintCode, LintConfig, LintReport, Rule, Severity, RULES};
 pub use graph::nontrivial_sccs;
 pub use hybrid_rules::{check_cancel_params, check_misr_taps, check_plan_latency};
 pub use netlist_rules::{check_netlist, check_netlist_facts, NetlistFacts, NodeFact};

@@ -17,6 +17,7 @@
 
 use crate::config::ScanConfig;
 use crate::xmap::{XMap, XMapBuilder};
+use crate::LintCode;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -36,6 +37,27 @@ pub enum ReadXMapError {
     },
     /// A `chains` or `patterns` declaration is missing.
     MissingDeclaration(&'static str),
+    /// A well-formed line that breaks a design rule: an X entry out of
+    /// range (XL0202).
+    Violation {
+        /// 1-based line number.
+        line: usize,
+        /// The rule the line breaks.
+        code: LintCode,
+        /// What went wrong.
+        message: String,
+    },
+}
+
+impl ReadXMapError {
+    /// The rule the input breaks, if the rejection is a design-rule
+    /// finding rather than unreadable text.
+    pub fn code(&self) -> Option<LintCode> {
+        match self {
+            ReadXMapError::Violation { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for ReadXMapError {
@@ -45,7 +67,8 @@ impl fmt::Display for ReadXMapError {
             ReadXMapError::BadHeader(got) => {
                 write!(f, "expected header `xmap v1`, got `{got}`")
             }
-            ReadXMapError::BadLine { line, message } => {
+            ReadXMapError::BadLine { line, message }
+            | ReadXMapError::Violation { line, message, .. } => {
                 write!(f, "line {line}: {message}")
             }
             ReadXMapError::MissingDeclaration(what) => {
@@ -211,18 +234,17 @@ pub fn read_xmap<R: Read>(r: R) -> Result<XMap, ReadXMapError> {
     let config = ScanConfig::new(lengths);
     let mut builder = XMapBuilder::new(config.clone(), patterns);
     for (cell, pats, line_no) in entries {
+        let out_of_range = |message| ReadXMapError::Violation {
+            line: line_no,
+            code: LintCode::XOutOfRange,
+            message,
+        };
         if cell >= config.total_cells() {
-            return Err(ReadXMapError::BadLine {
-                line: line_no,
-                message: format!("cell index {cell} out of range"),
-            });
+            return Err(out_of_range(format!("cell index {cell} out of range")));
         }
         for p in pats {
             if p >= patterns {
-                return Err(ReadXMapError::BadLine {
-                    line: line_no,
-                    message: format!("pattern index {p} out of range"),
-                });
+                return Err(out_of_range(format!("pattern index {p} out of range")));
             }
             builder.add_x_unchecked(config.cell_at(cell), p);
         }
@@ -281,9 +303,11 @@ mod tests {
         let text = "xmap v1\nchains 2\npatterns 3\nx 5 : 0\n";
         let err = read_xmap(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of range"));
+        assert_eq!(err.code(), Some(LintCode::XOutOfRange));
         let text = "xmap v1\nchains 2\npatterns 3\nx 1 : 7\n";
         let err = read_xmap(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("out of range"));
+        assert_eq!(err.code(), Some(LintCode::XOutOfRange));
     }
 
     #[test]
@@ -291,6 +315,7 @@ mod tests {
         let text = "xmap v1\nchains 2\npatterns 3\nbogus 1\n";
         let err = read_xmap(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("unknown directive"));
+        assert_eq!(err.code(), None);
     }
 
     #[test]

@@ -39,6 +39,7 @@ mod error;
 mod harness;
 mod io;
 mod response;
+mod rule;
 mod stream;
 mod xmap;
 
@@ -48,5 +49,6 @@ pub use error::ScanError;
 pub use harness::{HarnessError, ScanHarness, TestPattern};
 pub use io::{read_xmap, write_xmap, ReadXMapError};
 pub use response::ResponseMatrix;
+pub use rule::{LintCode, Rule, Severity, RULES};
 pub use stream::{unload_cell, unload_stream};
 pub use xmap::{XMap, XMapBuilder};

@@ -81,6 +81,11 @@
 //! Decoded artifacts pass through the `xhc-lint` gate before planning —
 //! any `Deny` finding short-circuits into HTTP `422` with the rendered
 //! diagnostics, so the engine only ever sees inputs it cannot panic on.
+//! A body that fails to decode takes one path: a rejection that names a
+//! rule (an X entry out of range, XL0202, or repeated, XL0203; `q ≥ m`
+//! in a `PlanRequest`, XL0305) answers `422` with that rule's rendered
+//! `deny` diagnostic, in text and wire form alike, and any other
+//! malformed body answers `400`.
 //!
 //! Every cold plan is *certified*: the daemon emits a
 //! [`xhc_wire::PlanCertificate`] alongside the plan and persists it (plus
@@ -122,6 +127,7 @@ pub use store::PlanStore;
 use metrics::Metrics;
 
 use std::collections::HashSet;
+use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,12 +141,12 @@ use xhc_aio::queue::JobQueue;
 use xhc_aio::Waker;
 
 use xhc_core::{BackendId, BackendReport, PartitionEngine, PlanOptions};
-use xhc_lint::{check_cancel_params, check_xmap, LintConfig, LintReport};
+use xhc_lint::{check_cancel_params, check_xmap, LintCode, LintConfig, LintReport, Severity};
 use xhc_misr::XCancelConfig;
 use xhc_scan::{read_xmap, XMap};
 use xhc_wire::{
     decode_plan, decode_plan_request, decode_workload_spec, decode_xmap, encode_plan, encode_xmap,
-    hash_hex, parse_hash_hex, peek_kind, plan_request_hash_with_options, Kind, MAGIC,
+    hash_hex, parse_hash_hex, peek_kind, plan_request_hash_with_options, Kind, WireError, MAGIC,
 };
 
 /// How the daemon is configured.
@@ -633,27 +639,59 @@ fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
     })
 }
 
-/// Decodes a nested plan-request artifact (already kind-checked by
-/// `decode_plan_request` to be an X map or workload spec).
-fn decode_nested_artifact(artifact: &[u8]) -> Result<XMap, HandlerError> {
-    match peek_kind(artifact) {
-        Ok(Kind::XMap) => decode_xmap(artifact)
-            .map_err(|e| HandlerError::new(400, format!("bad nested xmap: {e}"))),
-        Ok(Kind::WorkloadSpec) => decode_workload_spec(artifact)
+/// The one answer to a decode failure of the `what` artifact. A
+/// rejection that names a design rule is that rule's finding, answered
+/// as the lint gate answers its findings: `422` with the rendered `deny`
+/// diagnostic. Any other rejection is a `400`.
+fn rejection(what: &str, code: Option<LintCode>, e: impl fmt::Display) -> HandlerError {
+    let Some(code) = code else {
+        return HandlerError::new(400, format!("bad {what}: {e}"));
+    };
+    let mut report = LintReport::new();
+    report.push_at(
+        &LintConfig::default(),
+        code,
+        Severity::Deny,
+        what,
+        e.to_string(),
+        code.rule().summary,
+    );
+    HandlerError::new(422, report.render_human())
+}
+
+/// Decodes a wire body into an X map: an X map, a workload spec
+/// (generated deterministically from its seed) or a plan request, whose
+/// embedded `(m, q)` and engine options overwrite `params` and whose
+/// nested artifact (an X map or a workload spec) is decoded in turn.
+fn decode_wire_xmap(bytes: &[u8], params: &mut PlanParams) -> Result<XMap, HandlerError> {
+    let wire = |what: &'static str| move |e: WireError| rejection(what, e.code(), e);
+    match peek_kind(bytes).map_err(wire("wire buffer"))? {
+        Kind::XMap => decode_xmap(bytes).map_err(wire("xmap buffer")),
+        Kind::WorkloadSpec => decode_workload_spec(bytes)
             .map(|spec| spec.generate())
-            .map_err(|e| HandlerError::new(400, format!("bad nested workload spec: {e}"))),
-        Ok(kind) => Err(HandlerError::new(
+            .map_err(wire("workload-spec buffer")),
+        Kind::PlanRequest => {
+            let req = decode_plan_request(bytes).map_err(wire("plan-request buffer"))?;
+            params.m = req.m;
+            params.q = req.q;
+            // The thread count stays server-side even when the request
+            // carries one: the outcome is thread-count invariant, and
+            // worker sizing is an operator concern.
+            params.options = PlanOptions {
+                threads: 0,
+                ..req.options
+            };
+            decode_wire_xmap(&req.artifact, params)
+        }
+        kind => Err(HandlerError::new(
             400,
-            format!("cannot plan from a nested {kind} artifact"),
+            format!("cannot plan from a {kind} artifact"),
         )),
-        Err(e) => Err(HandlerError::new(400, format!("bad nested artifact: {e}"))),
     }
 }
 
-/// Decodes a plan-request body into an X map: wire-encoded X map,
-/// wire-encoded workload spec (generated deterministically from its
-/// seed), wire-encoded plan request (whose embedded `(m, q)` and engine
-/// options overwrite `params`), or `xmap v1` text.
+/// Decodes a plan-request body into an X map: a wire body (see
+/// [`decode_wire_xmap`]) or `xmap v1` text.
 fn decode_request_xmap(
     state: &ServerState,
     body: &[u8],
@@ -661,34 +699,9 @@ fn decode_request_xmap(
 ) -> Result<XMap, HandlerError> {
     let timer = state.metrics.decode_ns.start("serve.decode");
     let result = if body.starts_with(&MAGIC) {
-        match peek_kind(body) {
-            Ok(Kind::XMap) => decode_xmap(body)
-                .map_err(|e| HandlerError::new(400, format!("bad xmap buffer: {e}"))),
-            Ok(Kind::WorkloadSpec) => decode_workload_spec(body)
-                .map(|spec| spec.generate())
-                .map_err(|e| HandlerError::new(400, format!("bad workload-spec buffer: {e}"))),
-            Ok(Kind::PlanRequest) => decode_plan_request(body)
-                .map_err(|e| HandlerError::new(400, format!("bad plan-request buffer: {e}")))
-                .and_then(|req| {
-                    params.m = req.m;
-                    params.q = req.q;
-                    // The thread count stays server-side even when the
-                    // request carries one: the outcome is thread-count
-                    // invariant, and worker sizing is an operator concern.
-                    params.options = PlanOptions {
-                        threads: 0,
-                        ..req.options
-                    };
-                    decode_nested_artifact(&req.artifact)
-                }),
-            Ok(kind) => Err(HandlerError::new(
-                400,
-                format!("cannot plan from a {kind} artifact"),
-            )),
-            Err(e) => Err(HandlerError::new(400, format!("bad wire buffer: {e}"))),
-        }
+        decode_wire_xmap(body, params)
     } else {
-        read_xmap(body).map_err(|e| HandlerError::new(400, format!("bad xmap text: {e}")))
+        read_xmap(body).map_err(|e| rejection("xmap text", e.code(), e))
     };
     timer.stop();
     result

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use xhc_core::{PartitionEngine, PlanOptions, SplitStrategy};
 use xhc_misr::XCancelConfig;
-use xhc_scan::write_xmap;
+use xhc_scan::{write_xmap, CellId, ScanConfig, XMapBuilder};
 use xhc_serve::{client, Server, ServerConfig};
 use xhc_wire::{
     encode_plan, encode_plan_request, encode_workload_spec, encode_xmap, hash_hex,
@@ -817,11 +817,53 @@ fn rejection_bodies_match_their_goldens() {
         );
     }
     let r = client::post(server.addr, "/v1/plan", "text/plain", OUT_OF_RANGE_TEXT).unwrap();
-    assert_eq!(r.status, 400);
+    assert_eq!(r.status, 422);
     assert_eq!(
         r.body_text(),
-        include_str!("fixtures/text_400_cell_out_of_range.txt")
+        include_str!("fixtures/text_422_cell_out_of_range.txt")
     );
+}
+
+/// [`OUT_OF_RANGE_TEXT`] in wire form: the canonical encoding of the
+/// same map with its X at cell 3, its one cell index then patched to 9.
+fn out_of_range_wire() -> Vec<u8> {
+    let mut b = XMapBuilder::new(ScanConfig::uniform(2, 2), 4);
+    b.add_x(CellId::new(1, 1), 0).unwrap();
+    let mut bytes = encode_xmap(&b.finish());
+    // 12-byte header, 4 section entries of 12 bytes, the 24-byte chains
+    // and meta sections, then the cells section.
+    let cells = 12 + 4 * 12 + 24 + 24;
+    assert_eq!(bytes[cells..cells + 4], 3u32.to_le_bytes());
+    bytes[cells..cells + 4].copy_from_slice(&9u32.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn text_and_wire_forms_of_a_defect_get_one_status_and_code() {
+    let server = TestServer::start("one-code", 1);
+    let post = |path: &str, body: &[u8]| {
+        let r = client::post(server.addr, path, "application/octet-stream", body).unwrap();
+        (r.status, r.body_text())
+    };
+    let expect = |(status, body): (u16, String), code: &str| {
+        assert_eq!(status, 422, "{body}");
+        assert!(body.starts_with(&format!("deny[{code}]: ")), "{body}");
+    };
+
+    // An X at cell 9 of a 4-cell design, as text and as a wire map.
+    expect(post("/v1/plan", OUT_OF_RANGE_TEXT), "XL0202");
+    expect(post("/v1/plan", &out_of_range_wire()), "XL0202");
+
+    // q >= m in the query, and inside a wire plan request.
+    let xmap = encode_xmap(&test_spec().generate());
+    expect(post("/v1/plan?m=8&q=8", &xmap), "XL0305");
+    let request = encode_plan_request(&PlanRequest {
+        m: 8,
+        q: 8,
+        options: PlanOptions::default(),
+        artifact: xmap,
+    });
+    expect(post("/v1/plan", &request), "XL0305");
 }
 
 /// Sends `count` `GET /healthz` requests in one write on `stream` and

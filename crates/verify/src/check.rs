@@ -12,7 +12,7 @@ use std::fmt;
 
 use xhc_core::PartitionOutcome;
 use xhc_misr::XCancelConfig;
-use xhc_scan::XMap;
+use xhc_scan::{LintCode, XMap};
 use xhc_wire::{content_hash, PlanCertificate};
 
 /// A violated certificate invariant.
@@ -233,6 +233,41 @@ pub enum VerifyError {
         /// `m · combinations`.
         actual: usize,
     },
+}
+
+impl VerifyError {
+    /// The `xhc-lint` rule that certifies the violated invariant.
+    pub fn code(&self) -> LintCode {
+        use VerifyError::*;
+        match self {
+            PlanHashMismatch { .. } => LintCode::CertPlanHash,
+            PatternCountMismatch { .. }
+            | PartitionCountMismatch { .. }
+            | MaskCountMismatch { .. }
+            | PlanMaskWidthMismatch { .. }
+            | PartitionUniverseMismatch { .. }
+            | MaskWidthMismatch { .. }
+            | TotalXMismatch { .. }
+            | CancelParamMismatch { .. } => LintCode::CertScanMismatch,
+            AssignmentOutsidePartition { .. } | PartitionCardinalityMismatch { .. } => {
+                LintCode::CertCover
+            }
+            HistogramMismatch { .. } | HistogramSumMismatch { .. } => LintCode::CertHistogram,
+            MaskUnsafe { .. }
+            | MaskedXMismatch { .. }
+            | LeakedXMismatch { .. }
+            | MaskCellsMismatch { .. }
+            | PartitionCancelBitsMismatch { .. }
+            | MaskingBitsMismatch { .. }
+            | CancelingBitsMismatch { .. }
+            | CostFieldMismatch { .. } => LintCode::CertAccounting,
+            BlockShapeMismatch { .. }
+            | BlockRankMismatch { .. }
+            | BlockPivotMismatch { .. }
+            | BlockCombinationCountMismatch { .. }
+            | BlockControlBitsMismatch { .. } => LintCode::CertRankBound,
+        }
+    }
 }
 
 impl fmt::Display for VerifyError {

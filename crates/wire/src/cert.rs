@@ -216,7 +216,7 @@ pub fn decode_certificate(bytes: &[u8]) -> Result<PlanCertificate, WireError> {
         ));
     }
     if q == 0 || q >= m {
-        return Err(malformed(format!("need 0 < q < m, got m={m} q={q}")));
+        return Err(WireError::cancel_params(CTX, m, q));
     }
 
     let mut assign_r = Reader::new(sections.require(SEC_CERT_ASSIGN)?);
@@ -486,7 +486,12 @@ mod tests {
         // q out of range.
         let mut cert = sample_cert(false);
         cert.q = cert.m;
-        assert!(decode_certificate(&encode_certificate(&cert)).is_err());
+        let err = decode_certificate(&encode_certificate(&cert)).unwrap_err();
+        assert_eq!(
+            err.code(),
+            Some(xhc_scan::LintCode::BadCancelConfig),
+            "{err}"
+        );
 
         // Rank above min(m, num_x).
         let mut cert = sample_cert(true);

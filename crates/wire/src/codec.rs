@@ -7,7 +7,7 @@ use xhc_core::{
     BackendId, CellSelection, HybridCost, PartitionOutcome, PlanOptions, RoundRecord, SplitStrategy,
 };
 use xhc_misr::{MaskWord, SessionReport};
-use xhc_scan::{ScanConfig, XMap};
+use xhc_scan::{LintCode, ScanConfig, XMap};
 use xhc_workload::WorkloadSpec;
 
 // Section tags. Shared across kinds where the payload layout is shared
@@ -148,7 +148,9 @@ pub fn encode_xmap(xmap: &XMap) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on any structural or semantic defect.
+/// Returns [`WireError`] on any structural or semantic defect. An X
+/// entry out of range (XL0202) or repeated (XL0203) is a
+/// [`WireError::Violation`] naming that rule.
 pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     let sections = Sections::parse(
         bytes,
@@ -176,18 +178,22 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     for _ in 0..num_x_cells {
         let idx = cells_r.u32()?;
         if idx as usize >= config.total_cells() {
-            return Err(WireError::Malformed {
-                context: "xmap",
-                message: format!(
+            return Err(xmap_violation(
+                LintCode::XOutOfRange,
+                format!(
                     "cell index {idx} out of range for {} cells",
                     config.total_cells()
                 ),
-            });
+            ));
         }
         if prev.is_some_and(|p| p >= idx) {
-            return Err(WireError::Malformed {
-                context: "xmap",
-                message: format!("cell indices must be strictly ascending at {idx}"),
+            return Err(if prev == Some(idx) {
+                xmap_violation(LintCode::DuplicateX, format!("cell index {idx} repeated"))
+            } else {
+                WireError::Malformed {
+                    context: "xmap",
+                    message: format!("cell indices must be strictly ascending at {idx}"),
+                }
             });
         }
         prev = Some(idx);
@@ -196,15 +202,34 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     expect_drained(&cells_r, SEC_CELLS)?;
 
     let words_per_set = num_patterns.div_ceil(64);
-    let mut xsets_r = Reader::new(sections.require(SEC_XSETS)?);
+    let xsets = sections.require(SEC_XSETS)?;
+    let mut xsets_r = Reader::new(xsets);
     check_batch(&xsets_r, num_x_cells, words_per_set * 8, "xmap")?;
     let words: Vec<u64> = xsets_r
         .bytes(num_x_cells * words_per_set * 8)?
         .chunks_exact(8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
         .collect();
-    expect_drained(&xsets_r, SEC_XSETS)?;
-    let rows = XBitMatrix::from_words(num_patterns, words).map_err(|_| tail_bits_error("xmap"))?;
+    let past_universe = |pos: usize| {
+        xmap_violation(
+            LintCode::XOutOfRange,
+            format!(
+                "pattern index out of range at cell {}: the map has {num_patterns} patterns",
+                cells[pos]
+            ),
+        )
+    };
+    expect_drained(&xsets_r, SEC_XSETS).map_err(|e| {
+        // Rows wider than the universe: a set bit past a row's own words
+        // is an X at a pattern the map does not have.
+        let wide = xsets.len() / num_x_cells.max(1);
+        let spills = |row: &[u8]| row[words_per_set * 8..].iter().any(|&b| b != 0);
+        (num_x_cells > 0 && wide % 8 == 0 && wide * num_x_cells == xsets.len())
+            .then(|| xsets.chunks_exact(wide).position(spills))
+            .flatten()
+            .map_or(e, past_universe)
+    })?;
+    let rows = XBitMatrix::from_words(num_patterns, words).map_err(past_universe)?;
     let mut counted_x = 0usize;
     for (pos, &idx) in cells.iter().enumerate() {
         let card = rows.pattern_row(pos).card();
@@ -217,9 +242,16 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
         counted_x += card;
     }
     if counted_x != total_x {
-        return Err(WireError::Malformed {
-            context: "xmap",
-            message: format!("declared total_x {total_x} but bitmaps hold {counted_x}"),
+        let message = format!("declared total_x {total_x} but bitmaps hold {counted_x}");
+        // More X's declared than distinct (cell, pattern) bits: the
+        // source listed some X twice.
+        return Err(if counted_x < total_x {
+            xmap_violation(LintCode::DuplicateX, message)
+        } else {
+            WireError::Malformed {
+                context: "xmap",
+                message,
+            }
         });
     }
     // Every index is in range and strictly ascending, every row is
@@ -227,18 +259,19 @@ pub fn decode_xmap(bytes: &[u8]) -> Result<XMap, WireError> {
     Ok(XMap::from_rows(config, cells, rows))
 }
 
-/// The rejection of a bitmap with nonzero bits beyond the universe
-/// (non-canonical encodings would otherwise alias distinct byte strings
-/// to one artifact and break content addressing).
-fn tail_bits_error(context: &'static str) -> WireError {
-    WireError::Malformed {
-        context,
-        message: "nonzero bits beyond the pattern universe".into(),
+/// An X map whose entries break a design rule.
+fn xmap_violation(code: LintCode, message: String) -> WireError {
+    WireError::Violation {
+        code,
+        context: "xmap",
+        message,
     }
 }
 
 /// Decodes one fixed-width bitmap into a [`PatternSet`], rejecting
-/// nonzero bits beyond the universe.
+/// nonzero bits beyond the universe (non-canonical encodings would
+/// otherwise alias distinct byte strings to one artifact and break
+/// content addressing).
 fn decode_pattern_set(
     words: Vec<u64>,
     universe: usize,
@@ -248,7 +281,10 @@ fn decode_pattern_set(
     if tail_bits != 0 {
         let last = *words.last().expect("words_per_set >= 1 when universe > 0");
         if last >> tail_bits != 0 {
-            return Err(tail_bits_error(context));
+            return Err(WireError::Malformed {
+                context,
+                message: "nonzero bits beyond the pattern universe".into(),
+            });
         }
     }
     Ok(PatternSet::from_bits(BitVec::from_words(words, universe)))
@@ -708,10 +744,7 @@ pub fn decode_plan_request(bytes: &[u8]) -> Result<PlanRequest, WireError> {
     expect_drained(&r, SEC_PLAN_PARAMS)?;
 
     if q == 0 || q >= m {
-        return Err(WireError::Malformed {
-            context: "plan-request",
-            message: format!("need 0 < q < m, got m={m} q={q}"),
-        });
+        return Err(WireError::cancel_params("plan-request", m, q));
     }
     let strategy = strategy_from_code(strategy_raw).ok_or_else(|| WireError::Malformed {
         context: "plan-request",
@@ -1098,10 +1131,8 @@ mod tests {
                 q,
                 ..good.clone()
             };
-            assert!(matches!(
-                decode_plan_request(&encode_plan_request(&bad)),
-                Err(WireError::Malformed { .. })
-            ));
+            let err = decode_plan_request(&encode_plan_request(&bad)).unwrap_err();
+            assert_eq!(err.code(), Some(LintCode::BadCancelConfig), "{err}");
         }
         // Nested artifact of a non-plannable kind.
         let bad = PlanRequest {

@@ -77,6 +77,7 @@ pub use hash::{
 };
 
 use std::fmt;
+use xhc_scan::LintCode;
 
 /// The 4-byte magic every wire buffer starts with.
 pub const MAGIC: [u8; 4] = *b"XHCW";
@@ -223,6 +224,37 @@ pub enum WireError {
         /// What is wrong.
         message: String,
     },
+    /// A well-formed buffer whose contents break a design rule: an X
+    /// entry out of range (XL0202) or repeated (XL0203), or `q ≥ m`
+    /// (XL0305).
+    Violation {
+        /// The rule the contents break.
+        code: LintCode,
+        /// Which artifact/field the check belongs to.
+        context: &'static str,
+        /// What is wrong.
+        message: String,
+    },
+}
+
+impl WireError {
+    /// The rule the buffer breaks, if the rejection is a design-rule
+    /// finding rather than a framing or encoding defect.
+    pub fn code(&self) -> Option<LintCode> {
+        match self {
+            WireError::Violation { code, .. } => Some(*code),
+            _ => None,
+        }
+    }
+
+    /// The rejection of `0 < q < m` by the `context` decoder.
+    pub(crate) fn cancel_params(context: &'static str, m: usize, q: usize) -> WireError {
+        WireError::Violation {
+            code: LintCode::BadCancelConfig,
+            context,
+            message: format!("need 0 < q < m, got m={m} q={q}"),
+        }
+    }
 }
 
 impl fmt::Display for WireError {
@@ -255,9 +287,10 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { count } => {
                 write!(f, "{count} trailing byte(s) after the last section")
             }
-            WireError::Malformed { context, message } => {
-                write!(f, "malformed {context}: {message}")
-            }
+            WireError::Malformed { context, message }
+            | WireError::Violation {
+                context, message, ..
+            } => write!(f, "malformed {context}: {message}"),
         }
     }
 }
@@ -345,6 +378,11 @@ mod tests {
             WireError::BadSectionLength { tag: 3 },
             WireError::TrailingBytes { count: 4 },
             WireError::Malformed {
+                context: "xmap",
+                message: "cell out of range".into(),
+            },
+            WireError::Violation {
+                code: LintCode::XOutOfRange,
                 context: "xmap",
                 message: "cell out of range".into(),
             },

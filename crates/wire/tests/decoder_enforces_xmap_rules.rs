@@ -2,8 +2,9 @@
 //! and XL0203 (duplicate X). Every entry list that `check_xmap_facts`
 //! flags is rejected by `decode_xmap` in its wire form, and rejected
 //! (out of range) or coalesced (duplicate) by `read_xmap` in its text
-//! form. That is why `check_xmap` on a built map runs only XL0201, which
-//! the last test pins (seeded `xhc-prng` loops).
+//! form; a rejection of a single defect names the rule that flags it.
+//! That is why `check_xmap` on a built map runs only XL0201, which the
+//! last test pins (seeded `xhc-prng` loops).
 
 use xhc_lint::{check_scan_config, check_xmap, check_xmap_facts, LintCode, LintConfig, XMapFacts};
 use xhc_prng::XhcRng;
@@ -221,23 +222,32 @@ fn every_flagged_entry_list_is_rejected_or_coalesced_by_the_decoders() {
             out_of_range || duplicate,
             "{injected:?} unflagged: {facts:?}"
         );
+        let wire = decode_xmap(&wire_form(&config, &facts));
+        let text = read_xmap(text_form(&config, &facts).as_bytes());
         if let [defect] = injected[..] {
-            // Alone, each defect is flagged by its own rule.
+            // Alone, each defect is flagged by its own rule, and each
+            // decoder that rejects it names that rule.
             let own_rule = match defect {
-                Defect::CellOutOfRange | Defect::PatternOutOfRange => out_of_range,
-                Defect::RepeatedCell | Defect::RepeatedPattern => duplicate,
+                Defect::CellOutOfRange | Defect::PatternOutOfRange => LintCode::XOutOfRange,
+                Defect::RepeatedCell | Defect::RepeatedPattern => LintCode::DuplicateX,
             };
-            assert!(own_rule, "{defect:?} not flagged by its rule: {facts:?}");
+            assert!(
+                flags(&facts, own_rule),
+                "{defect:?} not flagged by its rule: {facts:?}"
+            );
+            let wire_code = wire.as_ref().map_err(|e| e.code());
+            assert_eq!(wire_code, Err(Some(own_rule)), "{defect:?}: {facts:?}");
+            if out_of_range {
+                let text_code = text.as_ref().map_err(|e| e.code());
+                assert_eq!(text_code, Err(Some(own_rule)), "{defect:?}: {facts:?}");
+            }
             seen[defect as usize] += 1;
         }
 
-        let wire = wire_form(&config, &facts);
         assert!(
-            decode_xmap(&wire).is_err(),
+            wire.is_err(),
             "decode_xmap accepted {injected:?}: {facts:?}"
         );
-
-        let text = read_xmap(text_form(&config, &facts).as_bytes());
         if out_of_range {
             assert!(text.is_err(), "read_xmap accepted {injected:?}: {facts:?}");
         } else {

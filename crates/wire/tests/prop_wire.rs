@@ -5,7 +5,7 @@
 use xhc_core::PartitionEngine;
 use xhc_misr::XCancelConfig;
 use xhc_prng::XhcRng;
-use xhc_scan::{read_xmap, write_xmap, ReadXMapError, ScanConfig, XMap, XMapBuilder};
+use xhc_scan::{read_xmap, write_xmap, LintCode, ReadXMapError, ScanConfig, XMap, XMapBuilder};
 use xhc_wire::{
     content_hash, decode_plan, decode_scan_config, decode_workload_spec, decode_xmap, encode_plan,
     encode_scan_config, encode_workload_spec, encode_xmap,
@@ -174,26 +174,36 @@ fn text_reader_rejects_bad_header() {
 
 #[test]
 fn text_reader_rejects_bad_lines() {
+    // Each input with the rule its rejection names, if any.
     let cases = [
         // Unparseable chain length.
-        "xmap v1\nchains three\npatterns 4\n",
+        ("xmap v1\nchains three\npatterns 4\n", None),
         // Unparseable pattern count.
-        "xmap v1\nchains 3\npatterns many\n",
+        ("xmap v1\nchains 3\npatterns many\n", None),
         // Malformed x line (no colon).
-        "xmap v1\nchains 3\npatterns 4\nx 0 0 1\n",
+        ("xmap v1\nchains 3\npatterns 4\nx 0 0 1\n", None),
         // Out-of-range cell index.
-        "xmap v1\nchains 3\npatterns 4\nx 99 : 0\n",
+        (
+            "xmap v1\nchains 3\npatterns 4\nx 99 : 0\n",
+            Some(LintCode::XOutOfRange),
+        ),
         // Out-of-range pattern index.
-        "xmap v1\nchains 3\npatterns 4\nx 0 : 9\n",
+        (
+            "xmap v1\nchains 3\npatterns 4\nx 0 : 9\n",
+            Some(LintCode::XOutOfRange),
+        ),
         // Unknown directive.
-        "xmap v1\nchains 3\npatterns 4\nbogus line\n",
+        ("xmap v1\nchains 3\npatterns 4\nbogus line\n", None),
     ];
-    for input in cases {
+    for (input, code) in cases {
         match read_xmap(input.as_bytes()) {
-            Err(ReadXMapError::BadLine { line, .. }) => {
+            Err(
+                e @ (ReadXMapError::BadLine { line, .. } | ReadXMapError::Violation { line, .. }),
+            ) => {
                 assert!(line >= 2, "line number should point past the header");
+                assert_eq!(e.code(), code, "{input:?}");
             }
-            other => panic!("expected BadLine for {input:?}, got {other:?}"),
+            other => panic!("expected a line rejection for {input:?}, got {other:?}"),
         }
     }
 }

@@ -4,10 +4,11 @@
 # fetch`, assert the second submission is a cache hit, scrape /metrics
 # to confirm the daemon counted exactly one miss, submit it a third time
 # with a seeded policy (a miss under a new hash: fetch sends every
-# option), and check that a lint deny answers 422 naming its rule, a
-# malformed text map answers 400, a malformed request line answers 400
-# and a bad option answers 400 with the text `xhybrid fetch` prints for
-# it. A last scrape checks that every request the daemon counted got a
+# option), and check that a rule-breaking input answers 422 naming its
+# rule (q >= m in the query and in a wire plan request: XL0305; a text
+# map with an out-of-range cell: XL0202), a malformed request line
+# answers 400 and a bad option answers 400 with the text `xhybrid fetch`
+# prints for it. A last scrape checks that every request the daemon counted got a
 # counted response.
 # The daemon runs with --verify-on-write 1, so the plan it produces is
 # certificate-checked before it is stored.
@@ -84,7 +85,31 @@ echo "$lint" | head -1 | grep -q '^HTTP/1.1 422 ' || { echo "q >= m not a 422"; 
 echo "$lint" | grep -q 'XL0305' || { echo "422 does not name XL0305"; echo "$lint"; exit 1; }
 printf 'xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n' > "$work/out_of_range.xmap"
 bad="$(post /v1/plan "$work/out_of_range.xmap")"
-echo "$bad" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "out-of-range cell not a 400"; echo "$bad"; exit 1; }
+echo "$bad" | head -1 | grep -q '^HTTP/1.1 422 ' || { echo "out-of-range cell not a 422"; echo "$bad"; exit 1; }
+echo "$bad" | grep -q '^deny\[XL0202\]' || { echo "422 does not name XL0202"; echo "$bad"; exit 1; }
+# The same (m, q) inside a wire plan request. `fetch` refuses q >= m
+# itself, so the request is built by hand: $2 little-endian bytes of $1.
+le() { local i; for ((i = 0; i < $2; i++)); do printf "\\$(printf '%03o' $(($1 >> 8 * i & 255)))"; done; }
+{ # The wire form of `chains 2 2 / patterns 4 / x 1 : 0`.
+  printf 'XHCW'; le 1 2; le 2 2; le 4 4
+  for section in 1:24 2:24 3:4 4:8; do le "${section%:*}" 4; le "${section#*:}" 8; done
+  le 2 8; le 2 8; le 2 8 # chains: count, lengths
+  le 4 8; le 1 8; le 1 8 # patterns, X cells, X's
+  le 1 4                 # cell indices
+  le 1 8                 # X sets: pattern 0
+} > "$work/tiny.wire"
+tiny="$(post '/v1/plan?m=2&q=1' "$work/tiny.wire" | tr -d '\000')"
+echo "$tiny" | head -1 | grep -q '^HTTP/1.1 200 ' || { echo "hand-built wire map rejected"; echo "$tiny"; exit 1; }
+{ # A plan request for it at m = q = 8, every option at its default.
+  printf 'XHCW'; le 1 2; le 6 2; le 2 4
+  le 11 4; le 45 8; le 12 4; le "$(wc -c < "$work/tiny.wire")" 8
+  le 8 8; le 8 8 # m, q
+  le 0 1; le 0 1; le 0 8; le 0 8; le 0 1; le 0 8; le 1 1; le 0 1
+  cat "$work/tiny.wire"
+} > "$work/q_ge_m.wire"
+wire_lint="$(post /v1/plan "$work/q_ge_m.wire")"
+echo "$wire_lint" | head -1 | grep -q '^HTTP/1.1 422 ' || { echo "wire q >= m not a 422"; echo "$wire_lint"; exit 1; }
+echo "$wire_lint" | grep -q '^deny\[XL0305\]' || { echo "wire 422 does not name XL0305"; echo "$wire_lint"; exit 1; }
 # A bad option: the daemon's 400 carries the text the CLI exits 2 with.
 cli_status=0
 "$xhybrid" fetch --addr "$addr" "$work/demo.xmap" --strategy bogus 2> "$work/cli_bogus.txt" || cli_status=$?

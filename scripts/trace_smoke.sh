@@ -2,8 +2,8 @@
 # End-to-end smoke test of the tracing layer: generate a scaled CKT-A
 # workload, run `xhybrid plan --trace`, and assert the chrome://tracing
 # export parses as JSON and contains the engine spans the DESIGN doc
-# promises (partition.round, gauss.eliminate) plus the cancel counters
-# and the packed-kernel counters (xbm.superset_calls per candidate sweep,
+# promises (partition.run, partition.round) plus the packed-kernel
+# counters (xbm.superset_calls per candidate sweep,
 # xbm.lane_words from the unrolled sweep). Then it plans full CKT-B and
 # CKT-C and asserts BestCost prices each partition's candidates once (at
 # most 4,300 and 6,600 `partition.candidates`) and that the
@@ -44,10 +44,10 @@ for e in events:
     else:
         counters[e["name"]] = e["args"]["value"]
 
-for name in ("partition.run", "partition.round", "gauss.eliminate", "cancel.block"):
+# `plan` runs no cancel session; crates/misr/tests/session_trace.rs
+# pins the session's cancel.block/gauss.eliminate spans and counters.
+for name in ("partition.run", "partition.round"):
     assert spans.get(name, 0) >= 1, (name, spans)
-for name in ("cancel.halts", "cancel.x_total"):
-    assert name in counters, (name, counters)
 
 # Packed-kernel counters: the sweep reports its call count and its
 # full-lane word coverage.

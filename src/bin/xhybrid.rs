@@ -22,13 +22,13 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
+use xhc_lint::{check_cancel_params, LintConfig, Severity};
 use xhybrid::core::{
     inter_correlation_stats, intra_correlation_stats, schedule_hybrid, BackendId, BackendReport,
     PartitionEngine, PlanOptions, ScheduleOptions,
 };
-use xhybrid::logic::Trit;
-use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
-use xhybrid::scan::{read_xmap, write_xmap, AteConfig, ResponseMatrix, XMap};
+use xhybrid::misr::XCancelConfig;
+use xhybrid::scan::{read_xmap, write_xmap, AteConfig, LintCode, XMap};
 use xhybrid::serve::{client, Server, ServerConfig};
 use xhybrid::trace::TraceSession;
 use xhybrid::wire::{
@@ -96,19 +96,19 @@ baselines.
              [--policy first|seeded|global-max-x] [--seed S] [--threads N]
              [--max-rounds N] [--cost-stop 0|1] [--trace FILE]
 
-Runs the partition engine with the full option set, validates the plan
-by running a bounded X-canceling session over the masked responses, and
-optionally records the whole run as a chrome://tracing JSON file.
-Instead of a FILE, --profile plans a freshly generated paper workload
-in memory (full size; --scale N shrinks it), skipping the text format
-round trip — `--profile ckt-a` is the full 505,050-cell circuit.
+Runs the partition engine with the full option set and optionally
+records the whole run as a chrome://tracing JSON file. Instead of a
+FILE, --profile plans a freshly generated paper workload in memory
+(full size; --scale N shrinks it), skipping the text format round trip
+— `--profile ckt-a` is the full 505,050-cell circuit.
 
   --profile     generate and plan a workload preset instead of a FILE
   --scale       divide the profile's cells/chains/patterns by N
   --backend     compaction backend (default hybrid). The non-hybrid
                 backends (masking, canceling, superset, xcode) skip the
                 partition engine and print the uniform backend report:
-                control bits, masked/leaked X's, lost observability
+                control bits, masked/leaked X's, lost observability;
+                they take only --m, --q and the input flags
   --m, --q      cancel parameters (defaults 32, 7)
   --strategy    partition split heuristic (default largest)
   --policy      pivot-cell selection policy (default first)
@@ -258,24 +258,28 @@ const ENGINE_FLAGS: [&str; 6] = [
     "backend",
 ];
 
-/// A command's entry point and the flags it reads; `None` for an unknown
-/// command. Any other flag is a usage error, so a misspelt or misplaced
-/// flag is never ignored.
-fn command(cmd: &str) -> Option<(CmdFn, Vec<&'static str>)> {
+/// A command's entry point and the flags its mode reads; `None` for an
+/// unknown command. One flag picks the mode: `verify --plan` checks
+/// existing artifacts, `fetch --hash` fetches a cached plan, and `plan
+/// --backend` other than hybrid runs no engine. Any other flag is a
+/// usage error, so a misspelt, misplaced or ignored flag never passes.
+fn command(cmd: &str, args: &Args) -> Option<(CmdFn, Vec<&'static str>)> {
     let planning = |extra: &[&'static str]| [&["m", "q"][..], &ENGINE_FLAGS, extra].concat();
+    let non_hybrid = args
+        .flag("backend")
+        .is_some_and(|b| BackendId::parse(b).is_ok_and(|id| id != BackendId::Hybrid));
     Some(match cmd {
         "gen" => (cmd_gen, vec!["profile", "scale", "seed", "out"]),
         "analyze" => (cmd_analyze, vec![]),
         "partition" => (cmd_partition, planning(&["threads"])),
+        "plan" if non_hybrid => (cmd_plan, vec!["m", "q", "backend", "profile", "scale"]),
         "plan" => (
             cmd_plan,
             planning(&["threads", "trace", "profile", "scale"]),
         ),
         "schedule" => (cmd_schedule, vec!["m", "q", "channels"]),
-        "verify" => (
-            cmd_verify,
-            planning(&["threads", "plan-out", "cert-out", "plan", "cert"]),
-        ),
+        "verify" if args.flag("plan").is_some() => (cmd_verify, vec!["plan", "cert"]),
+        "verify" => (cmd_verify, planning(&["threads", "plan-out", "cert-out"])),
         "serve" => (
             cmd_serve,
             vec![
@@ -289,7 +293,8 @@ fn command(cmd: &str) -> Option<(CmdFn, Vec<&'static str>)> {
                 "push-metrics",
             ],
         ),
-        "fetch" => (cmd_fetch, planning(&["addr", "hash", "out"])),
+        "fetch" if args.flag("hash").is_some() => (cmd_fetch, vec!["addr", "hash", "out"]),
+        "fetch" => (cmd_fetch, planning(&["addr", "out"])),
         _ => return None,
     })
 }
@@ -337,19 +342,39 @@ impl Args {
     }
 }
 
+/// A rejection led by the id of the rule it names, if any (`XL0202 line
+/// 4: cell index 9 out of range`), as the daemon's diagnostics name it.
+fn coded(code: Option<LintCode>, e: impl std::fmt::Display) -> String {
+    match code {
+        Some(code) => format!("{} {e}", code.id()),
+        None => e.to_string(),
+    }
+}
+
 fn load(path: &str) -> Result<XMap, CliError> {
     let file =
         File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?;
-    read_xmap(file).map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))
+    read_xmap(file)
+        .map_err(|e| CliError::runtime(format!("cannot parse {path}: {}", coded(e.code(), &e))))
 }
 
+/// `--m`/`--q`, judged by the lint's XL0305 rule, so the CLI rejects an
+/// `(m, q)` with the daemon's words.
 fn cancel_config(args: &Args) -> Result<XCancelConfig, CliError> {
     let m: usize = args.flag_parse("m", 32).map_err(CliError::Usage)?;
     let q: usize = args.flag_parse("q", 7).map_err(CliError::Usage)?;
-    if q == 0 || q >= m {
-        return Err(CliError::usage(format!("need 0 < q < m, got m={m} q={q}")));
+    let report = check_cancel_params(&LintConfig::default(), m, q);
+    match report
+        .diagnostics
+        .iter()
+        .find(|d| d.severity == Severity::Deny)
+    {
+        Some(d) => Err(CliError::usage(coded(
+            Some(d.code),
+            format!("{}: {}", d.location, d.message),
+        ))),
+        None => Ok(XCancelConfig::new(m, q)),
     }
-    Ok(XCancelConfig::new(m, q))
 }
 
 fn cmd_gen(args: &Args) -> CmdResult {
@@ -507,18 +532,6 @@ fn print_vs_baselines(xmap: &XMap, cancel: XCancelConfig, hybrid: &BackendReport
     canceling
 }
 
-/// How many leading patterns `plan`'s cancel-session validation covers:
-/// enough to exercise the masking + gauss + extraction path on every
-/// workload without making the command quadratic on paper-scale inputs.
-const PLAN_VALIDATE_PATTERNS: usize = 64;
-
-/// Symbol budget of the validation session (`cells x patterns`). The
-/// symbolic MISR carries one bit per symbol in every row, so its cost
-/// grows with the square of the sample size; this caps the sample on
-/// wide scan configurations (paper-scale maps validate only a handful of
-/// patterns, which still exercises every code path).
-const PLAN_VALIDATE_SYMBOLS: usize = 1 << 18;
-
 fn cmd_plan(args: &Args) -> CmdResult {
     let cancel = cancel_config(args)?;
     let opts = plan_options(args)?;
@@ -549,12 +562,9 @@ fn cmd_plan(args: &Args) -> CmdResult {
         (None, None) => return Err(CliError::usage("plan needs a FILE or --profile NAME")),
     };
 
-    // Non-hybrid backends have no partition plan to validate or trace:
-    // print their uniform report and stop.
+    // Non-hybrid backends have no partition plan to trace: print their
+    // uniform report and stop.
     if opts.backend != BackendId::Hybrid {
-        if trace_out.is_some() {
-            return Err(CliError::usage("--trace requires the hybrid backend"));
-        }
         let report = opts.backend.plan(&xmap, cancel, &opts);
         outln!("backend          : {}", report.backend);
         outln!("control bits     : {:.1}", report.control_bits);
@@ -581,40 +591,7 @@ fn cmd_plan(args: &Args) -> CmdResult {
     };
 
     let outcome = PartitionEngine::with_options(cancel, opts).run(&xmap);
-
-    // Operational validation on a bounded prefix: gate the responses of
-    // the first patterns through the planned masks (X's only, data bits
-    // zero-filled) and run the time-multiplexed X-canceling session on
-    // what leaks through.
-    let config = xmap.config().clone();
-    let cells = config.total_cells();
-    let sample = xmap
-        .num_patterns()
-        .min(PLAN_VALIDATE_PATTERNS)
-        .min((PLAN_VALIDATE_SYMBOLS / cells.max(1)).max(1));
-    let mut masked = ResponseMatrix::filled(config.clone(), sample, Trit::Zero);
-    let mut sample_leaked = 0usize;
-    for p in 0..sample {
-        let part = outcome
-            .partitions
-            .iter()
-            .position(|set| set.contains(p))
-            .expect("every pattern is in a partition");
-        for c in 0..cells {
-            if xmap.is_x(p, config.cell_at(c)) && !outcome.masks[part].masks(c) {
-                masked.set(p, config.cell_at(c), Trit::X);
-                sample_leaked += 1;
-            }
-        }
-    }
-    let report = CancelSession::new(config, cancel, Taps::default_for(cancel.m())).run(&masked);
-    debug_assert_eq!(report.total_x, sample_leaked);
-
     print_vs_baselines(&xmap, cancel, &BackendReport::hybrid(outcome));
-    outln!(
-        "validation       : first {sample} patterns -> {} halts, {} leaked X's canceled, {} control bits",
-        report.halts, report.total_x, report.total_control_bits
-    );
 
     if let Some(out) = trace_out {
         let trace = session.expect("session begun when --trace is set").finish();
@@ -683,14 +660,18 @@ fn cmd_verify(args: &Args) -> CmdResult {
             .map_err(|e| CliError::runtime(format!("cannot read {plan_path}: {e}")))?;
         let cert_bytes = std::fs::read(cert_path)
             .map_err(|e| CliError::runtime(format!("cannot read {cert_path}: {e}")))?;
-        let cert = xhybrid::wire::decode_certificate(&cert_bytes)
-            .map_err(|e| CliError::runtime(format!("cannot decode {cert_path}: {e}")))?;
+        let cert = xhybrid::wire::decode_certificate(&cert_bytes).map_err(|e| {
+            CliError::runtime(format!(
+                "cannot decode {cert_path}: {}",
+                coded(e.code(), &e)
+            ))
+        })?;
         let (outcome, num_patterns) = decode_plan(&plan_bytes)
             .map_err(|e| CliError::runtime(format!("cannot decode {plan_path}: {e}")))?;
         let cancel = XCancelConfig::new(cert.m, cert.q);
         let started = std::time::Instant::now();
         xhybrid::verify::check(&cert, &outcome, &plan_bytes, &xmap, cancel)
-            .map_err(|e| CliError::runtime(format!("certificate verification FAILED: {e}")))?;
+            .map_err(verify_failed)?;
         let verify_ns = started.elapsed().as_nanos();
         outln!(
             "verified         : {} partitions over {} patterns, m={} q={}",
@@ -743,7 +724,16 @@ fn cmd_verify(args: &Args) -> CmdResult {
             .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
         eprintln!("wrote {out}: {} bytes", cert_bytes.len());
     }
-    checked.map_err(|e| CliError::runtime(format!("certificate verification FAILED: {e}")))
+    checked.map_err(verify_failed)
+}
+
+/// A failed certificate check, named by the rule the daemon's
+/// `/v1/plan/{hash}/verify` reports it under.
+fn verify_failed(e: xhybrid::verify::VerifyError) -> CliError {
+    CliError::runtime(format!(
+        "certificate verification FAILED: {} {e}",
+        e.code().id()
+    ))
 }
 
 fn cmd_serve(args: &Args) -> CmdResult {
@@ -813,8 +803,9 @@ fn cmd_fetch(args: &Args) -> CmdResult {
         let artifact = if peek_kind(&file).is_ok() {
             file
         } else {
-            let xmap = read_xmap(file.as_slice())
-                .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))?;
+            let xmap = read_xmap(file.as_slice()).map_err(|e| {
+                CliError::runtime(format!("cannot parse {path}: {}", coded(e.code(), &e)))
+            })?;
             encode_xmap(&xmap)
         };
         let request = PlanRequest {
@@ -894,17 +885,18 @@ fn run() -> CmdResult {
         outln!("{}", usage());
         return Ok(());
     }
-    let Some((run_cmd, flags)) = command(cmd) else {
+    let Some(help) = command_help(cmd) else {
         return Err(CliError::usage(format!(
             "unknown command `{cmd}`\n{}",
             usage()
         )));
     };
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        outln!("{}", command_help(cmd).unwrap_or(usage()));
+        outln!("{help}");
         return Ok(());
     }
     let args = Args::parse(rest).map_err(CliError::Usage)?;
+    let (run_cmd, flags) = command(cmd, &args).expect("every command with help text runs");
     if let Some((name, _)) = args
         .flags
         .iter()
@@ -983,6 +975,16 @@ mod tests {
 
     #[test]
     fn every_flag_a_command_reads_is_in_its_help() {
+        // No mode flag, then each flag that picks a mode.
+        let modes: [&[&str]; 4] = [
+            &[],
+            &["--plan", "p"],
+            &["--hash", "h"],
+            &["--backend", "xcode"],
+        ];
+        let modes = modes.map(|argv| {
+            Args::parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>()).unwrap()
+        });
         for cmd in [
             "gen",
             "analyze",
@@ -993,13 +995,15 @@ mod tests {
             "serve",
             "fetch",
         ] {
-            let (_, flags) = command(cmd).expect("a known command");
             let help = command_help(cmd).expect("a known command");
-            for flag in flags {
-                assert!(help.contains(&format!("--{flag}")), "{cmd}: --{flag}");
+            for args in &modes {
+                let (_, flags) = command(cmd, args).expect("a known command");
+                for flag in flags {
+                    assert!(help.contains(&format!("--{flag}")), "{cmd}: --{flag}");
+                }
             }
         }
-        assert!(command("bogus").is_none());
+        assert!(command("bogus", &modes[0]).is_none());
     }
 
     #[test]

@@ -66,7 +66,24 @@ fn missing_flag_value_is_a_usage_error() {
 fn bad_cancel_params_are_a_usage_error() {
     let (code, _, err) = run(&["partition", "file.xmap", "--m", "8", "--q", "8"]);
     assert_eq!(code, 2, "{err}");
-    assert!(err.contains("0 < q < m"));
+    // The daemon's XL0305 finding, in its words.
+    assert!(
+        err.contains("XL0305 X-cancel config (m=8, q=8): q must satisfy 0 < q < m"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_map_that_breaks_a_rule_names_its_code() {
+    let path = temp_path("out-of-range.xmap");
+    std::fs::write(&path, "xmap v1\nchains 2 2\npatterns 4\nx 9 : 0\n").unwrap();
+    let (code, _, err) = run(&["analyze", path.to_str().unwrap()]);
+    assert_eq!(code, 1, "{err}");
+    assert!(
+        err.ends_with(": XL0202 line 4: cell index 9 out of range\n"),
+        "{err}"
+    );
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]
@@ -127,7 +144,11 @@ fn verify_against_a_mismatched_map_fails_cleanly() {
         &path(&cert),
     ]);
     assert_eq!(code, 1, "{err}");
-    assert!(err.contains("FAILED"), "{err}");
+    // Named by the rule `/v1/plan/{hash}/verify` reports it under.
+    assert!(
+        err.contains("certificate verification FAILED: XL0406 "),
+        "{err}"
+    );
     for p in [small, demo, plan, cert] {
         let _ = std::fs::remove_file(p);
     }
@@ -425,19 +446,53 @@ fn a_closed_stdout_ends_the_command_quietly() {
 #[test]
 fn a_flag_the_command_does_not_read_is_a_usage_error() {
     let xmap_path = temp_path("unknown-flag.xmap");
-    let xmap = xmap_path.to_str().unwrap();
+    let plan_path = temp_path("unknown-flag.plan");
+    let cert_path = temp_path("unknown-flag.cert");
+    let [xmap, plan, cert] = [&xmap_path, &plan_path, &cert_path].map(|p| p.to_str().unwrap());
     let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
     assert_eq!(code, 0, "{err}");
+    let (code, _, err) = run(&["verify", xmap, "--plan-out", plan, "--cert-out", cert]);
+    assert_eq!(code, 0, "{err}");
+    let verify = |flag: &'static str, value: &'static str| -> Vec<&str> {
+        vec!["verify", xmap, "--plan", plan, "--cert", cert, flag, value]
+    };
+    let fetch_hash = |flag: &'static str, value: &'static str| -> Vec<&str> {
+        let hash = ["--hash", "0123456789abcdef"];
+        [
+            &["fetch", "--addr", "127.0.0.1:1"][..],
+            &hash,
+            &[flag, value],
+        ]
+        .concat()
+    };
+    let masking = |flag: &'static str, value: &'static str| -> Vec<&str> {
+        vec!["plan", xmap, "--backend", "masking", flag, value]
+    };
     // A misspelt engine flag used to run with the default cost stop, and
     // `fetch --threads` was dropped: the daemon owns the thread count.
-    let cases: [(&str, &[&str]); 2] = [
-        ("partition", &["partition", xmap, "--cost_stop", "0"]),
+    // Each mode reads its own flags: checking artifacts takes (m, q)
+    // from the certificate and plans nothing, a fetch by hash sends no
+    // request, and a non-hybrid backend runs no engine.
+    let cases: Vec<(&str, Vec<&str>)> = vec![
+        ("partition", vec!["partition", xmap, "--cost_stop", "0"]),
         (
             "fetch",
-            &["fetch", "--addr", "127.0.0.1:1", xmap, "--threads", "4"],
+            vec!["fetch", "--addr", "127.0.0.1:1", xmap, "--threads", "4"],
         ),
+        ("verify", verify("--m", "99")),
+        ("verify", verify("--q", "98")),
+        ("verify", verify("--strategy", "best-cost")),
+        ("verify", verify("--threads", "4")),
+        ("verify", verify("--plan-out", "x.plan")),
+        ("verify", verify("--cert-out", "x.cert")),
+        ("fetch", fetch_hash("--m", "5")),
+        ("fetch", fetch_hash("--q", "9")),
+        ("fetch", fetch_hash("--policy", "seeded")),
+        ("plan", masking("--strategy", "best-cost")),
+        ("plan", masking("--threads", "4")),
+        ("plan", masking("--trace", "t.json")),
     ];
-    for (cmd, argv) in cases {
+    for (cmd, argv) in &cases {
         let flag = argv[argv.len() - 2];
         let (code, out, err) = run(argv);
         assert_eq!(code, 2, "{argv:?}: {err}");
@@ -447,5 +502,7 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
             "{argv:?}: {err}"
         );
     }
-    let _ = std::fs::remove_file(&xmap_path);
+    for p in [xmap_path, plan_path, cert_path] {
+        let _ = std::fs::remove_file(p);
+    }
 }
