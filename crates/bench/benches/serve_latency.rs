@@ -9,8 +9,9 @@
 use std::thread;
 
 use xhc_bench::timing::{black_box, Harness};
+use xhc_core::PlanOptions;
 use xhc_serve::{client, PlanStore, Server, ServerConfig};
-use xhc_wire::{encode_xmap, hash_hex, plan_request_hash};
+use xhc_wire::{encode_xmap, hash_hex, plan_request_hash_with_options};
 use xhc_workload::WorkloadSpec;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         ..WorkloadSpec::default()
     };
     let body = encode_xmap(&spec.generate());
-    let key = plan_request_hash(&body, 32, 7, 0);
+    let key = plan_request_hash_with_options(&body, 32, 7, &PlanOptions::default());
     let cached = PlanStore::open(&store_dir)
         .expect("open store")
         .path_for(key);

@@ -49,8 +49,9 @@ use xhc_scan::XMap;
 /// The lowercase [`name`](BackendId::name) is the token used by
 /// `xhybrid plan --backend`, the daemon's `backend=` query parameter and
 /// the `GET /v1/backends` listing; the wire format pins one byte per
-/// variant (`xhc_wire::backend_code`), with [`BackendId::Hybrid`] at code
-/// 0 so default-options requests hash identically to pre-backend builds.
+/// variant (in `xhc-wire`'s plan-request codec), with
+/// [`BackendId::Hybrid`] at code 0 so default-options requests hash
+/// identically to pre-backend builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendId {
     /// The paper's hybrid: partitioned X-masking + X-canceling MISR.

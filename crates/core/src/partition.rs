@@ -610,12 +610,23 @@ pub struct PlanOptions {
 }
 
 impl PlanOptions {
-    /// Reads every option but `threads` by its query name (`strategy`,
-    /// `policy`, `seed`, `max_rounds`, `cost_stop`, `backend`) through
-    /// `get`; an absent one keeps its [`Default`]. The daemon passes its
-    /// query string, the `xhybrid` CLI its flags (`--max-rounds` for
-    /// `max_rounds`), so both accept and reject the same values with the
-    /// same message.
+    /// The query names [`PlanOptions::from_params`] reads, and only those:
+    /// the daemon rejects any other name on a plan route, and the CLI's
+    /// engine flags are these with dashes for underscores.
+    pub const PARAMS: [&'static str; 6] = [
+        "strategy",
+        "policy",
+        "seed",
+        "max_rounds",
+        "cost_stop",
+        "backend",
+    ];
+
+    /// Reads every option but `threads` by its query name
+    /// ([`PlanOptions::PARAMS`]) through `get`; an absent one keeps its
+    /// [`Default`]. The daemon passes its query string, the `xhybrid` CLI
+    /// its flags (`--max-rounds` for `max_rounds`), so both accept and
+    /// reject the same values with the same message.
     ///
     /// ```
     /// use xhc_core::{CellSelection, PlanOptions};
@@ -1372,6 +1383,20 @@ mod tests {
     #[test]
     fn no_parameters_give_the_default_options() {
         assert_eq!(from_query(&[]), Ok(PlanOptions::default()));
+    }
+
+    #[test]
+    fn from_params_reads_exactly_the_declared_names() {
+        let read = std::cell::RefCell::new(Vec::new());
+        let _ = PlanOptions::from_params(|name| {
+            read.borrow_mut().push(name.to_string());
+            None
+        });
+        let mut read = read.into_inner();
+        read.sort();
+        let mut declared = PlanOptions::PARAMS.map(String::from).to_vec();
+        declared.sort();
+        assert_eq!(read, declared);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! with `#` are comments.
 
 use crate::config::ScanConfig;
-use crate::xmap::{XMap, XMapBuilder};
+use crate::xmap::XMap;
 use crate::LintCode;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+use xhc_bits::PatternSet;
 
 /// Errors from [`read_xmap`].
 #[derive(Debug)]
@@ -38,7 +40,8 @@ pub enum ReadXMapError {
     /// A `chains` or `patterns` declaration is missing.
     MissingDeclaration(&'static str),
     /// A well-formed line that breaks a design rule: an X entry out of
-    /// range (XL0202).
+    /// range (XL0202) or repeated (XL0203), as the wire decoder rejects
+    /// it.
     Violation {
         /// 1-based line number.
         line: usize,
@@ -232,30 +235,61 @@ pub fn read_xmap<R: Read>(r: R) -> Result<XMap, ReadXMapError> {
         });
     }
     let config = ScanConfig::new(lengths);
-    let mut builder = XMapBuilder::new(config.clone(), patterns);
+    let mut seen = HashSet::with_capacity(entries.len());
+    let mut xsets = Vec::with_capacity(entries.len());
     for (cell, pats, line_no) in entries {
-        let out_of_range = |message| ReadXMapError::Violation {
+        let violation = |code, message| ReadXMapError::Violation {
             line: line_no,
-            code: LintCode::XOutOfRange,
+            code,
             message,
         };
         if cell >= config.total_cells() {
-            return Err(out_of_range(format!("cell index {cell} out of range")));
+            return Err(violation(
+                LintCode::XOutOfRange,
+                format!("cell index {cell} out of range"),
+            ));
         }
+        // Maps hold cell indices as `u32`, as the wire format does.
+        let Ok(idx) = u32::try_from(cell) else {
+            return Err(ReadXMapError::BadLine {
+                line: line_no,
+                message: format!("cell index {cell} does not fit in 32 bits"),
+            });
+        };
+        if !seen.insert(cell) {
+            return Err(violation(
+                LintCode::DuplicateX,
+                format!("cell index {cell} repeated"),
+            ));
+        }
+        let mut xs = PatternSet::empty(patterns);
         for p in pats {
             if p >= patterns {
-                return Err(out_of_range(format!("pattern index {p} out of range")));
+                return Err(violation(
+                    LintCode::XOutOfRange,
+                    format!("pattern index {p} out of range"),
+                ));
             }
-            builder.add_x_unchecked(config.cell_at(cell), p);
+            if xs.contains(p) {
+                return Err(violation(
+                    LintCode::DuplicateX,
+                    format!("pattern index {p} repeated for cell {cell}"),
+                ));
+            }
+            xs.insert(p);
+        }
+        if !xs.is_empty() {
+            xsets.push((idx, xs));
         }
     }
-    Ok(builder.finish())
+    Ok(XMap::from_entries(config, patterns, xsets))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CellId;
+    use crate::xmap::XMapBuilder;
 
     fn sample_map() -> XMap {
         let cfg = ScanConfig::new(vec![3, 2, 3]);
@@ -281,6 +315,16 @@ mod tests {
         let xmap = read_xmap(text.as_bytes()).unwrap();
         assert_eq!(xmap.total_x(), 2);
         assert_eq!(xmap.config().num_chains(), 2);
+    }
+
+    #[test]
+    fn a_cell_index_past_32_bits_is_rejected() {
+        let text = "xmap v1\nchains 5000000000\npatterns 1\nx 4294967296 : 0\n";
+        let err = read_xmap(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ReadXMapError::BadLine { line: 4, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -279,8 +279,7 @@ impl XMap {
 }
 
 /// Incremental builder for [`XMap`], for callers that add X's at
-/// arbitrary coordinates (the scan capture harness, the text reader,
-/// tests). Callers that already hold one set per cell use
+/// arbitrary coordinates (the scan capture harness, tests). Callers that already hold one set per cell use
 /// [`XMap::from_entries`] directly.
 #[derive(Debug, Clone)]
 pub struct XMapBuilder {

@@ -20,7 +20,9 @@
 //! Complete requests pass admission control — a bounded job queue plus
 //! an in-flight ceiling — and are executed by the worker pool; an
 //! overloaded daemon sheds with `429` and a `Retry-After` derived from
-//! the observed queue-wait p95 instead of queueing without bound.
+//! the observed queue-wait p95 instead of queueing without bound. Every
+//! plan runs on the worker that admitted its request, so those bounds,
+//! the drain and the stage timers cover all planning work.
 //!
 //! A decoded X map already holds its X rows as the packed matrix a
 //! `best-cost` plan sweeps, so each engine run borrows its own map's
@@ -39,12 +41,11 @@
 //!
 //! | Route | Method | Behaviour |
 //! |-------|--------|-----------|
-//! | `/v1/plan?m=&q=&strategy=&policy=&seed=&max_rounds=&cost_stop=&backend=&mode=&trace=` | POST | Body is a wire-encoded X map, workload spec or plan request, or `xmap v1` text. Lints it, plans it (or serves the cached plan) and returns the wire-encoded plan. `mode=async` returns `202` and a job id instead. A non-hybrid `backend=` answers with that backend's uniform JSON report. |
-//! | `/v1/plan/race?...&backends=` | POST | Same body and parameters as `/v1/plan`; fans the submission across the requested backend set (`backends=` comma list, default all) and returns the JSON control-bit/latency table with Pareto-frontier flags. The hybrid leg shares the plan store and single-flight set with `/v1/plan`, so its plan is byte-identical and cached under the same address. |
+//! | `/v1/plan?m=&q=&strategy=&policy=&seed=&max_rounds=&cost_stop=&backend=&trace=` | POST | Body is a wire-encoded X map, workload spec or plan request, or `xmap v1` text. Lints it, plans it (or serves the cached plan) and returns the wire-encoded plan. A non-hybrid `backend=` answers with that backend's uniform JSON report. |
+//! | `/v1/plan/race?...&backends=` | POST | Same body and parameters as `/v1/plan` but `trace`; fans the submission across the requested backend set (`backends=` comma list, default all) and returns the JSON control-bit/latency table with Pareto-frontier flags. The hybrid leg shares the plan store and single-flight set with `/v1/plan`, so its plan is byte-identical and cached under the same address. |
 //! | `/v1/backends` | GET | JSON capability listing of every planning backend. |
 //! | `/v1/plan/{hash}` | GET | Fetches a cached plan by its 16-hex content address. |
 //! | `/v1/plan/{hash}/verify` | GET | Re-checks the cached plan against its stored certificate and X map with the `xhc-verify` static checker: `200` when clean, `422` with the rendered XL04xx findings otherwise. |
-//! | `/v1/jobs/{id}` | GET | Status of an async job. |
 //! | `/healthz` | GET | Liveness probe. |
 //! | `/metrics` | GET | Plaintext counters and latency histograms. |
 //!
@@ -64,14 +65,16 @@
 //! `first`, `seeded` (with `seed=<u64>`) or `global-max-x`; `max_rounds`
 //! caps the round count; `cost_stop=0` disables the cost-based stop;
 //! `backend` picks the planning backend by its stable token (default
-//! `hybrid`). A rejected value answers `400` with the parser's message.
+//! `hybrid`). A rejected value answers `400` with the parser's message,
+//! and so does a query parameter the route does not read (say
+//! `max-rounds`, the CLI's spelling), naming it.
 //!
 //! Bodies are framed by `Content-Length` only: a request declaring
 //! `Transfer-Encoding: chunked` (or any other transfer coding) is
 //! rejected with an explicit `501 Not Implemented` and a diagnostic body,
 //! instead of surfacing as a generic parse failure.
 //!
-//! `trace=1` on a synchronous request records the request under the
+//! `trace=1` on a plan request records the request under the
 //! process-wide [`xhc_trace`] session (first caller wins; concurrent
 //! traced requests proceed untraced). The response body is then the plan
 //! bytes followed by the chrome://tracing JSON export, with
@@ -113,7 +116,6 @@
 
 mod event_loop;
 mod http;
-mod jobs;
 mod metrics;
 mod push;
 mod store;
@@ -121,7 +123,6 @@ mod store;
 pub mod client;
 
 pub use http::{ParseError, Request, Response, MAX_BODY_BYTES};
-pub use jobs::{JobRegistry, JobStatus};
 pub use store::PlanStore;
 
 use metrics::Metrics;
@@ -272,7 +273,6 @@ struct ServerState {
     config: ServerConfig,
     metrics: Metrics,
     store: PlanStore,
-    jobs: JobRegistry,
     inflight: Mutex<HashSet<u64>>,
     inflight_cv: Condvar,
     shutdown: AtomicBool,
@@ -347,7 +347,6 @@ impl Server {
             config,
             metrics: Metrics::default(),
             store,
-            jobs: JobRegistry::default(),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -437,7 +436,7 @@ fn spawn_workers(state: &Arc<ServerState>, waker: &Waker) -> Vec<thread::JoinHan
 }
 
 /// Routes one parsed request and accounts for it, on a worker.
-fn process_request(state: &Arc<ServerState>, request: &Request) -> Response {
+fn process_request(state: &ServerState, request: &Request) -> Response {
     state.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     let response = match route(state, request) {
@@ -482,7 +481,7 @@ impl HandlerError {
     }
 }
 
-fn route(state: &Arc<ServerState>, request: &Request) -> Result<Response, HandlerError> {
+fn route(state: &ServerState, request: &Request) -> Result<Response, HandlerError> {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::text(200, "ok\n")),
         ("GET", "/metrics") => Ok(Response::text(200, state.metrics.render())),
@@ -501,9 +500,6 @@ fn route(state: &Arc<ServerState>, request: &Request) -> Result<Response, Handle
         }
         ("GET", path) if path.starts_with("/v1/plan/") => {
             fetch_endpoint(state, &path["/v1/plan/".len()..])
-        }
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            jobs_endpoint(state, &path["/v1/jobs/".len()..])
         }
         (_, "/v1/plan") | (_, "/healthz") | (_, "/metrics") => {
             Err(HandlerError::new(405, "method not allowed"))
@@ -571,21 +567,6 @@ fn verify_endpoint(state: &ServerState, hex: &str) -> Result<Response, HandlerEr
     .with_header("X-Xhc-Plan-Hash", hash_hex(key)))
 }
 
-fn jobs_endpoint(state: &ServerState, raw_id: &str) -> Result<Response, HandlerError> {
-    let id: u64 = raw_id
-        .parse()
-        .map_err(|_| HandlerError::new(400, format!("`{raw_id}` is not a job id")))?;
-    let status = state
-        .jobs
-        .get(id)
-        .ok_or_else(|| HandlerError::new(404, format!("no job {id}")))?;
-    Ok(Response::new(
-        200,
-        "application/json",
-        status.render(id).into_bytes(),
-    ))
-}
-
 /// The validated parameters of one plan request. `options.threads` is
 /// always left at `0` here: the engine thread count belongs to the
 /// server, not the client (see [`run_engine`]).
@@ -593,11 +574,32 @@ struct PlanParams {
     m: usize,
     q: usize,
     options: PlanOptions,
-    asynchronous: bool,
     trace: bool,
 }
 
-fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
+/// The query parameters every plan route reads beside
+/// [`PlanOptions::PARAMS`].
+const PLAN_PARAMS: [&str; 2] = ["m", "q"];
+
+/// Parses a plan route's query. A parameter the route does not read
+/// (one outside [`PLAN_PARAMS`], [`PlanOptions::PARAMS`] and the route's
+/// own `extra`) answers `400` naming it, so a misspelt option is never
+/// planned with its default.
+fn parse_plan_params(request: &Request, extra: &[&str]) -> Result<PlanParams, HandlerError> {
+    let reads = |name: &str| {
+        PLAN_PARAMS.contains(&name) || PlanOptions::PARAMS.contains(&name) || extra.contains(&name)
+    };
+    if let Some((name, _)) = request.query.iter().find(|(name, _)| !reads(name)) {
+        let accepted = [&PLAN_PARAMS[..], &PlanOptions::PARAMS, extra].concat();
+        return Err(HandlerError::new(
+            400,
+            format!(
+                "`{name}` is not a parameter of {} (it reads {})",
+                request.path,
+                accepted.join(", ")
+            ),
+        ));
+    }
     let parse_num = |name: &str, default: usize| -> Result<usize, HandlerError> {
         match request.query_param(name) {
             None => Ok(default),
@@ -610,16 +612,6 @@ fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
     let q = parse_num("q", 7)?;
     let options = PlanOptions::from_params(|name| request.query_param(name))
         .map_err(|e| HandlerError::new(400, e))?;
-    let asynchronous = match request.query_param("mode") {
-        None | Some("sync") => false,
-        Some("async") => true,
-        Some(raw) => {
-            return Err(HandlerError::new(
-                400,
-                format!("`{raw}` is not a mode (expected `sync` or `async`)"),
-            ))
-        }
-    };
     let trace = match request.query_param("trace") {
         None | Some("0") => false,
         Some("1") => true,
@@ -634,7 +626,6 @@ fn parse_plan_params(request: &Request) -> Result<PlanParams, HandlerError> {
         m,
         q,
         options,
-        asynchronous,
         trace,
     })
 }
@@ -721,15 +712,15 @@ fn lint_gate(state: &ServerState, xmap: &XMap, m: usize, q: usize) -> Result<(),
     Ok(())
 }
 
-fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response, HandlerError> {
-    let mut params = parse_plan_params(request)?;
+fn plan_endpoint(state: &ServerState, request: &Request) -> Result<Response, HandlerError> {
+    let mut params = parse_plan_params(request, &["trace"])?;
     if request.body.is_empty() {
         return Err(HandlerError::new(400, "empty request body"));
     }
     // Claim the process-wide trace session before decoding so every stage
     // span of this request lands in the recording. Busy (another traced
-    // request is in flight) or async mode -> proceed untraced.
-    let trace_session = if params.trace && !params.asynchronous {
+    // request is in flight) -> proceed untraced.
+    let trace_session = if params.trace {
         xhc_trace::TraceSession::begin()
     } else {
         None
@@ -743,53 +734,12 @@ fn plan_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
     // A non-hybrid backend produces accounting, not a storable partition
     // plan: answer with its uniform JSON report, computed in-process.
     if params.options.backend != BackendId::Hybrid {
-        if params.asynchronous {
-            return Err(HandlerError::new(
-                400,
-                "`mode=async` supports only the hybrid backend",
-            ));
-        }
         let leg = race_leg(state, params.options.backend, &canonical, &xmap, &params)?;
         return Ok(Response::new(
             200,
             "application/json",
             format!("{}\n", leg_json(&leg, None)).into_bytes(),
         ));
-    }
-
-    if params.asynchronous {
-        let id = state.jobs.submit();
-        state.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-        // The job thread owns its own handle to the shared state.
-        let state_ref = Arc::clone(state);
-        thread::spawn(move || {
-            let outcome = compute_plan(&state_ref, key, &canonical, &xmap, &params);
-            let status = match outcome {
-                Ok((_, engine_ns)) => JobStatus::Done {
-                    plan_hash: key,
-                    cache_hit: engine_ns.is_none(),
-                },
-                Err(e) => JobStatus::Failed {
-                    status: e.status,
-                    message: e.message,
-                },
-            };
-            state_ref.jobs.finish(id, status);
-            state_ref
-                .metrics
-                .jobs_completed
-                .fetch_add(1, Ordering::Relaxed);
-            // If a concurrent traced request is recording, hand it this
-            // thread's spans before the thread exits and they are lost.
-            xhc_trace::flush_thread();
-        });
-        return Ok(Response::new(
-            202,
-            "application/json",
-            format!("{{\"id\":{id},\"status\":\"running\"}}\n").into_bytes(),
-        )
-        .with_header("X-Xhc-Plan-Hash", hash_hex(key))
-        .with_header("X-Xhc-Job", id.to_string()));
     }
 
     let (bytes, engine_ns) = compute_plan(state, key, &canonical, &xmap, &params)?;
@@ -898,7 +848,6 @@ fn race_leg(
             m: params.m,
             q: params.q,
             options,
-            asynchronous: false,
             trace: false,
         };
         let (bytes, engine_ns) = compute_plan(state, key, canonical, xmap, &leg_params)?;
@@ -958,14 +907,8 @@ fn leg_json(leg: &RaceLeg, pareto: Option<bool>) -> String {
 /// concurrently (scoped threads on the worker that claimed the request).
 /// The hybrid leg shares the plan store and the single-flight set with
 /// `POST /v1/plan` — see [`race_leg`].
-fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response, HandlerError> {
-    let mut params = parse_plan_params(request)?;
-    if params.asynchronous {
-        return Err(HandlerError::new(
-            400,
-            "`mode=async` is not supported on /v1/plan/race",
-        ));
-    }
+fn race_endpoint(state: &ServerState, request: &Request) -> Result<Response, HandlerError> {
+    let mut params = parse_plan_params(request, &["backends"])?;
     if request.body.is_empty() {
         return Err(HandlerError::new(400, "empty request body"));
     }
@@ -975,7 +918,6 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
     let canonical = encode_xmap(&xmap);
     let wkey = xhc_wire::content_hash(&canonical);
 
-    let state_ref: &ServerState = state;
     let leg_results: Vec<Result<RaceLeg, HandlerError>> = thread::scope(|scope| {
         let handles: Vec<_> = roster
             .iter()
@@ -983,7 +925,7 @@ fn race_endpoint(state: &Arc<ServerState>, request: &Request) -> Result<Response
                 let canonical = &canonical;
                 let xmap = &xmap;
                 let params = &params;
-                scope.spawn(move || race_leg(state_ref, backend, canonical, xmap, params))
+                scope.spawn(move || race_leg(state, backend, canonical, xmap, params))
             })
             .collect();
         handles

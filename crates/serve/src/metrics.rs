@@ -154,10 +154,6 @@ pub(crate) struct Metrics {
     /// Connections answered 408 for idling mid-request past the read
     /// deadline (the slow-loris defence firing).
     pub timeouts_total: AtomicU64,
-    /// Async jobs submitted.
-    pub jobs_submitted: AtomicU64,
-    /// Async jobs finished (successfully or not).
-    pub jobs_completed: AtomicU64,
     /// Wall time connections spent queued between `accept` and a worker.
     pub queue_wait_ns: Histogram,
     /// Wall time spent decoding request bodies.
@@ -214,7 +210,7 @@ const STAGE_FAMILY: &str = "xhc_stage_latency_ns";
 const STAGE_PUSH: [&str; 3] = ["xhc_stage_count", "xhc_stage_sum_ns", "xhc_stage_p95_ns"];
 
 /// Every daemon series, declared once. Both exporters render this table.
-const SERIES: [Series; 22] = [
+const SERIES: [Series; 20] = [
     Scalar("xhc_requests_total", Int, |m| &m.requests_total),
     Statuses("xhc_responses_total"),
     Scalar("xhc_cache_hits_total", Int, |m| &m.cache_hits),
@@ -222,8 +218,6 @@ const SERIES: [Series; 22] = [
     Scalar("xhc_queue_depth", Int, |m| &m.queue_depth),
     Scalar("xhc_shed_total", Int, |m| &m.shed_total),
     Scalar("xhc_timeouts_total", Int, |m| &m.timeouts_total),
-    Scalar("xhc_jobs_submitted_total", Int, |m| &m.jobs_submitted),
-    Scalar("xhc_jobs_completed_total", Int, |m| &m.jobs_completed),
     Scalar("xhc_verify_total", Int, |m| &m.verify_total),
     Scalar("xhc_verify_failures_total", Int, |m| &m.verify_failures),
     Scalar("xhc_plan_engine_seconds_sum", SecsFromNs, |m| {
@@ -342,8 +336,6 @@ mod tests {
             (&m.queue_depth, 104),
             (&m.shed_total, 105),
             (&m.timeouts_total, 106),
-            (&m.jobs_submitted, 108),
-            (&m.jobs_completed, 109),
             (&m.verify_total, 110),
             (&m.verify_failures, 111),
             (&m.push_errors, 112),
@@ -487,7 +479,7 @@ mod tests {
         assert!(body.contains("xhc_stage_p95_ns,instance=127.0.0.1:9,stage=queue_wait"));
         // Zero-valued statuses are elided; zero-valued scalars are not.
         assert!(!body.contains("status=200"));
-        assert!(body.contains("xhc_jobs_submitted_total,instance=127.0.0.1:9 value=0u"));
+        assert!(body.contains("xhc_cache_hits_total,instance=127.0.0.1:9 value=0u"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! observe a half-written artifact and two writers racing on the same
 //! key both leave a complete file behind.
 //!
-//! [cache key]: xhc_wire::plan_request_hash
+//! [cache key]: xhc_wire::plan_request_hash_with_options
 
 use std::fs;
 use std::io;

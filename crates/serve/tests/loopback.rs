@@ -15,7 +15,7 @@ use xhc_scan::{write_xmap, CellId, ScanConfig, XMapBuilder};
 use xhc_serve::{client, Server, ServerConfig};
 use xhc_wire::{
     encode_plan, encode_plan_request, encode_workload_spec, encode_xmap, hash_hex,
-    plan_request_hash, PlanRequest,
+    plan_request_hash_with_options, PlanRequest,
 };
 use xhc_workload::WorkloadSpec;
 
@@ -106,7 +106,8 @@ fn concurrent_identical_submissions_single_flight() {
     )
     .run(&xmap);
     let expected_plan = encode_plan(&offline, xmap.num_patterns());
-    let expected_key = plan_request_hash(&encode_xmap(&xmap), 32, 7, 0);
+    let expected_key =
+        plan_request_hash_with_options(&encode_xmap(&xmap), 32, 7, &PlanOptions::default());
 
     for engine_threads in [1, 2, 8] {
         let server = TestServer::start("single-flight", engine_threads);
@@ -206,29 +207,79 @@ fn concurrent_identical_submissions_single_flight() {
 }
 
 #[test]
-fn scrapes_are_not_total_stage_samples() {
-    // Scrape, plan once, scrape again: the `total` stage gains exactly
-    // the samples the `plan` stage gains, so the stage means cover the
-    // same requests. Both scrapes still count as requests.
-    let server = TestServer::start("scrape-total", 1);
-    let total = "xhc_stage_latency_ns_count{stage=\"total\"}";
-    let plan = "xhc_stage_latency_ns_count{stage=\"plan\"}";
-    let before = [total, plan, "xhc_requests_total"].map(|m| server.metric(m));
+fn a_query_parameter_the_route_does_not_read_is_rejected() {
+    let server = TestServer::start("query-names", 1);
     let body = encode_xmap(&test_spec().generate());
-    let response = client::post(
-        server.addr,
-        "/v1/plan?m=32&q=7",
-        "application/octet-stream",
-        &body,
-    )
-    .unwrap();
-    assert_eq!(response.status, 200);
-    assert_eq!(response.header("x-xhc-cache"), Some("miss"));
-    let after = [total, plan, "xhc_requests_total"].map(|m| server.metric(m));
-    assert_eq!(after[1] - before[1], 1, "one engine run");
-    assert_eq!(after[0] - before[0], after[1] - before[1]);
-    // Each scrape counts itself: the plan and the three later scrapes.
-    assert_eq!(after[2] - before[2], 4);
+    let post = |path: &str| {
+        let r = client::post(server.addr, path, "application/octet-stream", &body).unwrap();
+        (r.status, r.body_text())
+    };
+    // No route reads `mode`; `max-rounds` is the CLI's spelling of
+    // `max_rounds`, so planning it would drop the round cap; `backends`
+    // belongs to the race route, and `trace` to the plan route.
+    for (route, name, value) in [
+        ("/v1/plan", "mode", "async"),
+        ("/v1/plan/race", "mode", "async"),
+        ("/v1/plan", "max-rounds", "1"),
+        ("/v1/plan", "backends", "masking"),
+        ("/v1/plan/race", "trace", "1"),
+    ] {
+        let path = format!("{route}?m=32&q=7&{name}={value}");
+        let (status, text) = post(&path);
+        assert_eq!(status, 400, "{path}: {text}");
+        assert!(
+            text.starts_with(&format!("`{name}` is not a parameter of ")),
+            "{path}: {text}"
+        );
+    }
+    // Every parameter the scripts, these tests and planbench send.
+    for path in [
+        "/v1/plan?m=32&q=7&trace=0",
+        "/v1/plan?strategy=best-cost",
+        "/v1/plan?policy=seeded&seed=3",
+        "/v1/plan?policy=global-max-x&cost_stop=0",
+        "/v1/plan?m=32&q=7&strategy=best-cost&max_rounds=1",
+        "/v1/plan?m=16&q=3&backend=masking",
+        "/v1/plan/race?m=16&q=3&backends=masking,hybrid",
+    ] {
+        let (status, text) = post(path);
+        assert_eq!(status, 200, "{path}: {text}");
+    }
+}
+
+#[test]
+fn stage_counts_cover_the_same_requests() {
+    // Every plan runs inside the request that asked for it, so after a
+    // mix of plans, a race and a non-hybrid report, one engine run is
+    // one cache miss and one `total` sample is one routed request: the
+    // stage means cover one set of requests.
+    let server = TestServer::start("ledger", 1);
+    let xmap = encode_xmap(&test_spec().generate());
+    let spec = encode_workload_spec(&test_spec());
+    for (path, body) in [
+        ("/v1/plan?m=32&q=7", &xmap),
+        ("/v1/plan?m=32&q=7", &xmap),
+        ("/v1/plan?m=16&q=3&policy=seeded&seed=2", &xmap),
+        ("/v1/plan?m=16&q=3", &spec),
+        ("/v1/plan/race?m=8&q=3", &xmap),
+        ("/v1/plan/race?m=32&q=7&backends=hybrid,xcode", &xmap),
+        ("/v1/plan?m=32&q=7&backend=canceling", &xmap),
+    ] {
+        let r = client::post(server.addr, path, "application/octet-stream", body).unwrap();
+        assert_eq!(r.status, 200, "{path}: {}", r.body_text());
+    }
+    assert_eq!(client::get(server.addr, "/healthz").unwrap().status, 200);
+    let misses = server.metric("xhc_cache_misses_total");
+    assert_eq!(misses, 4, "two maps at two (m, q), one seeded, one race");
+    assert_eq!(
+        server.metric("xhc_stage_latency_ns_count{stage=\"plan\"}"),
+        misses
+    );
+    // The scrapes count as requests but are not `total` samples: the
+    // three above, and this one.
+    let total = server.metric("xhc_stage_latency_ns_count{stage=\"total\"}");
+    assert_eq!(total, 8);
+    assert_eq!(server.metric("xhc_requests_total"), total + 4);
 }
 
 #[test]
@@ -350,56 +401,6 @@ fn bad_inputs_map_to_http_errors() {
 }
 
 #[test]
-fn async_jobs_complete_and_report_their_hash() {
-    let spec = test_spec();
-    let xmap = spec.generate();
-    let server = TestServer::start("async", 2);
-    let body = encode_xmap(&xmap);
-
-    let accepted = client::post(
-        server.addr,
-        "/v1/plan?mode=async",
-        "application/octet-stream",
-        &body,
-    )
-    .unwrap();
-    assert_eq!(accepted.status, 202, "{}", accepted.body_text());
-    let job_id = accepted
-        .header("x-xhc-job")
-        .expect("job id header")
-        .to_string();
-    let plan_hash = accepted
-        .header("x-xhc-plan-hash")
-        .expect("plan hash header")
-        .to_string();
-
-    // Poll until done (bounded).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let final_status = loop {
-        let status = client::get(server.addr, &format!("/v1/jobs/{job_id}")).unwrap();
-        assert_eq!(status.status, 200);
-        let text = status.body_text();
-        if text.contains("\"done\"") || text.contains("\"failed\"") {
-            break text;
-        }
-        assert!(Instant::now() < deadline, "job never finished: {text}");
-        thread::sleep(Duration::from_millis(20));
-    };
-    assert!(final_status.contains("\"done\""), "{final_status}");
-    assert!(final_status.contains(&plan_hash), "{final_status}");
-
-    // The finished plan is fetchable and matches the offline engine.
-    let fetched = client::get(server.addr, &format!("/v1/plan/{plan_hash}")).unwrap();
-    assert_eq!(fetched.status, 200);
-    let offline = PartitionEngine::new(XCancelConfig::new(32, 7)).run(&xmap);
-    assert_eq!(fetched.body, encode_plan(&offline, xmap.num_patterns()));
-
-    // Unknown job id 404s.
-    let missing = client::get(server.addr, "/v1/jobs/999999").unwrap();
-    assert_eq!(missing.status, 404);
-}
-
-#[test]
 fn plan_request_bodies_override_query_params() {
     let spec = test_spec();
     let xmap = spec.generate();
@@ -423,7 +424,8 @@ fn plan_request_bodies_override_query_params() {
     assert_eq!(response.body, encode_plan(&offline, xmap.num_patterns()));
     // Default options collapse to the pre-options cache key, so old
     // store entries stay addressable.
-    let expected_key = plan_request_hash(&encode_xmap(&xmap), 16, 3, 0);
+    let expected_key =
+        plan_request_hash_with_options(&encode_xmap(&xmap), 16, 3, &PlanOptions::default());
     assert_eq!(
         response.header("x-xhc-plan-hash"),
         Some(hash_hex(expected_key).as_str())
@@ -657,7 +659,7 @@ fn race_fans_out_and_hybrid_leg_is_byte_identical_to_single_backend_path() {
 
     let xmap = test_spec().generate();
     let body = encode_xmap(&xmap);
-    let expected_key = plan_request_hash(&body, 32, 7, 0);
+    let expected_key = plan_request_hash_with_options(&body, 32, 7, &PlanOptions::default());
     let offline = PartitionEngine::new(XCancelConfig::new(32, 7)).run(&xmap);
     let offline_bytes = encode_plan(&offline, xmap.num_patterns());
     // Every race row must read what an in-process `BackendId::plan` of the
@@ -785,15 +787,6 @@ fn race_roster_selection_and_error_paths() {
         bogus.body_text()
     );
 
-    let asynchronous = client::post(
-        server.addr,
-        "/v1/plan/race?mode=async",
-        "application/octet-stream",
-        &body,
-    )
-    .unwrap();
-    assert_eq!(asynchronous.status, 400);
-
     let method = client::get(server.addr, "/v1/plan/race").unwrap();
     assert_eq!(method.status, 405);
 }
@@ -838,6 +831,19 @@ fn out_of_range_wire() -> Vec<u8> {
     bytes
 }
 
+/// A wire map whose cell list repeats cell 2: the canonical encoding of
+/// X's at cells 2 and 3, its second cell index then patched to 2.
+fn repeated_cell_wire() -> Vec<u8> {
+    let mut b = XMapBuilder::new(ScanConfig::uniform(2, 2), 4);
+    b.add_x(CellId::new(1, 0), 0).unwrap();
+    b.add_x(CellId::new(1, 1), 1).unwrap();
+    let mut bytes = encode_xmap(&b.finish());
+    let second = 12 + 4 * 12 + 24 + 24 + 4;
+    assert_eq!(bytes[second..second + 4], 3u32.to_le_bytes());
+    bytes[second..second + 4].copy_from_slice(&2u32.to_le_bytes());
+    bytes
+}
+
 #[test]
 fn text_and_wire_forms_of_a_defect_get_one_status_and_code() {
     let server = TestServer::start("one-code", 1);
@@ -853,6 +859,14 @@ fn text_and_wire_forms_of_a_defect_get_one_status_and_code() {
     // An X at cell 9 of a 4-cell design, as text and as a wire map.
     expect(post("/v1/plan", OUT_OF_RANGE_TEXT), "XL0202");
     expect(post("/v1/plan", &out_of_range_wire()), "XL0202");
+
+    // Cell 2 listed twice, a pattern listed twice for one cell, and the
+    // wire map whose cell list repeats cell 2.
+    let repeated_cell = b"xmap v1\nchains 2 2\npatterns 4\nx 2 : 0\nx 2 : 1\n";
+    expect(post("/v1/plan", repeated_cell), "XL0203");
+    let repeated_pattern = b"xmap v1\nchains 2 2\npatterns 4\nx 2 : 1 1\n";
+    expect(post("/v1/plan", repeated_pattern), "XL0203");
+    expect(post("/v1/plan", &repeated_cell_wire()), "XL0203");
 
     // q >= m in the query, and inside a wire plan request.
     let xmap = encode_xmap(&test_spec().generate());

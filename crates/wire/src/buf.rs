@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn writer_reader_roundtrip() {
-        let mut w = ArtifactWriter::new(Kind::ScanConfig);
+        let mut w = ArtifactWriter::new(Kind::WorkloadSpec);
         let mut payload = Vec::new();
         payload.put_u64(7);
         payload.put_u32(3);
@@ -228,7 +228,7 @@ mod tests {
         w.section(1, payload);
         let bytes = w.finish();
 
-        let sections = Sections::parse(&bytes, Kind::ScanConfig, &[1]).unwrap();
+        let sections = Sections::parse(&bytes, Kind::WorkloadSpec, &[1]).unwrap();
         let mut r = Reader::new(sections.require(1).unwrap());
         assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 3);
@@ -239,13 +239,13 @@ mod tests {
 
     #[test]
     fn non_canonical_tables_rejected() {
-        let mut w = ArtifactWriter::new(Kind::ScanConfig);
+        let mut w = ArtifactWriter::new(Kind::WorkloadSpec);
         w.section(1, vec![1, 2, 3]);
         let mut bytes = w.finish();
 
         // Unknown tag.
         assert_eq!(
-            Sections::parse(&bytes, Kind::ScanConfig, &[2]).unwrap_err(),
+            Sections::parse(&bytes, Kind::WorkloadSpec, &[2]).unwrap_err(),
             WireError::UnknownSection { tag: 1 }
         );
         // Wrong kind.
@@ -253,13 +253,13 @@ mod tests {
             Sections::parse(&bytes, Kind::XMap, &[1]).unwrap_err(),
             WireError::WrongKind {
                 expected: Kind::XMap,
-                got: Kind::ScanConfig
+                got: Kind::WorkloadSpec
             }
         );
         // Trailing bytes.
         bytes.push(0);
         assert_eq!(
-            Sections::parse(&bytes, Kind::ScanConfig, &[1]).unwrap_err(),
+            Sections::parse(&bytes, Kind::WorkloadSpec, &[1]).unwrap_err(),
             WireError::TrailingBytes { count: 1 }
         );
     }
@@ -270,25 +270,25 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&Kind::ScanConfig.code().to_le_bytes());
+        bytes.extend_from_slice(&Kind::WorkloadSpec.code().to_le_bytes());
         bytes.extend_from_slice(&2u32.to_le_bytes());
         for _ in 0..2 {
             bytes.extend_from_slice(&1u32.to_le_bytes());
             bytes.extend_from_slice(&0u64.to_le_bytes());
         }
         assert_eq!(
-            Sections::parse(&bytes, Kind::ScanConfig, &[1]).unwrap_err(),
+            Sections::parse(&bytes, Kind::WorkloadSpec, &[1]).unwrap_err(),
             WireError::DuplicateSection { tag: 1 }
         );
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        let mut w = ArtifactWriter::new(Kind::ScanConfig);
+        let mut w = ArtifactWriter::new(Kind::WorkloadSpec);
         w.section(1, vec![0; 16]);
         let bytes = w.finish();
         for cut in 0..bytes.len() {
-            let err = Sections::parse(&bytes[..cut], Kind::ScanConfig, &[1]);
+            let err = Sections::parse(&bytes[..cut], Kind::WorkloadSpec, &[1]);
             assert!(err.is_err(), "cut at {cut} must fail");
         }
     }

@@ -515,9 +515,9 @@ mod tests {
         assert!(decode_certificate(&encode_certificate(&cert)).is_err());
 
         // Wrong kind.
-        let cfg = crate::encode_scan_config(&xhc_scan::ScanConfig::uniform(2, 2));
+        let spec = crate::encode_workload_spec(&xhc_workload::WorkloadSpec::default());
         assert!(matches!(
-            decode_certificate(&cfg),
+            decode_certificate(&spec),
             Err(WireError::WrongKind { .. })
         ));
     }

@@ -34,28 +34,16 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
 }
 
 /// The cache key of a plan request: the [`content_hash`] of the canonical
-/// wire-encoded X map, mixed with the planning parameters. Two requests
-/// collide exactly when they would produce the same plan — same X map
-/// bytes, same `(m, q)`, same split strategy.
+/// wire-encoded X map, mixed with `(m, q)` and the engine options. Two
+/// requests collide exactly when they would produce the same plan.
 ///
-/// `strategy` is the strategy's stable wire code (0 = largest-class,
-/// 1 = best-cost; see `xhc-serve`).
-pub fn plan_request_hash(xmap_wire: &[u8], m: usize, q: usize, strategy: u8) -> u64 {
-    let mut h = content_hash(xmap_wire);
-    h = splitmix64_mix(h ^ m as u64).wrapping_add(GOLDEN);
-    h = splitmix64_mix(h ^ q as u64).wrapping_add(GOLDEN);
-    splitmix64_mix(h ^ u64::from(strategy))
-}
-
-/// The cache key of a fully-optioned plan request.
-///
-/// Extends [`plan_request_hash`] with the engine options beyond the
-/// strategy — and collapses to *exactly* [`plan_request_hash`] whenever
-/// those extras are at their defaults (policy `First`, no round cap,
-/// cost stop on, hybrid backend), so every address minted before options
-/// or backends existed stays valid. `threads` is deliberately never
-/// mixed in: the outcome is thread-count invariant, and a cache key that
-/// varied with worker count would store the same plan many times.
+/// The base key mixes `(m, q)` and the split strategy's wire code; the
+/// other options are mixed in only when one differs from its default
+/// (policy `First`, no round cap, cost stop on, hybrid backend), so every
+/// address minted before options or backends existed stays valid.
+/// `threads` is deliberately never mixed in: the outcome is thread-count
+/// invariant, and a cache key that varied with worker count would store
+/// the same plan many times.
 pub fn plan_request_hash_with_options(
     artifact_wire: &[u8],
     m: usize,
@@ -63,7 +51,10 @@ pub fn plan_request_hash_with_options(
     options: &xhc_core::PlanOptions,
 ) -> u64 {
     let strategy = crate::codec::strategy_code(options.strategy);
-    let base = plan_request_hash(artifact_wire, m, q, strategy);
+    let mut base = content_hash(artifact_wire);
+    base = splitmix64_mix(base ^ m as u64).wrapping_add(GOLDEN);
+    base = splitmix64_mix(base ^ q as u64).wrapping_add(GOLDEN);
+    base = splitmix64_mix(base ^ u64::from(strategy));
     let policy = crate::codec::policy_code(options.policy);
     let backend = crate::codec::backend_code(options.backend);
     if policy == 0 && options.max_rounds.is_none() && options.cost_stop && backend == 0 {
@@ -116,20 +107,39 @@ mod tests {
         }
     }
 
+    /// The key before engine options existed: `(m, q)` and the split
+    /// strategy's wire code. Stores keyed by it must stay addressable.
+    fn legacy_key(bytes: &[u8], m: usize, q: usize, strategy: u8) -> u64 {
+        let mut h = content_hash(bytes);
+        h = splitmix64_mix(h ^ m as u64).wrapping_add(GOLDEN);
+        h = splitmix64_mix(h ^ q as u64).wrapping_add(GOLDEN);
+        splitmix64_mix(h ^ u64::from(strategy))
+    }
+
+    /// The key at default options.
+    fn base_key(bytes: &[u8], m: usize, q: usize) -> u64 {
+        plan_request_hash_with_options(bytes, m, q, &xhc_core::PlanOptions::default())
+    }
+
     #[test]
     fn plan_hash_separates_params() {
+        use xhc_core::{PlanOptions, SplitStrategy};
         let bytes = b"some canonical xmap";
-        let base = plan_request_hash(bytes, 32, 7, 0);
-        assert_eq!(base, plan_request_hash(bytes, 32, 7, 0));
-        assert_ne!(base, plan_request_hash(bytes, 32, 7, 1));
-        assert_ne!(base, plan_request_hash(bytes, 32, 8, 0));
-        assert_ne!(base, plan_request_hash(bytes, 16, 7, 0));
-        assert_ne!(base, plan_request_hash(b"other bytes", 32, 7, 0));
-        // (m, q) are mixed independently, not merely summed.
+        let base = base_key(bytes, 32, 7);
+        assert_eq!(base, base_key(bytes, 32, 7));
+        let best_cost = PlanOptions {
+            strategy: SplitStrategy::BestCost,
+            ..PlanOptions::default()
+        };
         assert_ne!(
-            plan_request_hash(bytes, 31, 8, 0),
-            plan_request_hash(bytes, 32, 7, 0)
+            base,
+            plan_request_hash_with_options(bytes, 32, 7, &best_cost)
         );
+        assert_ne!(base, base_key(bytes, 32, 8));
+        assert_ne!(base, base_key(bytes, 16, 7));
+        assert_ne!(base, base_key(b"other bytes", 32, 7));
+        // (m, q) are mixed independently, not merely summed.
+        assert_ne!(base_key(bytes, 31, 8), base);
     }
 
     #[test]
@@ -144,7 +154,7 @@ mod tests {
                 strategy,
                 ..PlanOptions::default()
             };
-            let want = plan_request_hash(bytes, 32, 7, code);
+            let want = legacy_key(bytes, 32, 7, code);
             assert_eq!(plan_request_hash_with_options(bytes, 32, 7, &opts), want);
             // `threads` never enters the key, at defaults or otherwise.
             let threaded = PlanOptions { threads: 8, ..opts };
@@ -166,7 +176,7 @@ mod tests {
     fn options_hash_separates_non_default_options() {
         use xhc_core::{CellSelection, PlanOptions};
         let bytes = b"some canonical xmap";
-        let base = plan_request_hash(bytes, 32, 7, 0);
+        let base = base_key(bytes, 32, 7);
         let variants = [
             PlanOptions {
                 policy: CellSelection::GlobalMaxX,

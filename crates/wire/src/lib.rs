@@ -2,9 +2,8 @@
 //! for `xhybrid` artifacts.
 //!
 //! Every artifact the workspace exchanges across a process boundary — X
-//! maps, scan topologies, workload specs, partition plans and
-//! cancel-session summaries — has a canonical little-endian binary
-//! encoding here, so the planning daemon (`xhc-serve`), its clients and
+//! maps, workload specs, plan requests, partition plans and plan
+//! certificates — has a canonical little-endian binary encoding here, so the planning daemon (`xhc-serve`), its clients and
 //! the offline CLI all speak one format with zero external dependencies.
 //!
 //! # Layout
@@ -34,10 +33,10 @@
 //!
 //! [`content_hash`] folds a byte string through `xhc-prng`'s SplitMix64
 //! finalizer ([`xhc_prng::splitmix64_mix`]) into a 64-bit digest rendered
-//! as 16 hex characters ([`hash_hex`]). [`plan_request_hash`] extends it
-//! with the planning parameters `(m, q, strategy)` — that composite is
-//! the cache key of `xhc-serve`'s content-addressed plan store (see
-//! `DESIGN.md`).
+//! as 16 hex characters ([`hash_hex`]). [`plan_request_hash_with_options`]
+//! extends it with the planning parameters `(m, q)` and every engine
+//! option but the thread count — that composite is the cache key of
+//! `xhc-serve`'s content-addressed plan store (see `DESIGN.md`).
 //!
 //! # Examples
 //!
@@ -66,15 +65,10 @@ pub use cert::{
     decode_certificate, encode_certificate, BlockCertificate, PartitionAccount, PlanCertificate,
 };
 pub use codec::{
-    backend_code, backend_from_code, decode_plan, decode_plan_request, decode_scan_config,
-    decode_session_summary, decode_workload_spec, decode_xmap, encode_plan, encode_plan_request,
-    encode_scan_config, encode_session_summary, encode_workload_spec, encode_xmap, policy_code,
-    policy_from_code, policy_seed, strategy_code, strategy_from_code, CancelBlockSummary,
-    CancelSummary, PlanRequest,
+    decode_plan, decode_plan_request, decode_workload_spec, decode_xmap, encode_plan,
+    encode_plan_request, encode_workload_spec, encode_xmap, PlanRequest,
 };
-pub use hash::{
-    content_hash, hash_hex, parse_hash_hex, plan_request_hash, plan_request_hash_with_options,
-};
+pub use hash::{content_hash, hash_hex, parse_hash_hex, plan_request_hash_with_options};
 
 use std::fmt;
 use xhc_scan::LintCode;
@@ -85,19 +79,17 @@ pub const MAGIC: [u8; 4] = *b"XHCW";
 /// The format version this crate encodes and accepts.
 pub const VERSION: u16 = 1;
 
-/// What kind of artifact a wire buffer carries.
+/// What kind of artifact a wire buffer carries. Codes 1 and 5 named
+/// kinds nothing exchanged (a bare scan topology, a cancel-session
+/// summary); they stay reserved and decode as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
-    /// A scan-chain topology ([`xhc_scan::ScanConfig`]).
-    ScanConfig,
     /// A sparse X-location map ([`xhc_scan::XMap`]).
     XMap,
     /// A synthetic workload spec ([`xhc_workload::WorkloadSpec`]).
     WorkloadSpec,
     /// A partition plan ([`xhc_core::PartitionOutcome`]).
     PartitionPlan,
-    /// A cancel-session summary ([`CancelSummary`]).
-    CancelSummary,
     /// A fully-specified planning request ([`PlanRequest`]): cancel
     /// parameters, engine options and the nested artifact to plan over.
     PlanRequest,
@@ -110,11 +102,9 @@ pub enum Kind {
 impl Kind {
     pub(crate) fn code(self) -> u16 {
         match self {
-            Kind::ScanConfig => 1,
             Kind::XMap => 2,
             Kind::WorkloadSpec => 3,
             Kind::PartitionPlan => 4,
-            Kind::CancelSummary => 5,
             Kind::PlanRequest => 6,
             Kind::PlanCertificate => 7,
         }
@@ -122,11 +112,9 @@ impl Kind {
 
     pub(crate) fn from_code(code: u16) -> Option<Kind> {
         match code {
-            1 => Some(Kind::ScanConfig),
             2 => Some(Kind::XMap),
             3 => Some(Kind::WorkloadSpec),
             4 => Some(Kind::PartitionPlan),
-            5 => Some(Kind::CancelSummary),
             6 => Some(Kind::PlanRequest),
             7 => Some(Kind::PlanCertificate),
             _ => None,
@@ -137,11 +125,9 @@ impl Kind {
     /// daemon's content negotiation).
     pub fn name(self) -> &'static str {
         match self {
-            Kind::ScanConfig => "scan-config",
             Kind::XMap => "xmap",
             Kind::WorkloadSpec => "workload-spec",
             Kind::PartitionPlan => "partition-plan",
-            Kind::CancelSummary => "cancel-summary",
             Kind::PlanRequest => "plan-request",
             Kind::PlanCertificate => "plan-certificate",
         }
@@ -326,18 +312,19 @@ mod tests {
     #[test]
     fn kind_codes_roundtrip() {
         for kind in [
-            Kind::ScanConfig,
             Kind::XMap,
             Kind::WorkloadSpec,
             Kind::PartitionPlan,
-            Kind::CancelSummary,
             Kind::PlanRequest,
             Kind::PlanCertificate,
         ] {
             assert_eq!(Kind::from_code(kind.code()), Some(kind));
             assert!(!kind.name().is_empty());
         }
-        assert_eq!(Kind::from_code(0), None);
+        // The retired codes stay reserved.
+        for code in [0, 1, 5] {
+            assert_eq!(Kind::from_code(code), None);
+        }
         assert_eq!(Kind::from_code(99), None);
     }
 

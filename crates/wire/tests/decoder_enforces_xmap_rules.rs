@@ -1,8 +1,8 @@
 //! The X-map decoders hold the raw-facts rules XL0202 (out-of-range X)
 //! and XL0203 (duplicate X). Every entry list that `check_xmap_facts`
-//! flags is rejected by `decode_xmap` in its wire form, and rejected
-//! (out of range) or coalesced (duplicate) by `read_xmap` in its text
-//! form; a rejection of a single defect names the rule that flags it.
+//! flags is rejected by `decode_xmap` in its wire form and by
+//! `read_xmap` in its text form; a rejection of a single defect names
+//! the rule that flags it, in both forms.
 //! That is why `check_xmap` on a built map runs only XL0201, which the
 //! last test pins (seeded `xhc-prng` loops).
 
@@ -162,8 +162,8 @@ fn text_form(config: &ScanConfig, facts: &XMapFacts) -> String {
     text
 }
 
-/// The map an in-range entry list describes, duplicates coalesced.
-fn coalesced(config: &ScanConfig, facts: &XMapFacts) -> XMap {
+/// The map a clean entry list describes.
+fn xmap_of(config: &ScanConfig, facts: &XMapFacts) -> XMap {
     let mut b = XMapBuilder::new(config.clone(), facts.num_patterns);
     for (cell, patterns) in &facts.entries {
         for &p in patterns {
@@ -189,7 +189,7 @@ fn clean_entry_lists_have_a_faithful_wire_form() {
         let config = random_config(&mut rng);
         let facts = random_clean_facts(&mut rng, &config);
         assert!(check_xmap_facts(&LintConfig::default(), &facts).is_empty());
-        let xmap = coalesced(&config, &facts);
+        let xmap = xmap_of(&config, &facts);
         let wire = wire_form(&config, &facts);
         assert_eq!(wire, encode_xmap(&xmap), "{facts:?}");
         assert_eq!(decode_xmap(&wire).unwrap(), xmap);
@@ -201,7 +201,7 @@ fn clean_entry_lists_have_a_faithful_wire_form() {
 }
 
 #[test]
-fn every_flagged_entry_list_is_rejected_or_coalesced_by_the_decoders() {
+fn every_flagged_entry_list_is_rejected_by_the_decoders() {
     let mut rng = XhcRng::seed_from_u64(0xDEC0_0002);
     let mut seen = [0usize; DEFECTS.len()];
     for _ in 0..2000 {
@@ -225,8 +225,8 @@ fn every_flagged_entry_list_is_rejected_or_coalesced_by_the_decoders() {
         let wire = decode_xmap(&wire_form(&config, &facts));
         let text = read_xmap(text_form(&config, &facts).as_bytes());
         if let [defect] = injected[..] {
-            // Alone, each defect is flagged by its own rule, and each
-            // decoder that rejects it names that rule.
+            // Alone, each defect is flagged by its own rule, and both
+            // decoders reject it naming that rule.
             let own_rule = match defect {
                 Defect::CellOutOfRange | Defect::PatternOutOfRange => LintCode::XOutOfRange,
                 Defect::RepeatedCell | Defect::RepeatedPattern => LintCode::DuplicateX,
@@ -237,10 +237,8 @@ fn every_flagged_entry_list_is_rejected_or_coalesced_by_the_decoders() {
             );
             let wire_code = wire.as_ref().map_err(|e| e.code());
             assert_eq!(wire_code, Err(Some(own_rule)), "{defect:?}: {facts:?}");
-            if out_of_range {
-                let text_code = text.as_ref().map_err(|e| e.code());
-                assert_eq!(text_code, Err(Some(own_rule)), "{defect:?}: {facts:?}");
-            }
+            let text_code = text.as_ref().map_err(|e| e.code());
+            assert_eq!(text_code, Err(Some(own_rule)), "{defect:?}: {facts:?}");
             seen[defect as usize] += 1;
         }
 
@@ -248,11 +246,7 @@ fn every_flagged_entry_list_is_rejected_or_coalesced_by_the_decoders() {
             wire.is_err(),
             "decode_xmap accepted {injected:?}: {facts:?}"
         );
-        if out_of_range {
-            assert!(text.is_err(), "read_xmap accepted {injected:?}: {facts:?}");
-        } else {
-            assert_eq!(text.unwrap(), coalesced(&config, &facts), "{facts:?}");
-        }
+        assert!(text.is_err(), "read_xmap accepted {injected:?}: {facts:?}");
     }
     // Every defect kind was exercised alone many times.
     assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
@@ -265,7 +259,7 @@ fn check_xmap_is_the_scan_config_rule() {
     let mut imbalanced = 0;
     for _ in 0..200 {
         let scan = random_config(&mut rng);
-        let xmap = coalesced(&scan, &random_clean_facts(&mut rng, &scan));
+        let xmap = xmap_of(&scan, &random_clean_facts(&mut rng, &scan));
         let report = check_xmap(&config, &xmap);
         assert_eq!(report, check_scan_config(&config, xmap.config()));
         if !report.is_empty() {

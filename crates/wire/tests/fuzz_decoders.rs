@@ -7,11 +7,9 @@ use xhc_misr::XCancelConfig;
 use xhc_prng::XhcRng;
 use xhc_scan::{CellId, ScanConfig, XMapBuilder};
 use xhc_wire::{
-    decode_certificate, decode_plan, decode_plan_request, decode_scan_config,
-    decode_session_summary, decode_workload_spec, decode_xmap, encode_certificate, encode_plan,
-    encode_plan_request, encode_scan_config, encode_session_summary, encode_workload_spec,
-    encode_xmap, peek_kind, BlockCertificate, CancelBlockSummary, CancelSummary, PartitionAccount,
-    PlanCertificate, PlanRequest,
+    decode_certificate, decode_plan, decode_plan_request, decode_workload_spec, decode_xmap,
+    encode_certificate, encode_plan, encode_plan_request, encode_workload_spec, encode_xmap,
+    peek_kind, BlockCertificate, PartitionAccount, PlanCertificate, PlanRequest,
 };
 use xhc_workload::WorkloadSpec;
 
@@ -21,12 +19,10 @@ type Decoder = (&'static str, fn(&[u8]) -> bool);
 /// Every decoder under test.
 fn decoders() -> Vec<Decoder> {
     vec![
-        ("scan_config", |b| decode_scan_config(b).is_ok()),
         ("xmap", |b| decode_xmap(b).is_ok()),
         ("workload_spec", |b| decode_workload_spec(b).is_ok()),
         ("plan", |b| decode_plan(b).is_ok()),
         ("plan_request", |b| decode_plan_request(b).is_ok()),
-        ("session_summary", |b| decode_session_summary(b).is_ok()),
         ("certificate", |b| decode_certificate(b).is_ok()),
         ("peek_kind", |b| peek_kind(b).is_ok()),
     ]
@@ -77,23 +73,12 @@ fn seed_certificate() -> PlanCertificate {
 /// One valid buffer of every artifact kind, as mutation seeds.
 fn seed_buffers() -> Vec<Vec<u8>> {
     let config = ScanConfig::new(vec![3, 1, 4]);
-    let mut b = XMapBuilder::new(config.clone(), 12);
+    let mut b = XMapBuilder::new(config, 12);
     b.add_x(CellId::new(0, 0), 0).unwrap();
     b.add_x(CellId::new(0, 0), 7).unwrap();
     b.add_x(CellId::new(2, 3), 11).unwrap();
     let xmap = b.finish();
     let outcome = PartitionEngine::new(XCancelConfig::new(8, 2)).run(&xmap);
-    let summary = CancelSummary {
-        halts: 2,
-        total_control_bits: 48,
-        total_x: 3,
-        blocks: vec![CancelBlockSummary {
-            patterns: (0, 12),
-            num_x: 3,
-            control_bits: 48,
-            combinations: 1,
-        }],
-    };
     let request = PlanRequest {
         m: 8,
         q: 2,
@@ -104,11 +89,9 @@ fn seed_buffers() -> Vec<Vec<u8>> {
         artifact: encode_xmap(&xmap),
     };
     vec![
-        encode_scan_config(&config),
         encode_xmap(&xmap),
         encode_workload_spec(&WorkloadSpec::default()),
         encode_plan(&outcome, xmap.num_patterns()),
-        encode_session_summary(&summary),
         encode_certificate(&seed_certificate()),
         encode_plan_request(&request),
     ]
@@ -198,8 +181,8 @@ fn plan_request_backend_byte_sweep() {
         buf[backend_off] = value;
         match decode_plan_request(&buf) {
             Ok(back) => {
-                let code = xhc_wire::backend_code(back.options.backend);
-                assert_eq!(code, value, "decoded backend must match the byte");
+                // Canonical: the decoded backend re-encodes to the byte.
+                assert_eq!(encode_plan_request(&back), buf, "backend byte {value}");
             }
             Err(err) => {
                 assert!(value > 4, "pinned code {value} must decode: {err}");
@@ -212,11 +195,12 @@ fn plan_request_backend_byte_sweep() {
 fn truncated_buffers_always_fail() {
     // Sharper than "no panic": a strict prefix of a valid buffer must
     // never decode successfully (the length accounting has no slack).
-    let config = ScanConfig::new(vec![3, 1, 4]);
-    let bytes = encode_scan_config(&config);
+    let mut b = XMapBuilder::new(ScanConfig::new(vec![3, 1, 4]), 12);
+    b.add_x(CellId::new(2, 3), 11).unwrap();
+    let bytes = encode_xmap(&b.finish());
     for cut in 0..bytes.len() {
         assert!(
-            decode_scan_config(&bytes[..cut]).is_err(),
+            decode_xmap(&bytes[..cut]).is_err(),
             "prefix of length {cut} decoded"
         );
     }

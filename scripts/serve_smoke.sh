@@ -118,6 +118,13 @@ bogus="$(post '/v1/plan?strategy=bogus' "$work/demo.xmap")"
 echo "$bogus" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "strategy=bogus not a 400"; echo "$bogus"; exit 1; }
 [[ "$(echo "$bogus" | tail -n 1)" == "$(cat "$work/cli_bogus.txt")" ]] || {
   echo "daemon and CLI disagree:"; echo "$bogus"; cat "$work/cli_bogus.txt"; exit 1; }
+# One planning path: `mode` is a parameter no route reads, and there is
+# no job route.
+async="$(post '/v1/plan?mode=async' "$work/demo.xmap")"
+echo "$async" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "mode=async not a 400"; echo "$async"; exit 1; }
+echo "$async" | tail -n 1 | grep -q '^`mode` is not a parameter' || { echo "400 does not name mode"; echo "$async"; exit 1; }
+jobs="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; printf 'GET /v1/jobs/1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n' >&3; cat <&3)"
+echo "$jobs" | head -1 | grep -q '^HTTP/1.1 404 ' || { echo "/v1/jobs/1 not a 404"; echo "$jobs"; exit 1; }
 garbled="$(exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; printf 'NOT-A-REQUEST-LINE\r\n\r\n' >&3; cat <&3)"
 echo "$garbled" | head -1 | grep -q '^HTTP/1.1 400 ' || { echo "malformed request line not a 400"; echo "$garbled"; exit 1; }
 

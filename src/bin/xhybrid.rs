@@ -247,8 +247,8 @@ fn write_stdout(args: std::fmt::Arguments) {
     }
 }
 
-/// The engine flags: the daemon's plan-option query parameters
-/// ([`PlanOptions::from_params`]) with dashes for underscores.
+/// The engine flags: [`PlanOptions::PARAMS`] with dashes for
+/// underscores.
 const ENGINE_FLAGS: [&str; 6] = [
     "strategy",
     "policy",
@@ -258,30 +258,38 @@ const ENGINE_FLAGS: [&str; 6] = [
     "backend",
 ];
 
-/// A command's entry point and the flags its mode reads; `None` for an
-/// unknown command. One flag picks the mode: `verify --plan` checks
-/// existing artifacts, `fetch --hash` fetches a cached plan, and `plan
-/// --backend` other than hybrid runs no engine. Any other flag is a
-/// usage error, so a misspelt, misplaced or ignored flag never passes.
-fn command(cmd: &str, args: &Args) -> Option<(CmdFn, Vec<&'static str>)> {
+/// A command's entry point, how many positional arguments (FILEs) its
+/// mode reads at most, and the flags it reads; `None` for an unknown
+/// command. One flag picks the mode: `verify --plan` checks existing
+/// artifacts, `fetch --hash` fetches a cached plan, and `plan --backend`
+/// other than hybrid runs no engine. Any other flag, and any positional
+/// argument past the count, is a usage error, so a misspelt, misplaced
+/// or ignored argument never passes.
+fn command(cmd: &str, args: &Args) -> Option<(CmdFn, usize, Vec<&'static str>)> {
     let planning = |extra: &[&'static str]| [&["m", "q"][..], &ENGINE_FLAGS, extra].concat();
     let non_hybrid = args
         .flag("backend")
         .is_some_and(|b| BackendId::parse(b).is_ok_and(|id| id != BackendId::Hybrid));
     Some(match cmd {
-        "gen" => (cmd_gen, vec!["profile", "scale", "seed", "out"]),
-        "analyze" => (cmd_analyze, vec![]),
-        "partition" => (cmd_partition, planning(&["threads"])),
-        "plan" if non_hybrid => (cmd_plan, vec!["m", "q", "backend", "profile", "scale"]),
+        "gen" => (cmd_gen, 0, vec!["profile", "scale", "seed", "out"]),
+        "analyze" => (cmd_analyze, 1, vec![]),
+        "partition" => (cmd_partition, 1, planning(&["threads"])),
+        "plan" if non_hybrid => (cmd_plan, 1, vec!["m", "q", "backend", "profile", "scale"]),
         "plan" => (
             cmd_plan,
+            1,
             planning(&["threads", "trace", "profile", "scale"]),
         ),
-        "schedule" => (cmd_schedule, vec!["m", "q", "channels"]),
-        "verify" if args.flag("plan").is_some() => (cmd_verify, vec!["plan", "cert"]),
-        "verify" => (cmd_verify, planning(&["threads", "plan-out", "cert-out"])),
+        "schedule" => (cmd_schedule, 1, vec!["m", "q", "channels"]),
+        "verify" if args.flag("plan").is_some() => (cmd_verify, 1, vec!["plan", "cert"]),
+        "verify" => (
+            cmd_verify,
+            1,
+            planning(&["threads", "plan-out", "cert-out"]),
+        ),
         "serve" => (
             cmd_serve,
+            0,
             vec![
                 "addr",
                 "store",
@@ -293,8 +301,8 @@ fn command(cmd: &str, args: &Args) -> Option<(CmdFn, Vec<&'static str>)> {
                 "push-metrics",
             ],
         ),
-        "fetch" if args.flag("hash").is_some() => (cmd_fetch, vec!["addr", "hash", "out"]),
-        "fetch" => (cmd_fetch, planning(&["addr", "out"])),
+        "fetch" if args.flag("hash").is_some() => (cmd_fetch, 0, vec!["addr", "hash", "out"]),
+        "fetch" => (cmd_fetch, 1, planning(&["addr", "out"])),
         _ => return None,
     })
 }
@@ -896,7 +904,13 @@ fn run() -> CmdResult {
         return Ok(());
     }
     let args = Args::parse(rest).map_err(CliError::Usage)?;
-    let (run_cmd, flags) = command(cmd, &args).expect("every command with help text runs");
+    let (run_cmd, positionals, flags) =
+        command(cmd, &args).expect("every command with help text runs");
+    if let Some(extra) = args.positional.get(positionals) {
+        return Err(CliError::usage(format!(
+            "unexpected argument `{extra}` for `xhybrid {cmd}` (see `xhybrid {cmd} --help`)"
+        )));
+    }
     if let Some((name, _)) = args
         .flags
         .iter()
@@ -997,7 +1011,7 @@ mod tests {
         ] {
             let help = command_help(cmd).expect("a known command");
             for args in &modes {
-                let (_, flags) = command(cmd, args).expect("a known command");
+                let (_, _, flags) = command(cmd, args).expect("a known command");
                 for flag in flags {
                     assert!(help.contains(&format!("--{flag}")), "{cmd}: --{flag}");
                 }
@@ -1008,15 +1022,9 @@ mod tests {
 
     #[test]
     fn engine_flags_are_the_plan_option_parameters() {
-        let read = std::cell::RefCell::new(Vec::new());
-        let _ = PlanOptions::from_params(|name| {
-            read.borrow_mut().push(name.replace('_', "-"));
-            None
-        });
-        let mut read = read.into_inner();
-        read.sort();
-        let mut flags = ENGINE_FLAGS.map(String::from).to_vec();
-        flags.sort();
-        assert_eq!(read, flags);
+        assert_eq!(
+            ENGINE_FLAGS.map(|flag| flag.replace('-', "_")),
+            PlanOptions::PARAMS.map(String::from)
+        );
     }
 }

@@ -506,3 +506,46 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+#[test]
+fn an_argument_the_command_does_not_read_is_a_usage_error() {
+    let xmap_path = temp_path("extra-arg.xmap");
+    let plan_path = temp_path("extra-arg.plan");
+    let cert_path = temp_path("extra-arg.cert");
+    let [xmap, plan, cert] = [&xmap_path, &plan_path, &cert_path].map(|p| p.to_str().unwrap());
+    let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
+    assert_eq!(code, 0, "{err}");
+    let (code, _, err) = run(&["verify", xmap, "--plan-out", plan, "--cert-out", cert]);
+    assert_eq!(code, 0, "{err}");
+    // A fetch by hash reads no FILE, and a verify reads one.
+    let extra = "/nonexistent/extra.xmap";
+    let cases: [(&str, Vec<&str>); 2] = [
+        (
+            "fetch",
+            vec![
+                "fetch",
+                "--addr",
+                "127.0.0.1:1",
+                "--hash",
+                "0123456789abcdef",
+                extra,
+            ],
+        ),
+        (
+            "verify",
+            vec!["verify", xmap, "--plan", plan, "--cert", cert, extra],
+        ),
+    ];
+    for (cmd, argv) in &cases {
+        let (code, out, err) = run(argv);
+        assert_eq!(code, 2, "{argv:?}: {err}");
+        assert!(out.is_empty(), "{argv:?} must not run: {out}");
+        assert!(
+            err.contains(extra) && err.contains(&format!("xhybrid {cmd}")),
+            "{argv:?}: {err}"
+        );
+    }
+    for p in [xmap_path, plan_path, cert_path] {
+        let _ = std::fs::remove_file(p);
+    }
+}
