@@ -6,7 +6,7 @@
 
 use xhc_bench::timing::{black_box, Harness};
 use xhc_core::PartitionEngine;
-use xhc_lint::{check_netlist, check_outcome, check_xmap, LintConfig, NetlistFacts};
+use xhc_lint::{check_netlist, check_outcome, check_xmap, LintConfig};
 use xhc_logic::generate::CircuitSpec;
 use xhc_misr::XCancelConfig;
 use xhc_workload::WorkloadSpec;
@@ -15,7 +15,7 @@ fn main() {
     let mut h = Harness::from_args("lint_overhead");
     let lc = LintConfig::default();
 
-    // Netlist rules: Tarjan SCC + reachability dominate.
+    // Netlist rules: one backward reachability pass dominates.
     for gates in [200usize, 2_000, 20_000] {
         let circuit = CircuitSpec {
             num_inputs: 16,
@@ -30,10 +30,6 @@ fn main() {
         .generate();
         h.bench(&format!("netlist/{gates}_gates"), || {
             black_box(check_netlist(&lc, black_box(&circuit.netlist)))
-        });
-        // Facts extraction alone, to separate traversal from rule cost.
-        h.bench(&format!("netlist_facts/{gates}_gates"), || {
-            black_box(NetlistFacts::from_netlist(black_box(&circuit.netlist)))
         });
     }
 

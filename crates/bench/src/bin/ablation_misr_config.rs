@@ -5,9 +5,9 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin ablation_misr_config`
 
-use xhc_bench::fig4_xmap;
 use xhc_core::PartitionEngine;
 use xhc_misr::XCancelConfig;
+use xhc_scan::samples::fig4_xmap;
 use xhc_scan::XMap;
 use xhc_workload::WorkloadSpec;
 

@@ -5,10 +5,10 @@
 //!
 //! Run with: `cargo run --release -p xhc-bench --bin fig4_6_worked_example`
 
-use xhc_bench::fig4_xmap;
 use xhc_bits::PatternSet;
 use xhc_core::{CorrelationAnalysis, PartitionEngine};
 use xhc_misr::XCancelConfig;
+use xhc_scan::samples::fig4_xmap;
 
 fn main() {
     let xmap = fig4_xmap();

@@ -1,5 +1,5 @@
-//! Shared fixtures and report formatting for the experiment-regeneration
-//! binaries and timing benches.
+//! Shared report formatting and flag parsing for the
+//! experiment-regeneration binaries and timing benches.
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md`'s experiment
 //! index):
@@ -30,30 +30,6 @@
 
 pub mod timing;
 
-use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
-
-/// The paper's Fig. 4 X map (8 patterns, 5 chains × 3 cells, 28 X's).
-pub fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
-
 /// Formats a bit volume the way the paper's Table 1 does (millions).
 pub fn fmt_mbits(bits: f64) -> String {
     format!("{:.2}M", bits / 1e6)
@@ -82,13 +58,6 @@ pub fn has_flag(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig4_shape() {
-        let m = fig4_xmap();
-        assert_eq!(m.total_x(), 28);
-        assert_eq!(m.num_x_cells(), 7);
-    }
 
     #[test]
     fn formatting() {

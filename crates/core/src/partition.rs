@@ -1120,28 +1120,8 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xhc_scan::samples::fig4_xmap;
     use xhc_scan::{CellId, ScanConfig, XMapBuilder};
-
-    fn fig4_xmap() -> XMap {
-        let cfg = ScanConfig::uniform(5, 3);
-        let mut b = XMapBuilder::new(cfg, 8);
-        for p in [0, 3, 4, 5] {
-            b.add_x(CellId::new(0, 0), p).unwrap();
-            b.add_x(CellId::new(1, 0), p).unwrap();
-            b.add_x(CellId::new(2, 0), p).unwrap();
-        }
-        for p in [0, 4] {
-            b.add_x(CellId::new(1, 2), p).unwrap();
-        }
-        for p in [0, 1, 2, 3, 4, 6, 7] {
-            b.add_x(CellId::new(3, 2), p).unwrap();
-        }
-        for p in [0, 1, 3, 4, 6, 7] {
-            b.add_x(CellId::new(4, 1), p).unwrap();
-        }
-        b.add_x(CellId::new(4, 2), 5).unwrap();
-        b.finish()
-    }
 
     #[test]
     fn fig5_full_run_m10_q2() {

@@ -18,16 +18,16 @@ use xhc_lint::{
     LintConfig, LintReport, Severity, RULES,
 };
 use xhc_misr::{Taps, XCancelConfig};
-use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
+use xhc_scan::samples::fig4_xmap;
 use xhc_workload::WorkloadSpec;
 
 const USAGE: &str = "\
 Usage: xhc-lint [OPTIONS] [PRESET...]
 
 Lints bundled workloads end to end: X map extraction, MISR and (m, q)
-configuration, planning-latency budget, then partition planning. Each plan
-is certified and judged by the engine-independent checker: cover (XL0402),
-mask safety and cost accounting (XL0404), plan shape (XL0406).
+configuration, then partition planning. Each plan is certified and judged
+by the engine-independent checker: cover (XL0402), mask safety and cost
+accounting (XL0404), plan shape (XL0406).
 
 Presets:
   fig4      the paper's Fig. 4 worked example (15 cells, 8 patterns)
@@ -49,29 +49,6 @@ Options:
   -h, --help     show this help
 
 Exit status: 0 clean (warnings allowed), 1 any deny finding, 2 usage error.";
-
-/// The Fig. 4 worked example from the paper: 15 cells in 5 chains of 3,
-/// 8 patterns, 28 X's.
-fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
 
 /// Shrinks a workload spec by `scale` while keeping its statistical shape.
 fn scaled(spec: WorkloadSpec, scale: usize) -> WorkloadSpec {

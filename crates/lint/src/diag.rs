@@ -33,7 +33,7 @@ pub struct Diagnostic {
 ///     .allow(LintCode::ChainImbalance);
 /// assert_eq!(config.severity(LintCode::DeadLogic), Severity::Deny);
 /// assert_eq!(config.severity(LintCode::ChainImbalance), Severity::Allow);
-/// assert_eq!(config.severity(LintCode::CombLoop), Severity::Deny);
+/// assert_eq!(config.severity(LintCode::FloatingNet), Severity::Deny);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintConfig {
@@ -287,9 +287,9 @@ mod tests {
 
     #[test]
     fn config_overrides_apply() {
-        let config = LintConfig::default().allow(LintCode::CombLoop);
+        let config = LintConfig::default().allow(LintCode::FloatingNet);
         let mut report = LintReport::new();
-        report.push(&config, LintCode::CombLoop, "x", "y", "z");
+        report.push(&config, LintCode::FloatingNet, "x", "y", "z");
         assert!(report.is_empty(), "allowed rule must be dropped");
         report.push(&config, LintCode::DeadLogic, "x", "y", "z");
         assert_eq!(report.diagnostics[0].severity, Severity::Warn);

@@ -1,11 +1,10 @@
-//! Hybrid-architecture rules (XL03xx): MISR feedback, X-canceling
-//! `(m, q)` and the BestCost planning-latency budget. A finished plan's
-//! cover, mask safety and cost are judged by `xhc-verify` (XL04xx).
+//! Hybrid-architecture rules (XL03xx): MISR feedback and X-canceling
+//! `(m, q)`. A finished plan's cover, mask safety and cost are judged by
+//! `xhc-verify` (XL04xx).
 
 use crate::diag::{LintCode, LintConfig, LintReport, Severity};
 use crate::poly::taps_primitive;
 use xhc_misr::Taps;
-use xhc_workload::WorkloadSpec;
 
 /// XL0304: degenerate or non-primitive MISR feedback.
 pub fn check_misr_taps(config: &LintConfig, m: usize, taps: &Taps) -> LintReport {
@@ -83,67 +82,6 @@ pub fn check_cancel_params(config: &LintConfig, m: usize, q: usize) -> LintRepor
     report
 }
 
-/// XL0306: estimated packed-kernel word operations one worker retires
-/// per millisecond. The 4-wide lane-unrolled sweep retires ~2 word
-/// visits per nanosecond (measured on the full-size CKT benches).
-const EST_WORDS_PER_MS: f64 = 2.0e6;
-
-/// XL0306: intra-candidate shard workers the latency model assumes. The
-/// engine shards a candidate's row sweep across the worker pool whenever
-/// candidates alone cannot keep it busy, so paper-scale sweeps see the
-/// pool width (the DESIGN target machine: 8 threads).
-const EST_SHARD_WORKERS: f64 = 8.0;
-
-/// XL0306: BestCost planning-latency budget in milliseconds. Roughly the
-/// point past which a plan request stops feeling interactive on the
-/// daemon path.
-const BEST_COST_BUDGET_MS: f64 = 10.0;
-
-/// XL0306: workload shapes whose pattern count and X profile make
-/// BestCost candidate search slower than the `BEST_COST_BUDGET_MS`
-/// interactive budget.
-///
-/// Uses the packed-kernel cost model (DESIGN.md §5): the engine runs
-/// ~`num_groups` split rounds; each round prices up to
-/// `min(active, num_patterns)` candidate pivots; pricing one candidate
-/// sweeps every active cell's packed X row over `ceil(num_patterns/64)`
-/// words. Active cells are bounded by both the X cell pool and the total
-/// X count. The word visits are divided by the unrolled kernel's
-/// per-worker throughput (`EST_WORDS_PER_MS`) times the assumed
-/// intra-candidate shard parallelism (`EST_SHARD_WORKERS`) — the
-/// sharded sweep keeps the pool busy even when few candidates survive
-/// pruning. The estimate is deliberately spec-only (no X map is
-/// generated) so the rule is free to run on paper-scale specs.
-pub fn check_plan_latency(config: &LintConfig, spec: &WorkloadSpec) -> LintReport {
-    let mut report = LintReport::new();
-    let pool = ((spec.total_cells as f64 * spec.x_cell_fraction).round() as usize)
-        .clamp(1, spec.total_cells.max(1));
-    let active = pool.min(spec.target_x());
-    let candidates = active.min(spec.num_patterns);
-    let words = spec.num_patterns.div_ceil(64);
-    let rounds = spec.num_groups.max(1);
-    let est_ops = rounds as f64 * candidates as f64 * active as f64 * words as f64;
-    let est_ms = est_ops / (EST_WORDS_PER_MS * EST_SHARD_WORKERS);
-    if est_ms > BEST_COST_BUDGET_MS {
-        report.push(
-            config,
-            LintCode::BestCostLatency,
-            format!("workload '{}'", spec.name),
-            format!(
-                "estimated BestCost planning latency {est_ms:.0} ms exceeds the \
-                 {BEST_COST_BUDGET_MS:.0} ms budget ({} patterns, {:.2}% X-density, \
-                 ~{active} active cells)",
-                spec.num_patterns,
-                spec.x_density * 100.0,
-            ),
-            "the candidate search scales with active-cells * patterns per round; \
-             plan with `--strategy largest-class` (one pivot per round) or shrink \
-             the pattern set",
-        );
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,16 +112,6 @@ mod tests {
     fn out_of_range_tap_fires() {
         let report = check_misr_taps(&LintConfig::default(), 4, &Taps::new(vec![3, 9]));
         assert_eq!(codes(&report), vec![LintCode::DegenerateMisr]);
-    }
-
-    #[test]
-    fn plan_latency_fires_on_paper_scale_only() {
-        let lc = LintConfig::default();
-        assert!(check_plan_latency(&lc, &WorkloadSpec::default()).is_empty());
-        let report = check_plan_latency(&lc, &WorkloadSpec::ckt_b());
-        assert_eq!(codes(&report), vec![LintCode::BestCostLatency]);
-        assert!(!report.has_deny(), "latency estimate is advisory");
-        assert!(report.render_human().contains("largest-class"));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! The crate checks the artifacts the workspace produces and consumes —
 //! netlists, scan topologies, X maps, partition plans, mask words, cost
 //! accounting, MISR configurations and plan certificates — against
-//! seventeen rules grouped by pipeline stage:
+//! fourteen rules grouped by pipeline stage:
 //!
 //! | Codes | Stage | Rules |
 //! |-------|-------|-------|
-//! | `XL01xx` | netlist | combinational loops, floating nets, dead logic, gate arity, unreachable flops |
+//! | `XL01xx` | netlist | driverless buses, dead logic, unreachable flops |
 //! | `XL02xx` | scan / X map | chain imbalance, out-of-range X entries, duplicate X entries |
-//! | `XL03xx` | hybrid | MISR feedback (XL0304), `(m, q)` sanity (XL0305), BestCost planning latency (XL0306) |
+//! | `XL03xx` | hybrid | MISR feedback (XL0304), `(m, q)` sanity (XL0305) |
 //! | `XL04xx` | certificate | plan-hash link, cover witness, X-class histograms, control-bit accounting and mask safety, Gauss rank bounds, plan and scan-config shape (cross-artifact, via `xhc-verify`) |
 //!
 //! A partition plan has one judge: [`check_outcome`] certifies it and
@@ -27,15 +27,17 @@
 //! rule. Findings accumulate in a [`LintReport`] with
 //! `rustc`-style human and line-oriented JSON renderers.
 //!
-//! Structural rules run on plain-data *facts* views
-//! ([`NetlistFacts`], [`XMapFacts`]) so defects the workspace builders
-//! reject at construction — the exact defects a buggy importer would
-//! produce — are still expressible and detectable. [`check_netlist`]
-//! extracts the facts from a validated netlist as a clean-pass
-//! baseline. [`check_xmap`] does not: a built `XMap` cannot hold an
-//! out-of-range or duplicate X (XL0202/XL0203), whose decoder
-//! rejections name those rules, so it runs only the scan-config rule
-//! (XL0201). Raw X entry lists go through [`check_xmap_facts`].
+//! A netlist has one judge of its structure too:
+//! `xhc_logic::NetlistBuilder::finish`, the only way to make a
+//! `Netlist`, rejects combinational loops, bad gate arity, unconnected
+//! flop D pins and dangling references. [`check_netlist`] runs on a
+//! built netlist and finds only what one can still hold: driverless
+//! buses (XL0102), dead logic (XL0103) and unobservable flops (XL0105).
+//! Likewise [`check_xmap`] runs only the scan-config rule (XL0201): a
+//! built `XMap` cannot hold an out-of-range or duplicate X
+//! (XL0202/XL0203), whose decoder rejections name those rules. Raw X
+//! entry lists go through [`check_xmap_facts`], on the plain-data
+//! [`XMapFacts`] view the decoders' tests use as their reference.
 //!
 //! The `xhc-lint` binary lints the repo's bundled workload presets end to
 //! end and exits nonzero iff any `Deny` finding fires.
@@ -55,7 +57,6 @@
 
 mod cert_rules;
 mod diag;
-mod graph;
 mod hybrid_rules;
 mod netlist_rules;
 mod poly;
@@ -63,9 +64,8 @@ mod scan_rules;
 
 pub use cert_rules::{check_certificate, check_certificate_artifacts};
 pub use diag::{Diagnostic, LintCode, LintConfig, LintReport, Rule, Severity, RULES};
-pub use graph::nontrivial_sccs;
-pub use hybrid_rules::{check_cancel_params, check_misr_taps, check_plan_latency};
-pub use netlist_rules::{check_netlist, check_netlist_facts, NetlistFacts, NodeFact};
+pub use hybrid_rules::{check_cancel_params, check_misr_taps};
+pub use netlist_rules::check_netlist;
 pub use poly::taps_primitive;
 pub use scan_rules::{check_scan_config, check_xmap, check_xmap_facts, XMapFacts};
 
@@ -96,9 +96,8 @@ pub fn check_outcome(
     check_certificate(config, &cert, outcome, &plan_bytes, xmap, cancel)
 }
 
-/// Lints a workload end to end: estimates the planning-latency budget
-/// (XL0306), generates its X map, checks the scan topology and X
-/// entries, runs the [`PartitionEngine`], and checks the resulting plan
+/// Lints a workload end to end: generates its X map, checks the scan
+/// topology, runs the [`PartitionEngine`], and checks the resulting plan
 /// plus the MISR/cancel configuration.
 pub fn lint_workload(
     config: &LintConfig,
@@ -106,9 +105,8 @@ pub fn lint_workload(
     cancel: XCancelConfig,
     taps: &Taps,
 ) -> LintReport {
-    let mut report = check_plan_latency(config, spec);
     let xmap = spec.generate();
-    report.merge(check_xmap(config, &xmap));
+    let mut report = check_xmap(config, &xmap);
     report.merge(check_cancel_params(config, cancel.m(), cancel.q()));
     report.merge(check_misr_taps(config, cancel.m(), taps));
     let outcome = PartitionEngine::new(cancel).run(&xmap);

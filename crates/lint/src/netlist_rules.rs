@@ -1,216 +1,54 @@
 //! Netlist design rules (XL01xx).
 //!
-//! The rules run on [`NetlistFacts`], a plain-data view of a netlist.
-//! [`NetlistFacts::from_netlist`] extracts it from a validated
-//! [`Netlist`]; fixtures (and future deserializers) can also construct
-//! defective facts directly, which is how the rules that
-//! [`xhc_logic::NetlistBuilder`] already guards against (loops, arity)
-//! are exercised.
+//! [`NetlistBuilder::finish`](xhc_logic::NetlistBuilder::finish) is the
+//! one judge of netlist structure: it rejects combinational loops, bad
+//! gate arity, unconnected flop D pins and dangling node references with
+//! a typed `BuildError`. These rules find what a built [`Netlist`] can
+//! still hold: driverless buses (XL0102), dead logic (XL0103) and
+//! unobservable flops (XL0105).
 
 use crate::diag::{LintCode, LintConfig, LintReport};
-use crate::graph::nontrivial_sccs;
-use xhc_logic::{GateKind, Netlist, Node};
+use xhc_logic::{Netlist, Node};
 
-/// The per-node shape the netlist rules inspect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeFact {
-    /// Primary input.
-    Input,
-    /// Constant driver.
-    Const,
-    /// Combinational gate with its fan-in node indices.
-    Gate {
-        /// Gate function.
-        kind: GateKind,
-        /// Fan-in node indices.
-        inputs: Vec<usize>,
-    },
-    /// Flop with an optional D-input node index.
-    Flop {
-        /// Data input, if connected.
-        d: Option<usize>,
-    },
-    /// Tri-state buffer.
-    TriBuf {
-        /// Enable node index.
-        enable: usize,
-        /// Data node index.
-        data: usize,
-    },
-    /// Bus resolved from tri-state drivers.
-    Bus {
-        /// Driver node indices.
-        drivers: Vec<usize>,
-    },
-}
-
-/// A plain-data view of a netlist: node shapes plus the output list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetlistFacts {
-    /// One fact per node, indexed by node id.
-    pub nodes: Vec<NodeFact>,
-    /// Node indices driving primary outputs.
-    pub outputs: Vec<usize>,
-}
-
-impl NetlistFacts {
-    /// Extracts the facts of a validated netlist.
-    pub fn from_netlist(netlist: &Netlist) -> Self {
-        let nodes = netlist
-            .iter_nodes()
-            .map(|(_, node)| match node {
-                Node::Input(_) => NodeFact::Input,
-                Node::Const(_) => NodeFact::Const,
-                Node::Gate { kind, inputs } => NodeFact::Gate {
-                    kind: *kind,
-                    inputs: inputs.iter().map(|n| n.index()).collect(),
-                },
-                Node::Flop { d, .. } => NodeFact::Flop {
-                    d: d.map(|n| n.index()),
-                },
-                Node::TriBuf { enable, data } => NodeFact::TriBuf {
-                    enable: enable.index(),
-                    data: data.index(),
-                },
-                Node::Bus { drivers } => NodeFact::Bus {
-                    drivers: drivers.iter().map(|n| n.index()).collect(),
-                },
-            })
-            .collect();
-        NetlistFacts {
-            nodes,
-            outputs: netlist.outputs().iter().map(|n| n.index()).collect(),
-        }
-    }
-
-    /// Combinational dependency edges `driver -> sink`. Flop D edges are
-    /// sequential and excluded (state feedback through a flop is legal).
-    fn comb_edges(&self) -> Vec<(usize, usize)> {
-        let mut edges = Vec::new();
-        for (i, fact) in self.nodes.iter().enumerate() {
-            match fact {
-                NodeFact::Gate { inputs, .. } => {
-                    edges.extend(inputs.iter().map(|&d| (d, i)));
-                }
-                NodeFact::TriBuf { enable, data } => {
-                    edges.push((*enable, i));
-                    edges.push((*data, i));
-                }
-                NodeFact::Bus { drivers } => {
-                    edges.extend(drivers.iter().map(|&d| (d, i)));
-                }
-                NodeFact::Input | NodeFact::Const | NodeFact::Flop { .. } => {}
-            }
-        }
-        edges
-    }
-
-    /// Nodes whose value can reach a primary output, traversing backward
-    /// through gates, buses *and* flop D pins.
-    fn observable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = self.outputs.to_vec();
-        while let Some(v) = stack.pop() {
-            if v >= seen.len() || seen[v] {
-                continue;
-            }
-            seen[v] = true;
-            match &self.nodes[v] {
-                NodeFact::Gate { inputs, .. } => stack.extend(inputs.iter().copied()),
-                NodeFact::TriBuf { enable, data } => stack.extend([*enable, *data]),
-                NodeFact::Bus { drivers } => stack.extend(drivers.iter().copied()),
-                NodeFact::Flop { d } => stack.extend(d.iter().copied()),
-                NodeFact::Input | NodeFact::Const => {}
-            }
-        }
-        seen
-    }
-}
-
-/// Runs every netlist rule on a validated netlist.
+/// Runs every netlist rule (XL0102, XL0103, XL0105).
 pub fn check_netlist(config: &LintConfig, netlist: &Netlist) -> LintReport {
-    check_netlist_facts(config, &NetlistFacts::from_netlist(netlist))
-}
-
-/// Runs every netlist rule on a facts view (XL0101–XL0105).
-pub fn check_netlist_facts(config: &LintConfig, facts: &NetlistFacts) -> LintReport {
     let mut report = LintReport::new();
-    rule_comb_loop(config, facts, &mut report);
-    rule_floating_net(config, facts, &mut report);
-    rule_bad_arity(config, facts, &mut report);
-    rule_dead_logic_and_unreachable_flops(config, facts, &mut report);
+    rule_floating_net(config, netlist, &mut report);
+    rule_dead_logic_and_unreachable_flops(config, netlist, &mut report);
     report
 }
 
-/// XL0101: combinational cycles (Tarjan SCC over combinational edges).
-fn rule_comb_loop(config: &LintConfig, facts: &NetlistFacts, report: &mut LintReport) {
-    for scc in nontrivial_sccs(facts.nodes.len(), &facts.comb_edges()) {
-        let shown: Vec<String> = scc.iter().take(8).map(|n| format!("n{n}")).collect();
-        let suffix = if scc.len() > 8 { ", …" } else { "" };
-        report.push(
-            config,
-            LintCode::CombLoop,
-            format!("netlist nodes {{{}{suffix}}}", shown.join(", ")),
-            format!(
-                "combinational loop through {} node(s): values oscillate or latch",
-                scc.len()
-            ),
-            "break the loop with a flop, or re-route the offending fan-in",
-        );
-    }
-}
-
-/// XL0102: floating nets — driverless buses and unconnected flop D pins.
-fn rule_floating_net(config: &LintConfig, facts: &NetlistFacts, report: &mut LintReport) {
-    for (i, fact) in facts.nodes.iter().enumerate() {
-        match fact {
-            NodeFact::Bus { drivers } if drivers.is_empty() => {
-                report.push(
-                    config,
-                    LintCode::FloatingNet,
-                    format!("netlist node n{i}"),
-                    "bus has no tri-state drivers: it floats (permanent X source)",
-                    "connect at least one TriBuf driver or remove the bus",
-                );
-            }
-            NodeFact::Flop { d: None } => {
-                report.push(
-                    config,
-                    LintCode::FloatingNet,
-                    format!("netlist node n{i}"),
-                    "flop D input is unconnected: next state is undefined",
-                    "connect the D pin with connect_flop_d",
-                );
-            }
-            _ => {}
+/// Nodes whose value can reach a primary output, traversing backward
+/// through gates, buses *and* flop D pins.
+fn observable(netlist: &Netlist) -> Vec<bool> {
+    let mut seen = vec![false; netlist.num_nodes()];
+    let mut stack = netlist.outputs().to_vec();
+    while let Some(v) = stack.pop() {
+        if seen[v.index()] {
+            continue;
+        }
+        seen[v.index()] = true;
+        match netlist.node(v) {
+            Node::Gate { inputs, .. } => stack.extend(inputs),
+            Node::TriBuf { enable, data } => stack.extend([*enable, *data]),
+            Node::Bus { drivers } => stack.extend(drivers),
+            Node::Flop { d, .. } => stack.extend(*d),
+            Node::Input(_) | Node::Const(_) => {}
         }
     }
+    seen
 }
 
-/// XL0104: per-[`GateKind`] fan-in arity.
-fn rule_bad_arity(config: &LintConfig, facts: &NetlistFacts, report: &mut LintReport) {
-    for (i, fact) in facts.nodes.iter().enumerate() {
-        let NodeFact::Gate { kind, inputs } = fact else {
-            continue;
-        };
-        let got = inputs.len();
-        let expected: (usize, Option<usize>) = match kind {
-            GateKind::Not | GateKind::Buf => (1, Some(1)),
-            GateKind::Mux => (3, Some(3)),
-            _ => (2, None),
-        };
-        let ok = got >= expected.0 && expected.1.is_none_or(|hi| got <= hi);
-        if !ok {
-            let want = match expected {
-                (lo, Some(hi)) if lo == hi => format!("exactly {lo}"),
-                (lo, _) => format!("at least {lo}"),
-            };
+/// XL0102: floating nets — buses with no tri-state driver.
+fn rule_floating_net(config: &LintConfig, netlist: &Netlist, report: &mut LintReport) {
+    for (id, node) in netlist.iter_nodes() {
+        if matches!(node, Node::Bus { drivers } if drivers.is_empty()) {
             report.push(
                 config,
-                LintCode::BadArity,
-                format!("netlist node n{i}"),
-                format!("{kind:?} gate has {got} input(s), expected {want}"),
-                "fix the fan-in list; the simulator's semantics assume valid arity",
+                LintCode::FloatingNet,
+                format!("netlist node {id}"),
+                "bus has no tri-state drivers: it floats (permanent X source)",
+                "connect at least one TriBuf driver or remove the bus",
             );
         }
     }
@@ -219,30 +57,30 @@ fn rule_bad_arity(config: &LintConfig, facts: &NetlistFacts, report: &mut LintRe
 /// XL0103 + XL0105: logic and flops no primary output can observe.
 fn rule_dead_logic_and_unreachable_flops(
     config: &LintConfig,
-    facts: &NetlistFacts,
+    netlist: &Netlist,
     report: &mut LintReport,
 ) {
-    let observable = facts.observable();
-    for (i, fact) in facts.nodes.iter().enumerate() {
-        if observable[i] {
+    let observable = observable(netlist);
+    for (id, node) in netlist.iter_nodes() {
+        if observable[id.index()] {
             continue;
         }
-        match fact {
-            NodeFact::Gate { .. } | NodeFact::Bus { .. } => {
+        match node {
+            Node::Gate { .. } | Node::Bus { .. } => {
                 report.push(
                     config,
                     LintCode::DeadLogic,
-                    format!("netlist node n{i}"),
+                    format!("netlist node {id}"),
                     "combinational node is observable at no primary output",
                     "dead logic wastes area and fault-simulation effort; remove it \
                      or route it to an output",
                 );
             }
-            NodeFact::Flop { .. } => {
+            Node::Flop { .. } => {
                 report.push(
                     config,
                     LintCode::UnreachableFlop,
-                    format!("netlist node n{i}"),
+                    format!("netlist node {id}"),
                     "flop state is observable at no primary output",
                     "unobservable state cannot be tested; scan it out or remove it",
                 );
@@ -279,86 +117,14 @@ mod tests {
     }
 
     #[test]
-    fn injected_comb_loop_fires() {
-        // The builder rejects loops, so inject one at the facts level —
-        // exactly what a buggy deserializer could produce.
-        let facts = NetlistFacts {
-            nodes: vec![
-                NodeFact::Input,
-                NodeFact::Gate {
-                    kind: GateKind::And,
-                    inputs: vec![0, 2],
-                },
-                NodeFact::Gate {
-                    kind: GateKind::Or,
-                    inputs: vec![1, 1],
-                },
-            ],
-            outputs: vec![2],
-        };
-        let report = check_netlist_facts(&LintConfig::default(), &facts);
-        assert!(codes(&report).contains(&LintCode::CombLoop));
-        assert!(report.has_deny());
-    }
-
-    #[test]
-    fn sequential_feedback_is_not_a_loop() {
+    fn floating_bus_fires() {
         let mut b = NetlistBuilder::new();
-        let a = b.input();
-        let f = b.flop(FlopInit::Zero);
-        let g = b.xor2(a, f);
-        b.connect_flop_d(f, g); // state feedback through the flop
-        b.output(g);
-        let netlist = b.finish().expect("valid");
+        let bus = b.bus(Vec::new());
+        b.output(bus);
+        let netlist = b.finish().expect("a driverless bus builds");
         let report = check_netlist(&LintConfig::default(), &netlist);
-        assert!(!codes(&report).contains(&LintCode::CombLoop));
-    }
-
-    #[test]
-    fn floating_bus_and_flop_fire() {
-        let facts = NetlistFacts {
-            nodes: vec![
-                NodeFact::Bus {
-                    drivers: Vec::new(),
-                },
-                NodeFact::Flop { d: None },
-            ],
-            outputs: vec![0, 1],
-        };
-        let report = check_netlist_facts(&LintConfig::default(), &facts);
-        assert_eq!(
-            codes(&report),
-            vec![LintCode::FloatingNet, LintCode::FloatingNet]
-        );
-    }
-
-    #[test]
-    fn bad_arity_fires_per_kind() {
-        let facts = NetlistFacts {
-            nodes: vec![
-                NodeFact::Input,
-                NodeFact::Gate {
-                    kind: GateKind::Not,
-                    inputs: vec![0, 0],
-                },
-                NodeFact::Gate {
-                    kind: GateKind::Mux,
-                    inputs: vec![0, 0],
-                },
-                NodeFact::Gate {
-                    kind: GateKind::And,
-                    inputs: vec![0],
-                },
-            ],
-            outputs: vec![1, 2, 3],
-        };
-        let report = check_netlist_facts(&LintConfig::default(), &facts);
-        assert_eq!(
-            codes(&report),
-            vec![LintCode::BadArity, LintCode::BadArity, LintCode::BadArity]
-        );
-        let report = check_netlist_facts(&LintConfig::default().allow(LintCode::BadArity), &facts);
-        assert!(report.is_empty());
+        assert_eq!(codes(&report), vec![LintCode::FloatingNet]);
+        assert!(report.render_human().contains("netlist node n0"));
     }
 
     #[test]

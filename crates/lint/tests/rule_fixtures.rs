@@ -1,17 +1,19 @@
 //! Per-rule fixtures: every rule has a seeded-defect fixture on which it
 //! fires (and only it fires) and a clean fixture on which it stays quiet.
+//! Combinational loops, bad gate arity, unconnected flop D pins and
+//! dangling references have no rule: `NetlistBuilder::finish` rejects
+//! them, and `xhc-logic`'s netlist tests pin each rejection.
 
 use xhc_bits::PatternSet;
 use xhc_core::{PartitionEngine, PartitionOutcome};
 use xhc_lint::{
-    check_cancel_params, check_certificate, check_misr_taps, check_netlist, check_netlist_facts,
-    check_outcome, check_plan_latency, check_scan_config, check_xmap, check_xmap_facts, LintCode,
-    LintConfig, LintReport, NetlistFacts, NodeFact, XMapFacts,
+    check_cancel_params, check_certificate, check_misr_taps, check_netlist, check_outcome,
+    check_scan_config, check_xmap, check_xmap_facts, LintCode, LintConfig, LintReport, XMapFacts,
 };
-use xhc_logic::{FlopInit, GateKind, NetlistBuilder};
+use xhc_logic::{FlopInit, GateKind, Netlist, NetlistBuilder};
 use xhc_misr::{Taps, XCancelConfig};
+use xhc_scan::samples::fig4_xmap;
 use xhc_scan::{CellId, ScanConfig, XMap, XMapBuilder};
-use xhc_workload::WorkloadSpec;
 
 fn codes(report: &LintReport) -> Vec<LintCode> {
     let mut codes: Vec<LintCode> = report.diagnostics.iter().map(|d| d.code).collect();
@@ -21,7 +23,7 @@ fn codes(report: &LintReport) -> Vec<LintCode> {
 
 /// A small clean netlist: two inputs, a few gates, a flop in a feedback
 /// loop (sequential, not combinational), everything observable.
-fn clean_netlist_facts() -> NetlistFacts {
+fn clean_netlist() -> Netlist {
     let mut b = NetlistBuilder::new();
     let a = b.input();
     let c = b.input();
@@ -30,36 +32,28 @@ fn clean_netlist_facts() -> NetlistFacts {
     let g2 = b.xor2(g1, f);
     b.connect_flop_d(f, g2);
     b.output(g2);
-    NetlistFacts::from_netlist(&b.finish().expect("fixture netlist is valid"))
+    b.finish().expect("fixture netlist is valid")
 }
 
-// ---------------------------------------------------------------- XL0101
+// ---------------------------------------------------------------- XL01xx
 
 #[test]
-fn xl0101_comb_loop_fires() {
-    // g2 -> g3 -> g2 — a combinational cycle a buggy importer could emit.
-    let facts = NetlistFacts {
-        nodes: vec![
-            NodeFact::Input,
-            NodeFact::Gate {
-                kind: GateKind::And,
-                inputs: vec![0, 2],
-            },
-            NodeFact::Gate {
-                kind: GateKind::Not,
-                inputs: vec![1],
-            },
-        ],
-        outputs: vec![1],
-    };
-    let report = check_netlist_facts(&LintConfig::default(), &facts);
-    assert_eq!(codes(&report), vec![LintCode::CombLoop]);
-    assert!(report.has_deny());
+fn xl01_clean_netlist_passes() {
+    let report = check_netlist(&LintConfig::default(), &clean_netlist());
+    assert!(report.is_empty(), "{}", report.render_human());
 }
 
 #[test]
-fn xl0101_clean_netlist_passes() {
-    let report = check_netlist_facts(&LintConfig::default(), &clean_netlist_facts());
+fn xl01_wide_gates_pass() {
+    let mut b = NetlistBuilder::new();
+    let inputs: Vec<_> = (0..4).map(|_| b.input()).collect();
+    let wide = b.gate(GateKind::And, inputs.clone());
+    let sel = b.gate(GateKind::Mux, vec![inputs[0], inputs[1], wide]);
+    b.output(sel);
+    let report = check_netlist(
+        &LintConfig::default(),
+        &b.finish().expect("fixture netlist is valid"),
+    );
     assert!(report.is_empty(), "{}", report.render_human());
 }
 
@@ -67,19 +61,17 @@ fn xl0101_clean_netlist_passes() {
 
 #[test]
 fn xl0102_floating_net_fires() {
-    // A driverless bus and an unconnected flop D pin.
-    let facts = NetlistFacts {
-        nodes: vec![
-            NodeFact::Bus {
-                drivers: Vec::new(),
-            },
-            NodeFact::Flop { d: None },
-        ],
-        outputs: vec![0, 1],
-    };
-    let report = check_netlist_facts(&LintConfig::default(), &facts);
+    // A bus with no tri-state driver builds, and floats.
+    let mut b = NetlistBuilder::new();
+    let bus = b.bus(vec![]);
+    b.output(bus);
+    let report = check_netlist(
+        &LintConfig::default(),
+        &b.finish().expect("a driverless bus builds"),
+    );
     assert_eq!(codes(&report), vec![LintCode::FloatingNet]);
-    assert_eq!(report.len(), 2);
+    assert_eq!(report.len(), 1);
+    assert!(report.has_deny());
 }
 
 #[test]
@@ -132,46 +124,6 @@ fn xl0103_logic_observed_through_flop_passes() {
     assert!(report.is_empty(), "{}", report.render_human());
 }
 
-// ---------------------------------------------------------------- XL0104
-
-#[test]
-fn xl0104_bad_arity_fires() {
-    // A 2-input NOT and a 1-input AND — both invalid.
-    let facts = NetlistFacts {
-        nodes: vec![
-            NodeFact::Input,
-            NodeFact::Input,
-            NodeFact::Gate {
-                kind: GateKind::Not,
-                inputs: vec![0, 1],
-            },
-            NodeFact::Gate {
-                kind: GateKind::And,
-                inputs: vec![0],
-            },
-        ],
-        outputs: vec![2, 3],
-    };
-    let report = check_netlist_facts(&LintConfig::default(), &facts);
-    assert_eq!(codes(&report), vec![LintCode::BadArity]);
-    assert_eq!(report.len(), 2);
-    assert!(report.has_deny());
-}
-
-#[test]
-fn xl0104_wide_gates_pass() {
-    let mut b = NetlistBuilder::new();
-    let inputs: Vec<_> = (0..4).map(|_| b.input()).collect();
-    let wide = b.gate(GateKind::And, inputs.clone());
-    let sel = b.gate(GateKind::Mux, vec![inputs[0], inputs[1], wide]);
-    b.output(sel);
-    let report = check_netlist(
-        &LintConfig::default(),
-        &b.finish().expect("fixture netlist is valid"),
-    );
-    assert!(report.is_empty(), "{}", report.render_human());
-}
-
 // ---------------------------------------------------------------- XL0105
 
 #[test]
@@ -194,8 +146,8 @@ fn xl0105_unreachable_flop_fires() {
 
 #[test]
 fn xl0105_observed_flop_passes() {
-    let report = check_netlist_facts(&LintConfig::default(), &clean_netlist_facts());
-    assert!(report.is_empty());
+    let report = check_netlist(&LintConfig::default(), &clean_netlist());
+    assert!(report.is_empty(), "{}", report.render_human());
 }
 
 // ---------------------------------------------------------------- XL0201
@@ -307,61 +259,6 @@ fn xl0305_paper_config_passes() {
     assert!(report.is_empty(), "{}", report.render_human());
 }
 
-// ---------------------------------------------------------------- XL0306
-
-#[test]
-fn xl0306_heavy_best_cost_spec_fires() {
-    // The bench suite's scaled BestCost shape, grown past the budget:
-    // a weakly-correlated profile with a large active-cell pool and a
-    // wide pattern set makes the candidate search quadratic-ish.
-    let spec = WorkloadSpec {
-        name: "scaled-up",
-        total_cells: 40_000,
-        num_chains: 40,
-        num_patterns: 3000,
-        x_density: 0.03,
-        ..WorkloadSpec::default()
-    };
-    let report = check_plan_latency(&LintConfig::default(), &spec);
-    assert_eq!(codes(&report), vec![LintCode::BestCostLatency]);
-    assert!(!report.has_deny(), "XL0306 is warn-level by default");
-    let text = report.render_human();
-    assert!(text.contains("largest-class"), "{text}");
-    assert!(text.contains("3000 patterns"), "{text}");
-}
-
-#[test]
-fn xl0306_interactive_specs_pass() {
-    let lc = LintConfig::default();
-    assert!(check_plan_latency(&lc, &WorkloadSpec::default()).is_empty());
-    // The small end-to-end workload other suites lint must stay clean.
-    let spec = WorkloadSpec {
-        total_cells: 200,
-        num_chains: 4,
-        num_patterns: 40,
-        ..WorkloadSpec::default()
-    };
-    assert!(check_plan_latency(&lc, &spec).is_empty());
-}
-
-#[test]
-fn xl0306_mid_size_spec_passes_under_the_sharded_model() {
-    // A shape the pre-sharding latency model flagged (~45 ms at 1 word
-    // visit/ns on one worker): with the 4-wide lanes and the assumed
-    // 8-way intra-candidate sharding it prices at ~3 ms, inside the
-    // interactive budget — the lint must follow the kernel it models.
-    let spec = WorkloadSpec {
-        name: "mid-size",
-        total_cells: 4_000,
-        num_chains: 8,
-        num_patterns: 3000,
-        x_density: 0.01,
-        ..WorkloadSpec::default()
-    };
-    let report = check_plan_latency(&LintConfig::default(), &spec);
-    assert!(report.is_empty(), "{}", report.render_human());
-}
-
 // ---------------------------------------------------------------- XL04xx
 
 fn two_cell_xmap() -> XMap {
@@ -371,28 +268,6 @@ fn two_cell_xmap() -> XMap {
         b.add_x(CellId::new(0, 0), p).unwrap();
     }
     b.add_x(CellId::new(0, 1), 0).unwrap();
-    b.finish()
-}
-
-/// The paper's Fig. 4 map: 5 chains of 3 cells, 8 patterns, 28 X's.
-/// With `(m, q) = (10, 2)` the engine splits it into {1,2,6,7},
-/// {0,3,4} and {5}.
-fn fig4_xmap() -> XMap {
-    let mut b = XMapBuilder::new(ScanConfig::uniform(5, 3), 8);
-    let cells: [(usize, usize, &[usize]); 7] = [
-        (0, 0, &[0, 3, 4, 5]),
-        (1, 0, &[0, 3, 4, 5]),
-        (2, 0, &[0, 3, 4, 5]),
-        (1, 2, &[0, 4]),
-        (3, 2, &[0, 1, 2, 3, 4, 6, 7]),
-        (4, 1, &[0, 1, 3, 4, 6, 7]),
-        (4, 2, &[5]),
-    ];
-    for (chain, pos, patterns) in cells {
-        for &p in patterns {
-            b.add_x(CellId::new(chain, pos), p).unwrap();
-        }
-    }
     b.finish()
 }
 

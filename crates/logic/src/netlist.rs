@@ -17,6 +17,7 @@ impl NodeId {
     /// A node id from a raw index — for deserializing externally stored
     /// references (fault lists, saved patterns). The id is *not* checked
     /// against any netlist here; fallible consumers such as
+    /// [`NetlistBuilder::finish`] and
     /// [`Simulator::try_eval_forced`](crate::Simulator::try_eval_forced)
     /// validate on use.
     pub fn from_index(index: usize) -> Self {
@@ -136,6 +137,14 @@ pub enum BuildError {
         /// The offending driver.
         driver: NodeId,
     },
+    /// A node or a primary output refers to a node the builder never made
+    /// (an id from [`NodeId::from_index`] past the last node).
+    DanglingReference {
+        /// The node holding the reference, or `None` for a primary output.
+        node: Option<NodeId>,
+        /// The reference that names no node.
+        reference: NodeId,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -153,6 +162,13 @@ impl fmt::Display for BuildError {
             BuildError::NonTriBufDriver { bus, driver } => {
                 write!(f, "bus {bus} driver {driver} is not a tri-state buffer")
             }
+            BuildError::DanglingReference { node, reference } => {
+                match node {
+                    Some(node) => write!(f, "node {node}")?,
+                    None => f.write_str("a primary output")?,
+                }
+                write!(f, " refers to {reference}, which is not a node")
+            }
         }
     }
 }
@@ -161,9 +177,9 @@ impl std::error::Error for BuildError {}
 
 /// An immutable, validated gate-level netlist.
 ///
-/// Built with [`NetlistBuilder`]; validated for connected flops, gate
-/// arities and combinational acyclicity, and pre-levelized for fast
-/// simulation.
+/// Built with [`NetlistBuilder`], its only constructor; validated for
+/// resolved node references, connected flops, gate arities, bus drivers
+/// and combinational acyclicity, and pre-levelized for fast simulation.
 ///
 /// # Examples
 ///
@@ -258,17 +274,23 @@ impl Netlist {
         let mut depth = vec![0usize; self.nodes.len()];
         let mut max_depth = 0;
         for &id in &self.eval_order {
-            let inputs: Vec<NodeId> = match self.node(id) {
-                Node::Gate { inputs, .. } => inputs.clone(),
-                Node::TriBuf { enable, data } => vec![*enable, *data],
-                Node::Bus { drivers } => drivers.clone(),
-                _ => continue,
-            };
+            let inputs = comb_inputs(self.node(id));
             let d = 1 + inputs.iter().map(|i| depth[i.index()]).max().unwrap_or(0);
             depth[id.index()] = d;
             max_depth = max_depth.max(d);
         }
         max_depth
+    }
+}
+
+/// The combinational fan-in of a node. Flop D edges are sequential and
+/// excluded (state feedback through a flop is legal).
+fn comb_inputs(node: &Node) -> Vec<NodeId> {
+    match node {
+        Node::Gate { inputs, .. } => inputs.clone(),
+        Node::TriBuf { enable, data } => vec![*enable, *data],
+        Node::Bus { drivers } => drivers.clone(),
+        Node::Input(_) | Node::Const(_) | Node::Flop { .. } => Vec::new(),
     }
 }
 
@@ -382,10 +404,32 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if a flop has no D input, a gate has an
-    /// invalid arity, a bus driver is not a tri-state buffer, or the
-    /// combinational graph is cyclic.
+    /// Returns [`BuildError`] if a node or an output refers to no node, a
+    /// flop has no D input, a gate has an invalid arity, a bus driver is
+    /// not a tri-state buffer, or the combinational graph is cyclic.
     pub fn finish(self) -> Result<Netlist, BuildError> {
+        // Every reference must name a node before any is followed.
+        let n = self.nodes.len();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let flop_d = match node {
+                Node::Flop { d, .. } => *d,
+                _ => None,
+            };
+            let mut refs = comb_inputs(node).into_iter().chain(flop_d);
+            if let Some(reference) = refs.find(|r| r.index() >= n) {
+                return Err(BuildError::DanglingReference {
+                    node: Some(NodeId(i as u32)),
+                    reference,
+                });
+            }
+        }
+        if let Some(&reference) = self.outputs.iter().find(|r| r.index() >= n) {
+            return Err(BuildError::DanglingReference {
+                node: None,
+                reference,
+            });
+        }
+
         // Arity / connectivity validation.
         for (i, node) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
@@ -425,17 +469,8 @@ impl NetlistBuilder {
         }
 
         // Kahn levelization over combinational edges (flop D edges cut).
-        let n = self.nodes.len();
         let mut indegree = vec![0usize; n];
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let comb_inputs = |node: &Node| -> Vec<NodeId> {
-            match node {
-                Node::Gate { inputs, .. } => inputs.clone(),
-                Node::TriBuf { enable, data } => vec![*enable, *data],
-                Node::Bus { drivers } => drivers.clone(),
-                _ => Vec::new(),
-            }
-        };
         for (i, node) in self.nodes.iter().enumerate() {
             for src in comb_inputs(node) {
                 indegree[i] += 1;
@@ -506,8 +541,9 @@ mod tests {
     #[test]
     fn unconnected_flop_is_an_error() {
         let mut b = NetlistBuilder::new();
-        b.flop(FlopInit::Zero);
-        assert!(matches!(b.finish(), Err(BuildError::UnconnectedFlop(_))));
+        let f = b.flop(FlopInit::Zero);
+        b.output(f);
+        assert_eq!(b.finish().unwrap_err(), BuildError::UnconnectedFlop(f));
     }
 
     #[test]
@@ -521,6 +557,26 @@ mod tests {
     }
 
     #[test]
+    fn not_and_buf_take_exactly_one_input() {
+        for kind in [GateKind::Not, GateKind::Buf] {
+            let mut b = NetlistBuilder::new();
+            let a = b.input();
+            let c = b.input();
+            let g = b.gate(kind, vec![a, c]);
+            b.output(g);
+            assert_eq!(
+                b.finish().unwrap_err(),
+                BuildError::BadArity {
+                    node: g,
+                    expected: "exactly 1",
+                    got: 2
+                },
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
     fn mux_requires_three_inputs() {
         let mut b = NetlistBuilder::new();
         let a = b.input();
@@ -531,16 +587,96 @@ mod tests {
 
     #[test]
     fn combinational_cycle_detected() {
-        // g1 = AND(a, g2); g2 = OR(g1, a) — cyclic.
+        // g = AND(a, g): a self-loop.
         let mut b = NetlistBuilder::new();
         let a = b.input();
-        // Manually create mutual dependency by pre-allocating gate slots:
-        // builder has no forward references, so emulate with a flop-free
-        // self-loop via Bus? Simplest: gate that references a later id is
-        // impossible through the API. Instead reference itself:
         let g = b.gate(GateKind::And, vec![a, NodeId(1)]); // NodeId(1) == g itself
         b.output(g);
         assert!(matches!(b.finish(), Err(BuildError::CombinationalCycle(_))));
+    }
+
+    #[test]
+    fn two_gate_combinational_cycle_detected() {
+        // g = AND(a, n); n = NOT(g): the AND names the NOT before it exists.
+        let mut b = NetlistBuilder::new();
+        let a = b.input();
+        let g = b.and2(a, NodeId::from_index(2));
+        let n = b.not(g);
+        assert_eq!(n, NodeId::from_index(2));
+        b.output(g);
+        assert_eq!(
+            b.finish().unwrap_err(),
+            BuildError::CombinationalCycle(vec![g, n])
+        );
+    }
+
+    /// A reference past the last node, as [`NodeId::from_index`] makes one.
+    fn missing() -> NodeId {
+        NodeId::from_index(99)
+    }
+
+    fn assert_dangling(b: NetlistBuilder, node: Option<NodeId>) {
+        let err = b.finish().unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::DanglingReference {
+                node,
+                reference: missing()
+            }
+        );
+        assert!(err.to_string().contains("n99"), "{err}");
+    }
+
+    #[test]
+    fn dangling_gate_input_is_an_error() {
+        let mut b = NetlistBuilder::new();
+        let a = b.input();
+        let g = b.and2(a, missing());
+        b.output(g);
+        assert_dangling(b, Some(g));
+    }
+
+    #[test]
+    fn dangling_tribuf_enable_or_data_is_an_error() {
+        for enable_dangles in [true, false] {
+            let mut b = NetlistBuilder::new();
+            let a = b.input();
+            let t = if enable_dangles {
+                b.tribuf(missing(), a)
+            } else {
+                b.tribuf(a, missing())
+            };
+            let bus = b.bus(vec![t]);
+            b.output(bus);
+            assert_dangling(b, Some(t));
+        }
+    }
+
+    #[test]
+    fn dangling_bus_driver_is_an_error() {
+        let mut b = NetlistBuilder::new();
+        b.input();
+        let bus = b.bus(vec![missing()]);
+        b.output(bus);
+        assert_dangling(b, Some(bus));
+    }
+
+    #[test]
+    fn dangling_flop_d_is_an_error() {
+        let mut b = NetlistBuilder::new();
+        b.input();
+        let f = b.flop(FlopInit::Zero);
+        b.connect_flop_d(f, missing());
+        b.output(f);
+        assert_dangling(b, Some(f));
+    }
+
+    #[test]
+    fn dangling_output_is_an_error() {
+        let mut b = NetlistBuilder::new();
+        b.input();
+        b.output(missing());
+        assert_dangling(b, None);
     }
 
     #[test]

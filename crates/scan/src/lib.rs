@@ -13,7 +13,8 @@
 //! * [`ResponseMatrix`] — dense captured responses;
 //! * [`XMap`] / [`XMapBuilder`] — the sparse X-location map that all of the
 //!   paper's control-bit and test-time accounting operates on;
-//! * [`AteConfig`] — tester channel/cycle accounting.
+//! * [`AteConfig`] — tester channel/cycle accounting;
+//! * [`samples`] — the paper's Fig. 4 X map.
 //!
 //! # Examples
 //!
@@ -40,6 +41,7 @@ mod harness;
 mod io;
 mod response;
 mod rule;
+pub mod samples;
 mod stream;
 mod xmap;
 

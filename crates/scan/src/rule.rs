@@ -59,8 +59,9 @@ macro_rules! rules {
         ///
         /// The numbering is grouped by pipeline stage: `XL01xx` netlist,
         /// `XL02xx` scan / X-map, `XL03xx` hybrid configuration (MISR,
-        /// `(m, q)`, planning budget), `XL04xx` plan certificate. Retired
-        /// identifiers (`XL0301`–`XL0303`, `XL0501`) are never reused.
+        /// `(m, q)`), `XL04xx` plan certificate. Retired identifiers
+        /// (`XL0101`, `XL0104`, `XL0301`–`XL0303`, `XL0306`, `XL0501`)
+        /// are never reused.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum LintCode {
             $(#[doc = concat!($id, " `", $slug, "`: ", $summary, ".")] $code,)*
@@ -78,17 +79,14 @@ macro_rules! rules {
 }
 
 rules! {
-    CombLoop: "XL0101", "comb-loop", Deny, "combinational cycle in the netlist";
-    FloatingNet: "XL0102", "floating-net", Deny, "driverless bus or unconnected flop D pin";
+    FloatingNet: "XL0102", "floating-net", Deny, "bus with no tri-state driver";
     DeadLogic: "XL0103", "dead-logic", Warn, "combinational logic no output observes";
-    BadArity: "XL0104", "bad-arity", Deny, "gate fan-in invalid for its kind";
     UnreachableFlop: "XL0105", "unreachable-flop", Warn, "flop no primary output observes";
     ChainImbalance: "XL0201", "chain-imbalance", Warn, "ragged scan chains waste mask-word bits";
     XOutOfRange: "XL0202", "x-out-of-range", Deny, "X entry references no cell/pattern";
     DuplicateX: "XL0203", "duplicate-x", Warn, "duplicate X entries";
     DegenerateMisr: "XL0304", "degenerate-misr", Warn, "degenerate / non-primitive MISR feedback";
     BadCancelConfig: "XL0305", "bad-cancel-config", Deny, "inconsistent X-canceling (m, q)";
-    BestCostLatency: "XL0306", "best-cost-latency", Warn, "BestCost planning latency above budget";
     CertPlanHash: "XL0401", "cert-plan-hash", Deny, "certificate not linked to this plan";
     CertCover: "XL0402", "cert-cover", Deny, "certificate cover witness disagrees with plan";
     CertHistogram: "XL0403", "cert-histogram", Deny, "certificate histograms disagree with X map";

@@ -376,36 +376,7 @@ impl XMapBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fig4_xmap() -> XMap {
-        // The paper's Fig. 4 X map: 8 patterns (0-indexed P1..P8 -> 0..7),
-        // 5 chains × 3 cells.
-        //   SC1[0]: X under P1,P4,P5,P6
-        //   SC2[0]: X under P1,P4,P5,P6
-        //   SC3[0]: X under P1,P4,P5,P6
-        //   SC2[2]: X under P1,P5
-        //   SC4[2]: X under P1,P2,P3,P4,P5,P7,P8 (7 X's)
-        //   SC5[1]: X under P1,P2,P4,P5,P7,P8 (6 X's)
-        //   SC5[2]: X under P6 (1 X)
-        let cfg = ScanConfig::uniform(5, 3);
-        let mut b = XMapBuilder::new(cfg, 8);
-        for p in [0, 3, 4, 5] {
-            b.add_x(CellId::new(0, 0), p).unwrap();
-            b.add_x(CellId::new(1, 0), p).unwrap();
-            b.add_x(CellId::new(2, 0), p).unwrap();
-        }
-        for p in [0, 4] {
-            b.add_x(CellId::new(1, 2), p).unwrap();
-        }
-        for p in [0, 1, 2, 3, 4, 6, 7] {
-            b.add_x(CellId::new(3, 2), p).unwrap();
-        }
-        for p in [0, 1, 3, 4, 6, 7] {
-            b.add_x(CellId::new(4, 1), p).unwrap();
-        }
-        b.add_x(CellId::new(4, 2), 5).unwrap();
-        b.finish()
-    }
+    use crate::samples::fig4_xmap;
 
     #[test]
     fn fig4_totals() {

@@ -7,31 +7,11 @@ use xhc_bits::PatternSet;
 use xhc_core::{BackendReport, PartitionEngine, PartitionOutcome, PlanOptions};
 use xhc_logic::Trit;
 use xhc_misr::{CancelSession, MaskWord, Taps, XCancelConfig};
-use xhc_scan::{CellId, ResponseMatrix, ScanConfig, XMap, XMapBuilder};
+use xhc_scan::samples::fig4_xmap;
+use xhc_scan::{CellId, ResponseMatrix, ScanConfig, XMap};
 use xhc_verify::{certify_plan, check, verify, PlanCertificate, VerifyError};
 use xhc_wire::{decode_certificate, encode_certificate, encode_plan};
 use xhc_workload::WorkloadSpec;
-
-fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
 
 /// Responses with an X wherever the map says, known-zero elsewhere.
 fn responses_for(xmap: &XMap) -> ResponseMatrix {

@@ -9,28 +9,7 @@ mod common;
 use common::certified;
 use xhc_prng::XhcRng;
 use xhybrid::prelude::*;
-
-/// The Fig. 4 X map: 8 patterns, 5 chains x 3 cells, 28 X's.
-fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
+use xhybrid::scan::samples::fig4_xmap;
 
 /// Shrinks a paper-scale profile so the suite stays fast while keeping
 /// its correlation structure (mirrors `xhybrid gen --scale`).

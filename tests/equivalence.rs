@@ -17,6 +17,7 @@ use xhybrid::core::{
     PlanOptions, SplitStrategy,
 };
 use xhybrid::misr::{safe_mask, XCancelConfig};
+use xhybrid::scan::samples::fig4_xmap;
 use xhybrid::scan::{CellId, ScanConfig, XMap, XMapBuilder};
 use xhybrid::workload::WorkloadSpec;
 
@@ -525,28 +526,6 @@ fn equal_gains_go_to_the_earlier_partition_at_every_thread_count() {
 // Every option combination on the paper's maps: thread-count invariance,
 // and each bounded option steers the run.
 // ---------------------------------------------------------------------------
-
-/// The Fig. 4 X map: 8 patterns, 5 chains x 3 cells, 28 X's.
-fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
 
 fn paper_maps() -> Vec<(&'static str, XMap, XCancelConfig)> {
     let scaled = |spec: WorkloadSpec| spec.scaled(60).generate();

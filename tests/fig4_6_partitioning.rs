@@ -11,28 +11,8 @@ use xhybrid::core::{
 };
 use xhybrid::logic::Trit;
 use xhybrid::misr::{CancelSession, Taps, XCancelConfig};
-use xhybrid::scan::{CellId, ResponseMatrix, ScanConfig, XMap, XMapBuilder};
-
-fn fig4_xmap() -> XMap {
-    let cfg = ScanConfig::uniform(5, 3);
-    let mut b = XMapBuilder::new(cfg, 8);
-    for p in [0, 3, 4, 5] {
-        b.add_x(CellId::new(0, 0), p).unwrap();
-        b.add_x(CellId::new(1, 0), p).unwrap();
-        b.add_x(CellId::new(2, 0), p).unwrap();
-    }
-    for p in [0, 4] {
-        b.add_x(CellId::new(1, 2), p).unwrap();
-    }
-    for p in [0, 1, 2, 3, 4, 6, 7] {
-        b.add_x(CellId::new(3, 2), p).unwrap();
-    }
-    for p in [0, 1, 3, 4, 6, 7] {
-        b.add_x(CellId::new(4, 1), p).unwrap();
-    }
-    b.add_x(CellId::new(4, 2), 5).unwrap();
-    b.finish()
-}
+use xhybrid::scan::samples::fig4_xmap;
+use xhybrid::scan::{CellId, ResponseMatrix, XMap};
 
 fn fig4_responses(xmap: &XMap) -> ResponseMatrix {
     let cfg = xmap.config().clone();
