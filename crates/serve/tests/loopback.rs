@@ -333,6 +333,43 @@ fn workload_spec_submissions_plan_the_generated_xmap() {
 }
 
 #[test]
+fn a_workload_spec_too_large_to_generate_is_refused() {
+    // 117 bytes asking for 2^40 cells: the daemon used to call
+    // `generate` on it and abort on the failed 8 TiB allocation.
+    let server = TestServer::start("huge-spec", 1);
+    let huge = WorkloadSpec {
+        total_cells: 1 << 40,
+        num_chains: 1,
+        num_patterns: 1,
+        x_cell_fraction: 1.0,
+        spatial_clustering: 0.0,
+        ..WorkloadSpec::ckt_b()
+    };
+    let body = encode_workload_spec(&huge);
+    assert_eq!(body.len(), 117);
+    let r = client::post(
+        server.addr,
+        "/v1/plan?m=32&q=7",
+        "application/octet-stream",
+        &body,
+    )
+    .unwrap();
+    assert!((400..500).contains(&r.status), "{}", r.status);
+    assert!(r.body_text().contains("word"), "{}", r.body_text());
+
+    // The daemon is still there, and still plans.
+    assert_eq!(client::get(server.addr, "/healthz").unwrap().status, 200);
+    let r = client::post(
+        server.addr,
+        "/v1/plan?m=32&q=7",
+        "application/octet-stream",
+        &encode_workload_spec(&test_spec()),
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_text());
+}
+
+#[test]
 fn bad_inputs_map_to_http_errors() {
     let server = TestServer::start("errors", 1);
 

@@ -296,8 +296,9 @@ pub fn encode_workload_spec(spec: &WorkloadSpec) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a workload spec, validating every fraction and dimension so
-/// the ensuing `generate()` cannot panic.
+/// Decodes a workload spec, judged by [`WorkloadSpec::check`], so the
+/// ensuing `generate()` can neither panic nor ask for more than
+/// [`xhc_workload::MAX_SPEC_WORDS`] words.
 ///
 /// # Errors
 ///
@@ -331,35 +332,7 @@ pub fn decode_workload_spec(bytes: &[u8]) -> Result<WorkloadSpec, WireError> {
     let seed = r.u64()?;
     expect_drained(&r, SEC_SPEC)?;
 
-    if num_chains == 0 || total_cells < num_chains {
-        return Err(WireError::Malformed {
-            context: "workload-spec",
-            message: format!(
-                "need at least one cell per chain ({total_cells} cells, {num_chains} chains)"
-            ),
-        });
-    }
-    if num_patterns == 0 {
-        return Err(WireError::Malformed {
-            context: "workload-spec",
-            message: "need at least one pattern".into(),
-        });
-    }
-    for (label, f) in [
-        ("x_density", x_density),
-        ("correlated_fraction", correlated_fraction),
-        ("group_pattern_fraction", group_pattern_fraction),
-        ("x_cell_fraction", x_cell_fraction),
-        ("spatial_clustering", spatial_clustering),
-    ] {
-        if !(0.0..=1.0).contains(&f) {
-            return Err(WireError::Malformed {
-                context: "workload-spec",
-                message: format!("{label} must be in [0,1], got {f}"),
-            });
-        }
-    }
-    Ok(WorkloadSpec {
+    let spec = WorkloadSpec {
         name,
         total_cells,
         num_chains,
@@ -371,7 +344,12 @@ pub fn decode_workload_spec(bytes: &[u8]) -> Result<WorkloadSpec, WireError> {
         x_cell_fraction,
         spatial_clustering,
         seed,
-    })
+    };
+    spec.check().map_err(|message| WireError::Malformed {
+        context: "workload-spec",
+        message,
+    })?;
+    Ok(spec)
 }
 
 // ---------------------------------------------------------------------

@@ -205,3 +205,41 @@ fn truncated_buffers_always_fail() {
         );
     }
 }
+
+#[test]
+fn a_spec_too_large_to_generate_is_rejected() {
+    // The CKT-B profile grown to 2^40 cells on one chain and one
+    // pattern, every cell in the X pool: 117 bytes on the wire that
+    // would make `generate` ask for 8 TiB.
+    let huge = WorkloadSpec {
+        total_cells: 1 << 40,
+        num_chains: 1,
+        num_patterns: 1,
+        x_cell_fraction: 1.0,
+        spatial_clustering: 0.0,
+        ..WorkloadSpec::ckt_b()
+    };
+    let bytes = encode_workload_spec(&huge);
+    assert_eq!(bytes.len(), 117);
+    let err = decode_workload_spec(&bytes).expect_err("a 2^40-cell spec decoded");
+    assert!(err.to_string().contains("word"), "{err}");
+
+    // Many patterns on one cell are as large as many cells.
+    let tall = WorkloadSpec {
+        total_cells: 1,
+        num_chains: 1,
+        num_patterns: xhc_workload::MAX_SPEC_WORDS + 1,
+        ..WorkloadSpec::default()
+    };
+    assert!(decode_workload_spec(&encode_workload_spec(&tall)).is_err());
+
+    // Every paper circuit, full size, stays inside the bound.
+    for spec in [
+        WorkloadSpec::ckt_a(),
+        WorkloadSpec::ckt_b(),
+        WorkloadSpec::ckt_c(),
+    ] {
+        let back = decode_workload_spec(&encode_workload_spec(&spec)).expect(spec.name);
+        assert_eq!(back, spec);
+    }
+}

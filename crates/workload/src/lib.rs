@@ -34,4 +34,4 @@ mod responses;
 mod spec;
 
 pub use responses::materialize_responses;
-pub use spec::WorkloadSpec;
+pub use spec::{WorkloadSpec, MAX_SPEC_WORDS};

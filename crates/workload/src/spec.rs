@@ -4,6 +4,11 @@ use xhc_bits::{PatternSet, XBitMatrix};
 use xhc_prng::{sample_indices, unit_f64, SliceRandom, XhcRng};
 use xhc_scan::{ScanConfig, XMap};
 
+/// The most 64-bit words a [`WorkloadSpec`] may ask
+/// [`WorkloadSpec::generate`] for: 2^25 words, 256 MiB. Full CKT-A, the
+/// largest paper circuit, asks for 505,050 × 47 ≈ 23.7 M.
+pub const MAX_SPEC_WORDS: usize = 1 << 25;
+
 /// A synthetic workload: a scan topology plus a statistically-shaped X
 /// profile.
 ///
@@ -186,14 +191,25 @@ impl WorkloadSpec {
         (self.x_density * self.total_cells as f64 * self.num_patterns as f64).round() as usize
     }
 
-    /// Generates the X map. Deterministic per spec (including `seed`).
+    /// Checks that [`WorkloadSpec::generate`] can build this spec: at
+    /// least one chain, pattern and cell per chain, fractions in
+    /// `\[0, 1\]`, and a map of at most [`MAX_SPEC_WORDS`] words. The
+    /// bound also caps the chains, the X cell pool, the target X count
+    /// and every cell index, which fits in `u32`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the spec is inconsistent (zero cells/chains/patterns,
-    /// fractions outside `\[0, 1\]`).
-    pub fn generate(&self) -> XMap {
-        assert!(self.num_patterns > 0, "need at least one pattern");
+    /// The first violated condition, in words.
+    pub fn check(&self) -> Result<(), String> {
+        if self.num_chains == 0 || self.total_cells < self.num_chains {
+            return Err(format!(
+                "need at least one cell per chain ({} cells, {} chains)",
+                self.total_cells, self.num_chains
+            ));
+        }
+        if self.num_patterns == 0 {
+            return Err("need at least one pattern".into());
+        }
         for (label, f) in [
             ("x_density", self.x_density),
             ("correlated_fraction", self.correlated_fraction),
@@ -201,7 +217,34 @@ impl WorkloadSpec {
             ("x_cell_fraction", self.x_cell_fraction),
             ("spatial_clustering", self.spatial_clustering),
         ] {
-            assert!((0.0..=1.0).contains(&f), "{label} must be in [0,1]");
+            if !(0.0..=1.0).contains(&f) {
+                return Err(format!("{label} must be in [0,1], got {f}"));
+            }
+        }
+        // The packed `cells × ⌈patterns/64⌉` rows, or one word per
+        // pattern where that is more: a group samples its patterns from
+        // a table of them.
+        let words = self
+            .total_cells
+            .saturating_mul(self.num_patterns.div_ceil(64))
+            .max(self.num_patterns);
+        if words > MAX_SPEC_WORDS {
+            return Err(format!(
+                "{} cells x {} patterns need {words} words, over the {MAX_SPEC_WORDS}-word bound",
+                self.total_cells, self.num_patterns
+            ));
+        }
+        Ok(())
+    }
+
+    /// Generates the X map. Deterministic per spec (including `seed`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`WorkloadSpec::check`] rejects the spec.
+    pub fn generate(&self) -> XMap {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
         let config = self.scan_config();
         let mut rng = XhcRng::seed_from_u64(self.seed);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the plan-certificate checker: plan + certify
-# the demo workload through `xhybrid verify`, re-verify the written
-# artifacts independently, then prove the checker actually rejects —
-# a certificate paired with the wrong X map, a corrupted certificate
-# file, and a plan for a narrower scan with the same pattern count
-# (exit 1 with FAILED; a crash exits 101 and fails the script).
+# End-to-end smoke test of the plan-certificate checker: plan, certify
+# and check the demo workload through `xhybrid plan`, re-verify the
+# written artifacts independently with `xhybrid verify`, then prove the
+# checker actually rejects — a certificate paired with the wrong X map,
+# a corrupted certificate file, and a plan for a narrower scan with the
+# same pattern count (exit 1 with FAILED; a crash exits 101 and fails
+# the script).
 # Finally, on a scaled CKT-B workload the verify pass must cost under
 # 10% of planning time, in the median of five runs.
 #
@@ -19,9 +20,9 @@ trap cleanup EXIT
 cargo build -q --release --bin xhybrid
 xhybrid=target/release/xhybrid
 
-# --- fresh mode: plan, certify, self-check, write both artifacts ------
+# --- plan: plan, certify, self-check, write both artifacts ------------
 "$xhybrid" gen --profile demo --out "$work/demo.xmap"
-"$xhybrid" verify "$work/demo.xmap" --m 16 --q 3 \
+"$xhybrid" plan "$work/demo.xmap" --m 16 --q 3 \
   --plan-out "$work/demo.plan" --cert-out "$work/demo.cert" \
   | tee "$work/fresh.txt"
 grep -q '^certificate' "$work/fresh.txt"
@@ -59,7 +60,7 @@ echo "corrupted certificate correctly rejected"
 # the pattern-count check, so only the plan-shape check stands between
 # its 8-bit masks and the demo map's 1,000 cells.
 printf 'xmap v1\nchains 4 4\npatterns 200\nx 0 : 1 2 3\n' > "$work/narrow.xmap"
-"$xhybrid" verify "$work/narrow.xmap" \
+"$xhybrid" plan "$work/narrow.xmap" \
   --plan-out "$work/narrow.plan" --cert-out "$work/narrow.cert" > /dev/null
 status=0
 "$xhybrid" verify "$work/demo.xmap" \
@@ -77,7 +78,7 @@ echo "narrower-scan plan correctly rejected"
 # bound holds on the median ratio of five runs.
 "$xhybrid" gen --profile ckt-b --scale 4 --out "$work/cktb.xmap"
 for run in 1 2 3 4 5; do
-  "$xhybrid" verify "$work/cktb.xmap" --m 16 --q 3 --strategy best-cost \
+  "$xhybrid" plan "$work/cktb.xmap" --m 16 --q 3 --strategy best-cost \
     | tee "$work/scaled.txt"
   r="$(sed -n 's/.*(\([0-9.]*\)% of plan).*/\1/p' "$work/scaled.txt")"
   [[ -n "$r" ]] || { echo "no verify/plan ratio in output of run $run"; exit 1; }

@@ -3,13 +3,17 @@
 //! ```text
 //! xhybrid gen --profile ckt-b [--scale N] [--seed S] --out FILE
 //! xhybrid analyze FILE
-//! xhybrid partition FILE [--m 32] [--q 7] [engine flags]
-//! xhybrid schedule FILE [--m 32] [--q 7] [--channels 32]
-//! xhybrid verify FILE [--m 32] [--q 7] [--plan-out FILE] [--cert-out FILE]
+//! xhybrid plan (FILE | --profile NAME [--scale N]) [--m 32] [--q 7] [engine flags]
+//!              [--plan-out FILE] [--cert-out FILE]
+//! xhybrid schedule FILE [--m 32] [--q 7] [engine flags] [--channels 32]
+//! xhybrid verify FILE --plan FILE --cert FILE
 //! xhybrid serve [--addr 127.0.0.1:7878] [--store DIR] [--threads N]
 //! xhybrid fetch --addr HOST:PORT (FILE [--m 32] [--q 7] [engine flags] | --hash HASH)
 //!               [--out FILE]
 //! ```
+//!
+//! `plan` and `schedule` plan through [`BackendId::plan`], and check a
+//! hybrid plan's certificate before anything is printed or written.
 //!
 //! Files use the `xmap v1` text format (see `xhybrid::scan::write_xmap`)
 //! or the binary wire format (see `xhybrid::wire`). Exit codes follow the
@@ -21,18 +25,21 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use xhc_lint::{check_cancel_params, LintConfig, Severity};
 use xhybrid::core::{
     inter_correlation_stats, intra_correlation_stats, schedule_hybrid, BackendId, BackendReport,
-    PartitionEngine, PlanOptions, ScheduleOptions,
+    PlanOptions, ScheduleOptions,
 };
 use xhybrid::misr::XCancelConfig;
 use xhybrid::scan::{read_xmap, write_xmap, AteConfig, LintCode, XMap};
 use xhybrid::serve::{client, Server, ServerConfig};
 use xhybrid::trace::TraceSession;
+use xhybrid::verify::{certify_plan, check, PlanCertificate};
 use xhybrid::wire::{
-    decode_plan, encode_plan_request, encode_xmap, parse_hash_hex, peek_kind, PlanRequest,
+    decode_certificate, decode_plan, encode_certificate, encode_plan, encode_plan_request,
+    encode_xmap, parse_hash_hex, peek_kind, PlanRequest,
 };
 use xhybrid::workload::WorkloadSpec;
 
@@ -40,15 +47,14 @@ fn usage() -> &'static str {
     "usage:
   xhybrid gen --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N] [--seed S] --out FILE
   xhybrid analyze FILE
-  xhybrid partition FILE [--m 32] [--q 7] [engine flags]
   xhybrid plan (FILE | --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N])
                [--backend hybrid|masking|canceling|superset|xcode]
                [--m 32] [--q 7] [--strategy largest|best-cost]
                [--policy first|seeded|global-max-x] [--seed S] [--threads N]
                [--max-rounds N] [--cost-stop 0|1] [--trace FILE]
-  xhybrid schedule FILE [--m 32] [--q 7] [--channels 32]
-  xhybrid verify FILE [--m 32] [--q 7] [engine flags] [--plan-out FILE]
-                [--cert-out FILE] | FILE --plan FILE --cert FILE
+               [--plan-out FILE] [--cert-out FILE]
+  xhybrid schedule FILE [--m 32] [--q 7] [engine flags] [--channels 32]
+  xhybrid verify FILE --plan FILE --cert FILE
   xhybrid serve [--addr 127.0.0.1:7878] [--store DIR] [--threads N] [--workers N]
                 [--verify-on-write 0|1] [--max-inflight N] [--queue-depth N]
                 [--push-metrics URL]
@@ -75,40 +81,27 @@ Generates a synthetic X map in the `xmap v1` text format.
 
 Prints density and correlation statistics for an X map.",
         ),
-        "partition" => Some(
-            "xhybrid partition FILE [--m 32] [--q 7] [--strategy largest|best-cost]
-                  [--policy first|seeded|global-max-x] [--seed S] [--threads N]
-                  [--max-rounds N] [--cost-stop 0|1]
-
-Runs the pattern-partitioning engine on an X map and reports the
-hybrid control-bit cost against the masking-only and canceling-only
-baselines.
-
-  --m           MISR length (default 32)
-  --q           X-cancel quotient, 0 < q < m (default 7)
-  engine flags  as for `xhybrid plan`; --backend other than hybrid is a
-                usage error (it belongs to `plan`)",
-        ),
         "plan" => Some(
             "xhybrid plan (FILE | --profile <ckt-a|ckt-b|ckt-c|demo> [--scale N])
              [--backend hybrid|masking|canceling|superset|xcode]
              [--m 32] [--q 7] [--strategy largest|best-cost]
              [--policy first|seeded|global-max-x] [--seed S] [--threads N]
              [--max-rounds N] [--cost-stop 0|1] [--trace FILE]
+             [--plan-out FILE] [--cert-out FILE]
 
-Runs the partition engine with the full option set and optionally
-records the whole run as a chrome://tracing JSON file. Instead of a
-FILE, --profile plans a freshly generated paper workload in memory
-(full size; --scale N shrinks it), skipping the text format round trip
-— `--profile ckt-a` is the full 505,050-cell circuit.
+Plans an X map with one compaction backend. A hybrid plan's certificate
+is checked before anything is printed or written; a failed check exits
+1. Instead of a FILE, --profile plans a freshly generated paper
+workload in memory (full size; --scale N shrinks it), skipping the text
+format round trip — `--profile ckt-a` is the full 505,050-cell circuit.
 
   --profile     generate and plan a workload preset instead of a FILE
   --scale       divide the profile's cells/chains/patterns by N
   --backend     compaction backend (default hybrid). The non-hybrid
                 backends (masking, canceling, superset, xcode) skip the
-                partition engine and print the uniform backend report:
-                control bits, masked/leaked X's, lost observability;
-                they take only --m, --q and the input flags
+                partition engine and print the uniform backend report,
+                unchecked: control bits, masked/leaked X's, lost
+                observability; they take only --m, --q and the input flags
   --m, --q      cancel parameters (defaults 32, 7)
   --strategy    partition split heuristic (default largest)
   --policy      pivot-cell selection policy (default first)
@@ -119,38 +112,31 @@ FILE, --profile plans a freshly generated paper workload in memory
                 until no class splits further
   --trace       write a chrome://tracing JSON trace to FILE and print the
                 span/counter summary to stderr (open the file at
-                chrome://tracing or https://ui.perfetto.dev)",
+                chrome://tracing or https://ui.perfetto.dev)
+  --plan-out    write the wire-encoded plan to FILE
+  --cert-out    write the wire-encoded certificate to FILE",
         ),
         "schedule" => Some(
-            "xhybrid schedule FILE [--m 32] [--q 7] [--channels 32]
+            "xhybrid schedule FILE [--m 32] [--q 7] [--strategy largest|best-cost]
+                 [--policy first|seeded|global-max-x] [--seed S] [--threads N]
+                 [--max-rounds N] [--cost-stop 0|1] [--channels 32]
 
-Schedules the hybrid plan on an ATE model and reports cycle counts.
+Plans the X map with the hybrid as `xhybrid plan` does (certified and
+checked), schedules the plan on an ATE model and reports cycle counts.
 
-  --m         MISR length (default 32)
-  --q         X-cancel quotient (default 7)
-  --channels  ATE channel count (default 32)",
+  --m, --q      cancel parameters (defaults 32, 7)
+  engine flags  as for `xhybrid plan`, without --backend
+  --channels    ATE channel count (default 32)",
         ),
         "verify" => Some(
-            "xhybrid verify FILE [--m 32] [--q 7] [--strategy largest|best-cost]
-               [--policy first|seeded|global-max-x] [--seed S] [--threads N]
-               [--max-rounds N] [--cost-stop 0|1]
-               [--plan-out FILE] [--cert-out FILE]
-xhybrid verify FILE --plan FILE --cert FILE
+            "xhybrid verify FILE --plan FILE --cert FILE
 
-Plans the X map, emits a plan certificate (partition cover witness,
-X-class histograms, control-bit accounting) and statically re-checks it
-with the engine-independent verifier, reporting plan vs verify wall
-time. With --plan/--cert, skips planning and verifies the existing
-wire-encoded artifacts against the X map instead; any violated
-invariant exits 1 with a typed error.
+Verifies stored wire artifacts against the X map with the
+engine-independent checker; any violated invariant exits 1 with a typed
+error. To plan, certify and check a map in one go, run `xhybrid plan`.
 
-  --m, --q      cancel parameters (defaults 32, 7; fresh mode only)
-  engine flags  as for `xhybrid plan` (fresh mode only); --backend other
-                than hybrid is a usage error (it belongs to `plan`)
-  --plan-out    write the wire-encoded plan to FILE
-  --cert-out    write the wire-encoded certificate to FILE
-  --plan        verify this wire-encoded plan instead of planning
-  --cert        its certificate (required with --plan; carries (m, q))",
+  --plan  the wire-encoded plan (from `xhybrid plan --plan-out`)
+  --cert  its certificate (from `--cert-out`; carries (m, q))",
         ),
         "serve" => Some(
             "xhybrid serve [--addr 127.0.0.1:7878] [--store DIR] [--threads N] [--workers N]
@@ -228,8 +214,8 @@ type CmdResult = Result<(), CliError>;
 /// A subcommand's entry point.
 type CmdFn = fn(&Args) -> CmdResult;
 
-/// `println!`, except that a closed stdout (`xhybrid partition FILE |
-/// head -1`) ends the process quietly with exit 0 instead of panicking;
+/// `println!`, except that a closed stdout (`xhybrid plan FILE | head
+/// -1`) ends the process quietly with exit 0 instead of panicking;
 /// any other write error exits 1.
 macro_rules! outln {
     ($($arg:tt)*) => {
@@ -260,11 +246,10 @@ const ENGINE_FLAGS: [&str; 6] = [
 
 /// A command's entry point, how many positional arguments (FILEs) its
 /// mode reads at most, and the flags it reads; `None` for an unknown
-/// command. One flag picks the mode: `verify --plan` checks existing
-/// artifacts, `fetch --hash` fetches a cached plan, and `plan --backend`
-/// other than hybrid runs no engine. Any other flag, and any positional
-/// argument past the count, is a usage error, so a misspelt, misplaced
-/// or ignored argument never passes.
+/// command. One flag picks the mode: `fetch --hash` fetches a cached
+/// plan, and `plan --backend` other than hybrid runs no engine. Any
+/// other flag, and any positional argument past the count, is a usage
+/// error, so a misspelt, misplaced or ignored argument never passes.
 fn command(cmd: &str, args: &Args) -> Option<(CmdFn, usize, Vec<&'static str>)> {
     let planning = |extra: &[&'static str]| [&["m", "q"][..], &ENGINE_FLAGS, extra].concat();
     let non_hybrid = args
@@ -273,20 +258,21 @@ fn command(cmd: &str, args: &Args) -> Option<(CmdFn, usize, Vec<&'static str>)> 
     Some(match cmd {
         "gen" => (cmd_gen, 0, vec!["profile", "scale", "seed", "out"]),
         "analyze" => (cmd_analyze, 1, vec![]),
-        "partition" => (cmd_partition, 1, planning(&["threads"])),
         "plan" if non_hybrid => (cmd_plan, 1, vec!["m", "q", "backend", "profile", "scale"]),
         "plan" => (
             cmd_plan,
             1,
-            planning(&["threads", "trace", "profile", "scale"]),
+            planning(&[
+                "threads", "trace", "profile", "scale", "plan-out", "cert-out",
+            ]),
         ),
-        "schedule" => (cmd_schedule, 1, vec!["m", "q", "channels"]),
-        "verify" if args.flag("plan").is_some() => (cmd_verify, 1, vec!["plan", "cert"]),
-        "verify" => (
-            cmd_verify,
-            1,
-            planning(&["threads", "plan-out", "cert-out"]),
-        ),
+        // `schedule` needs a partition plan, so it plans with the hybrid.
+        "schedule" => {
+            let mut flags = planning(&["threads", "channels"]);
+            flags.retain(|&f| f != "backend");
+            (cmd_schedule, 1, flags)
+        }
+        "verify" => (cmd_verify, 1, vec!["plan", "cert"]),
         "serve" => (
             cmd_serve,
             0,
@@ -470,74 +456,60 @@ fn plan_options(args: &Args) -> Result<PlanOptions, CliError> {
     })
 }
 
-/// [`plan_options`] for a command that only plans with the hybrid
-/// backend (`partition`, `verify`).
-fn hybrid_plan_options(args: &Args, cmd: &str) -> Result<PlanOptions, CliError> {
-    let opts = plan_options(args)?;
-    if opts.backend != BackendId::Hybrid {
-        return Err(CliError::usage(format!(
-            "{cmd} works on hybrid partition plans; --backend belongs to `plan`"
-        )));
-    }
-    Ok(opts)
+/// A hybrid plan that has passed [`check`]: its wire encoding, its
+/// certificate, and the plan's and the check's wall times.
+struct Certified {
+    plan_bytes: Vec<u8>,
+    cert: PlanCertificate,
+    plan_ns: u128,
+    verify_ns: u128,
 }
 
-fn cmd_partition(args: &Args) -> CmdResult {
-    let path = args
-        .positional
-        .first()
-        .ok_or_else(|| CliError::usage("partition needs a FILE"))?;
-    let cancel = cancel_config(args)?;
-    let opts = hybrid_plan_options(args, "partition")?;
-    let xmap = load(path)?;
-    let hybrid = BackendId::Hybrid.plan(&xmap, cancel, &opts);
-    let canceling = print_vs_baselines(&xmap, cancel, &hybrid);
-    let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
-    let time_proposed = hybrid.normalized_test_time(&xmap, cancel);
-    outln!(
-        "test time        : {:.3} -> {:.3} ({:.2}x)",
-        time_canceling_only,
-        time_proposed,
-        time_canceling_only / time_proposed
-    );
-    Ok(())
+/// The CLI's one planning call: `opts.backend` plans `xmap` through
+/// [`BackendId::plan`], and a hybrid plan is certified and checked
+/// ([`certify`]) before any caller prints or writes it.
+fn plan_checked(
+    xmap: &XMap,
+    cancel: XCancelConfig,
+    opts: &PlanOptions,
+) -> Result<(BackendReport, Option<Certified>), CliError> {
+    let started = Instant::now();
+    let report = opts.backend.plan(xmap, cancel, opts);
+    let certified = certify(xmap, cancel, &report, started.elapsed().as_nanos())?;
+    Ok((report, certified))
 }
 
-/// Prints the hybrid's plan and its control-bit ratios over the Table-1
-/// baselines, X-masking-only \[5\] and X-canceling-only \[12\] (the
-/// summary `partition` and `plan` share). Returns the canceling-only
-/// report.
-fn print_vs_baselines(xmap: &XMap, cancel: XCancelConfig, hybrid: &BackendReport) -> BackendReport {
-    let opts = PlanOptions::default();
-    let masking = BackendId::MaskingOnly.plan(xmap, cancel, &opts);
-    let canceling = BackendId::CancelingOnly.plan(xmap, cancel, &opts);
-    let outcome = hybrid
-        .outcome
-        .as_ref()
-        .expect("the hybrid carries its plan");
-    outln!(
-        "partitions       : {} (after {} rounds)",
-        outcome.partitions.len(),
-        outcome.rounds.len()
-    );
-    outln!(
-        "X's              : {} masked + {} leaked = {}",
-        hybrid.masked_x,
-        hybrid.leaked_x,
-        xmap.total_x()
-    );
-    outln!(
-        "control bits     : {:.1} (mask {} + cancel {:.1})",
-        hybrid.control_bits,
-        outcome.cost.masking_bits,
-        outcome.cost.canceling_bits
-    );
-    outln!(
-        "vs baselines     : {:.2}x over X-masking-only, {:.2}x over X-canceling-only",
-        masking.control_bits / hybrid.control_bits,
-        canceling.control_bits / hybrid.control_bits
-    );
-    canceling
+/// Certifies the plan behind `report`, which took `plan_ns` to make, and
+/// checks it with the engine-independent checker. `Ok(None)` for a
+/// backend that returns no plan: nothing checks those reports yet.
+fn certify(
+    xmap: &XMap,
+    cancel: XCancelConfig,
+    report: &BackendReport,
+    plan_ns: u128,
+) -> Result<Option<Certified>, CliError> {
+    let Some(outcome) = &report.outcome else {
+        return Ok(None);
+    };
+    let plan_bytes = encode_plan(outcome, xmap.num_patterns());
+    let cert = certify_plan(xmap, cancel, outcome, &plan_bytes, None);
+    let started = Instant::now();
+    check(&cert, outcome, &plan_bytes, xmap, cancel).map_err(verify_failed)?;
+    Ok(Some(Certified {
+        plan_bytes,
+        cert,
+        plan_ns,
+        verify_ns: started.elapsed().as_nanos(),
+    }))
+}
+
+/// A failed certificate check, named by the rule the daemon's
+/// `/v1/plan/{hash}/verify` reports it under.
+fn verify_failed(e: xhybrid::verify::VerifyError) -> CliError {
+    CliError::runtime(format!(
+        "certificate verification FAILED: {} {e}",
+        e.code().id()
+    ))
 }
 
 fn cmd_plan(args: &Args) -> CmdResult {
@@ -569,11 +541,14 @@ fn cmd_plan(args: &Args) -> CmdResult {
         }
         (None, None) => return Err(CliError::usage("plan needs a FILE or --profile NAME")),
     };
+    let session = trace_out
+        .map(|_| TraceSession::begin().ok_or("another trace session is already active"))
+        .transpose()
+        .map_err(CliError::runtime)?;
+    let (report, certified) = plan_checked(&xmap, cancel, &opts)?;
 
-    // Non-hybrid backends have no partition plan to trace: print their
-    // uniform report and stop.
-    if opts.backend != BackendId::Hybrid {
-        let report = opts.backend.plan(&xmap, cancel, &opts);
+    let Some(certified) = certified else {
+        // A backend without a partition plan: its uniform report.
         outln!("backend          : {}", report.backend);
         outln!("control bits     : {:.1}", report.control_bits);
         outln!(
@@ -587,22 +562,67 @@ fn cmd_plan(args: &Args) -> CmdResult {
             report.lost_observability
         );
         return Ok(());
-    }
-
-    let session = if trace_out.is_some() {
-        Some(
-            TraceSession::begin()
-                .ok_or_else(|| CliError::runtime("another trace session is already active"))?,
-        )
-    } else {
-        None
     };
 
-    let outcome = PartitionEngine::with_options(cancel, opts).run(&xmap);
-    print_vs_baselines(&xmap, cancel, &BackendReport::hybrid(outcome));
-
-    if let Some(out) = trace_out {
-        let trace = session.expect("session begun when --trace is set").finish();
+    // The hybrid against the Table-1 baselines, X-masking-only [5] and
+    // X-canceling-only [12].
+    let outcome = report.outcome.as_ref().expect("a certified plan");
+    let baselines = PlanOptions::default();
+    let masking = BackendId::MaskingOnly.plan(&xmap, cancel, &baselines);
+    let canceling = BackendId::CancelingOnly.plan(&xmap, cancel, &baselines);
+    outln!(
+        "partitions       : {} over {} patterns (after {} rounds)",
+        outcome.partitions.len(),
+        xmap.num_patterns(),
+        outcome.rounds.len()
+    );
+    outln!(
+        "X's              : {} masked + {} leaked = {}",
+        report.masked_x,
+        report.leaked_x,
+        xmap.total_x()
+    );
+    outln!(
+        "control bits     : {:.1} (mask {} + cancel {:.1})",
+        report.control_bits,
+        outcome.cost.masking_bits,
+        outcome.cost.canceling_bits
+    );
+    outln!(
+        "vs baselines     : {:.2}x over X-masking-only, {:.2}x over X-canceling-only",
+        masking.control_bits / report.control_bits,
+        canceling.control_bits / report.control_bits
+    );
+    let time_canceling_only = canceling.normalized_test_time(&xmap, cancel);
+    let time_proposed = report.normalized_test_time(&xmap, cancel);
+    outln!(
+        "test time        : {:.3} -> {:.3} ({:.2}x)",
+        time_canceling_only,
+        time_proposed,
+        time_canceling_only / time_proposed
+    );
+    let cert = &certified.cert;
+    outln!(
+        "certificate      : mask {} + cancel {:.1} control bits, {} masked + {} leaked X's",
+        cert.mask_bits as u128 * cert.num_partitions as u128,
+        cert.partitions.iter().map(|p| p.cancel_bits).sum::<f64>(),
+        cert.partitions.iter().map(|p| p.masked_x).sum::<usize>(),
+        cert.partitions.iter().map(|p| p.leaked_x).sum::<usize>(),
+    );
+    outln!(
+        "plan time        : {:.3} ms, verify time {:.3} ms ({:.1}% of plan)",
+        certified.plan_ns as f64 / 1e6,
+        certified.verify_ns as f64 / 1e6,
+        100.0 * certified.verify_ns as f64 / certified.plan_ns.max(1) as f64
+    );
+    if let Some(out) = args.flag("plan-out") {
+        write_file(out, &certified.plan_bytes)?;
+    }
+    if let Some(out) = args.flag("cert-out") {
+        write_file(out, &encode_certificate(cert))?;
+    }
+    if let (Some(out), Some(session)) = (trace_out, session) {
+        let trace = session.finish();
         std::fs::write(out, trace.to_chrome_json())
             .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
         eprintln!(
@@ -616,19 +636,29 @@ fn cmd_plan(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Writes a wire artifact and says so on stderr.
+fn write_file(out: &str, bytes: &[u8]) -> CmdResult {
+    std::fs::write(out, bytes)
+        .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
+    eprintln!("wrote {out}: {} bytes", bytes.len());
+    Ok(())
+}
+
 fn cmd_schedule(args: &Args) -> CmdResult {
     let path = args
         .positional
         .first()
         .ok_or_else(|| CliError::usage("schedule needs a FILE"))?;
     let cancel = cancel_config(args)?;
+    let opts = plan_options(args)?;
     let channels: usize = args.flag_parse("channels", 32).map_err(CliError::Usage)?;
     let xmap = load(path)?;
-    let outcome = PartitionEngine::new(cancel).run(&xmap);
+    let (report, _) = plan_checked(&xmap, cancel, &opts)?;
+    let outcome = report.outcome.as_ref().expect("schedule plans a hybrid");
     let schedule = schedule_hybrid(
         xmap.config(),
         xmap.num_patterns(),
-        &outcome,
+        outcome,
         cancel,
         AteConfig::new(channels),
         ScheduleOptions::default(),
@@ -650,98 +680,47 @@ fn cmd_schedule(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `xhybrid verify`: plan + certify + independently re-check, or verify
-/// existing wire artifacts against the X map.
+/// `xhybrid verify`: checks stored wire artifacts against the X map.
 fn cmd_verify(args: &Args) -> CmdResult {
     let path = args
         .positional
         .first()
         .ok_or_else(|| CliError::usage("verify needs a FILE"))?;
+    let plan_path = args.flag("plan").ok_or_else(|| {
+        CliError::usage(
+            "verify needs --plan FILE --cert FILE; `xhybrid plan FILE` plans and checks",
+        )
+    })?;
+    let cert_path = args
+        .flag("cert")
+        .ok_or_else(|| CliError::usage("--plan requires --cert FILE"))?;
     let xmap = load(path)?;
-
-    if let Some(plan_path) = args.flag("plan") {
-        // Artifact mode: the certificate carries its own (m, q).
-        let cert_path = args
-            .flag("cert")
-            .ok_or_else(|| CliError::usage("--plan requires --cert FILE"))?;
-        let plan_bytes = std::fs::read(plan_path)
-            .map_err(|e| CliError::runtime(format!("cannot read {plan_path}: {e}")))?;
-        let cert_bytes = std::fs::read(cert_path)
-            .map_err(|e| CliError::runtime(format!("cannot read {cert_path}: {e}")))?;
-        let cert = xhybrid::wire::decode_certificate(&cert_bytes).map_err(|e| {
-            CliError::runtime(format!(
-                "cannot decode {cert_path}: {}",
-                coded(e.code(), &e)
-            ))
-        })?;
-        let (outcome, num_patterns) = decode_plan(&plan_bytes)
-            .map_err(|e| CliError::runtime(format!("cannot decode {plan_path}: {e}")))?;
-        let cancel = XCancelConfig::new(cert.m, cert.q);
-        let started = std::time::Instant::now();
-        xhybrid::verify::check(&cert, &outcome, &plan_bytes, &xmap, cancel)
-            .map_err(verify_failed)?;
-        let verify_ns = started.elapsed().as_nanos();
-        outln!(
-            "verified         : {} partitions over {} patterns, m={} q={}",
-            cert.num_partitions,
-            num_patterns,
-            cert.m,
-            cert.q
-        );
-        outln!("verify time      : {:.3} ms", verify_ns as f64 / 1e6);
-        return Ok(());
-    }
-
-    let cancel = cancel_config(args)?;
-    let opts = hybrid_plan_options(args, "verify")?;
-    let plan_started = std::time::Instant::now();
-    let outcome = PartitionEngine::with_options(cancel, opts).run(&xmap);
-    let plan_ns = plan_started.elapsed().as_nanos();
-    let plan_bytes = xhybrid::wire::encode_plan(&outcome, xmap.num_patterns());
-    let cert = xhybrid::verify::certify_plan(&xmap, cancel, &outcome, &plan_bytes, None);
-    let verify_started = std::time::Instant::now();
-    let checked = xhybrid::verify::check(&cert, &outcome, &plan_bytes, &xmap, cancel);
-    let verify_ns = verify_started.elapsed().as_nanos();
+    let plan_bytes = std::fs::read(plan_path)
+        .map_err(|e| CliError::runtime(format!("cannot read {plan_path}: {e}")))?;
+    let cert_bytes = std::fs::read(cert_path)
+        .map_err(|e| CliError::runtime(format!("cannot read {cert_path}: {e}")))?;
+    let cert = decode_certificate(&cert_bytes).map_err(|e| {
+        CliError::runtime(format!(
+            "cannot decode {cert_path}: {}",
+            coded(e.code(), &e)
+        ))
+    })?;
+    let (outcome, num_patterns) = decode_plan(&plan_bytes)
+        .map_err(|e| CliError::runtime(format!("cannot decode {plan_path}: {e}")))?;
+    // The certificate carries its own (m, q).
+    let cancel = XCancelConfig::new(cert.m, cert.q);
+    let started = Instant::now();
+    check(&cert, &outcome, &plan_bytes, &xmap, cancel).map_err(verify_failed)?;
+    let verify_ns = started.elapsed().as_nanos();
     outln!(
-        "plan             : {} partitions over {} patterns (after {} rounds)",
-        outcome.partitions.len(),
-        xmap.num_patterns(),
-        outcome.rounds.len()
+        "verified         : {} partitions over {} patterns, m={} q={}",
+        cert.num_partitions,
+        num_patterns,
+        cert.m,
+        cert.q
     );
-    outln!(
-        "certificate      : mask {} + cancel {:.1} control bits, {} masked + {} leaked X's",
-        cert.mask_bits as u128 * cert.num_partitions as u128,
-        cert.partitions.iter().map(|p| p.cancel_bits).sum::<f64>(),
-        cert.partitions.iter().map(|p| p.masked_x).sum::<usize>(),
-        cert.partitions.iter().map(|p| p.leaked_x).sum::<usize>(),
-    );
-    outln!(
-        "plan time        : {:.3} ms, verify time {:.3} ms ({:.1}% of plan)",
-        plan_ns as f64 / 1e6,
-        verify_ns as f64 / 1e6,
-        100.0 * verify_ns as f64 / plan_ns.max(1) as f64
-    );
-    if let Some(out) = args.flag("plan-out") {
-        std::fs::write(out, &plan_bytes)
-            .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-        eprintln!("wrote {out}: {} bytes", plan_bytes.len());
-    }
-    if let Some(out) = args.flag("cert-out") {
-        let cert_bytes = xhybrid::wire::encode_certificate(&cert);
-        std::fs::write(out, &cert_bytes)
-            .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-        eprintln!("wrote {out}: {} bytes", cert_bytes.len());
-    }
-    checked.map_err(verify_failed)
-}
-
-/// A failed certificate check, named by the rule the daemon's
-/// `/v1/plan/{hash}/verify` reports it under.
-fn verify_failed(e: xhybrid::verify::VerifyError) -> CliError {
-    CliError::runtime(format!(
-        "certificate verification FAILED: {} {e}",
-        e.code().id()
-    ))
+    outln!("verify time      : {:.3} ms", verify_ns as f64 / 1e6);
+    Ok(())
 }
 
 fn cmd_serve(args: &Args) -> CmdResult {
@@ -973,17 +952,12 @@ mod tests {
     #[test]
     fn every_command_has_help() {
         for cmd in [
-            "gen",
-            "analyze",
-            "partition",
-            "plan",
-            "schedule",
-            "verify",
-            "serve",
-            "fetch",
+            "gen", "analyze", "plan", "schedule", "verify", "serve", "fetch",
         ] {
             assert!(command_help(cmd).is_some(), "{cmd} lacks help text");
         }
+        // `plan` is the one planning command.
+        assert!(command_help("partition").is_none());
         assert!(command_help("bogus").is_none());
     }
 
@@ -1000,14 +974,7 @@ mod tests {
             Args::parse(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>()).unwrap()
         });
         for cmd in [
-            "gen",
-            "analyze",
-            "partition",
-            "plan",
-            "schedule",
-            "verify",
-            "serve",
-            "fetch",
+            "gen", "analyze", "plan", "schedule", "verify", "serve", "fetch",
         ] {
             let help = command_help(cmd).expect("a known command");
             for args in &modes {
@@ -1018,6 +985,36 @@ mod tests {
             }
         }
         assert!(command("bogus", &modes[0]).is_none());
+    }
+
+    #[test]
+    fn plan_refuses_a_plan_that_fails_its_check() {
+        use xhybrid::scan::{CellId, ScanConfig, XMapBuilder};
+
+        let mut b = XMapBuilder::new(ScanConfig::uniform(4, 4), 8);
+        for (chain, pos, pattern) in [(0, 0, 1), (0, 0, 2), (1, 2, 1), (1, 2, 2), (3, 3, 5)] {
+            b.add_x(CellId::new(chain, pos), pattern).unwrap();
+        }
+        let xmap = b.finish();
+        let cancel = XCancelConfig::new(8, 2);
+        let report = BackendId::Hybrid.plan(&xmap, cancel, &PlanOptions::default());
+        assert!(matches!(certify(&xmap, cancel, &report, 0), Ok(Some(_))));
+
+        // The same plan, claiming one more masked X than its masks gate.
+        let mut forged = report;
+        forged
+            .outcome
+            .as_mut()
+            .expect("a hybrid plan")
+            .cost
+            .masked_x += 1;
+        match certify(&xmap, cancel, &forged, 0) {
+            Err(CliError::Runtime(msg)) => {
+                assert!(msg.contains("FAILED"), "{msg}");
+                assert!(msg.contains(LintCode::CertAccounting.id()), "{msg}");
+            }
+            _ => panic!("a forged plan passed its check"),
+        }
     }
 
     #[test]

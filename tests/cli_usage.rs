@@ -48,7 +48,9 @@ fn top_level_help_exits_zero() {
 
 #[test]
 fn every_subcommand_answers_help() {
-    for cmd in ["gen", "analyze", "partition", "schedule", "serve", "fetch"] {
+    for cmd in [
+        "gen", "analyze", "plan", "schedule", "verify", "serve", "fetch",
+    ] {
         let (code, out, _) = run(&[cmd, "--help"]);
         assert_eq!(code, 0, "{cmd} --help should exit 0");
         assert!(out.contains(cmd), "{cmd} help should mention itself");
@@ -57,14 +59,14 @@ fn every_subcommand_answers_help() {
 
 #[test]
 fn missing_flag_value_is_a_usage_error() {
-    let (code, _, err) = run(&["partition", "file.xmap", "--m"]);
+    let (code, _, err) = run(&["plan", "file.xmap", "--m"]);
     assert_eq!(code, 2);
     assert!(err.contains("needs a value"));
 }
 
 #[test]
 fn bad_cancel_params_are_a_usage_error() {
-    let (code, _, err) = run(&["partition", "file.xmap", "--m", "8", "--q", "8"]);
+    let (code, _, err) = run(&["plan", "file.xmap", "--m", "8", "--q", "8"]);
     assert_eq!(code, 2, "{err}");
     // The daemon's XL0305 finding, in its words.
     assert!(
@@ -94,7 +96,7 @@ fn missing_file_is_a_runtime_error() {
 }
 
 #[test]
-fn gen_partition_pipeline_succeeds() {
+fn gen_plan_pipeline_succeeds() {
     let xmap_path = temp_path("pipeline.xmap");
     let (code, _, err) = run(&[
         "gen",
@@ -105,11 +107,42 @@ fn gen_partition_pipeline_succeeds() {
     ]);
     assert_eq!(code, 0, "{err}");
 
-    let (code, out, err) = run(&["partition", xmap_path.to_str().unwrap()]);
+    let (code, out, err) = run(&["plan", xmap_path.to_str().unwrap()]);
     assert_eq!(code, 0, "{err}");
     assert!(out.contains("partitions"));
     assert!(out.contains("control bits"));
+    // The Table-1 row comes with the check it passed.
+    for line in ["vs baselines", "test time", "certificate", "plan time"] {
+        assert!(out.lines().any(|l| l.starts_with(line)), "{line}: {out}");
+    }
     let _ = std::fs::remove_file(&xmap_path);
+}
+
+#[test]
+fn schedule_takes_the_engine_flags() {
+    let xmap_path = temp_path("schedule.xmap");
+    let xmap = xmap_path.to_str().unwrap();
+    let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
+    assert_eq!(code, 0, "{err}");
+    let (code, out, err) = run(&["schedule", xmap, "--strategy", "best-cost"]);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("total cycles"), "{out}");
+    let _ = std::fs::remove_file(&xmap_path);
+}
+
+#[test]
+fn retired_planning_commands_are_usage_errors() {
+    // `plan` is the one planning command: `partition` is gone, and
+    // `verify` only checks stored artifacts.
+    let (code, out, err) = run(&["partition", "file.xmap"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        out.is_empty() && err.contains("unknown command `partition`"),
+        "{err}"
+    );
+    let (code, out, err) = run(&["verify", "file.xmap"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(out.is_empty() && err.contains("xhybrid plan"), "{err}");
 }
 
 #[test]
@@ -126,7 +159,7 @@ fn verify_against_a_mismatched_map_fails_cleanly() {
     let (code, _, err) = run(&["gen", "--profile", "demo", "--out", &path(&demo)]);
     assert_eq!(code, 0, "{err}");
     let (code, _, err) = run(&[
-        "verify",
+        "plan",
         &path(&small),
         "--plan-out",
         &path(&plan),
@@ -283,10 +316,25 @@ fn serve_and_fetch_roundtrip_over_a_socket() {
 }
 
 #[test]
-fn partition_with_a_non_hybrid_backend_is_a_usage_error() {
-    let (code, _, err) = run(&["partition", "file.xmap", "--backend", "masking"]);
-    assert_eq!(code, 2, "{err}");
-    assert!(err.contains("--backend belongs to `plan`"), "{err}");
+fn plan_with_a_non_hybrid_backend_writes_no_artifact() {
+    // Only the hybrid has a plan and a certificate to write, and
+    // `schedule` needs the hybrid's plan.
+    let cases: [(&str, &[&str]); 3] = [
+        ("plan", &["--backend", "masking", "--plan-out", "x.plan"]),
+        ("plan", &["--backend", "masking", "--cert-out", "x.cert"]),
+        ("schedule", &["--backend", "masking"]),
+    ];
+    for (cmd, flags) in cases {
+        let argv = [&[cmd, "file.xmap"][..], flags].concat();
+        let flag = argv[argv.len() - 2];
+        let (code, out, err) = run(&argv);
+        assert_eq!(code, 2, "{argv:?}: {err}");
+        assert!(out.is_empty(), "{argv:?} must not run: {out}");
+        assert!(
+            err.contains(flag) && err.contains(&format!("xhybrid {cmd}")),
+            "{argv:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -425,7 +473,7 @@ fn a_closed_stdout_ends_the_command_quietly() {
         xmap_path.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{err}");
-    for cmd in ["analyze", "partition"] {
+    for cmd in ["analyze", "plan", "schedule"] {
         let mut child = xhybrid()
             .arg(cmd)
             .arg(&xmap_path)
@@ -451,7 +499,7 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
     let [xmap, plan, cert] = [&xmap_path, &plan_path, &cert_path].map(|p| p.to_str().unwrap());
     let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
     assert_eq!(code, 0, "{err}");
-    let (code, _, err) = run(&["verify", xmap, "--plan-out", plan, "--cert-out", cert]);
+    let (code, _, err) = run(&["plan", xmap, "--plan-out", plan, "--cert-out", cert]);
     assert_eq!(code, 0, "{err}");
     let verify = |flag: &'static str, value: &'static str| -> Vec<&str> {
         vec!["verify", xmap, "--plan", plan, "--cert", cert, flag, value]
@@ -474,11 +522,14 @@ fn a_flag_the_command_does_not_read_is_a_usage_error() {
     // from the certificate and plans nothing, a fetch by hash sends no
     // request, and a non-hybrid backend runs no engine.
     let cases: Vec<(&str, Vec<&str>)> = vec![
-        ("partition", vec!["partition", xmap, "--cost_stop", "0"]),
+        ("plan", vec!["plan", xmap, "--cost_stop", "0"]),
+        ("schedule", vec!["schedule", xmap, "--cost_stop", "0"]),
         (
             "fetch",
             vec!["fetch", "--addr", "127.0.0.1:1", xmap, "--threads", "4"],
         ),
+        ("verify", vec!["verify", xmap, "--m", "16"]),
+        ("verify", vec!["verify", xmap, "--plan-out", plan]),
         ("verify", verify("--m", "99")),
         ("verify", verify("--q", "98")),
         ("verify", verify("--strategy", "best-cost")),
@@ -515,7 +566,7 @@ fn an_argument_the_command_does_not_read_is_a_usage_error() {
     let [xmap, plan, cert] = [&xmap_path, &plan_path, &cert_path].map(|p| p.to_str().unwrap());
     let (code, _, err) = run(&["gen", "--profile", "demo", "--out", xmap]);
     assert_eq!(code, 0, "{err}");
-    let (code, _, err) = run(&["verify", xmap, "--plan-out", plan, "--cert-out", cert]);
+    let (code, _, err) = run(&["plan", xmap, "--plan-out", plan, "--cert-out", cert]);
     assert_eq!(code, 0, "{err}");
     // A fetch by hash reads no FILE, and a verify reads one.
     let extra = "/nonexistent/extra.xmap";
